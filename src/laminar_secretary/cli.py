@@ -191,8 +191,7 @@ def _cmd_verify(args) -> int:
     report = monte_carlo_ratio(inst, args.p, args.trials, args.seed)
     report.lemma_checks = verify_lemmas(inst, args.p, trials=min(args.trials, 500),
                                         master_seed=args.seed)
-    if 0.0 < args.p < 0.5:
-        report.allkicked = allkicked_frequency(inst, args.p, args.trials, args.seed)
+    report.allkicked = allkicked_frequency(inst, args.p, args.trials, args.seed)
     sys.stdout.write(report.summary())
     if inst.n <= 8:
         unpadded = exact_ratio(inst, args.p, padding=False)

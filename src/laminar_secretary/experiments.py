@@ -14,6 +14,7 @@ standard errors, matching the direction of the analytical bounds.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -195,6 +196,14 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
     return out
 
 
+def _chunk_plan(trials: int, jobs: int) -> list[tuple[int, int]]:
+    """(start, count) per worker.  ``jobs`` is clamped to the core count and
+    to ``trials``, so no flag value can start more workers than that."""
+    jobs = max(1, min(jobs, os.cpu_count() or 1, trials))
+    step = (trials + jobs - 1) // jobs
+    return [(start, min(step, trials - start)) for start in range(0, trials, step)]
+
+
 def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed: int,
                       *, padding: bool = True, jobs: int = 1) -> ExperimentReport:
     """Estimate the expected solution-to-optimum weight ratio over ``trials``
@@ -207,14 +216,11 @@ def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed:
     if not w_opt > 0.0:
         raise ValueError("degenerate instance: optimum weight is zero")
 
-    if jobs <= 1:
+    plan = _chunk_plan(trials, jobs)
+    if len(plan) == 1:
         weights = _trial_weights_chunk(inst, p, 0, trials, master_seed, padding)
     else:
-        step = (trials + jobs - 1) // jobs
-        args = [
-            (inst, p, start, min(step, trials - start), master_seed, padding)
-            for start in range(0, trials, step)
-        ]
+        args = [(inst, p, start, count, master_seed, padding) for start, count in plan]
         with Pool(processes=len(args)) as pool:
             chunks = pool.starmap(_trial_weights_chunk, args)
         weights = [w for ch in chunks for w in ch]

@@ -104,13 +104,11 @@ def _sample_ids(inst: LaminarInstance, p: float, rnd: random.Random):
 def _ref_rank_lists(pre, in_s, padding: bool) -> list[list[int]]:
     """Reference sets per node index as ascending rank lists (heaviest
     first); virtual ranks fill the tail up to capacity when padding."""
-    refs = []
-    for b in range(len(pre.mu)):
-        chosen = _greedy_ranks(pre, in_s, b)
-        if padding:
+    refs = _greedy_ranks(pre, in_s)
+    if padding:
+        for b, chosen in enumerate(refs):
             base = pre.virtual_rank_base[b]
             chosen.extend(range(base + len(chosen), base + pre.mu[b]))
-        refs.append(chosen)
     return refs
 
 

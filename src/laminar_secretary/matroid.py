@@ -4,8 +4,17 @@ A subset is independent when, for every family node, the number of selected
 elements inside that node's set stays within its capacity.  The
 maximum-weight independent subset is found greedily (scan in weight order,
 keep whatever still fits); for laminar constraints the greedy result is
-exact.  ``brute_force_opt`` re-derives the optimum by exhaustive search and
-exists purely as a cross-check oracle for small inputs.
+exact.
+
+Every node's optimum comes out of one bottom-up pass.  Node b's optimum is
+the heaviest capacity-many of b's own elements together with its children's
+optima, so the pass visits the elements heaviest-first and walks each one up
+its chain, appending it to every node whose list is still short and stopping
+at the first full node: an element that misses a node's optimum misses every
+ancestor's optimum too.  Reference sets, ``greedy_opt``, ``brank`` and the
+theory module's backward ranks all index into that one result.
+``brute_force_opt`` re-derives an optimum by exhaustive search and exists
+purely as a cross-check oracle for small inputs.
 """
 
 from __future__ import annotations
@@ -66,27 +75,29 @@ def _rank_flags(pre, subset) -> list[bool]:
     return flags
 
 
-def _greedy_ranks(pre, in_v: list[bool], b: int) -> list[int]:
-    """Greedy scan of the node's members in weight order (ascending rank),
-    restricted to the node's subtree constraints.  Returns chosen ranks in
-    scan order (heaviest first)."""
-    counts = [0] * len(pre.mu)
-    out = []
+def _greedy_ranks(pre, in_v: list[bool], b: int | None = None) -> list[list[int]]:
+    """Every node's optimum of the flagged ranks, in one bottom-up pass.
+
+    Only the members of node ``b`` (default: the root) are scanned, and each
+    chain is walked up to ``b``, so entry ``x`` of the result is the optimum
+    of node ``x``'s subtree for every ``x`` inside ``b`` and empty elsewhere.
+    Each list holds ranks heaviest first."""
+    if b is None:
+        b = pre.root_idx
+    mu = pre.mu
+    chain_by_rank = pre.chain_by_rank
+    opt: list[list[int]] = [[] for _ in mu]
     for r in pre.members_ranks[b]:
         if not in_v[r]:
             continue
-        ch = pre.chain_by_rank[r]
-        cut = len(ch) - pre.depth[b]
-        ok = True
-        for nx in ch[:cut]:
-            if counts[nx] >= pre.mu[nx]:
-                ok = False
+        for nx in chain_by_rank[r]:
+            chosen = opt[nx]
+            if len(chosen) >= mu[nx]:
                 break
-        if ok:
-            for nx in ch[:cut]:
-                counts[nx] += 1
-            out.append(r)
-    return out
+            chosen.append(r)
+            if nx == b:
+                break
+    return opt
 
 
 def _ranked_optimum(inst: LaminarInstance, node_id: int, ranks_heavy_first) -> RankedOptimum:
@@ -103,16 +114,16 @@ def greedy_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimum:
     if node_id not in pre.node_index:
         raise InstanceError(f"unknown node id {node_id}")
     b = pre.node_index[node_id]
-    return _ranked_optimum(inst, node_id, _greedy_ranks(pre, _rank_flags(pre, subset), b))
+    return _ranked_optimum(inst, node_id, _greedy_ranks(pre, _rank_flags(pre, subset), b)[b])
 
 
 def all_reference_sets(inst: LaminarInstance, sample) -> dict[int, RankedOptimum]:
-    """Per-node optimum of the sample, computed independently for each node."""
+    """Per-node optimum of the sample (``None`` means the whole ground set)."""
     pre = inst.pre()
-    in_v = _rank_flags(pre, sample)
+    opt = _greedy_ranks(pre, _rank_flags(pre, sample))
     return {
-        node_id: _ranked_optimum(inst, node_id, _greedy_ranks(pre, in_v, pre.node_index[node_id]))
-        for node_id in pre.node_ids
+        node_id: _ranked_optimum(inst, node_id, opt[b])
+        for b, node_id in enumerate(pre.node_ids)
     }
 
 
@@ -128,7 +139,7 @@ def brank(inst: LaminarInstance, element_id: int, node_id: int, subset=None) -> 
     b = pre.node_index[node_id]
     if b not in pre.chain_by_rank[r]:
         raise InstanceError(f"element {element_id} is not contained in node {node_id}")
-    chosen = _greedy_ranks(pre, _rank_flags(pre, subset), b)
+    chosen = _greedy_ranks(pre, _rank_flags(pre, subset), b)[b]
     return sum(1 for c in chosen if c > r)
 
 

@@ -16,6 +16,7 @@ Instances are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -60,13 +61,14 @@ class _Pre:
     """
 
     __slots__ = (
-        "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
+        "elements_by_rank", "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
         "node_ids", "node_index", "mu", "parent", "depth", "node_chain",
         "members_ranks", "chain_by_rank", "root_idx", "virtual_rank_base",
     )
 
     def __init__(self, inst: "LaminarInstance"):
         ranked = sorted(inst.elements, key=lambda e: order_key(e.weight, e.id))
+        self.elements_by_rank = ranked
         self.ids_by_rank = [e.id for e in ranked]
         self.rank_by_id = {e.id: r for r, e in enumerate(ranked)}
         self.w_by_rank = [e.weight for e in ranked]
@@ -151,11 +153,14 @@ class LaminarInstance:
     def root_id(self) -> int:
         return self.pre().node_ids[self.pre().root_idx]
 
+    def _rank(self, element_id: int) -> int:
+        r = self.pre().rank_by_id.get(element_id)
+        if r is None:
+            raise InstanceError(f"unknown element id {element_id}")
+        return r
+
     def element(self, element_id: int) -> Element:
-        for e in self.elements:
-            if e.id == element_id:
-                return e
-        raise InstanceError(f"unknown element id {element_id}")
+        return self.pre().elements_by_rank[self._rank(element_id)]
 
     def node(self, node_id: int) -> FamilyNode:
         for nd in self.nodes:
@@ -164,15 +169,14 @@ class LaminarInstance:
         raise InstanceError(f"unknown node id {node_id}")
 
     def weight(self, element_id: int) -> float:
-        return self.element(element_id).weight
+        return self.pre().w_by_rank[self._rank(element_id)]
 
     def key(self, element_id: int) -> tuple[float, int]:
         """Order key for a real or virtual element id.  Ids beyond the real
         range are virtual and carry weight zero, so they sort last."""
         pre = self.pre()
-        if element_id in pre.rank_by_id:
-            return order_key(self.weight(element_id), element_id)
-        return order_key(0.0, element_id)
+        r = pre.rank_by_id.get(element_id)
+        return order_key(0.0 if r is None else pre.w_by_rank[r], element_id)
 
     def minimal_node(self, element_id: int) -> int:
         try:
@@ -198,22 +202,25 @@ def make_instance(name, elements, nodes, membership) -> LaminarInstance:
     elements = tuple(sorted(elements, key=lambda e: e.id))
     seen: set[int] = set()
     for e in elements:
-        if not isinstance(e.id, int) or e.id < 0:
+        if type(e.id) is not int or e.id < 0:  # bool is not an id
             raise InstanceError(f"element id must be a non-negative integer: {e.id!r}")
         if e.id in seen:
             raise InstanceError(f"duplicate element id {e.id}")
         seen.add(e.id)
         if e.virtual:
             raise InstanceError(f"element {e.id}: virtual elements are internal only")
-        if not e.weight > 0:
-            raise InstanceError(f"element {e.id}: non-positive weight")
+        if not 0.0 < e.weight < math.inf:
+            what = "non-positive" if e.weight <= 0 else "non-finite"
+            raise InstanceError(f"element {e.id}: {what} weight {e.weight!r}")
 
     raw = {}
     for nd in nodes:
-        if not isinstance(nd.id, int) or nd.id < 0:
+        if type(nd.id) is not int or nd.id < 0:
             raise InstanceError(f"node id must be a non-negative integer: {nd.id!r}")
         if nd.id in raw:
             raise InstanceError(f"duplicate node id {nd.id}")
+        if type(nd.capacity) is not int:
+            raise InstanceError(f"node {nd.id}: capacity must be an integer: {nd.capacity!r}")
         if nd.capacity <= 0:
             raise InstanceError(f"node {nd.id}: non-positive capacity")
         raw[nd.id] = nd
@@ -271,19 +278,57 @@ def load_instance(text: str) -> LaminarInstance:
         if key not in doc:
             raise InstanceError(f"missing field '{key}'")
     try:
-        elements = [Element(int(e["id"]), float(e["weight"])) for e in doc["elements"]]
+        elements = [
+            Element(_json_int(e["id"], "element id"), _json_weight(e["weight"], e["id"]))
+            for e in doc["elements"]
+        ]
         nodes = [
             FamilyNode(
-                int(nd["id"]),
-                int(nd["capacity"]),
-                None if nd["parent"] is None else int(nd["parent"]),
+                _json_int(nd["id"], "node id"),
+                _json_int(nd["capacity"], f"node {nd['id']!r}: capacity"),
+                None if nd["parent"] is None else _json_int(nd["parent"], f"node {nd['id']!r}: parent"),
             )
             for nd in doc["nodes"]
         ]
-        membership = {int(k): int(v) for k, v in doc["membership"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        membership = {
+            _json_key(k): _json_int(v, "membership value") for k, v in doc["membership"].items()
+        }
+    except (AttributeError, KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance text: {exc}") from None
     return make_instance(doc["name"], elements, nodes, membership)
+
+
+def _json_int(value, what: str) -> int:
+    """An integral JSON number.  Booleans, strings and fractional or
+    non-finite numbers are refused rather than coerced."""
+    if type(value) is int:  # not bool, which subclasses int
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise InstanceError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_weight(value, element_id) -> float:
+    """A JSON number as a float; finiteness is checked by ``make_instance``."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise InstanceError(f"element {element_id!r}: non-finite weight {value!r}") from None
+    raise InstanceError(f"element {element_id!r}: weight must be a number, got {value!r}")
+
+
+def _json_key(key: str) -> int:
+    """A membership key: the canonical decimal form of an element id."""
+    try:
+        eid = int(key)
+    except ValueError:
+        eid = None
+    if eid is None or str(eid) != key:
+        raise InstanceError(f"membership key must be an element id, got {key!r}")
+    return eid
 
 
 def dump_instance(inst: LaminarInstance) -> str:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .model import LaminarInstance, chain
-from .matroid import RankedOptimum, greedy_opt
+from .matroid import RankedOptimum, all_reference_sets, greedy_opt
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def geometric_sum(c: float, i: int) -> float:
 
 
 def _node_optima(inst: LaminarInstance) -> dict[int, RankedOptimum]:
-    return {nid: greedy_opt(inst, None, nid) for nid in inst.pre().node_ids}
+    return all_reference_sets(inst, None)
 
 
 def _padded_brank(inst, opts, element_id: int, node_id: int) -> int:

@@ -35,6 +35,24 @@ def four_element():
     return load_instance(FOUR_ELEMENT_TEXT)
 
 
+def corrupt_four_element(field, value):
+    """The four-element document with one numeric field replaced."""
+    doc = json.loads(FOUR_ELEMENT_TEXT)
+    if field == "weight":
+        doc["elements"][0]["weight"] = value
+    elif field == "element id":
+        doc["elements"][0]["id"] = value
+    elif field == "node id":
+        doc["nodes"][1]["id"] = value
+    elif field == "capacity":
+        doc["nodes"][1]["capacity"] = value
+    elif field == "parent":
+        doc["nodes"][1]["parent"] = value
+    else:
+        doc["membership"]["0"] = value
+    return json.dumps(doc)
+
+
 def rank1(weights, capacity=1, name="rank1"):
     """Single-node instance: select at most ``capacity`` of the elements."""
     elements = [Element(i, float(w)) for i, w in enumerate(weights)]
@@ -70,6 +88,24 @@ def mixed_instances(count, seed0=0, n_lo=4, n_hi=12):
             depth=2 + i % 2 if family == "chain" else None,
         )
         out.append(generate(spec))
+    return out
+
+
+def per_node_greedy_ranks(pre, in_v, b):
+    """Reference greedy scan for one node: walk the node's members in weight
+    order and keep each flagged rank whose chain up to ``b`` still has room
+    everywhere.  Returns node ``b``'s optimum as ranks, heaviest first."""
+    counts = [0] * len(pre.mu)
+    out = []
+    for r in pre.members_ranks[b]:
+        if not in_v[r]:
+            continue
+        ch = pre.chain_by_rank[r]
+        cut = len(ch) - pre.depth[b]
+        if all(counts[nx] < pre.mu[nx] for nx in ch[:cut]):
+            for nx in ch[:cut]:
+                counts[nx] += 1
+            out.append(r)
     return out
 
 

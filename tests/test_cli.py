@@ -5,7 +5,7 @@ import pytest
 from laminar_secretary import exact_ratio, load_instance
 from laminar_secretary.cli import main
 
-from helpers import FOUR_ELEMENT_TEXT
+from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element
 
 
 @pytest.fixture
@@ -127,3 +127,17 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["gen", "--family", "uniform", "--n", "3", "--k", "9",
                  "--seed", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("weight", float("inf")),
+    ("weight", float("nan")),
+    ("weight", True),
+    ("capacity", True),
+    ("capacity", 2.7),
+])
+def test_bad_numbers_exit_2(tmp_path, capsys, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(corrupt_four_element(field, value))
+    assert main(["opt", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from laminar_secretary import (
     ratio_lower_bound,
     verify_lemmas,
 )
+from laminar_secretary.experiments import _chunk_plan
 
 from helpers import four_element, mixed_instances, rank1
 
@@ -104,6 +106,18 @@ class TestMonteCarlo:
         serial = monte_carlo_ratio(inst, 0.1, 600, master_seed=3, jobs=1)
         parallel = monte_carlo_ratio(inst, 0.1, 600, master_seed=3, jobs=3)
         assert serial.ratio == parallel.ratio
+
+    @pytest.mark.parametrize("cores", [1, 2, 8, None])
+    def test_chunk_plan_is_clamped(self, monkeypatch, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        for trials in (1, 5, 600, 10_007):
+            for jobs in (-3, 0, 1, 3, 64, 10 ** 9):
+                plan = _chunk_plan(trials, jobs)
+                assert 1 <= len(plan) <= min(max(jobs, 1), cores or 1, trials)
+                assert all(count > 0 for _, count in plan)
+                ends = [start + count for start, count in plan]
+                assert [start for start, _ in plan] == [0] + ends[:-1]
+                assert ends[-1] == trials
 
     def test_estimate_in_unit_interval(self):
         for inst in mixed_instances(6, seed0=10):

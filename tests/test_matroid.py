@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from laminar_secretary import (
     Element,
@@ -18,9 +18,10 @@ from laminar_secretary import (
     node_usage,
     reference_sets,
 )
+from laminar_secretary.matroid import _greedy_ranks
 from laminar_secretary.theory import _padded_brank, _node_optima
 
-from helpers import four_element, mixed_instances, rank1
+from helpers import four_element, mixed_instances, per_node_greedy_ranks, rank1
 
 
 class TestIndependence:
@@ -74,6 +75,29 @@ class TestGreedy:
         big = small | {x for x in ids if rnd.random() < 0.4}
         for nd in inst.nodes:
             assert greedy_opt(inst, small, nd.id).weight <= greedy_opt(inst, big, nd.id).weight + 1e-12
+
+
+class TestOnePassOptima:
+    """The bottom-up pass against the per-node greedy scan it replaced."""
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(("uniform", "partition", "chain", "random_tree")),
+           st.integers(1, 60), st.integers(0, 10_000), st.floats(0.0, 1.0))
+    def test_matches_per_node_scan(self, family, n, seed, keep):
+        spec = GenSpec(family, n, seed, ("uniform", "exponential", "near_ties", "power_law")[seed % 4],
+                       rank=max(1, n // 3) if family == "uniform" else None,
+                       parts=1 + seed % 4 if family == "partition" else None,
+                       part_capacity=1 + seed % 3,
+                       depth=2 + seed % 3 if family == "chain" else None)
+        pre = generate(spec).pre()
+        rnd = random.Random(seed)
+        in_v = [rnd.random() < keep for _ in range(pre.n_real)]
+        reference = [per_node_greedy_ranks(pre, in_v, x) for x in range(len(pre.mu))]
+        assert _greedy_ranks(pre, in_v) == reference  # the root bound covers every node
+        for b in range(len(pre.mu)):
+            got = _greedy_ranks(pre, in_v, b)
+            for x in range(len(pre.mu)):
+                assert got[x] == (reference[x] if b in pre.node_chain[x] else [])
 
 
 class TestReferenceSets:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,7 @@ from laminar_secretary import (
     order_key,
 )
 
-from helpers import FOUR_ELEMENT_TEXT, four_element, tree
+from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element, four_element, tree
 
 
 def _doc(**overrides):
@@ -92,6 +93,72 @@ class TestLoad:
             load_instance("{not json")
         with pytest.raises(InstanceError, match="missing field"):
             load_instance("{}")
+
+
+INT_FIELDS = ("element id", "node id", "capacity", "parent", "membership")
+NOT_AN_INTEGER = st.one_of(
+    st.booleans(),
+    st.text(),
+    st.floats(allow_nan=True, allow_infinity=True).filter(lambda x: not x.is_integer()),
+)
+NOT_A_WEIGHT = st.one_of(
+    st.booleans(),
+    st.text(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 10 ** 400]),
+)
+
+
+class TestLoadRejects:
+    """Bad numbers fail loudly instead of being coerced."""
+
+    @given(st.sampled_from(INT_FIELDS), NOT_AN_INTEGER)
+    def test_non_integer_fields(self, field, value):
+        with pytest.raises(InstanceError):
+            load_instance(corrupt_four_element(field, value))
+
+    @given(NOT_A_WEIGHT)
+    def test_bad_weights(self, value):
+        with pytest.raises(InstanceError):
+            load_instance(corrupt_four_element("weight", value))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("capacity", 2.7, "capacity must be an integer, got 2.7"),
+        ("capacity", True, "capacity must be an integer, got True"),
+        ("weight", True, "weight must be a number, got True"),
+        ("weight", math.inf, "non-finite weight inf"),
+        ("weight", math.nan, "non-finite weight nan"),
+    ])
+    def test_messages(self, field, value, message):
+        with pytest.raises(InstanceError, match=message):
+            load_instance(corrupt_four_element(field, value))
+
+    @pytest.mark.parametrize("key", ["01", " 0", "0.0", "x"])
+    def test_non_canonical_membership_key(self, key):
+        doc = json.loads(FOUR_ELEMENT_TEXT)
+        doc["membership"][key] = doc["membership"].pop("0")
+        with pytest.raises(InstanceError, match="membership key"):
+            load_instance(json.dumps(doc))
+
+    def test_integral_float_is_an_integer(self):
+        inst = load_instance(corrupt_four_element("capacity", 1.0))
+        assert inst.node(1).capacity == 1 and isinstance(inst.node(1).capacity, int)
+
+    def test_make_instance_checks_too(self):
+        with pytest.raises(InstanceError, match="non-finite weight"):
+            make_instance("x", [Element(0, math.inf)], [FamilyNode(0, 1, None)], {0: 0})
+        with pytest.raises(InstanceError, match="capacity must be an integer"):
+            make_instance("x", [Element(0, 1.0)], [FamilyNode(0, 1.5, None)], {0: 0})
+
+
+@given(st.sampled_from(("uniform", "partition", "chain", "random_tree")),
+       st.sampled_from(("uniform", "exponential", "power_law", "near_ties")),
+       st.integers(1, 30), st.integers(0, 10_000))
+def test_dump_load_round_trip(family, weights, n, seed):
+    inst = generate(GenSpec(family, n, seed, weights))
+    text = dump_instance(inst)
+    back = load_instance(text)
+    assert dump_instance(back) == text
+    assert back.elements == inst.elements and back.membership == inst.membership
 
 
 class TestNormalize:
