@@ -10,7 +10,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from laminar_secretary import best_p, ratio_lower_bound, theory_params
+from laminar_secretary import best_p, p_grid, ratio_lower_bound, theory_params
 
 
 def main():
@@ -19,13 +19,14 @@ def main():
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()
 
+    try:
+        grid = p_grid(args.step)
+    except ValueError as exc:
+        ap.exit(2, f"error: {exc}\n")
     lines = ["p,alpha,c,ratio_lower_bound"]
-    k = 1
-    while k * args.step < 0.5:
-        p = k * args.step
+    for p in grid:
         t = theory_params(p)
         lines.append(f"{p!r},{t.alpha!r},{t.c!r},{ratio_lower_bound(p)!r}")
-        k += 1
     text = "\n".join(lines) + "\n"
     if args.csv:
         Path(args.csv).write_text(text)

@@ -42,6 +42,7 @@ from .theory import (
     g_refined_bound,
     g_weak_bound,
     geometric_sum,
+    p_grid,
     ratio_lower_bound,
     rel_ent,
     theory_params,

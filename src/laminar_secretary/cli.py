@@ -26,7 +26,7 @@ from .generators import FAMILIES, WEIGHTS, GenSpec, generate
 from .kicknext import RunConfig, make_trial, run_kicknext, trace_csv
 from .matroid import greedy_opt
 from .model import InstanceError, dump_instance, load_instance
-from .theory import ratio_lower_bound, theory_params
+from .theory import p_grid, ratio_lower_bound, theory_params
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,12 +167,7 @@ def _cmd_theory(args) -> int:
     if args.p is not None:
         grid = [args.p]
     elif args.p_min is not None:
-        hi = args.p_max if args.p_max is not None else args.p_min
-        grid = []
-        k = 0
-        while args.p_min + k * args.step <= hi + 1e-12:
-            grid.append(args.p_min + k * args.step)
-            k += 1
+        grid = p_grid(args.step, args.p_min, args.p_max)
     else:
         grid = [0.08]
     lines = ["p,alpha,c,ratio_lower_bound"]

@@ -5,6 +5,11 @@ seed ``s`` always uses ``derive_seed(s, i)``, so serial and parallel
 execution produce identical statistics.  Aggregation goes through
 ``math.fsum`` (exact summation), which keeps results independent of chunking.
 
+The checks run in rank space on the Monte Carlo path's tables: each trial is
+drawn once as sample flags and arrival ranks, reference sets are ascending
+rank lists, and every backward rank, eviction-failure event and qualifying
+slot is read by ``theory._padded_brank``.
+
 Estimators that condition on an event (an element landing in the selection
 phase) do so by rejection: trials violating the condition are discarded,
 which is unbiased.  Statistical acceptance in reports is one-sided at a few
@@ -16,26 +21,18 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 from multiprocessing import Pool
 
-from .model import LaminarInstance, chain
-from .matroid import greedy_opt, brank
-from .kicknext import (
-    RunConfig,
-    _ref_rank_lists,
-    _run_weight,
-    _sample_ids,
-    make_trial,
-    qualifies,
-    reference_sets,
-    run_kicknext,
-)
+from .model import LaminarInstance
+from .matroid import greedy_opt
+from .kicknext import _ref_rank_lists, _run_weight, _sample_ids
 from .theory import (
+    _global_optima,
     _padded_brank,
-    _node_optima,
     allkicked_bound,
     g_exact,
     g_refined_bound,
@@ -282,6 +279,20 @@ def exact_ratio(inst: LaminarInstance, p: float, *, padding: bool = True) -> flo
     return expected / w_opt
 
 
+# -- rank-space trials for the checks -----------------------------------------
+
+
+def _trial_ranks(inst: LaminarInstance, p: float, seed: int):
+    """One trial, drawn as ``make_trial`` draws it, in rank space: the
+    sample flag of every rank and the arrival order as ranks."""
+    rank_by_id = inst.pre().rank_by_id
+    sample, arrivals = _sample_ids(inst, p, random.Random(seed))
+    in_s = [False] * len(rank_by_id)
+    for eid in sample:
+        in_s[rank_by_id[eid]] = True
+    return in_s, [rank_by_id[eid] for eid in arrivals]
+
+
 # -- eviction-failure frequencies ---------------------------------------------
 
 
@@ -294,40 +305,37 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     params = theory_params(p)  # the bound needs p < 1/2
-    root = inst.root_id
-    opt = greedy_opt(inst, None, root)
-    chains = {eid: chain(inst, inst.membership[eid], root) for eid in opt.elements}
+    pre = inst.pre()
+    opt, _ = _global_optima(pre)
+    root_opt = opt[pre.root_idx]
+    seen = dict.fromkeys(root_opt, 0)  # arrivals per optimum element
     hits: dict[tuple[int, int], int] = defaultdict(int)
-    seen: dict[int, int] = defaultdict(int)
 
     for t_idx in range(trials):
-        trial = make_trial(inst, p, derive_seed(master_seed, t_idx))
-        res = run_kicknext(inst, trial, RunConfig(padding=padding, trace=True))
-        arrived = {eid: s for s, eid in enumerate(trial.arrival_order)}
-        ev_by_node: dict[int, list] = defaultdict(list)
-        for ev in res.events:
-            if ev.action == "accept":
-                ev_by_node[ev.node].append((ev.step, inst.key(ev.evicted)))
-        for eid in opt.elements:
-            step_i = arrived.get(eid)
-            if step_i is None:
-                continue  # sampled, not conditioned on
-            seen[eid] += 1
-            key = inst.key(eid)
-            for nid in chains[eid]:
-                init_below = sum(1 for x in res.initial_refsets[nid] if inst.key(x) > key)
-                gone = sum(1 for s, k in ev_by_node[nid] if s < step_i and k > key)
-                if gone == init_below:
-                    hits[(eid, nid)] += 1
+        in_s, order = _trial_ranks(inst, p, derive_seed(master_seed, t_idx))
+        refs = _ref_rank_lists(pre, in_s, padding)
+        for r in order:
+            ch = pre.chain_by_rank[r]
+            if r in seen:  # test every chain node before the walk changes it
+                seen[r] += 1
+                for b in ch:
+                    if _padded_brank(refs[b], r) == 0:
+                        hits[r, b] += 1
+            for b in ch:  # the walk of ``_run_weight``
+                R = refs[b]
+                i = bisect_right(R, r)
+                if i == len(R):
+                    break
+                R.pop(i)
 
     rows = []
-    for eid in opt.elements:
-        ncond = seen[eid]
-        for nid in chains[eid]:
-            d = brank(inst, eid, nid, None)
-            freq = hits[(eid, nid)] / ncond if ncond else 0.0
+    for r in reversed(root_opt):  # lightest first
+        ncond = seen[r]
+        for b in pre.chain_by_rank[r]:
+            d = _padded_brank(opt[b], r)
+            freq = hits[r, b] / ncond if ncond else 0.0
             se = math.sqrt(freq * (1.0 - freq) / ncond) if ncond else 0.0
-            rows.append(AllKickedRow(eid, nid, d, ncond, freq, se,
+            rows.append(AllKickedRow(pre.ids_by_rank[r], pre.node_ids[b], d, ncond, freq, se,
                                      allkicked_bound(params, d)))
     return rows
 
@@ -335,23 +343,19 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
 # -- qualifying-count joint probabilities --------------------------------------
 
 
-def _qualifying_counts(inst, node_id, element_id, sample):
-    """Counts per reference slot of selection-phase elements (other than the
-    conditioning one) that qualify for the node and fall strictly between
-    consecutive reference elements by weight."""
-    refs = reference_sets(inst, sample, padding=True)
-    slots = refs[node_id]  # ascending weight, padded to capacity
-    got = [0] * len(slots)
-    sample = set(sample)
-    keys = [inst.key(x) for x in slots]
-    for x in inst.members(node_id):
-        if x == element_id or x in sample:
+def _qualifying_counts(pre, b: int, skip: int, in_s: list[bool]) -> list[int]:
+    """Counts per reference slot of node index ``b`` (lightest slot first) of
+    the selection-phase ranks other than ``skip`` that qualify for the node:
+    each outweighs the lightest reference slot at every node of its chain up
+    to ``b``, and is counted at the heaviest slot lighter than it."""
+    refs = _ref_rank_lists(pre, in_s, True)
+    got = [0] * pre.mu[b]
+    for r in pre.members_ranks[b]:
+        if r == skip or in_s[r]:
             continue
-        if not qualifies(inst, x, node_id, refs):
-            continue
-        kx = inst.key(x)
-        j = sum(1 for k in keys if k > kx)  # reference slots strictly lighter
-        got[j - 1] += 1  # qualifying implies j >= 1
+        ch = pre.chain_by_rank[r]
+        if all(refs[x][-1] > r for x in ch[:len(ch) - pre.depth[b]]):
+            got[_padded_brank(refs[b], r) - 1] += 1  # qualifying implies >= 1
     return got
 
 
@@ -371,12 +375,13 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     counts = [int(x) for x in counts]
     if any(x < 0 for x in counts):
         raise ValueError("counts must be non-negative")
-    cap = inst.node(node_id).capacity
-    if len(counts) != cap:
+    pre = inst.pre()
+    b = pre.node_idx(node_id)
+    if len(counts) != pre.mu[b]:
         raise ValueError(
-            f"counts must have one entry per reference slot ({cap} for node {node_id})"
+            f"counts must have one entry per reference slot ({pre.mu[b]} for node {node_id})"
         )
-    inst.element(element_id)  # existence check
+    skip = pre.rank_of(element_id)
     bound = p ** sum(counts)
     n = inst.n
     if method not in ("auto", "exact", "mc"):
@@ -388,23 +393,23 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
             raise ValueError(
                 f"exact enumeration limited to {EXACT_ENUM_LIMIT} elements, got {n}"
             )
-        others = [e.id for e in inst.elements if e.id != element_id]
         acc = []
-        for mask in range(1 << len(others)):
-            sample = [others[i] for i in range(len(others)) if (mask >> i) & 1]
-            prob = (1.0 - p) ** len(sample) * p ** (len(others) - len(sample))
-            if _qualifying_counts(inst, node_id, element_id, sample) == counts:
+        for flags in product((False, True), repeat=n - 1):  # sample flags of the other ranks
+            in_s = [*flags[:skip], False, *flags[skip:]]
+            k = sum(flags)
+            prob = (1.0 - p) ** k * p ** (n - 1 - k)
+            if _qualifying_counts(pre, b, skip, in_s) == counts:
                 acc.append(prob)
         return QualifyingProbability(math.fsum(acc), bound, True)
 
     hits = 0
     ncond = 0
     for t_idx in range(trials):
-        trial = make_trial(inst, p, derive_seed(master_seed, t_idx))
-        if element_id in trial.sample_set:
+        in_s, _ = _trial_ranks(inst, p, derive_seed(master_seed, t_idx))
+        if in_s[skip]:
             continue  # rejection sampling for the conditional law
         ncond += 1
-        if _qualifying_counts(inst, node_id, element_id, trial.sample_set) == counts:
+        if _qualifying_counts(pre, b, skip, in_s) == counts:
             hits += 1
     if ncond == 0:
         raise ValueError("no trial satisfied the conditioning event; raise trials")
@@ -424,34 +429,28 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     params = theory_params(p)
     c = params.c
     checks: list[LemmaCheck] = []
-    root = inst.root_id
-    opt_root = greedy_opt(inst, None, root)
+    pre = inst.pre()
+    opt, padded = _global_optima(pre)
 
     if c < 0.5:
-        ok = True
-        witness = ""
+        witness = ""  # the first failure; empty while every check holds
         scanned = 0
-        for nid in inst.pre().node_ids:
-            opt_b = greedy_opt(inst, None, nid)
-            k = inst.node(nid).capacity
-            for m in range(len(opt_b) + 1):
-                scanned += 1
-                g = g_exact(inst, m, nid, c)
-                refined = g_refined_bound(m, k, c)
-                weak = g_weak_bound(m, c)
-                if g > refined + _TOL or refined > weak + _TOL:
-                    ok = False
-                    witness = (f"node {nid}, m={m}: g={g!r}, refined={refined!r}, "
-                               f"weak={weak!r}")
-                    break
-            if not ok:
+        pairs = ((b, nid, m) for b, nid in enumerate(pre.node_ids) for m in range(len(opt[b]) + 1))
+        for b, nid, m in pairs:
+            scanned += 1
+            g = g_exact(inst, m, nid, c)
+            refined = g_refined_bound(m, pre.mu[b], c)
+            weak = g_weak_bound(m, c)
+            if g > refined + _TOL or refined > weak + _TOL:
+                witness = (f"node {nid}, m={m}: g={g!r}, refined={refined!r}, "
+                           f"weak={weak!r}")
                 break
         checks.append(LemmaCheck(
-            "g-chain-decay", ok,
+            "g-chain-decay", not witness,
             witness or f"{scanned} (node, m) pairs: exact <= refined <= weak"))
 
         pen = weighted_penalty(inst, c)
-        cap_bound = g_weak_bound(1, c) * opt_root.weight
+        cap_bound = g_weak_bound(1, c) * greedy_opt(inst, None, inst.root_id).weight
         checks.append(LemmaCheck(
             "weighted-penalty", pen <= cap_bound + _TOL,
             f"penalty={pen!r} vs 2c/(1-c)*w(OPT)={cap_bound!r}"))
@@ -467,41 +466,39 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
         checks.append(LemmaCheck("weighted-penalty", None, reason))
         checks.append(LemmaCheck("telescoping-identity", None, reason))
 
-    # backward-rank dominance of sample optima, in the padded view
-    opts = _node_optima(inst)
-    node_ids = inst.pre().node_ids
-    weak_ok = True
-    weak_witness = ""
-    member_ok = True
+    # backward-rank dominance of sample optima, in the padded view.  Members
+    # are visited in ``inst.members`` order, which fixes the first example
+    # reported; their global backward ranks do not depend on the trial.
+    ids = pre.ids_by_rank
+    members = [[pre.rank_by_id[eid] for eid in inst.members(nid)] for nid in pre.node_ids]
+    bu_by_node = [[_padded_brank(padded[b], r) for r in rs] for b, rs in enumerate(members)]
+    in_opt = [set(rs) for rs in opt]
+    weak_witness = ""  # first failures, as above
     member_witness = ""
     strict_violations = 0
     strict_example = ""
     for t_idx in range(trials):
-        trial = make_trial(inst, p, derive_seed(master_seed, t_idx))
-        refs = reference_sets(inst, trial.sample_set, padding=True)
-        for nid in node_ids:
-            ref_keys = [inst.key(x) for x in refs[nid]]
-            for eid in inst.members(nid):
-                key = inst.key(eid)
-                bs = sum(1 for k in ref_keys if k > key)
-                bu = _padded_brank(inst, opts, eid, nid)
-                if bs < bu and weak_ok:
-                    weak_ok = False
-                    weak_witness = f"trial {t_idx}, element {eid}, node {nid}: {bs} < {bu}"
-                if eid in trial.sample_set:
+        in_s, _ = _trial_ranks(inst, p, derive_seed(master_seed, t_idx))
+        refs = _ref_rank_lists(pre, in_s, True)
+        for b, nid in enumerate(pre.node_ids):
+            R = refs[b]
+            for r, bu in zip(members[b], bu_by_node[b]):
+                bs = _padded_brank(R, r)
+                if bs < bu and not weak_witness:
+                    weak_witness = f"trial {t_idx}, element {ids[r]}, node {nid}: {bs} < {bu}"
+                if in_s[r]:
                     continue
-                if eid in opts[nid].ids:
-                    if bs < bu + 1 and member_ok:
-                        member_ok = False
-                        member_witness = (f"trial {t_idx}, element {eid}, node {nid}: "
+                if r in in_opt[b]:
+                    if bs < bu + 1 and not member_witness:
+                        member_witness = (f"trial {t_idx}, element {ids[r]}, node {nid}: "
                                           f"{bs} < {bu}+1")
                 elif bs < bu + 1:
                     strict_violations += 1
                     if not strict_example:
-                        strict_example = f"trial {t_idx}, element {eid}, node {nid}"
-    checks.append(LemmaCheck("brank-dominance", weak_ok,
+                        strict_example = f"trial {t_idx}, element {ids[r]}, node {nid}"
+    checks.append(LemmaCheck("brank-dominance", not weak_witness,
                              weak_witness or f"{trials} trials, all nodes"))
-    checks.append(LemmaCheck("brank-dominance-optimum", member_ok,
+    checks.append(LemmaCheck("brank-dominance-optimum", not member_witness,
                              member_witness or "strict +1 for optimum elements held"))
     checks.append(LemmaCheck(
         "brank-dominance-strict", None,

@@ -154,10 +154,7 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, config: RunConfig = RunCon
     pre = inst.pre()
     in_s = [False] * pre.n_real
     for eid in trial.sample_set:
-        r = pre.rank_by_id.get(eid)
-        if r is None:
-            raise InstanceError(f"unknown element id {eid}")
-        in_s[r] = True
+        in_s[pre.rank_of(eid)] = True
     order_ranks = [pre.rank_by_id[eid] for eid in trial.arrival_order]
 
     refs = _ref_rank_lists(pre, in_s, config.padding)
@@ -211,10 +208,8 @@ def qualifies(inst: LaminarInstance, element_id: int, node_id: int,
     accepted at (or evict from) that node.  Empty reference sets disqualify.
     """
     pre = inst.pre()
-    if element_id not in pre.rank_by_id:
-        raise InstanceError(f"unknown element id {element_id}")
-    own = pre.chain_by_rank[pre.rank_by_id[element_id]]
-    if node_id not in pre.node_index or pre.node_index[node_id] not in own:
+    own = pre.chain_by_rank[pre.rank_of(element_id)]
+    if pre.node_idx(node_id) not in own:
         raise InstanceError(f"element {element_id} is not contained in node {node_id}")
     key = inst.key(element_id)
     for nid in chain(inst, inst.membership[element_id], node_id):

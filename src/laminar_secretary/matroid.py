@@ -49,9 +49,7 @@ def node_usage(inst: LaminarInstance, element_ids: Iterable[int]) -> dict[int, i
     pre = inst.pre()
     counts = [0] * len(pre.mu)
     for eid in element_ids:
-        if eid not in pre.rank_by_id:
-            raise InstanceError(f"unknown element id {eid}")
-        for b in pre.chain_by_rank[pre.rank_by_id[eid]]:
+        for b in pre.chain_by_rank[pre.rank_of(eid)]:
             counts[b] += 1
     return {pre.node_ids[b]: counts[b] for b in range(len(counts))}
 
@@ -68,10 +66,7 @@ def _rank_flags(pre, subset) -> list[bool]:
         return [True] * pre.n_real
     flags = [False] * pre.n_real
     for eid in subset:
-        r = pre.rank_by_id.get(eid)
-        if r is None:
-            raise InstanceError(f"unknown element id {eid}")
-        flags[r] = True
+        flags[pre.rank_of(eid)] = True
     return flags
 
 
@@ -111,9 +106,7 @@ def greedy_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimum:
     node's set and its capacity subtree.  ``subset=None`` means the whole
     ground set."""
     pre = inst.pre()
-    if node_id not in pre.node_index:
-        raise InstanceError(f"unknown node id {node_id}")
-    b = pre.node_index[node_id]
+    b = pre.node_idx(node_id)
     return _ranked_optimum(inst, node_id, _greedy_ranks(pre, _rank_flags(pre, subset), b)[b])
 
 
@@ -131,12 +124,8 @@ def brank(inst: LaminarInstance, element_id: int, node_id: int, subset=None) -> 
     """Backward rank: how many elements of the node's optimum (restricted to
     ``subset``) are strictly lighter than the given element."""
     pre = inst.pre()
-    if element_id not in pre.rank_by_id:
-        raise InstanceError(f"unknown element id {element_id}")
-    r = pre.rank_by_id[element_id]
-    if node_id not in pre.node_index:
-        raise InstanceError(f"unknown node id {node_id}")
-    b = pre.node_index[node_id]
+    r = pre.rank_of(element_id)
+    b = pre.node_idx(node_id)
     if b not in pre.chain_by_rank[r]:
         raise InstanceError(f"element {element_id} is not contained in node {node_id}")
     chosen = _greedy_ranks(pre, _rank_flags(pre, subset), b)[b]
@@ -152,9 +141,7 @@ def brute_force_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimu
     so float rounding can never flip a comparison.
     """
     pre = inst.pre()
-    if node_id not in pre.node_index:
-        raise InstanceError(f"unknown node id {node_id}")
-    b = pre.node_index[node_id]
+    b = pre.node_idx(node_id)
     in_v = _rank_flags(pre, subset)
     pool = [r for r in pre.members_ranks[b] if in_v[r]]
     if len(pool) > BRUTE_FORCE_LIMIT:

@@ -123,6 +123,18 @@ class _Pre:
     def virtual_id(self, vrank: int) -> int:
         return self.max_id + 1 + (vrank - self.n_real)
 
+    def rank_of(self, element_id: int) -> int:
+        r = self.rank_by_id.get(element_id)
+        if r is None:
+            raise InstanceError(f"unknown element id {element_id}")
+        return r
+
+    def node_idx(self, node_id: int) -> int:
+        b = self.node_index.get(node_id)
+        if b is None:
+            raise InstanceError(f"unknown node id {node_id}")
+        return b
+
 
 @dataclass(eq=False)
 class LaminarInstance:
@@ -153,23 +165,16 @@ class LaminarInstance:
     def root_id(self) -> int:
         return self.pre().node_ids[self.pre().root_idx]
 
-    def _rank(self, element_id: int) -> int:
-        r = self.pre().rank_by_id.get(element_id)
-        if r is None:
-            raise InstanceError(f"unknown element id {element_id}")
-        return r
-
     def element(self, element_id: int) -> Element:
-        return self.pre().elements_by_rank[self._rank(element_id)]
+        pre = self.pre()
+        return pre.elements_by_rank[pre.rank_of(element_id)]
 
     def node(self, node_id: int) -> FamilyNode:
-        for nd in self.nodes:
-            if nd.id == node_id:
-                return nd
-        raise InstanceError(f"unknown node id {node_id}")
+        return self.nodes[self.pre().node_idx(node_id)]
 
     def weight(self, element_id: int) -> float:
-        return self.pre().w_by_rank[self._rank(element_id)]
+        pre = self.pre()
+        return pre.w_by_rank[pre.rank_of(element_id)]
 
     def key(self, element_id: int) -> tuple[float, int]:
         """Order key for a real or virtual element id.  Ids beyond the real
@@ -187,8 +192,7 @@ class LaminarInstance:
     def members(self, node_id: int) -> frozenset[int]:
         """All element ids contained in the node's set (subtree closure)."""
         pre = self.pre()
-        b = pre.node_index[node_id]
-        return frozenset(pre.ids_by_rank[r] for r in pre.members_ranks[b])
+        return frozenset(pre.ids_by_rank[r] for r in pre.members_ranks[pre.node_idx(node_id)])
 
     def element_ids(self) -> frozenset[int]:
         return frozenset(e.id for e in self.elements)
@@ -199,6 +203,8 @@ class LaminarInstance:
 
 def make_instance(name, elements, nodes, membership) -> LaminarInstance:
     """Validate and assemble an instance; children links are recomputed."""
+    if type(name) is not str:
+        raise InstanceError(f"name must be a string, got {name!r}")
     elements = tuple(sorted(elements, key=lambda e: e.id))
     seen: set[int] = set()
     for e in elements:
@@ -263,7 +269,7 @@ def make_instance(name, elements, nodes, membership) -> LaminarInstance:
         FamilyNode(nd.id, nd.capacity, nd.parent, tuple(sorted(children[nd.id])))
         for nd in sorted(raw.values(), key=lambda x: x.id)
     )
-    return LaminarInstance(str(name), elements, linked, membership)
+    return LaminarInstance(name, elements, linked, membership)
 
 
 def load_instance(text: str) -> LaminarInstance:
@@ -352,12 +358,10 @@ def chain(inst: LaminarInstance, from_node: int, to_node: int) -> list[int]:
     """Node ids from ``from_node`` up to ``to_node`` following parent links,
     both ends included.  ``from_node`` must lie inside ``to_node``."""
     pre = inst.pre()
-    if from_node not in pre.node_index:
-        raise InstanceError(f"unknown node id {from_node}")
-    if to_node not in pre.node_index:
-        raise InstanceError(f"unknown node id {to_node}")
+    up = pre.node_chain[pre.node_idx(from_node)]
+    pre.node_idx(to_node)
     out = []
-    for b in pre.node_chain[pre.node_index[from_node]]:
+    for b in up:
         out.append(pre.node_ids[b])
         if pre.node_ids[b] == to_node:
             return out

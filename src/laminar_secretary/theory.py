@@ -21,15 +21,23 @@ virtual elements.  Without that convention the per-node geometric sums are
 simply false on sparse instances (a lone element under k nested capacities
 would contribute k*c instead of c + c^2 + ... + c^k).  All logarithms are
 natural.
+
+Backward ranks are counted in rank space by ``_padded_brank``, against
+optima from one bottom-up pass.  ``p_grid`` is the one grid of p values; it
+raises ``ValueError`` on a bad step or range.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .model import LaminarInstance, chain
-from .matroid import RankedOptimum, all_reference_sets, greedy_opt
+from .kicknext import _ref_rank_lists
+from .matroid import greedy_opt
+from .model import LaminarInstance
+
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -81,18 +89,18 @@ def geometric_sum(c: float, i: int) -> float:
     return c * (1.0 - c ** i) / (1.0 - c)
 
 
-def _node_optima(inst: LaminarInstance) -> dict[int, RankedOptimum]:
-    return all_reference_sets(inst, None)
+def _padded_brank(R: list[int], r: int) -> int:
+    """Backward rank of rank ``r`` against the ascending rank list ``R``: the
+    entries of ``R`` lighter than it.  Against a list padded with virtual
+    ranks this is the padded backward rank; 0 means no lighter entry is left."""
+    return len(R) - bisect_right(R, r)
 
 
-def _padded_brank(inst, opts, element_id: int, node_id: int) -> int:
-    """Backward rank of an element against the node's padded optimum: real
-    optimum elements lighter than it, plus one per unfilled capacity slot."""
-    opt = opts[node_id]
-    key = inst.key(element_id)
-    below = sum(1 for eid in opt.elements if inst.key(eid) > key)
-    deficit = inst.node(node_id).capacity - len(opt)
-    return below + deficit
+def _global_optima(pre) -> tuple[list[list[int]], list[list[int]]]:
+    """Every node's optimum of the whole ground set as ascending rank lists,
+    unpadded and padded to capacity."""
+    every = [True] * pre.n_real
+    return _ref_rank_lists(pre, every, False), _ref_rank_lists(pre, every, True)
 
 
 def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
@@ -101,14 +109,16 @@ def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
     ``node_id``."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
-    opt = greedy_opt(inst, None, node_id)  # also validates node_id
-    if not 0 <= m <= len(opt):
-        raise ValueError(f"m must be within 0..{len(opt)}, got {m}")
-    opts = _node_optima(inst)
+    pre = inst.pre()
+    b = pre.node_idx(node_id)
+    opt, padded = _global_optima(pre)
+    if not 0 <= m <= len(opt[b]):
+        raise ValueError(f"m must be within 0..{len(opt[b])}, got {m}")
     total = 0.0
-    for eid in opt.elements[len(opt) - m:]:  # ascending list; last m are heaviest
-        for nid in chain(inst, inst.membership[eid], node_id):
-            total += c ** (1 + _padded_brank(inst, opts, eid, nid))
+    for r in reversed(opt[b][:m]):  # the m heaviest, lightest of them first
+        ch = pre.chain_by_rank[r]
+        for x in ch[:len(ch) - pre.depth[b]]:  # the chain up to the node
+            total += c ** (1 + _padded_brank(padded[x], r))
     return total
 
 
@@ -141,14 +151,14 @@ def weighted_penalty(inst: LaminarInstance, c: float) -> float:
     2c/(1-c) times the optimum weight whenever c < 1/2."""
     if not 0.0 < c < 0.5:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
-    opts = _node_optima(inst)
-    root = inst.root_id
+    pre = inst.pre()
+    opt, padded = _global_optima(pre)
     total = 0.0
-    for eid in opts[root].elements:
+    for r in reversed(opt[pre.root_idx]):  # lightest first
         decay = 0.0
-        for nid in chain(inst, inst.membership[eid], root):
-            decay += c ** (1 + _padded_brank(inst, opts, eid, nid))
-        total += inst.weight(eid) * decay
+        for b in pre.chain_by_rank[r]:
+            decay += c ** (1 + _padded_brank(padded[b], r))
+        total += pre.w_by_rank[r] * decay
     return total
 
 
@@ -175,27 +185,41 @@ def ratio_lower_bound(p: float) -> float:
     return p * (1.0 - 2.0 * t.alpha * t.c / (1.0 - t.c) ** 2)
 
 
-def best_p(step: float, p_min: float | None = None, p_max: float | None = None):
-    """Grid argmax of the ratio lower bound.  The default grid is the
-    positive multiples of ``step`` below 1/2."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+def p_grid(step: float, p_min: float | None = None, p_max: float | None = None) -> list[float]:
+    """Grid of p values: the multiples ``k * step`` (k >= 1) below 1/2, or,
+    given ``p_min``, the points ``p_min + k * step`` (k >= 0) up to ``p_max``
+    (default ``p_min``).  Raises ``ValueError`` before building any point
+    when ``step`` is not positive and finite, ``p_max < p_min``, a point
+    would fall outside (0, 1/2), or the grid would hold more than
+    ``MAX_GRID_POINTS`` points."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     if p_min is None:
-        grid = []
-        k = 1
-        while k * step < 0.5:
-            grid.append(k * step)
-            k += 1
+        if p_max is not None:
+            raise ValueError("p_max needs p_min")
+        start, first, end = 0.0, 1, math.nextafter(0.5, 0.0)  # q <= end iff q < 1/2
     else:
-        hi = p_max if p_max is not None else p_min
-        grid = []
-        k = 0
-        while p_min + k * step <= hi + 1e-12:
-            q = p_min + k * step
-            if 0.0 < q < 0.5:
-                grid.append(q)
-            k += 1
-    if not grid:
-        raise ValueError("empty search grid")
-    best = max(grid, key=ratio_lower_bound)
+        hi = p_min if p_max is None else p_max
+        if not -math.inf < p_min <= hi < math.inf:
+            raise ValueError(f"need finite p_min <= p_max, got {p_min!r} and {hi!r}")
+        start, first, end = p_min, 0, hi + 1e-12
+    if (end - start) / step > MAX_GRID_POINTS:
+        raise ValueError(f"step {step!r} gives more than {MAX_GRID_POINTS} grid points")
+    # the last index first, so that every check runs before a point is built
+    last = int((end - start) / step)
+    while start + (last + 1) * step <= end:
+        last += 1
+    while not start + last * step <= end:
+        last -= 1
+    if last < first:
+        raise ValueError(f"step {step!r} leaves no grid point below 1/2")
+    for q in (start + first * step, start + last * step):
+        if not 0.0 < q < 0.5:
+            raise ValueError(f"grid point {q!r} is outside (0, 1/2)")
+    return [start + k * step for k in range(first, last + 1)]
+
+
+def best_p(step: float, p_min: float | None = None, p_max: float | None = None):
+    """Grid argmax of the ratio lower bound over ``p_grid(step, p_min, p_max)``."""
+    best = max(p_grid(step, p_min, p_max), key=ratio_lower_bound)
     return best, ratio_lower_bound(best)

@@ -1,14 +1,29 @@
-"""Shared instance builders and run-replay checks for the test suite."""
+"""Shared instance builders, run-replay checks and id-space reference
+implementations for the test suite."""
 
 import json
+import math
+from collections import defaultdict
 
 from laminar_secretary import (
+    AllKickedRow,
     Element,
     FamilyNode,
     GenSpec,
+    RunConfig,
+    allkicked_bound,
+    brank,
+    chain,
+    derive_seed,
     generate,
+    greedy_opt,
     load_instance,
     make_instance,
+    make_trial,
+    qualifies,
+    reference_sets,
+    run_kicknext,
+    theory_params,
 )
 
 # The documented four-element example: two heavy elements share a unit-capacity
@@ -91,6 +106,16 @@ def mixed_instances(count, seed0=0, n_lo=4, n_hi=12):
     return out
 
 
+def family_instance(family, n, seed):
+    """A generated instance of any family, its parameters drawn from the seed."""
+    weights = ("uniform", "exponential", "near_ties", "power_law")[seed % 4]
+    return generate(GenSpec(family, n, seed, weights,
+                            rank=max(1, n // 3) if family == "uniform" else None,
+                            parts=1 + seed % 4 if family == "partition" else None,
+                            part_capacity=1 + seed % 3,
+                            depth=2 + seed % 3 if family == "chain" else None))
+
+
 def per_node_greedy_ranks(pre, in_v, b):
     """Reference greedy scan for one node: walk the node's members in weight
     order and keep each flagged rank whose chain up to ``b`` still has room
@@ -107,6 +132,79 @@ def per_node_greedy_ranks(pre, in_v, b):
                 counts[nx] += 1
             out.append(r)
     return out
+
+
+def padded_brank_by_ids(inst, opts, element_id, node_id):
+    """Reference padded backward rank in id space: the node's optimum
+    elements (``opts`` from ``all_reference_sets(inst, None)``) lighter than
+    the element, plus one per unfilled capacity slot."""
+    opt = opts[node_id]
+    key = inst.key(element_id)
+    below = sum(1 for eid in opt.elements if inst.key(eid) > key)
+    deficit = inst.node(node_id).capacity - len(opt)
+    return below + deficit
+
+
+def allkicked_frequency_by_trace(inst, p, trials, master_seed, *, padding=True):
+    """Reference eviction-failure frequencies rebuilt from the event trace of
+    ``run_kicknext``: an optimum element hits at a node when the evictions
+    before its arrival removed every initial reference element lighter than
+    it."""
+    params = theory_params(p)
+    root = inst.root_id
+    opt = greedy_opt(inst, None, root)
+    chains = {eid: chain(inst, inst.membership[eid], root) for eid in opt.elements}
+    hits = defaultdict(int)
+    seen = defaultdict(int)
+    for t_idx in range(trials):
+        trial = make_trial(inst, p, derive_seed(master_seed, t_idx))
+        res = run_kicknext(inst, trial, RunConfig(padding=padding, trace=True))
+        arrived = {eid: s for s, eid in enumerate(trial.arrival_order)}
+        ev_by_node = defaultdict(list)
+        for ev in res.events:
+            if ev.action == "accept":
+                ev_by_node[ev.node].append((ev.step, inst.key(ev.evicted)))
+        for eid in opt.elements:
+            step_i = arrived.get(eid)
+            if step_i is None:
+                continue  # sampled, not conditioned on
+            seen[eid] += 1
+            key = inst.key(eid)
+            for nid in chains[eid]:
+                init_below = sum(1 for x in res.initial_refsets[nid] if inst.key(x) > key)
+                gone = sum(1 for s, k in ev_by_node[nid] if s < step_i and k > key)
+                if gone == init_below:
+                    hits[(eid, nid)] += 1
+    rows = []
+    for eid in opt.elements:
+        ncond = seen[eid]
+        for nid in chains[eid]:
+            d = brank(inst, eid, nid, None)
+            freq = hits[(eid, nid)] / ncond if ncond else 0.0
+            se = math.sqrt(freq * (1.0 - freq) / ncond) if ncond else 0.0
+            rows.append(AllKickedRow(eid, nid, d, ncond, freq, se, allkicked_bound(params, d)))
+    return rows
+
+
+def qualifying_counts_by_ids(inst, node_id, element_id, sample):
+    """Reference qualifying counts in id space, from ``reference_sets`` and
+    ``qualifies``: per reference slot (lightest first), the selection-phase
+    elements other than ``element_id`` that qualify for the node and fall
+    strictly between consecutive reference elements by weight."""
+    refs = reference_sets(inst, sample, padding=True)
+    slots = refs[node_id]  # ascending weight, padded to capacity
+    got = [0] * len(slots)
+    sample = set(sample)
+    keys = [inst.key(x) for x in slots]
+    for x in inst.members(node_id):
+        if x == element_id or x in sample:
+            continue
+        if not qualifies(inst, x, node_id, refs):
+            continue
+        kx = inst.key(x)
+        j = sum(1 for k in keys if k > kx)  # reference slots strictly lighter
+        got[j - 1] += 1  # qualifying implies j >= 1
+    return got
 
 
 def enumerable_suite():

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,29 @@ def test_theory_sweep_to_csv(tmp_path, capsys):
 def test_theory_domain_error(capsys):
     assert main(["theory", "--p", "0.6"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    ["--p-min", "0.1", "--p-max", "0.05"],
+    ["--p-min", "0.4", "--p-max", "0.6", "--step", "0.05"],
+    ["--p-min", "0.05", "--p-max", "0.06", "--step", "nan"],
+    ["--p-min", "0.05", "--p-max", "0.06", "--step", "inf"],
+], ids=["p_max_below_p_min", "past_one_half", "nan_step", "inf_step"])
+def test_theory_grid_errors_exit_2(capsys, grid):
+    # only inputs that end at once even without the checks; a zero, negative
+    # or tiny step would loop or grow without them, so test_theory.py checks
+    # those on ``p_grid`` directly
+    assert main(["theory", *grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_theory_sweep_script_rejects_bad_step():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "theory_sweep.py"
+    res = subprocess.run([sys.executable, str(script), "--step", "nan"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "" and "error:" in res.stderr
 
 
 def test_gen_opt_run_pipeline(tmp_path, capsys):
@@ -141,3 +167,13 @@ def test_bad_numbers_exit_2(tmp_path, capsys, field, value):
     bad.write_text(corrupt_four_element(field, value))
     assert main(["opt", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [[1, 2], None, 7])
+def test_non_string_name_exit_2(tmp_path, capsys, name):
+    doc = json.loads(FOUR_ELEMENT_TEXT)
+    doc["name"] = name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["opt", str(bad)]) == 2
+    assert "name must be a string" in capsys.readouterr().err

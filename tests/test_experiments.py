@@ -3,25 +3,43 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laminar_secretary import (
     Element,
     FamilyNode,
     GenSpec,
+    all_reference_sets,
     allkicked_frequency,
+    brank,
     derive_seed,
     exact_expectation,
     exact_ratio,
     generate,
     make_instance,
+    make_trial,
     monte_carlo_ratio,
     qualifying_joint_probability,
     ratio_lower_bound,
+    reference_sets,
     verify_lemmas,
 )
-from laminar_secretary.experiments import _chunk_plan
+from laminar_secretary.experiments import _chunk_plan, _qualifying_counts
+from laminar_secretary.kicknext import _ref_rank_lists
+from laminar_secretary.theory import _global_optima, _padded_brank
 
-from helpers import four_element, mixed_instances, rank1
+from helpers import (
+    allkicked_frequency_by_trace,
+    family_instance,
+    four_element,
+    mixed_instances,
+    padded_brank_by_ids,
+    qualifying_counts_by_ids,
+    rank1,
+)
+
+FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))
+P_VALUES = st.sampled_from((0.05, 0.08, 0.2))
 
 approx = pytest.approx
 
@@ -151,6 +169,49 @@ class TestAllKicked:
         for inst in mixed_instances(5, seed0=21, n_hi=9):
             for row in allkicked_frequency(inst, 0.08, 3000, master_seed=6):
                 assert row.frequency <= row.bound + 4 * row.std_err
+
+
+class TestRankSpaceHarness:
+    """The rank-space harness against the id-space implementations it
+    replaced, kept in ``helpers``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(FAMILIES, st.integers(1, 15), st.integers(0, 10_000), P_VALUES, st.booleans())
+    def test_allkicked_rows(self, family, n, seed, p, padding):
+        inst = family_instance(family, n, seed)
+        assert (allkicked_frequency(inst, p, 40, seed, padding=padding)
+                == allkicked_frequency_by_trace(inst, p, 40, seed, padding=padding))
+
+    @settings(max_examples=80, deadline=None)
+    @given(FAMILIES, st.integers(1, 15), st.integers(0, 10_000), P_VALUES)
+    def test_qualifying_counts(self, family, n, seed, p):
+        inst = family_instance(family, n, seed)
+        pre = inst.pre()
+        for t_idx in range(4):
+            sample = make_trial(inst, p, derive_seed(seed, t_idx)).sample_set
+            in_s = [eid in sample for eid in pre.ids_by_rank]
+            for b, nid in enumerate(pre.node_ids):
+                for eid in inst.members(nid):
+                    assert (_qualifying_counts(pre, b, pre.rank_by_id[eid], in_s)
+                            == qualifying_counts_by_ids(inst, nid, eid, sample))
+
+    @settings(max_examples=80, deadline=None)
+    @given(FAMILIES, st.integers(1, 15), st.integers(0, 10_000), P_VALUES)
+    def test_backward_ranks(self, family, n, seed, p):
+        inst = family_instance(family, n, seed)
+        pre = inst.pre()
+        opt, padded = _global_optima(pre)
+        opts = all_reference_sets(inst, None)
+        sample = make_trial(inst, p, seed).sample_set
+        refs = _ref_rank_lists(pre, [eid in sample for eid in pre.ids_by_rank], True)
+        ref_ids = reference_sets(inst, sample, padding=True)
+        for b, nid in enumerate(pre.node_ids):
+            for eid in inst.members(nid):
+                r = pre.rank_by_id[eid]
+                assert _padded_brank(padded[b], r) == padded_brank_by_ids(inst, opts, eid, nid)
+                assert _padded_brank(opt[b], r) == brank(inst, eid, nid)
+                key = inst.key(eid)
+                assert _padded_brank(refs[b], r) == sum(1 for x in ref_ids[nid] if inst.key(x) > key)
 
 
 class TestQualifyingJointProbability:

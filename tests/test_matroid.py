@@ -19,9 +19,14 @@ from laminar_secretary import (
     reference_sets,
 )
 from laminar_secretary.matroid import _greedy_ranks
-from laminar_secretary.theory import _padded_brank, _node_optima
 
-from helpers import four_element, mixed_instances, per_node_greedy_ranks, rank1
+from helpers import (
+    four_element,
+    mixed_instances,
+    padded_brank_by_ids,
+    per_node_greedy_ranks,
+    rank1,
+)
 
 
 class TestIndependence:
@@ -184,7 +189,7 @@ class TestBrankDominance:
     def test_dominance_over_sampled_splits(self):
         rnd = random.Random(5)
         for inst in mixed_instances(8, seed0=77, n_hi=9):
-            opts = _node_optima(inst)
+            opts = all_reference_sets(inst, None)
             ids = sorted(inst.element_ids())
             for _ in range(30):
                 sample = {x for x in ids if rnd.random() < 0.9}
@@ -194,7 +199,7 @@ class TestBrankDominance:
                     for eid in inst.members(nd.id):
                         key = inst.key(eid)
                         bs = sum(1 for k in ref_keys if k > key)
-                        bu = _padded_brank(inst, opts, eid, nd.id)
+                        bu = padded_brank_by_ids(inst, opts, eid, nd.id)
                         assert bs >= bu
                         if eid not in sample and eid in opts[nd.id].ids:
                             assert bs >= bu + 1
@@ -203,9 +208,9 @@ class TestBrankDominance:
         # An arriving element below a sampled heavier one gains nothing: the
         # +1 strengthening only holds for elements of the node's optimum.
         inst = rank1([10.0, 9.0])
-        opts = _node_optima(inst)
+        opts = all_reference_sets(inst, None)
         refs = reference_sets(inst, {0}, padding=True)
         ref_keys = [inst.key(x) for x in refs[0]]
         bs = sum(1 for k in ref_keys if k > inst.key(1))
-        bu = _padded_brank(inst, opts, 1, 0)
+        bu = padded_brank_by_ids(inst, opts, 1, 0)
         assert bs == bu == 0  # the +1 form would demand bs >= 1

@@ -94,6 +94,31 @@ class TestLoad:
         with pytest.raises(InstanceError, match="missing field"):
             load_instance("{}")
 
+    @pytest.mark.parametrize("name", [[1, 2], None, 7, 1.5, True, {"a": 1}])
+    def test_non_string_name(self, name):
+        with pytest.raises(InstanceError, match="name must be a string"):
+            load_instance(_doc(name=name))
+
+
+class _NoScan(tuple):
+    def __iter__(self):
+        raise AssertionError("the node list was scanned")
+
+
+class TestLookups:
+    def test_node_is_indexed(self):
+        inst = four_element()
+        inst.pre()
+        inst.nodes = _NoScan(inst.nodes)
+        assert inst.node(1).capacity == 1 and inst.node(0).parent is None
+
+    def test_unknown_node(self):
+        inst = four_element()
+        with pytest.raises(InstanceError, match="unknown node id 99"):
+            inst.node(99)
+        with pytest.raises(InstanceError, match="unknown node id 99"):
+            inst.members(99)
+
 
 INT_FIELDS = ("element id", "node id", "capacity", "parent", "membership")
 NOT_AN_INTEGER = st.one_of(

@@ -13,12 +13,15 @@ from laminar_secretary import (
     generate,
     geometric_sum,
     greedy_opt,
+    p_grid,
     ratio_lower_bound,
     rel_ent,
     theory_params,
     weighted_penalty,
     weighted_penalty_telescoped,
 )
+
+from laminar_secretary.theory import MAX_GRID_POINTS
 
 from helpers import four_element, mixed_instances, rank1, tree
 
@@ -237,3 +240,55 @@ class TestRatioBound:
     def test_step_validation(self):
         with pytest.raises(ValueError, match="step"):
             best_p(0.0)
+
+
+class TestPGrid:
+    def test_default_grid(self):
+        assert p_grid(0.1) == [0.1, 0.2, 0.1 * 3, 0.4]
+        assert p_grid(0.25) == [0.25]
+
+    def test_range_grid(self):
+        assert p_grid(0.01, 0.05, 0.1) == [0.05 + k * 0.01 for k in range(6)]
+        assert p_grid(0.05, 0.25) == [0.25]
+        assert p_grid(0.03, 0.4, 0.5) == [0.4 + k * 0.03 for k in range(4)]  # 0.49 < 1/2
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf, -math.inf])
+    def test_bad_step(self, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            p_grid(step)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            p_grid(step, 0.05, 0.06)
+
+    @pytest.mark.parametrize("p_min,p_max", [
+        (0.1, 0.05), (math.nan, 0.1), (0.1, math.nan), (-math.inf, 0.1), (0.1, math.inf),
+    ])
+    def test_bad_range(self, p_min, p_max):
+        with pytest.raises(ValueError, match="need finite p_min <= p_max"):
+            p_grid(0.01, p_min, p_max)
+
+    def test_p_max_needs_p_min(self):
+        with pytest.raises(ValueError, match="p_max needs p_min"):
+            p_grid(0.01, p_max=0.2)
+
+    @pytest.mark.parametrize("step,p_min,p_max,bad", [
+        (0.05, 0.4, 0.6, "0.6"),
+        (0.05, 0.0, 0.1, "0.0"),
+        (0.05, -0.1, 0.1, "-0.1"),
+        (0.01, 0.5, None, "0.5"),
+    ])
+    def test_points_outside_open_half(self, step, p_min, p_max, bad):
+        with pytest.raises(ValueError, match=f"grid point {bad}.* outside"):
+            p_grid(step, p_min, p_max)
+        with pytest.raises(ValueError, match="outside"):
+            best_p(step, p_min, p_max)
+
+    def test_empty_default_grid(self):
+        with pytest.raises(ValueError, match="no grid point"):
+            p_grid(0.5)
+
+    def test_point_cap(self):
+        assert len(p_grid(0.5 / MAX_GRID_POINTS)) == MAX_GRID_POINTS - 1
+        with pytest.raises(ValueError, match="more than"):
+            p_grid(0.5 / (MAX_GRID_POINTS + 2))
+        with pytest.raises(ValueError, match="more than"):
+            p_grid(1e-300, 0.1, 0.2)
