@@ -54,6 +54,7 @@ from .experiments import (
     ExperimentReport,
     LemmaCheck,
     QualifyingProbability,
+    RNG_VERSION,
     RatioEstimate,
     allkicked_frequency,
     derive_seed,

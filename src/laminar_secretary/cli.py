@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--p", type=float, default=None)
     t.add_argument("--p-min", type=float, default=None)
     t.add_argument("--p-max", type=float, default=None)
-    t.add_argument("--step", type=float, default=0.01)
+    t.add_argument("--step", type=float, default=None, help="grid step (default 0.01)")
     t.add_argument("--csv", default=None)
 
     v = sub.add_parser("verify", help="run lemma and bound checks on an instance")
@@ -164,10 +164,15 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    grid_flags = args.p_min is not None or args.p_max is not None or args.step is not None
     if args.p is not None:
+        if grid_flags:
+            raise ValueError("--p excludes --p-min, --p-max and --step")
         grid = [args.p]
     elif args.p_min is not None:
-        grid = p_grid(args.step, args.p_min, args.p_max)
+        grid = p_grid(0.01 if args.step is None else args.step, args.p_min, args.p_max)
+    elif grid_flags:
+        raise ValueError("--p-max and --step need --p-min")
     else:
         grid = [0.08]
     lines = ["p,alpha,c,ratio_lower_bound"]

@@ -1,9 +1,12 @@
 """Empirical verification harness.
 
 Everything here is seeded and reproducible: trial ``i`` of a run with master
-seed ``s`` always uses ``derive_seed(s, i)``, so serial and parallel
-execution produce identical statistics.  Aggregation goes through
-``math.fsum`` (exact summation), which keeps results independent of chunking.
+seed ``s`` is ``kicknext._sample_ids`` of ``derive_seed(s, i)``, a pure
+function of the pair, so serial and parallel execution produce identical
+statistics.  ``RNG_VERSION`` names that trial stream, and every summary
+prints it, so that a printed estimate says which draws it rests on.
+Aggregation goes through ``math.fsum`` (exact summation), which keeps
+results independent of chunking.
 
 The checks run in rank space on the Monte Carlo path's tables: each trial is
 drawn once as sample flags and arrival ranks, reference sets are ascending
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -29,12 +31,12 @@ from multiprocessing import Pool
 
 from .model import LaminarInstance
 from .matroid import greedy_opt
-from .kicknext import _ref_rank_lists, _run_weight, _sample_ids
+from .kicknext import _MASK64, _ref_rank_lists, _run_weight, _sample_ids
 from .theory import (
+    _g_exact,
     _global_optima,
     _padded_brank,
     allkicked_bound,
-    g_exact,
     g_refined_bound,
     g_weak_bound,
     ratio_lower_bound,
@@ -44,8 +46,8 @@ from .theory import (
 )
 
 EXACT_ENUM_LIMIT = 8
+RNG_VERSION = 2
 _TOL = 1e-12
-_MASK64 = (1 << 64) - 1
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -138,7 +140,8 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def summary(self) -> str:
-        lines = [f"instance {self.instance}  p={self.p}  trials={self.trials}  seed={self.master_seed}"]
+        lines = [f"instance {self.instance}  p={self.p}  trials={self.trials}  "
+                 f"seed={self.master_seed}  rng={RNG_VERSION}"]
         if self.ratio is not None:
             r = self.ratio
             bound = "n/a" if r.bound is None else f"{r.bound:.6f}"
@@ -168,29 +171,31 @@ class ExperimentReport:
 
 def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
     pre = inst.pre()
-    rank_by_id = pre.rank_by_id
     n = pre.n_real
     cache: dict[int, list[list[int]]] | None = {} if n <= 16 else None
+    full = (1 << n) - 1
     out = []
     for idx in range(start, start + count):
-        rnd = random.Random(derive_seed(master_seed, idx))
-        sample, arrivals = _sample_ids(inst, p, rnd)
-        in_s = [False] * n
-        mask = 0
-        for eid in sample:
-            r = rank_by_id[eid]
-            in_s[r] = True
-            mask |= 1 << r
-        order = [rank_by_id[eid] for eid in arrivals]
+        in_s, order = _sample_ids(pre, p, derive_seed(master_seed, idx))
         if cache is None:
             out.append(_run_weight(pre, in_s, order, padding))
         else:
+            mask = full  # bit r set: rank r is in the sample
+            for r in order:
+                mask ^= 1 << r
             refs = cache.get(mask)
             if refs is None:
                 refs = _ref_rank_lists(pre, in_s, padding)
                 cache[mask] = refs
             out.append(_run_weight(pre, in_s, order, padding, refs))
     return out
+
+
+def _sample_variance(values, mean: float) -> float:
+    """Unbiased sample variance, summed in a second pass around ``mean``.
+    The one-pass ``sum(x*x) - n*mean**2`` cancels to 0 on nearly equal
+    values, which would shrink a standard error to nothing."""
+    return math.fsum((x - mean) ** 2 for x in values) / (len(values) - 1)
 
 
 def _chunk_plan(trials: int, jobs: int) -> list[tuple[int, int]]:
@@ -224,11 +229,7 @@ def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed:
 
     ratios = [w / w_opt for w in weights]
     mean = math.fsum(ratios) / trials
-    if trials > 1:
-        var = (math.fsum(r * r for r in ratios) - trials * mean * mean) / (trials - 1)
-        se = math.sqrt(max(var, 0.0) / trials)
-    else:
-        se = 0.0
+    se = math.sqrt(_sample_variance(ratios, mean) / trials) if trials > 1 else 0.0
     bound = ratio_lower_bound(p) if p < 0.5 else None
     report = ExperimentReport(inst.name, p, trials, master_seed)
     report.ratio = RatioEstimate(mean, se, trials, padding, bound)
@@ -279,20 +280,6 @@ def exact_ratio(inst: LaminarInstance, p: float, *, padding: bool = True) -> flo
     return expected / w_opt
 
 
-# -- rank-space trials for the checks -----------------------------------------
-
-
-def _trial_ranks(inst: LaminarInstance, p: float, seed: int):
-    """One trial, drawn as ``make_trial`` draws it, in rank space: the
-    sample flag of every rank and the arrival order as ranks."""
-    rank_by_id = inst.pre().rank_by_id
-    sample, arrivals = _sample_ids(inst, p, random.Random(seed))
-    in_s = [False] * len(rank_by_id)
-    for eid in sample:
-        in_s[rank_by_id[eid]] = True
-    return in_s, [rank_by_id[eid] for eid in arrivals]
-
-
 # -- eviction-failure frequencies ---------------------------------------------
 
 
@@ -312,7 +299,7 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     hits: dict[tuple[int, int], int] = defaultdict(int)
 
     for t_idx in range(trials):
-        in_s, order = _trial_ranks(inst, p, derive_seed(master_seed, t_idx))
+        in_s, order = _sample_ids(pre, p, derive_seed(master_seed, t_idx))
         refs = _ref_rank_lists(pre, in_s, padding)
         for r in order:
             ch = pre.chain_by_rank[r]
@@ -405,7 +392,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     hits = 0
     ncond = 0
     for t_idx in range(trials):
-        in_s, _ = _trial_ranks(inst, p, derive_seed(master_seed, t_idx))
+        in_s, _ = _sample_ids(pre, p, derive_seed(master_seed, t_idx))
         if in_s[skip]:
             continue  # rejection sampling for the conditional law
         ncond += 1
@@ -438,7 +425,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
         pairs = ((b, nid, m) for b, nid in enumerate(pre.node_ids) for m in range(len(opt[b]) + 1))
         for b, nid, m in pairs:
             scanned += 1
-            g = g_exact(inst, m, nid, c)
+            g = _g_exact(pre, opt, padded, m, b, c)
             refined = g_refined_bound(m, pre.mu[b], c)
             weak = g_weak_bound(m, c)
             if g > refined + _TOL or refined > weak + _TOL:
@@ -478,7 +465,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     strict_violations = 0
     strict_example = ""
     for t_idx in range(trials):
-        in_s, _ = _trial_ranks(inst, p, derive_seed(master_seed, t_idx))
+        in_s, _ = _sample_ids(pre, p, derive_seed(master_seed, t_idx))
         refs = _ref_rank_lists(pre, in_s, True)
         for b, nid in enumerate(pre.node_ids):
             R = refs[b]

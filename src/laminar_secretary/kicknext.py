@@ -16,17 +16,29 @@ iff the reference set still holds some lighter element, in which case the
 the chain walk stops and the element is rejected from the overall solution.
 Acceptances at inner nodes are kept even when an outer node rejects — the
 walk never rolls back.  The run's output is the root's accepted list.
+
+A trial is a pure function of its 64-bit seed: ``_sample_ids`` reads the
+SHAKE-128 output of the seed as 64-bit words and draws in rank space.  The
+arrivals are the ranks hit by geometric gaps with success probability p,
+one word per gap, and their order sorts them on one further word each (ties,
+with chance below n^2/2^65, go to the lower rank).
 """
 
 from __future__ import annotations
 
-import random
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from hashlib import shake_128
+from math import log, log1p
 from typing import Mapping, Sequence
 
 from .model import InstanceError, LaminarInstance, chain
 from .matroid import _greedy_ranks, _rank_flags
+
+_MASK64 = (1 << 64) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @dataclass(frozen=True)
@@ -82,23 +94,61 @@ class RunResult:
 
 
 def make_trial(inst: LaminarInstance, p: float, seed: int) -> Trial:
-    """Draw the sample/selection split and the arrival order from a seed."""
+    """Draw the sample/selection split and the arrival order from a seed
+    in 0..2^64-1."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"selection probability p must be in (0, 1), got {p}")
-    rnd = random.Random(seed)
-    sample, arrivals = _sample_ids(inst, p, rnd)
-    return Trial(seed, p, frozenset(sample), tuple(arrivals))
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
+    pre = inst.pre()
+    in_s, order = _sample_ids(pre, p, seed)
+    ids = pre.ids_by_rank
+    sample = frozenset(ids[r] for r, s in enumerate(in_s) if s)
+    return Trial(seed, p, sample, tuple(ids[r] for r in order))
 
 
-def _sample_ids(inst: LaminarInstance, p: float, rnd: random.Random):
-    """Element ids split into (sample, shuffled arrivals); ids are visited in
-    increasing order so the draw depends only on the seed."""
-    sample: list[int] = []
+def _words(seed: int, count: int) -> array:
+    """The first ``count`` little-endian 64-bit words of SHAKE-128 of the
+    seed.  An extendable-output function gives the same leading words
+    whatever the count, so a longer read only appends."""
+    words = array("Q", shake_128(seed.to_bytes(8, "little")).digest(8 * count))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _sample_ids(pre, p: float, seed: int):
+    """One trial in rank space: ``(in_s, order_ranks)``, the sample flag of
+    every rank and the arrival order.  Each rank arrives independently with
+    probability p; the words are read as geometric gaps between arrivals,
+    then as one sort key per arrival."""
+    n = pre.n_real
+    lq = log1p(-p)
+    words = _words(seed, 2 * int(n * p) + 8)
     arrivals: list[int] = []
-    for e in inst.elements:  # stored sorted by id
-        (sample if rnd.random() < 1.0 - p else arrivals).append(e.id)
-    rnd.shuffle(arrivals)
-    return sample, arrivals
+    r = -1
+    i = 0
+    while True:
+        try:
+            u = words[i]
+        except IndexError:
+            words = _words(seed, 2 * len(words))
+            u = words[i]
+        i += 1
+        r += 1 + int(log(((u >> 11) + 1) * 2**-53) / lq)
+        if r >= n:
+            break
+        arrivals.append(r)
+    in_s = [True] * n
+    for r in arrivals:
+        in_s[r] = False
+    t = len(arrivals)
+    if t < 2:
+        return in_s, arrivals
+    if i + t > len(words):
+        words = _words(seed, i + t)
+    order = [r for _, r in sorted(zip(words[i:i + t], arrivals))]
+    return in_s, order
 
 
 def _ref_rank_lists(pre, in_s, padding: bool) -> list[list[int]]:

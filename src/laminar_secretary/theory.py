@@ -114,6 +114,12 @@ def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
     opt, padded = _global_optima(pre)
     if not 0 <= m <= len(opt[b]):
         raise ValueError(f"m must be within 0..{len(opt[b])}, got {m}")
+    return _g_exact(pre, opt, padded, m, b, c)
+
+
+def _g_exact(pre, opt, padded, m: int, b: int, c: float) -> float:
+    """``g_exact`` at node index ``b`` against the global optima ``opt`` and
+    ``padded`` of ``_global_optima``, so that callers build them once."""
     total = 0.0
     for r in reversed(opt[b][:m]):  # the m heaviest, lightest of them first
         ch = pre.chain_by_rank[r]
@@ -168,13 +174,14 @@ def weighted_penalty_telescoped(inst: LaminarInstance, c: float) -> float:
     Agrees with ``weighted_penalty`` exactly; used as a cross-check."""
     if not 0.0 < c < 0.5:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
-    root = inst.root_id
-    opt = greedy_opt(inst, None, root)
+    opt = greedy_opt(inst, None, inst.root_id)
     ws = [inst.weight(eid) for eid in reversed(opt.elements)]  # heaviest first
+    pre = inst.pre()
+    ranks, padded = _global_optima(pre)
     total = 0.0
     for l in range(1, len(ws) + 1):
         nxt = ws[l] if l < len(ws) else 0.0
-        total += (ws[l - 1] - nxt) * g_exact(inst, l, root, c)
+        total += (ws[l - 1] - nxt) * _g_exact(pre, ranks, padded, l, pre.root_idx, c)
     return total
 
 

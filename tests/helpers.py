@@ -4,6 +4,7 @@ implementations for the test suite."""
 import json
 import math
 from collections import defaultdict
+from hashlib import shake_128
 
 from laminar_secretary import (
     AllKickedRow,
@@ -114,6 +115,25 @@ def family_instance(family, n, seed):
                             parts=1 + seed % 4 if family == "partition" else None,
                             part_capacity=1 + seed % 3,
                             depth=2 + seed % 3 if family == "chain" else None))
+
+
+def sample_ranks_by_prefix(n, p, seed):
+    """Reference for ``kicknext._sample_ids``: one read of the 2n + 1 words
+    that a draw can use at most (n + 1 gaps, n keys), each word decoded by
+    ``int.from_bytes``.  Returns ``(in_s, order)``."""
+    buf = shake_128(seed.to_bytes(8, "little")).digest(8 * (2 * n + 1))
+    words = [int.from_bytes(buf[j:j + 8], "little") for j in range(0, len(buf), 8)]
+    arrivals = []
+    r = -1
+    for used, u in enumerate(words, 1):
+        r += 1 + int(math.log(((u >> 11) + 1) * 2**-53) / math.log1p(-p))
+        if r >= n:
+            break
+        arrivals.append(r)
+    keys = words[used:used + len(arrivals)]
+    order = [r for _, r in sorted(zip(keys, arrivals))]
+    in_s = [r not in arrivals for r in range(n)]
+    return in_s, order
 
 
 def per_node_greedy_ranks(pre, in_v, b):

@@ -37,6 +37,12 @@ def test_theory_sweep_to_csv(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines() == body
 
 
+def test_theory_default_step(capsys):
+    assert main(["theory", "--p-min", "0.05", "--p-max", "0.07"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.05, 0.06, 0.07])
+
+
 def test_theory_domain_error(capsys):
     assert main(["theory", "--p", "0.6"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -47,7 +53,14 @@ def test_theory_domain_error(capsys):
     ["--p-min", "0.4", "--p-max", "0.6", "--step", "0.05"],
     ["--p-min", "0.05", "--p-max", "0.06", "--step", "nan"],
     ["--p-min", "0.05", "--p-max", "0.06", "--step", "inf"],
-], ids=["p_max_below_p_min", "past_one_half", "nan_step", "inf_step"])
+    ["--p-max", "0.3"],
+    ["--step", "0.02"],
+    ["--p", "0.1", "--p-min", "0.2", "--p-max", "0.3", "--step", "0"],
+    ["--p", "0.1", "--step", "0.01"],
+    ["--p", "0.1", "--p-max", "0.3"],
+], ids=["p_max_below_p_min", "past_one_half", "nan_step", "inf_step",
+        "p_max_without_p_min", "step_without_p_min", "p_with_grid", "p_with_step",
+        "p_with_p_max"])
 def test_theory_grid_errors_exit_2(capsys, grid):
     # only inputs that end at once even without the checks; a zero, negative
     # or tiny step would loop or grow without them, so test_theory.py checks
@@ -112,6 +125,18 @@ def test_montecarlo_csv_byte_identical(four_file, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("check_name,instance,p,value")
     capsys.readouterr()
+
+
+def test_summary_names_the_trial_stream(four_file, capsys):
+    assert main(["montecarlo", four_file, "--trials", "50", "--seed", "3"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.endswith("seed=3  rng=2")
+
+
+def test_run_rejects_seed_outside_64_bits(four_file, capsys):
+    assert main(["run", four_file, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must be in" in captured.err
 
 
 def test_montecarlo_jobs_flag_preserves_output(four_file, tmp_path, capsys):

@@ -24,7 +24,7 @@ from laminar_secretary import (
     reference_sets,
     verify_lemmas,
 )
-from laminar_secretary.experiments import _chunk_plan, _qualifying_counts
+from laminar_secretary.experiments import _chunk_plan, _qualifying_counts, _sample_variance
 from laminar_secretary.kicknext import _ref_rank_lists
 from laminar_secretary.theory import _global_optima, _padded_brank
 
@@ -124,6 +124,13 @@ class TestMonteCarlo:
         serial = monte_carlo_ratio(inst, 0.1, 600, master_seed=3, jobs=1)
         parallel = monte_carlo_ratio(inst, 0.1, 600, master_seed=3, jobs=3)
         assert serial.ratio == parallel.ratio
+
+    def test_variance_does_not_cancel(self):
+        values = [0.3 + 1e-9 * (i % 2) for i in range(1000)]
+        mean = math.fsum(values) / len(values)
+        one_pass = (math.fsum(x * x for x in values) - len(values) * mean * mean) / (len(values) - 1)
+        assert one_pass == 0.0  # the cancellation the two-pass sum avoids
+        assert _sample_variance(values, mean) == approx(2.5e-19, rel=1e-2)
 
     @pytest.mark.parametrize("cores", [1, 2, 8, None])
     def test_chunk_plan_is_clamped(self, monkeypatch, cores):

@@ -1,5 +1,6 @@
+import itertools
 import math
-import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from laminar_secretary import (
     InstanceError,
     RunConfig,
     Trial,
+    derive_seed,
     generate,
     greedy_opt,
     make_trial,
@@ -18,7 +20,15 @@ from laminar_secretary import (
 )
 from laminar_secretary.kicknext import _sample_ids
 
-from helpers import check_run_invariants, four_element, mixed_instances, rank1, replay_events, tree
+from helpers import (
+    check_run_invariants,
+    four_element,
+    mixed_instances,
+    rank1,
+    replay_events,
+    sample_ranks_by_prefix,
+    tree,
+)
 
 
 class TestMakeTrial:
@@ -49,15 +59,69 @@ class TestMakeTrial:
     def test_selection_phase_mean(self):
         # mean |T|/n over many trials stays within 3 standard errors of p
         inst = four_element()
+        pre = inst.pre()
         p, trials = 0.08, 100_000
-        rnd = random.Random(0)
         total = 0
-        for _ in range(trials):
-            _, arrivals = _sample_ids(inst, p, rnd)
+        for t in range(trials):
+            _, arrivals = _sample_ids(pre, p, derive_seed(0, t))
             total += len(arrivals)
         mean = total / (trials * inst.n)
         se = math.sqrt(p * (1 - p) / (trials * inst.n))
         assert abs(mean - p) <= 3 * se
+
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            make_trial(four_element(), 0.08, seed)
+
+
+class TestTrialStream:
+    """``_sample_ids`` draws a trial from the SHAKE-128 words of its seed."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_law_of_every_outcome(self, n):
+        # every (sample set, arrival order) occurs with probability
+        # p^|T| (1-p)^(n-|T|) / |T|!, within 4 standard errors
+        inst = rank1(range(1, n + 1))
+        pre = inst.pre()
+        p, trials = 0.2, 200_000
+        seen = Counter()
+        for t in range(trials):
+            in_s, order = _sample_ids(pre, p, derive_seed(3, t))
+            assert sorted(order) == [r for r in range(n) if not in_s[r]]
+            seen[tuple(order)] += 1
+        outcomes = [perm for k in range(n + 1)
+                    for arrivals in itertools.combinations(range(n), k)
+                    for perm in itertools.permutations(arrivals)]
+        assert set(seen) <= set(outcomes)
+        for perm in outcomes:
+            q = p ** len(perm) * (1 - p) ** (n - len(perm)) / math.factorial(len(perm))
+            se = math.sqrt(q * (1 - q) / trials)
+            assert abs(seen[perm] / trials - q) <= 4 * se, perm
+
+    def test_longer_read_matches_one_long_prefix(self):
+        # p = 0.45, n = 200: the 188 words of the first read often run out
+        # before the sort keys do; the draw must not depend on that read
+        pre = rank1(range(1, 201)).pre()
+        p = 0.45
+        first = 2 * int(200 * p) + 8
+        longer = 0
+        for t in range(300):
+            seed = derive_seed(11, t)
+            expect = sample_ranks_by_prefix(200, p, seed)
+            assert _sample_ids(pre, p, seed) == expect
+            longer += 2 * len(expect[1]) + 1 > first  # gap words + key words
+        assert longer > 0
+
+    def test_gap_read_runs_out(self):
+        # a seed with 11 arrivals: the 11th gap word lies past the 10 words
+        # of the first read
+        pre = rank1(range(1, 1001)).pre()
+        p, seed = 0.001999, 3632313942651877774
+        expect = sample_ranks_by_prefix(1000, p, seed)
+        assert len(expect[1]) == 11 > 2 * int(1000 * p) + 8
+        assert _sample_ids(pre, p, seed) == expect
 
 
 class TestRunExample:
