@@ -41,6 +41,10 @@ def main():
     ap.add_argument("--trials", type=int, default=50_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if not 0.0 < args.p < 1.0:
+        ap.exit(2, f"error: --p must be in (0, 1), got {args.p}\n")
+    if args.trials < 1:
+        ap.exit(2, f"error: --trials must be at least 1, got {args.trials}\n")
 
     bound = ratio_lower_bound(args.p) if args.p < 0.5 else float("nan")
     print(f"p = {args.p}, trials = {args.trials}, guarantee = {bound:.6f}")

@@ -346,6 +346,17 @@ def _qualifying_counts(pre, b: int, skip: int, in_s: list[bool]) -> list[int]:
     return got
 
 
+def _count(value) -> int:
+    """A qualifying count: an int, or a float with an integral value.
+    Booleans, strings and fractional or non-finite numbers are refused
+    rather than truncated."""
+    if type(value) is int:  # not bool, which subclasses int
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"counts must be integers, got {value!r}")
+
+
 def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
                                  counts, element_id: int, *, master_seed: int = 0,
                                  trials: int = 20000,
@@ -359,7 +370,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    counts = [int(x) for x in counts]
+    counts = [_count(x) for x in counts]
     if any(x < 0 for x in counts):
         raise ValueError("counts must be non-negative")
     pre = inst.pre()
@@ -413,6 +424,8 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     """Exact per-instance checks of the chain-decay and weighted-penalty
     bounds plus sampled backward-rank dominance checks.  The decay bounds
     require c = 4p(1-p) < 1/2 and are reported as skipped otherwise."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     params = theory_params(p)
     c = params.c
     checks: list[LemmaCheck] = []

@@ -8,11 +8,14 @@ exact.
 
 Every node's optimum comes out of one bottom-up pass.  Node b's optimum is
 the heaviest capacity-many of b's own elements together with its children's
-optima, so the pass visits the elements heaviest-first and walks each one up
-its chain, appending it to every node whose list is still short and stopping
-at the first full node: an element that misses a node's optimum misses every
-ancestor's optimum too.  Reference sets, ``greedy_opt``, ``brank`` and the
-theory module's backward ranks all index into that one result.
+optima (an element that misses a node's optimum misses every ancestor's
+optimum too), so the pass visits the nodes children first and builds each
+optimum from the node's first capacity-many flagged own ranks and its
+children's optima, sorted and cut to capacity.  The per-element filtering,
+merging and sorting run in C builtins, so a pass costs a few interpreted
+steps per node rather than per element.  Reference sets, ``greedy_opt``,
+``brank`` and the theory module's backward ranks all index into that one
+result.
 ``brute_force_opt`` re-derives an optimum by exhaustive search and exists
 purely as a cross-check oracle for small inputs.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 from .model import InstanceError, LaminarInstance
@@ -73,25 +77,29 @@ def _rank_flags(pre, subset) -> list[bool]:
 def _greedy_ranks(pre, in_v: list[bool], b: int | None = None) -> list[list[int]]:
     """Every node's optimum of the flagged ranks, in one bottom-up pass.
 
-    Only the members of node ``b`` (default: the root) are scanned, and each
-    chain is walked up to ``b``, so entry ``x`` of the result is the optimum
-    of node ``x``'s subtree for every ``x`` inside ``b`` and empty elsewhere.
-    Each list holds ranks heaviest first."""
+    The nodes of ``b``'s subtree (default: the whole tree) are visited
+    children first; node ``x`` takes its first ``mu[x]`` flagged own ranks,
+    merges in its children's optima and keeps the ``mu[x]`` heaviest.  Entry
+    ``x`` of the result is the optimum of node ``x``'s subtree for every
+    ``x`` inside ``b`` and empty elsewhere.  Each list holds ranks heaviest
+    first and is a fresh object that callers may mutate."""
     if b is None:
         b = pre.root_idx
     mu = pre.mu
-    chain_by_rank = pre.chain_by_rank
+    own_ranks = pre.own_ranks
+    children_idx = pre.children_idx
+    flagged = in_v.__getitem__
     opt: list[list[int]] = [[] for _ in mu]
-    for r in pre.members_ranks[b]:
-        if not in_v[r]:
-            continue
-        for nx in chain_by_rank[r]:
-            chosen = opt[nx]
-            if len(chosen) >= mu[nx]:
-                break
-            chosen.append(r)
-            if nx == b:
-                break
+    for x in pre.subtree_order[b]:
+        cap = mu[x]
+        chosen = list(islice(filter(flagged, own_ranks[x]), cap))
+        kids = children_idx[x]
+        if kids:
+            for c in kids:
+                chosen += opt[c]
+            chosen.sort()
+            del chosen[cap:]
+        opt[x] = chosen
     return opt
 
 

@@ -58,12 +58,17 @@ class _Pre:
     heaviest).  ``x`` is lighter than ``y`` iff rank(x) > rank(y).  Virtual
     padding slots are addressed by ranks >= n_real, one block per node, so
     they sort below every real element.
+
+    ``own_ranks[x]`` holds the ranks whose minimal node is ``x`` (ascending),
+    ``children_idx[x]`` the child node indices and ``subtree_order[x]`` the
+    nodes of ``x``'s subtree with every child before its parent.
     """
 
     __slots__ = (
         "elements_by_rank", "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
         "node_ids", "node_index", "mu", "parent", "depth", "node_chain",
-        "members_ranks", "chain_by_rank", "root_idx", "virtual_rank_base",
+        "members_ranks", "own_ranks", "chain_by_rank", "children_idx", "subtree_order",
+        "root_idx", "virtual_rank_base",
     )
 
     def __init__(self, inst: "LaminarInstance"):
@@ -104,15 +109,29 @@ class _Pre:
         self.depth = depth
         self.node_chain = chains
 
+        n_nodes = len(inst.nodes)
+        children: list[list[int]] = [[] for _ in range(n_nodes)]
+        subtree: list[list[int]] = [[] for _ in range(n_nodes)]
+        for x in sorted(range(n_nodes), key=depth.__getitem__, reverse=True):
+            if self.parent[x] >= 0:
+                children[self.parent[x]].append(x)
+            for a in chains[x]:  # deepest first, so children precede parents
+                subtree[a].append(x)
+        self.children_idx = [tuple(c) for c in children]
+        self.subtree_order = [tuple(s) for s in subtree]
+
         self.chain_by_rank = [
             chains[self.node_index[inst.membership[eid]]]
             for eid in self.ids_by_rank
         ]
         members: list[list[int]] = [[] for _ in inst.nodes]
+        own: list[list[int]] = [[] for _ in inst.nodes]
         for r, ch in enumerate(self.chain_by_rank):
+            own[ch[0]].append(r)
             for b in ch:
                 members[b].append(r)
         self.members_ranks = members
+        self.own_ranks = own
 
         base, acc = [], self.n_real
         for cap in self.mu:

@@ -78,6 +78,15 @@ def test_theory_sweep_script_rejects_bad_step():
     assert res.stdout == "" and "error:" in res.stderr
 
 
+@pytest.mark.parametrize("flags", [["--p", "0"], ["--p", "1"], ["--p", "nan"], ["--trials", "0"]])
+def test_ratio_experiment_script_rejects_bad_flags(flags):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ratio_experiment.py"
+    res = subprocess.run([sys.executable, str(script), *flags],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "" and "error:" in res.stderr
+
+
 def test_gen_opt_run_pipeline(tmp_path, capsys):
     out = tmp_path / "u.json"
     assert main(["gen", "--family", "uniform", "--n", "5", "--k", "2",

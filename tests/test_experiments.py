@@ -262,6 +262,16 @@ class TestQualifyingJointProbability:
         with pytest.raises(ValueError, match="non-negative"):
             qualifying_joint_probability(four_element(), 0.08, 1, [-1], element_id=0)
 
+    @pytest.mark.parametrize("count", [0.9, 1.5, True, False, float("nan"), float("inf"), "1"])
+    def test_non_integral_counts_rejected(self, count):
+        # int() would truncate 0.9 to 0 and compare against the wrong event
+        with pytest.raises(ValueError, match="counts must be integers"):
+            qualifying_joint_probability(four_element(), 0.08, 1, [count], element_id=2)
+
+    def test_integral_float_counts_accepted(self):
+        assert (qualifying_joint_probability(four_element(), 0.08, 1, [1.0], element_id=2)
+                == qualifying_joint_probability(four_element(), 0.08, 1, [1], element_id=2))
+
 
 class TestVerifyLemmas:
     def test_four_element_all_pass(self):
@@ -289,6 +299,11 @@ class TestVerifyLemmas:
     def test_p_domain(self):
         with pytest.raises(ValueError, match="must be in"):
             verify_lemmas(four_element(), 0.6)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trial_validation(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            verify_lemmas(four_element(), 0.08, trials=trials)
 
 
 class TestReportCsv:

@@ -103,6 +103,8 @@ class TestOnePassOptima:
             got = _greedy_ranks(pre, in_v, b)
             for x in range(len(pre.mu)):
                 assert got[x] == (reference[x] if b in pre.node_chain[x] else [])
+            # padding extends and the walk pops these lists in place
+            assert len({id(lst) for lst in got}) == len(got)
 
 
 class TestReferenceSets:
