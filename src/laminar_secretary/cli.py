@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    _opt_weight,
     allkicked_frequency,
     exact_expectation,
     exact_ratio,
@@ -157,7 +158,7 @@ def _cmd_exact(args) -> int:
     inst = _load(args.file)
     padding = not args.no_padding
     expected, prob_total = exact_expectation(inst, args.p, padding=padding)
-    ratio = exact_ratio(inst, args.p, padding=padding)
+    ratio = expected / _opt_weight(inst)
     print(f"exact expected weight {expected!r} (probability mass {prob_total!r})")
     print(f"exact ratio {ratio!r}")
     return 0

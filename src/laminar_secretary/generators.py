@@ -56,6 +56,8 @@ def generate(spec: GenSpec) -> LaminarInstance:
         raise ValueError(f"unknown weight distribution {spec.weights!r}")
     if spec.n < 1:
         raise ValueError(f"need at least one element, got n={spec.n}")
+    if spec.seed < 0:  # random.Random(-s) would seed as random.Random(s)
+        raise ValueError(f"seed must be non-negative, got {spec.seed}")
     rnd = random.Random(spec.seed)
 
     if spec.family == "uniform":

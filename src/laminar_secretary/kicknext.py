@@ -98,13 +98,19 @@ def make_trial(inst: LaminarInstance, p: float, seed: int) -> Trial:
     in 0..2^64-1."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"selection probability p must be in (0, 1), got {p}")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
+    _check_seed(seed)
     pre = inst.pre()
     in_s, order = _sample_ids(pre, p, seed)
     ids = pre.ids_by_rank
     sample = frozenset(ids[r] for r, s in enumerate(in_s) if s)
     return Trial(seed, p, sample, tuple(ids[r] for r in order))
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that the 8-byte stream key cannot hold, rather than
+    wrap it onto another seed's stream."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
 
 
 def _words(seed: int, count: int) -> array:

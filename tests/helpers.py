@@ -5,6 +5,7 @@ import json
 import math
 from collections import defaultdict
 from hashlib import shake_128
+from itertools import permutations
 
 from laminar_secretary import (
     AllKickedRow,
@@ -26,6 +27,7 @@ from laminar_secretary import (
     run_kicknext,
     theory_params,
 )
+from laminar_secretary.kicknext import _ref_rank_lists, _run_weight
 
 # The documented four-element example: two heavy elements share a unit-capacity
 # inner node, two lighter ones sit directly under the root.
@@ -225,6 +227,32 @@ def qualifying_counts_by_ids(inst, node_id, element_id, sample):
         j = sum(1 for k in keys if k > kx)  # reference slots strictly lighter
         got[j - 1] += 1  # qualifying implies j >= 1
     return got
+
+
+def exact_expectation_by_permutations(inst, p, *, padding=True):
+    """Reference for ``exact_expectation``: every sample split in the same
+    order, and within a split a ``_run_weight`` walk of every arrival order.
+    Returns (expected_weight, total_probability)."""
+    pre = inst.pre()
+    n = pre.n_real
+    contribs = []
+    probs = []
+    for mask in range(1 << n):  # set bit r: rank r arrives in the selection phase
+        t_ranks = [r for r in range(n) if (mask >> r) & 1]
+        t = len(t_ranks)
+        prob = (1.0 - p) ** (n - t) * p ** t
+        probs.append(prob)
+        if t == 0:
+            continue
+        in_s = [not ((mask >> r) & 1) for r in range(n)]
+        template = _ref_rank_lists(pre, in_s, padding)
+        share = prob / math.factorial(t)
+        acc = [
+            _run_weight(pre, in_s, perm, padding, template)
+            for perm in permutations(t_ranks)
+        ]
+        contribs.append(share * math.fsum(acc))
+    return math.fsum(contribs), math.fsum(probs)
 
 
 def enumerable_suite():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from laminar_secretary import exact_ratio, load_instance
+import laminar_secretary.cli as cli
+import laminar_secretary.experiments as experiments
+from laminar_secretary import exact_ratio, greedy_opt, load_instance
 from laminar_secretary.cli import main
 
 from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element
@@ -211,3 +213,51 @@ def test_non_string_name_exit_2(tmp_path, capsys, name):
     bad.write_text(json.dumps(doc))
     assert main(["opt", str(bad)]) == 2
     assert "name must be a string" in capsys.readouterr().err
+
+
+def test_exact_enumerates_once(four_file, capsys, monkeypatch):
+    calls = []
+    real = experiments.exact_expectation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # both bindings, so that a call through ``exact_ratio`` is counted too
+    monkeypatch.setattr(cli, "exact_expectation", counted)
+    monkeypatch.setattr(experiments, "exact_expectation", counted)
+    assert main(["exact", four_file, "--p", "0.08"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_exact_ratio_is_printed_weight_over_optimum(four_file, capsys):
+    assert main(["exact", four_file, "--p", "0.2", "--no-padding"]) == 0
+    weight_line, ratio_line = capsys.readouterr().out.strip().splitlines()
+    expected = float(weight_line.split()[3])
+    ratio = float(ratio_line.split()[-1])
+    w_opt = greedy_opt(load_instance(FOUR_ELEMENT_TEXT), None, 0).weight
+    assert ratio == expected / w_opt
+
+
+def test_exact_size_guard_exit_2(tmp_path, capsys):
+    path = tmp_path / "nine.json"
+    assert main(["gen", "--family", "random_tree", "--n", "9", "--seed", "1",
+                 "-o", str(path)]) == 0
+    assert main(["exact", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "limited to 8" in captured.err
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "verify"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_master_seed_outside_64_bits_exit_2(four_file, capsys, command, seed):
+    assert main([command, four_file, "--trials", "20", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must be in" in captured.err
+
+
+def test_gen_negative_seed_exit_2(capsys):
+    assert main(["gen", "--family", "uniform", "--n", "4", "--seed", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must be non-negative" in captured.err

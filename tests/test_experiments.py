@@ -30,6 +30,7 @@ from laminar_secretary.theory import _global_optima, _padded_brank
 
 from helpers import (
     allkicked_frequency_by_trace,
+    exact_expectation_by_permutations,
     family_instance,
     four_element,
     mixed_instances,
@@ -98,6 +99,49 @@ class TestExactRatio:
         inst = rank1([5.0])
         assert exact_ratio(inst, 0.3, padding=True) == approx(0.3, rel=1e-12)
         assert exact_ratio(inst, 0.3, padding=False) == 0.0
+
+
+class TestExactRecursion:
+    """The memoized recursion against the permutation enumerator it
+    replaced, kept in ``helpers``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(FAMILIES, st.integers(1, 7), st.integers(0, 10_000),
+           st.sampled_from((0.05, 0.08, 0.2, 0.45)), st.booleans())
+    def test_matches_permutation_enumeration(self, family, n, seed, p, padding):
+        inst = family_instance(family, n, seed)
+        expected, mass = exact_expectation(inst, p, padding=padding)
+        ref_expected, ref_mass = exact_expectation_by_permutations(inst, p, padding=padding)
+        assert abs(expected - ref_expected) <= 1e-12 * abs(ref_expected)
+        assert mass == ref_mass
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+class TestMasterSeedRange:
+    """A master seed outside 0..2^64-1 is refused, not wrapped onto the
+    stream of another seed."""
+
+    def test_monte_carlo(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            monte_carlo_ratio(four_element(), 0.08, 10, master_seed=seed)
+
+    def test_allkicked(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            allkicked_frequency(four_element(), 0.08, 10, master_seed=seed)
+
+    def test_verify_lemmas(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            verify_lemmas(four_element(), 0.08, trials=10, master_seed=seed)
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_qualifying(self, seed, method):
+        with pytest.raises(ValueError, match="seed must be in"):
+            qualifying_joint_probability(four_element(), 0.08, 1, [1], element_id=2,
+                                         master_seed=seed, trials=10, method=method)
+
+    def test_bounds_are_accepted(self, seed):
+        edge = 0 if seed < 0 else 2 ** 64 - 1
+        assert monte_carlo_ratio(four_element(), 0.08, 10, master_seed=edge).ratio.trials == 10
 
 
 class TestMonteCarlo:

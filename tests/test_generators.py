@@ -91,3 +91,10 @@ def test_parameter_validation():
         generate(GenSpec("uniform", n=0, seed=0))
     with pytest.raises(ValueError, match="depth"):
         generate(GenSpec("chain", n=3, seed=0, depth=0))
+
+
+def test_negative_seed_rejected():
+    # random.Random(-5) seeds as random.Random(5): the two instances would match
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        generate(GenSpec("uniform", n=3, seed=-5))
+    generate(GenSpec("uniform", n=3, seed=0))
