@@ -44,7 +44,6 @@ from .theory import (
     geometric_sum,
     p_grid,
     ratio_lower_bound,
-    rel_ent,
     theory_params,
     weighted_penalty,
     weighted_penalty_telescoped,

@@ -8,10 +8,11 @@ prints it, so that a printed estimate says which draws it rests on.
 Aggregation goes through ``math.fsum`` (exact summation), which keeps
 results independent of chunking.
 
-The checks run in rank space on the Monte Carlo path's tables: each trial is
-drawn once as sample flags and arrival ranks, reference sets are ascending
-rank lists, and every backward rank, eviction-failure event and qualifying
-slot is read by ``theory._padded_brank``.
+The Monte Carlo ratio and the checks draw trials through one stream,
+``_trials``, as sample flags, arrival ranks and fresh reference lists
+(ascending rank lists); arrivals walk them by ``kicknext._arrive``, and every
+backward rank, eviction-failure event and qualifying slot is read by
+``theory._padded_brank``.
 
 The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
@@ -37,7 +38,8 @@ from multiprocessing import Pool
 
 from .model import LaminarInstance
 from .matroid import greedy_opt
-from .kicknext import _MASK64, _check_seed, _ref_rank_lists, _run_weight, _sample_ids
+from .kicknext import (_MASK64, _arrive, _check_p, _check_seed, _ref_rank_lists, _run_weight,
+                       _sample_ids)
 from .theory import (
     _g_exact,
     _global_optima,
@@ -175,26 +177,31 @@ class ExperimentReport:
 # -- Monte Carlo ratio -------------------------------------------------------
 
 
-def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
-    pre = inst.pre()
+def _trials(pre, p, master_seed, start, count, padding):
+    """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
+    ``(in_s, order, refs)``, fresh lists for the caller to consume.  Up to
+    n = 16 each sample set's reference lists are built once, then copied."""
     n = pre.n_real
     cache: dict[int, list[list[int]]] | None = {} if n <= 16 else None
     full = (1 << n) - 1
-    out = []
     for idx in range(start, start + count):
         in_s, order = _sample_ids(pre, p, derive_seed(master_seed, idx))
         if cache is None:
-            out.append(_run_weight(pre, in_s, order, padding))
-        else:
-            mask = full  # bit r set: rank r is in the sample
-            for r in order:
-                mask ^= 1 << r
-            refs = cache.get(mask)
-            if refs is None:
-                refs = _ref_rank_lists(pre, in_s, padding)
-                cache[mask] = refs
-            out.append(_run_weight(pre, in_s, order, padding, refs))
-    return out
+            yield in_s, order, _ref_rank_lists(pre, in_s, padding)
+            continue
+        mask = full  # bit r set: rank r is in the sample
+        for r in order:
+            mask ^= 1 << r
+        refs = cache.get(mask)
+        if refs is None:
+            refs = cache[mask] = _ref_rank_lists(pre, in_s, padding)
+        yield in_s, order, [list(x) for x in refs]
+
+
+def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
+    pre = inst.pre()
+    return [_run_weight(pre, refs, order)
+            for _, order, refs in _trials(pre, p, master_seed, start, count, padding)]
 
 
 def _sample_variance(values, mean: float) -> float:
@@ -227,8 +234,7 @@ def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed:
     independent runs.  ``jobs`` only parallelizes; it never changes values."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_p(p)
     _check_seed(master_seed)
     w_opt = _opt_weight(inst)
 
@@ -256,10 +262,11 @@ def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed:
 def _expected_rest(pre, remaining: int, refs: tuple, memo: dict) -> float:
     """Expected root weight that the ranks of ``remaining`` (bit r set: rank
     r is still to arrive) add from reference lists ``refs``, each of them
-    arriving next with equal chance.  An arrival walks its chain with the
-    eviction rule of ``_run_weight`` and gains its weight only when it
-    passes every node.  KickNext's future depends on nothing else, so the
-    value is memoized on the pair."""
+    arriving next with equal chance.  An arrival takes the step of
+    ``kicknext._arrive`` and gains its weight only when it passes every
+    node.  KickNext's future depends on nothing else, so the value is
+    memoized on the pair; the step is written here on tuples, copied on
+    write, because a memo key must be hashable."""
     key = (remaining, refs)
     value = memo.get(key)
     if value is not None:
@@ -298,8 +305,7 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     to come, reference lists), so a split with t arrivals holds about 2^t
     memo entries.  That visits about 3^n states in total (6305 at n = 8)
     instead of walking all C(n, t) * t! arrival orders (109600 leaves)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_p(p)
     pre = inst.pre()
     n = pre.n_real
     if n > EXACT_ENUM_LIMIT:
@@ -338,6 +344,7 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     evicted when it arrived, next to the analytical bound."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    _check_p(p)
     _check_seed(master_seed)
     params = theory_params(p)  # the bound needs p < 1/2
     pre = inst.pre()
@@ -346,22 +353,17 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     seen = dict.fromkeys(root_opt, 0)  # arrivals per optimum element
     hits: dict[tuple[int, int], int] = defaultdict(int)
 
-    for t_idx in range(trials):
-        in_s, order = _sample_ids(pre, p, derive_seed(master_seed, t_idx))
-        refs = _ref_rank_lists(pre, in_s, padding)
+    for _, order, refs in _trials(pre, p, master_seed, 0, trials, padding):
         for r in order:
             ch = pre.chain_by_rank[r]
-            if r in seen:  # test every chain node before the walk changes it
+            evicted = _arrive(refs, ch, r)
+            if r in seen:
                 seen[r] += 1
-                for b in ch:
+                # every node the walk passed held a lighter reference, and
+                # the walk left the rest of the chain as it found it
+                for b in ch[len(evicted):]:
                     if _padded_brank(refs[b], r) == 0:
                         hits[r, b] += 1
-            for b in ch:  # the walk of ``_run_weight``
-                R = refs[b]
-                i = bisect_right(R, r)
-                if i == len(R):
-                    break
-                R.pop(i)
 
     rows = []
     for r in reversed(root_opt):  # lightest first
@@ -416,8 +418,9 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     Exact by enumeration when the instance is small enough, Monte Carlo
     otherwise (``method`` forces either).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    _check_p(p)
     _check_seed(master_seed)
     counts = [_count(x) for x in counts]
     if any(x < 0 for x in counts):
@@ -475,6 +478,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     require c = 4p(1-p) < 1/2 and are reported as skipped otherwise."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    _check_p(p)
     _check_seed(master_seed)
     params = theory_params(p)
     c = params.c
@@ -527,9 +531,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     member_witness = ""
     strict_violations = 0
     strict_example = ""
-    for t_idx in range(trials):
-        in_s, _ = _sample_ids(pre, p, derive_seed(master_seed, t_idx))
-        refs = _ref_rank_lists(pre, in_s, True)
+    for t_idx, (in_s, _, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
         for b, nid in enumerate(pre.node_ids):
             R = refs[b]
             for r, bu in zip(members[b], bu_by_node[b]):

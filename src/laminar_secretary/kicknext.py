@@ -31,7 +31,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from hashlib import shake_128
-from math import log, log1p
+from math import isfinite, log, log1p
 from typing import Mapping, Sequence
 
 from .model import InstanceError, LaminarInstance, chain
@@ -89,21 +89,26 @@ class RunResult:
     breaks: dict[int, BreakRecord]
     events: tuple[TraceEvent, ...] | None = None
 
-    def initial_ref_sizes(self) -> dict[int, int]:
-        return {nid: len(v) for nid, v in self.initial_refsets.items()}
-
 
 def make_trial(inst: LaminarInstance, p: float, seed: int) -> Trial:
     """Draw the sample/selection split and the arrival order from a seed
     in 0..2^64-1."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"selection probability p must be in (0, 1), got {p}")
+    _check_p(p)
     _check_seed(seed)
     pre = inst.pre()
     in_s, order = _sample_ids(pre, p, seed)
     ids = pre.ids_by_rank
     sample = frozenset(ids[r] for r, s in enumerate(in_s) if s)
     return Trial(seed, p, sample, tuple(ids[r] for r in order))
+
+
+def _check_p(p: float) -> None:
+    """Refuse a selection probability outside (0, 1), or one so small that
+    the longest geometric gap of ``_sample_ids`` is not a finite float."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    if not isfinite(log(2**-53) / log1p(-p)):
+        raise ValueError(f"p is too small: the longest trial gap is not finite, got {p}")
 
 
 def _check_seed(seed: int) -> None:
@@ -183,13 +188,26 @@ def reference_sets(inst: LaminarInstance, sample, padding: bool = True) -> dict[
     return out
 
 
-def _run_weight(pre, in_s, order_ranks, padding: bool, refs_template=None) -> float:
-    """Total weight accepted at the root; the lean core shared by the
-    Monte Carlo and enumeration paths."""
-    if refs_template is None:
-        refs = _ref_rank_lists(pre, in_s, padding)
-    else:
-        refs = [list(x) for x in refs_template]
+def _arrive(refs: list[list[int]], chain: Sequence[int], r: int) -> list[int]:
+    """One arrival of rank ``r``: at each node of ``chain``, minimal first,
+    evict the heaviest reference rank lighter than ``r``, and stop at the
+    first node with none.  Returns the evicted ranks, one per accepting node."""
+    evicted = []
+    for b in chain:
+        R = refs[b]
+        i = bisect_right(R, r)
+        if i == len(R):
+            break
+        evicted.append(R.pop(i))
+    return evicted
+
+
+def _run_weight(pre, refs: list[list[int]], order_ranks) -> float:
+    """Total weight accepted at the root when ``order_ranks`` arrive against
+    the reference lists ``refs``, which the walk consumes.  The loop is
+    ``_arrive`` inlined, as this is the Monte Carlo hot path: one call per
+    arrival about doubled the walk, from 22 to 42 us per trial on a
+    2000-element partition at p = 0.08 (Python 3.11, 2 cores)."""
     w = pre.w_by_rank
     total = 0.0
     for r in order_ranks:
@@ -208,9 +226,7 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, config: RunConfig = RunCon
     """Execute one full run and report per-node acceptances, reference-set
     evolution, break records, and (optionally) the per-step event trace."""
     pre = inst.pre()
-    in_s = [False] * pre.n_real
-    for eid in trial.sample_set:
-        in_s[pre.rank_of(eid)] = True
+    in_s = _rank_flags(pre, trial.sample_set)
     order_ranks = [pre.rank_by_id[eid] for eid in trial.arrival_order]
 
     refs = _ref_rank_lists(pre, in_s, config.padding)
@@ -224,25 +240,18 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, config: RunConfig = RunCon
 
     for step, r in enumerate(order_ranks):
         eid = pre.ids_by_rank[r]
-        for b in pre.chain_by_rank[r]:
-            R = refs[b]
-            i = bisect_right(R, r)
-            if i == len(R):
-                breaks[eid] = BreakRecord(
-                    pre.node_ids[b], step, sum(1 for x in initial[b] if x > r)
-                )
-                if events is not None:
-                    events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
-                break
-            evicted = R.pop(i)
+        ch = pre.chain_by_rank[r]
+        evicted = _arrive(refs, ch, r)
+        for b, x in zip(ch, evicted):
             sol[b].append(r)
             if events is not None:
-                events.append(
-                    TraceEvent(
-                        step, eid, pre.node_ids[b], "accept",
-                        as_id(evicted), evicted >= pre.n_real,
-                    )
-                )
+                events.append(TraceEvent(step, eid, pre.node_ids[b], "accept",
+                                         as_id(x), x >= pre.n_real))
+        if len(evicted) < len(ch):
+            b = ch[len(evicted)]
+            breaks[eid] = BreakRecord(pre.node_ids[b], step, sum(1 for x in initial[b] if x > r))
+            if events is not None:
+                events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
 
     def ids_ascending_weight(ranks) -> tuple[int, ...]:
         return tuple(as_id(r) for r in sorted(ranks, reverse=True))

@@ -26,12 +26,11 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class Element:
-    """A ground-set element.  Virtual elements are zero-weight placeholders
-    created internally for capacity padding; they never appear in files."""
+    """A ground-set element.  Capacity padding uses virtual ranks past the
+    real ones (``_Pre.virtual_rank_base``), never an ``Element``."""
 
     id: int
     weight: float
-    virtual: bool = False
 
 
 @dataclass(frozen=True)
@@ -232,8 +231,6 @@ def make_instance(name, elements, nodes, membership) -> LaminarInstance:
         if e.id in seen:
             raise InstanceError(f"duplicate element id {e.id}")
         seen.add(e.id)
-        if e.virtual:
-            raise InstanceError(f"element {e.id}: virtual elements are internal only")
         if not 0.0 < e.weight < math.inf:
             what = "non-positive" if e.weight <= 0 else "non-finite"
             raise InstanceError(f"element {e.id}: {what} weight {e.weight!r}")

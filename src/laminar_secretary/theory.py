@@ -52,7 +52,12 @@ def theory_params(p: float) -> TheoryParams:
     """Derived analysis constants; requires 0 < p < 1/2."""
     if not 0.0 < p < 0.5:
         raise ValueError(f"p must be in (0, 1/2), got {p}")
-    alpha = (p + (1.0 - p) * math.log1p(-p)) / (2.0 * (1.0 - p) * p * p)
+    if p >= 1e-3:
+        alpha = (p + (1.0 - p) * math.log1p(-p)) / (2.0 * (1.0 - p) * p * p)
+    else:
+        # p + (1-p) ln(1-p) = sum_{k>=2} p^k / (k(k-1)), summed over p^2: the
+        # closed form cancels to noise, and p * p underflows below 1e-162
+        alpha = math.fsum(p ** (k - 2) / (k * (k - 1)) for k in range(2, 9)) / (2.0 * (1.0 - p))
     c = 4.0 * p * (1.0 - p)
     return TheoryParams(p, alpha, c, c / (1.0 - c))
 
@@ -63,21 +68,6 @@ def allkicked_bound(params: TheoryParams, d: int) -> float:
     if d < 0:
         raise ValueError(f"backward rank must be non-negative, got {d}")
     return params.alpha * params.c ** (d + 1) / (1.0 - params.c)
-
-
-def rel_ent(x: float, y: float) -> float:
-    """Relative entropy x ln(x/y) + (1-x) ln((1-x)/(1-y)), with the usual
-    0 ln 0 = 0 convention.  Diagnostic helper for tail-bound work."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if not 0.0 < y < 1.0:
-        raise ValueError(f"y must be in (0, 1), got {y}")
-    out = 0.0
-    if x > 0.0:
-        out += x * math.log(x / y)
-    if x < 1.0:
-        out += (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
-    return out
 
 
 def geometric_sum(c: float, i: int) -> float:

@@ -248,7 +248,7 @@ def exact_expectation_by_permutations(inst, p, *, padding=True):
         template = _ref_rank_lists(pre, in_s, padding)
         share = prob / math.factorial(t)
         acc = [
-            _run_weight(pre, in_s, perm, padding, template)
+            _run_weight(pre, [list(x) for x in template], perm)
             for perm in permutations(t_ranks)
         ]
         contribs.append(share * math.fsum(acc))

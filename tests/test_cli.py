@@ -261,3 +261,18 @@ def test_gen_negative_seed_exit_2(capsys):
     assert main(["gen", "--family", "uniform", "--n", "4", "--seed", "-5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "seed must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("command", [["run", "--seed", "1"], ["montecarlo", "--trials", "20"]])
+def test_p_too_small_for_a_trial_gap_exit_2(four_file, capsys, command):
+    assert main([command[0], four_file, "--p", "1e-310", *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "longest trial gap" in captured.err
+
+
+def test_tiny_p_theory_and_montecarlo(four_file, capsys):
+    assert main(["theory", "--p", "1e-200"]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert float(row[1]) == 0.25 and float(row[3]) == pytest.approx(1e-200, rel=1e-12)
+    assert main(["montecarlo", four_file, "--p", "1e-300", "--trials", "20"]) == 0
+    assert "ratio estimate 0.000000" in capsys.readouterr().out

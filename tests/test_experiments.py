@@ -24,8 +24,13 @@ from laminar_secretary import (
     reference_sets,
     verify_lemmas,
 )
-from laminar_secretary.experiments import _chunk_plan, _qualifying_counts, _sample_variance
-from laminar_secretary.kicknext import _ref_rank_lists
+from laminar_secretary.experiments import (
+    _chunk_plan,
+    _qualifying_counts,
+    _sample_variance,
+    _trials,
+)
+from laminar_secretary.kicknext import _ref_rank_lists, _sample_ids
 from laminar_secretary.theory import _global_optima, _padded_brank
 
 from helpers import (
@@ -142,6 +147,65 @@ class TestMasterSeedRange:
     def test_bounds_are_accepted(self, seed):
         edge = 0 if seed < 0 else 2 ** 64 - 1
         assert monte_carlo_ratio(four_element(), 0.08, 10, master_seed=edge).ratio.trials == 10
+
+
+class TestTrials:
+    """``_trials`` is the one trial stream of the Monte Carlo ratio, the
+    eviction-failure frequencies and the lemma checks."""
+
+    @pytest.mark.parametrize("n", [16, 17])  # with and without the cache
+    @pytest.mark.parametrize("padding", [True, False])
+    def test_matches_draw_and_reference_lists(self, n, padding):
+        pre = generate(GenSpec("random_tree", n, 4)).pre()
+        got = list(_trials(pre, 0.3, 7, 5, 200, padding))
+        assert len(got) == 200
+        for idx, trial in enumerate(got, start=5):
+            in_s, order = _sample_ids(pre, 0.3, derive_seed(7, idx))
+            assert trial == (in_s, order, _ref_rank_lists(pre, in_s, padding))
+
+    def test_yields_fresh_lists(self):
+        # n = 4: sample sets repeat, so cached lists are handed out again
+        pre = generate(GenSpec("chain", 4, 2)).pre()
+        seen = set()
+        repeats = 0
+        for in_s, order, refs in _trials(pre, 0.5, 3, 0, 200, True):
+            assert refs == _ref_rank_lists(pre, in_s, True)
+            repeats += tuple(in_s) in seen
+            seen.add(tuple(in_s))
+            for R in refs:  # consume every list, as a walk would
+                R.clear()
+            in_s.clear()
+            order.clear()
+        assert repeats > 100
+
+
+class TestTinyP:
+    """A p whose longest trial gap overflows is refused by every function
+    that takes p from the caller and draws or enumerates trials."""
+
+    P = 1e-310
+
+    def test_monte_carlo(self):
+        with pytest.raises(ValueError, match="longest trial gap"):
+            monte_carlo_ratio(four_element(), self.P, 10, 0)
+
+    def test_allkicked(self):
+        with pytest.raises(ValueError, match="longest trial gap"):
+            allkicked_frequency(four_element(), self.P, 10, 0)
+
+    def test_verify_lemmas(self):
+        with pytest.raises(ValueError, match="longest trial gap"):
+            verify_lemmas(four_element(), self.P, trials=10)
+
+    def test_exact(self):
+        with pytest.raises(ValueError, match="longest trial gap"):
+            exact_expectation(four_element(), self.P)
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_qualifying(self, method):
+        with pytest.raises(ValueError, match="longest trial gap"):
+            qualifying_joint_probability(four_element(), self.P, 1, [1], element_id=2,
+                                         trials=10, method=method)
 
 
 class TestMonteCarlo:
@@ -288,6 +352,13 @@ class TestQualifyingJointProbability:
         r = qualifying_joint_probability(four_element(), 0.08, 1, [0], element_id=2)
         assert r.bound == 1.0
         assert r.probability <= 1.0
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trial_validation(self, method, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            qualifying_joint_probability(four_element(), 0.08, 1, [1], element_id=2,
+                                         trials=trials, method=method)
 
     def test_monte_carlo_agrees_with_exact(self):
         inst = rank1([1.0, 2.0, 3.0])

@@ -1,0 +1,41 @@
+"""Every module-level import of the package modules is used.
+
+A stdlib ``ast`` check: a name bound by a top-level ``import`` or
+``from ... import`` must be read somewhere else in the same module.  The
+package ``__init__`` re-exports by importing, so it is skipped, and so are
+``__future__`` imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "laminar_secretary"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"cli.py", "experiments.py", "kicknext.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = [name for name in imported_names(tree) if name not in used_names(tree)]
+    assert not unused, f"{path.name}: unused imports {unused}"

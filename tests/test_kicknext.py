@@ -3,6 +3,7 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laminar_secretary import (
     GenSpec,
@@ -18,10 +19,17 @@ from laminar_secretary import (
     run_kicknext,
     trace_csv,
 )
-from laminar_secretary.kicknext import _sample_ids
+from laminar_secretary.kicknext import (
+    _arrive,
+    _check_p,
+    _ref_rank_lists,
+    _run_weight,
+    _sample_ids,
+)
 
 from helpers import (
     check_run_invariants,
+    family_instance,
     four_element,
     mixed_instances,
     rank1,
@@ -75,6 +83,17 @@ class TestMakeTrial:
         with pytest.raises(ValueError, match="seed must be in"):
             make_trial(four_element(), 0.08, seed)
 
+    @pytest.mark.parametrize("p", [1e-310, 2.0e-307, 5e-324])
+    def test_p_too_small_for_a_gap(self, p):
+        # log(2^-53) / log1p(-p) overflows: the longest gap is not finite
+        with pytest.raises(ValueError, match="longest trial gap"):
+            make_trial(four_element(), p, 0)
+
+    @pytest.mark.parametrize("p", [2.1e-307, 1e-300, 1e-200])
+    def test_tiny_p_still_draws(self, p):
+        _check_p(p)
+        assert make_trial(four_element(), p, 0).arrival_order == ()
+
 
 class TestTrialStream:
     """``_sample_ids`` draws a trial from the SHAKE-128 words of its seed."""
@@ -122,6 +141,46 @@ class TestTrialStream:
         expect = sample_ranks_by_prefix(1000, p, seed)
         assert len(expect[1]) == 11 > 2 * int(1000 * p) + 8
         assert _sample_ids(pre, p, seed) == expect
+
+
+FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))
+
+
+class TestArrive:
+    """``_arrive`` is the one statement of the eviction step; the Monte
+    Carlo walk ``_run_weight`` inlines it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(FAMILIES, st.integers(1, 30), st.integers(0, 10_000),
+           st.sampled_from((0.05, 0.2, 0.5, 0.9)), st.booleans())
+    def test_run_weight_is_the_root_weight_of_full_walks(self, family, n, seed, p, padding):
+        inst = family_instance(family, n, seed)
+        pre = inst.pre()
+        in_s, order = _sample_ids(pre, p, derive_seed(seed, 0))
+        refs = _ref_rank_lists(pre, in_s, padding)
+        kept = []
+        for r in order:
+            ch = pre.chain_by_rank[r]
+            evicted = _arrive(refs, ch, r)
+            assert len(evicted) <= len(ch)
+            assert all(x > r for x in evicted)  # only lighter ranks are evicted
+            if len(evicted) == len(ch):
+                kept.append(r)
+        expected = sum(pre.w_by_rank[r] for r in kept)
+        assert _run_weight(pre, _ref_rank_lists(pre, in_s, padding), order) == expected
+
+    def test_evicts_the_heaviest_lighter_reference(self):
+        # one node holding ranks 2, 4, 6: rank 3 evicts 4, rank 7 finds none
+        refs = [[2, 4, 6]]
+        assert _arrive(refs, (0,), 3) == [4]
+        assert refs == [[2, 6]]
+        assert _arrive(refs, (0,), 7) == []
+        assert refs == [[2, 6]]
+
+    def test_stops_at_the_first_node_without_a_lighter_reference(self):
+        refs = [[5], [1], [9]]
+        assert _arrive(refs, (0, 1, 2), 3) == [5]
+        assert refs == [[], [1], [9]]
 
 
 class TestRunExample:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,6 @@ from laminar_secretary import (
     greedy_opt,
     p_grid,
     ratio_lower_bound,
-    rel_ent,
     theory_params,
     weighted_penalty,
     weighted_penalty_telescoped,
@@ -50,6 +50,26 @@ class TestParams:
 
     def test_alpha_small_p_limit(self):
         assert theory_params(1e-5).alpha == approx(0.25, abs=1e-4)
+
+    @pytest.mark.parametrize("p", [1e-15, 1e-160, 1e-200, 1e-300, 5e-324])
+    def test_alpha_tiny_p(self, p):
+        # the closed form reads 0.197 at 1e-15, 0.0 near 1e-160 and divides
+        # by zero once p * p underflows
+        assert theory_params(p).alpha == approx(0.25, rel=1e-14)
+
+    def test_alpha_against_decimal(self):
+        # (p + (1-p) ln(1-p)) / (2 (1-p) p^2) with 50 correct digits: the
+        # working precision covers the cancellation of the two ~p terms
+        grid = [m * 10.0 ** e for e in range(-300, 0) for m in (1.0, 2.2, 4.7)]
+        worst = (Decimal(0), None)
+        for p in [q for q in grid if q < 0.49] + [0.49]:
+            digits = max(0, -math.floor(math.log10(p)))
+            with localcontext() as ctx:
+                ctx.prec = 50 + 2 * digits
+                q = Decimal(p)
+                ref = (q + (1 - q) * (1 - q).ln()) / (2 * (1 - q) * q * q)
+                worst = max(worst, (abs(Decimal(theory_params(p).alpha) / ref - 1), p))
+        assert worst[0] <= Decimal("1e-12"), worst
 
     @given(st.floats(0.001, 0.499))
     def test_alpha_alternate_algebraic_form(self, p):
@@ -88,28 +108,6 @@ class TestAllKickedBound:
         for d in range(5):
             tail = sum(t.alpha * t.c ** l for l in range(d + 1, 400))
             assert allkicked_bound(t, d) == approx(tail, rel=1e-12)
-
-
-class TestRelEnt:
-    def test_zero_iff_equal(self):
-        for q in (0.1, 0.5, 0.9):
-            assert rel_ent(q, q) == approx(0.0, abs=1e-15)
-
-    def test_values(self):
-        assert rel_ent(0.5, 0.25) == approx(0.14384103622589042, rel=1e-12)
-        assert rel_ent(1.0, 0.5) == approx(math.log(2.0), rel=1e-12)
-
-    def test_edge_conventions(self):
-        assert rel_ent(0.0, 0.5) == approx(math.log(2.0), rel=1e-12)
-
-    @pytest.mark.parametrize("y", [0.0, 1.0])
-    def test_reference_must_be_interior(self, y):
-        with pytest.raises(ValueError, match="y must be in"):
-            rel_ent(0.5, y)
-
-    @given(st.floats(0.0, 1.0), st.floats(0.01, 0.99))
-    def test_non_negative(self, x, y):
-        assert rel_ent(x, y) >= -1e-12
 
 
 class TestGeometricSum:
