@@ -6,7 +6,9 @@ Subcommands: ``gen`` (instance generation), ``opt`` (offline optimum),
 (bound and lemma checks).  Every run is fully determined by its flags; CSV
 output is byte-identical across invocations.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error
+(including an input file that cannot be read or an output that cannot be
+written).
 """
 
 from __future__ import annotations
@@ -96,11 +98,18 @@ def _load(path: str):
     return load_instance(text)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        _write(output, text)
 
 
 def _cmd_gen(args) -> int:
@@ -149,7 +158,7 @@ def _cmd_montecarlo(args) -> int:
         padding=not args.no_padding, jobs=args.jobs,
     )
     if args.csv:
-        Path(args.csv).write_text(report.to_csv())
+        _write(args.csv, report.to_csv())
     sys.stdout.write(report.summary())
     return 0
 
@@ -182,7 +191,7 @@ def _cmd_theory(args) -> int:
         lines.append(f"{p!r},{t.alpha!r},{t.c!r},{ratio_lower_bound(p)!r}")
     text = "\n".join(lines) + "\n"
     if args.csv:
-        Path(args.csv).write_text(text)
+        _write(args.csv, text)
     sys.stdout.write(text)
     return 0
 

@@ -1,18 +1,22 @@
 """Empirical verification harness.
 
 Everything here is seeded and reproducible: trial ``i`` of a run with master
-seed ``s`` is ``kicknext._sample_ids`` of ``derive_seed(s, i)``, a pure
-function of the pair, so serial and parallel execution produce identical
-statistics.  ``RNG_VERSION`` names that trial stream, and every summary
-prints it, so that a printed estimate says which draws it rests on.
-Aggregation goes through ``math.fsum`` (exact summation), which keeps
-results independent of chunking.
+seed ``s`` is the draw of ``derive_seed(s, i)``, a pure function of the
+pair, so serial and parallel execution produce identical statistics.  A
+call draws all its trials as one stream, ``kicknext._orders`` over
+``_seeds``, which sets up its per-call constants once.  ``RNG_VERSION``
+names that trial stream, and every summary prints it, so that a printed
+estimate says which draws it rests on.  Aggregation goes through
+``math.fsum`` (exact summation), which keeps results independent of
+chunking.
 
-The Monte Carlo ratio and the checks draw trials through one stream,
-``_trials``, as sample flags, arrival ranks and fresh reference lists
-(ascending rank lists); arrivals walk them by ``kicknext._arrive``, and every
-backward rank, eviction-failure event and qualifying slot is read by
-``theory._padded_brank``.
+The Monte Carlo ratio and the checks take trials from ``_trials``, as
+sample flags, arrival ranks and fresh reference lists (ascending rank
+lists); arrivals walk them by ``kicknext._arrive``, and every backward
+rank, eviction-failure event and qualifying slot is read by
+``theory._padded_brank``.  Up to ``SMALL_N`` elements, draws repeat often:
+``_trials`` builds each sample set's reference lists once, and the Monte
+Carlo ratio memoizes each arrival order's weight, which the order fixes.
 
 The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
@@ -33,13 +37,13 @@ import os
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from multiprocessing import Pool
 
 from .model import LaminarInstance
 from .matroid import greedy_opt
-from .kicknext import (_MASK64, _arrive, _check_p, _check_seed, _ref_rank_lists, _run_weight,
-                       _sample_ids)
+from .kicknext import (_MASK64, _arrive, _check_p, _check_seed, _flags, _orders, _ref_rank_lists,
+                       _run_weight)
 from .theory import (
     _g_exact,
     _global_optima,
@@ -55,6 +59,10 @@ from .theory import (
 
 EXACT_ENUM_LIMIT = 8
 RNG_VERSION = 2
+# up to this many elements, trials reuse work across repeated draws: the
+# mask cache of ``_trials`` and the weight memo of ``_trial_weights_chunk``
+SMALL_N = 16
+_WEIGHT_MEMO_CAP = 1 << 14
 _TOL = 1e-12
 
 
@@ -177,15 +185,21 @@ class ExperimentReport:
 # -- Monte Carlo ratio -------------------------------------------------------
 
 
+def _seeds(master_seed: int, start: int, count: int):
+    """The seeds of trials ``start`` to ``start + count - 1``."""
+    return map(derive_seed, repeat(master_seed), range(start, start + count))
+
+
 def _trials(pre, p, master_seed, start, count, padding):
     """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
     ``(in_s, order, refs)``, fresh lists for the caller to consume.  Up to
-    n = 16 each sample set's reference lists are built once, then copied."""
+    ``SMALL_N`` elements each sample set's reference lists are built once,
+    then copied."""
     n = pre.n_real
-    cache: dict[int, list[list[int]]] | None = {} if n <= 16 else None
+    cache: dict[int, list[list[int]]] | None = {} if n <= SMALL_N else None
     full = (1 << n) - 1
-    for idx in range(start, start + count):
-        in_s, order = _sample_ids(pre, p, derive_seed(master_seed, idx))
+    for order in _orders(pre, p, _seeds(master_seed, start, count)):
+        in_s = _flags(n, order)
         if cache is None:
             yield in_s, order, _ref_rank_lists(pre, in_s, padding)
             continue
@@ -199,9 +213,30 @@ def _trials(pre, p, master_seed, start, count, padding):
 
 
 def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
+    """Root weight of each of trials ``start`` to ``start + count - 1``.
+
+    Up to ``SMALL_N`` elements the weight is memoized on the arrival order,
+    which fixes it: the arrivals fix the sample, so the reference lists,
+    and the walk is deterministic.  The memo lives for one call (one
+    ``--jobs`` chunk) and stops inserting at ``_WEIGHT_MEMO_CAP`` entries, so
+    whatever the trial count it holds at most 2^14 keys of up to 16 small
+    ints each: about 3.6 MiB, 228 bytes an entry on 64-bit CPython 3.11."""
     pre = inst.pre()
-    return [_run_weight(pre, refs, order)
-            for _, order, refs in _trials(pre, p, master_seed, start, count, padding)]
+    n = pre.n_real
+    if n > SMALL_N:
+        return [_run_weight(pre, refs, order)
+                for _, order, refs in _trials(pre, p, master_seed, start, count, padding)]
+    memo: dict[tuple[int, ...], float] = {}
+    out = []
+    for order in _orders(pre, p, _seeds(master_seed, start, count)):
+        key = tuple(order)
+        w = memo.get(key)
+        if w is None:
+            w = _run_weight(pre, _ref_rank_lists(pre, _flags(n, order), padding), order)
+            if len(memo) < _WEIGHT_MEMO_CAP:
+                memo[key] = w
+        out.append(w)
+    return out
 
 
 def _sample_variance(values, mean: float) -> float:
@@ -454,12 +489,11 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
 
     hits = 0
     ncond = 0
-    for t_idx in range(trials):
-        in_s, _ = _sample_ids(pre, p, derive_seed(master_seed, t_idx))
-        if in_s[skip]:
+    for order in _orders(pre, p, _seeds(master_seed, 0, trials)):
+        if skip not in order:
             continue  # rejection sampling for the conditional law
         ncond += 1
-        if _qualifying_counts(pre, b, skip, in_s) == counts:
+        if _qualifying_counts(pre, b, skip, _flags(n, order)) == counts:
             hits += 1
     if ncond == 0:
         raise ValueError("no trial satisfied the conditioning event; raise trials")

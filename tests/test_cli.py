@@ -276,3 +276,20 @@ def test_tiny_p_theory_and_montecarlo(four_file, capsys):
     assert float(row[1]) == 0.25 and float(row[3]) == pytest.approx(1e-200, rel=1e-12)
     assert main(["montecarlo", four_file, "--p", "1e-300", "--trials", "20"]) == 0
     assert "ratio estimate 0.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "FILE", "--trials", "20", "--csv"],
+    ["theory", "--csv"],
+    ["gen", "--family", "uniform", "--n", "4", "--seed", "1", "-o"],
+    ["run", "FILE", "--seed", "1", "--trace", "-o"],
+], ids=["montecarlo", "theory", "gen", "run"])
+def test_failed_output_write_exit_2(four_file, tmp_path, capsys, command):
+    # the output's directory does not exist, so the write fails
+    out = tmp_path / "missing" / "out.csv"
+    argv = [four_file if x == "FILE" else x for x in command] + [str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()

@@ -24,13 +24,15 @@ from laminar_secretary import (
     reference_sets,
     verify_lemmas,
 )
+import laminar_secretary.experiments as experiments
 from laminar_secretary.experiments import (
     _chunk_plan,
     _qualifying_counts,
     _sample_variance,
+    _trial_weights_chunk,
     _trials,
 )
-from laminar_secretary.kicknext import _ref_rank_lists, _sample_ids
+from laminar_secretary.kicknext import _ref_rank_lists, _run_weight, _sample_ids
 from laminar_secretary.theory import _global_optima, _padded_brank
 
 from helpers import (
@@ -177,6 +179,47 @@ class TestTrials:
             in_s.clear()
             order.clear()
         assert repeats > 100
+
+
+class TestWeightMemo:
+    """Up to ``SMALL_N`` elements ``_trial_weights_chunk`` memoizes each
+    trial's weight on its arrival order; the weights must be those of the
+    memo-free walk."""
+
+    @staticmethod
+    def _walked(pre, p, start, count, padding):
+        return [_run_weight(pre, refs, order)
+                for _, order, refs in _trials(pre, p, 7, start, count, padding)]
+
+    @pytest.mark.parametrize("n", [1, 6, 16, 17])
+    @pytest.mark.parametrize("padding", [True, False])
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_matches_the_walk(self, monkeypatch, n, padding, cap):
+        if cap is not None:  # the memo fills up and stops inserting
+            monkeypatch.setattr(experiments, "_WEIGHT_MEMO_CAP", cap)
+        inst = generate(GenSpec("random_tree", n, 5))
+        pre = inst.pre()
+        for p in (0.08, 0.5):
+            got = _trial_weights_chunk(inst, p, 3, 400, 7, padding)
+            assert got == self._walked(pre, p, 3, 400, padding)
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_walks_each_stored_order_once(self, monkeypatch, cap):
+        if cap is not None:
+            monkeypatch.setattr(experiments, "_WEIGHT_MEMO_CAP", cap)
+        calls = []
+
+        def counted(pre, refs, order):
+            calls.append(tuple(order))
+            return _run_weight(pre, refs, order)
+
+        monkeypatch.setattr(experiments, "_run_weight", counted)
+        inst = generate(GenSpec("chain", 6, 2))
+        _trial_weights_chunk(inst, 0.2, 0, 500, 9, True)
+        orders = [tuple(o) for _, o, _ in _trials(inst.pre(), 0.2, 9, 0, 500, True)]
+        stored = list(dict.fromkeys(orders))[:cap]  # the first distinct orders
+        assert len(calls) == sum(o not in stored for o in orders) + len(stored)
+        assert len(calls) < len(orders)  # repeated orders were not walked again
 
 
 class TestTinyP:

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,12 @@ from laminar_secretary import (
     run_kicknext,
     trace_csv,
 )
+import laminar_secretary.kicknext as kicknext
 from laminar_secretary.kicknext import (
     _arrive,
     _check_p,
+    _first_read,
+    _orders,
     _ref_rank_lists,
     _run_weight,
     _sample_ids,
@@ -141,6 +145,50 @@ class TestTrialStream:
         expect = sample_ranks_by_prefix(1000, p, seed)
         assert len(expect[1]) == 11 > 2 * int(1000 * p) + 8
         assert _sample_ids(pre, p, seed) == expect
+
+
+@lru_cache(maxsize=None)
+def _rank1_pre(n):
+    return rank1(range(1, n + 1)).pre()
+
+
+class TestOrders:
+    """``_orders`` draws a call's trials as one stream; it and the one-seed
+    wrapper ``_sample_ids`` equal one read of the longest prefix a draw can
+    use."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300), st.floats(1e-3, 0.6), st.integers(0, 2**64 - 1))
+    def test_matches_one_long_prefix(self, n, p, seed):
+        pre = _rank1_pre(n)
+        seeds = [derive_seed(seed, i) for i in range(4)]
+        expect = [sample_ranks_by_prefix(n, p, s) for s in seeds]
+        assert list(_orders(pre, p, seeds)) == [order for _, order in expect]
+        assert [_sample_ids(pre, p, s) for s in seeds] == expect
+
+    def test_sort_keys_run_past_the_first_read(self):
+        # n = 2000, p = 0.08: 203 arrivals need 407 words, past the 399 of
+        # the first read
+        pre = _rank1_pre(2000)
+        seed = 15558682702953987295
+        expect = sample_ranks_by_prefix(2000, 0.08, seed)
+        assert 2 * len(expect[1]) + 1 > _first_read(2000, 0.08) == 399
+        assert next(_orders(pre, 0.08, [seed])) == expect[1]
+        assert _sample_ids(pre, 0.08, seed) == expect
+
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (7, 0.3), (60, 0.08), (300, 0.2)])
+    def test_one_word_first_read(self, monkeypatch, n, p):
+        # a one-word first read makes the gaps run out, then the keys
+        monkeypatch.setattr(kicknext, "_first_read", lambda n, p: 1)
+        pre = _rank1_pre(n)
+        seeds = [derive_seed(n, i) for i in range(50)]
+        assert list(_orders(pre, p, seeds)) == [sample_ranks_by_prefix(n, p, s)[1]
+                                                for s in seeds]
+
+    def test_first_read_is_whole_blocks(self):
+        for n, p in [(1, 0.001), (6, 0.08), (200, 0.2), (2000, 0.08), (10**6, 0.5)]:
+            size = _first_read(n, p)
+            assert size % 21 == 0 and size >= 2 * (n * p) + 1
 
 
 FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))
