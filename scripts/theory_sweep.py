@@ -29,7 +29,10 @@ def main():
         lines.append(f"{p!r},{t.alpha!r},{t.c!r},{ratio_lower_bound(p)!r}")
     text = "\n".join(lines) + "\n"
     if args.csv:
-        Path(args.csv).write_text(text)
+        try:
+            Path(args.csv).write_text(text)
+        except OSError as exc:
+            ap.exit(2, f"error: cannot write {args.csv}: {exc}\n")
         print(f"wrote {len(lines) - 1} rows to {args.csv}")
     else:
         sys.stdout.write(text)

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .experiments import (
+    EXACT_ENUM_LIMIT,
     _opt_weight,
     allkicked_frequency,
     exact_expectation,
@@ -203,7 +204,7 @@ def _cmd_verify(args) -> int:
                                         master_seed=args.seed)
     report.allkicked = allkicked_frequency(inst, args.p, args.trials, args.seed)
     sys.stdout.write(report.summary())
-    if inst.n <= 8:
+    if inst.n <= EXACT_ENUM_LIMIT:
         unpadded = exact_ratio(inst, args.p, padding=False)
         padded = exact_ratio(inst, args.p, padding=True)
         print(f"exact ratio: padded {padded!r}, unpadded {unpadded!r} (informational)")

@@ -14,9 +14,10 @@ The Monte Carlo ratio and the checks take trials from ``_trials``, as
 sample flags, arrival ranks and fresh reference lists (ascending rank
 lists); arrivals walk them by ``kicknext._arrive``, and every backward
 rank, eviction-failure event and qualifying slot is read by
-``theory._padded_brank``.  Up to ``SMALL_N`` elements, draws repeat often:
-``_trials`` builds each sample set's reference lists once, and the Monte
-Carlo ratio memoizes each arrival order's weight, which the order fixes.
+``theory._padded_brank``.  Up to ``SMALL_N`` elements, draws repeat often,
+and the Monte Carlo ratio memoizes each arrival order's weight, which the
+order fixes.  The global optima, which the checks measure against, are
+built once per instance (``theory._global_optima``).
 
 The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
@@ -41,14 +42,13 @@ from itertools import product, repeat
 from multiprocessing import Pool
 
 from .model import LaminarInstance
-from .matroid import greedy_opt
 from .kicknext import (_MASK64, _arrive, _check_p, _check_seed, _flags, _orders, _ref_rank_lists,
                        _run_weight)
 from .theory import (
-    _g_exact,
     _global_optima,
     _padded_brank,
     allkicked_bound,
+    g_exact,
     g_refined_bound,
     g_weak_bound,
     ratio_lower_bound,
@@ -59,8 +59,8 @@ from .theory import (
 
 EXACT_ENUM_LIMIT = 8
 RNG_VERSION = 2
-# up to this many elements, trials reuse work across repeated draws: the
-# mask cache of ``_trials`` and the weight memo of ``_trial_weights_chunk``
+# up to this many elements, ``_trial_weights_chunk`` memoizes each arrival
+# order's weight, as draws repeat often
 SMALL_N = 16
 _WEIGHT_MEMO_CAP = 1 << 14
 _TOL = 1e-12
@@ -192,24 +192,11 @@ def _seeds(master_seed: int, start: int, count: int):
 
 def _trials(pre, p, master_seed, start, count, padding):
     """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
-    ``(in_s, order, refs)``, fresh lists for the caller to consume.  Up to
-    ``SMALL_N`` elements each sample set's reference lists are built once,
-    then copied."""
+    ``(in_s, order, refs)``, fresh lists for the caller to consume."""
     n = pre.n_real
-    cache: dict[int, list[list[int]]] | None = {} if n <= SMALL_N else None
-    full = (1 << n) - 1
     for order in _orders(pre, p, _seeds(master_seed, start, count)):
         in_s = _flags(n, order)
-        if cache is None:
-            yield in_s, order, _ref_rank_lists(pre, in_s, padding)
-            continue
-        mask = full  # bit r set: rank r is in the sample
-        for r in order:
-            mask ^= 1 << r
-        refs = cache.get(mask)
-        if refs is None:
-            refs = cache[mask] = _ref_rank_lists(pre, in_s, padding)
-        yield in_s, order, [list(x) for x in refs]
+        yield in_s, order, _ref_rank_lists(pre, in_s, padding)
 
 
 def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
@@ -257,7 +244,8 @@ def _chunk_plan(trials: int, jobs: int) -> list[tuple[int, int]]:
 def _opt_weight(inst: LaminarInstance) -> float:
     """The offline optimum's weight, the denominator of every ratio.  A zero
     optimum is refused, as no ratio is defined for it."""
-    w_opt = greedy_opt(inst, None, inst.root_id).weight
+    pre = inst.pre()
+    w_opt = sum(pre.w_by_rank[r] for r in _global_optima(pre)[0][pre.root_idx])  # heaviest first
     if not w_opt > 0.0:
         raise ValueError("degenerate instance: optimum weight is zero")
     return w_opt
@@ -330,6 +318,12 @@ def _expected_rest(pre, remaining: int, refs: tuple, memo: dict) -> float:
     return value
 
 
+def _check_enumerable(n: int) -> None:
+    """Refuse exact enumeration over more than ``EXACT_ENUM_LIMIT`` elements."""
+    if n > EXACT_ENUM_LIMIT:
+        raise ValueError(f"exact enumeration limited to {EXACT_ENUM_LIMIT} elements, got {n}")
+
+
 def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     """Expected solution weight, exact over every sample split and every
     arrival order.  Returns (expected_weight, total_probability); the latter
@@ -343,10 +337,7 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     _check_p(p)
     pre = inst.pre()
     n = pre.n_real
-    if n > EXACT_ENUM_LIMIT:
-        raise ValueError(
-            f"exact enumeration limited to {EXACT_ENUM_LIMIT} elements, got {n}"
-        )
+    _check_enumerable(n)
     contribs: list[float] = []
     probs: list[float] = []
     for mask in range(1 << n):  # set bit r: rank r arrives in the selection phase
@@ -474,10 +465,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     use_exact = method == "exact" or (method == "auto" and n <= EXACT_ENUM_LIMIT)
 
     if use_exact:
-        if n > EXACT_ENUM_LIMIT:
-            raise ValueError(
-                f"exact enumeration limited to {EXACT_ENUM_LIMIT} elements, got {n}"
-            )
+        _check_enumerable(n)
         acc = []
         for flags in product((False, True), repeat=n - 1):  # sample flags of the other ranks
             in_s = [*flags[:skip], False, *flags[skip:]]
@@ -526,7 +514,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
         pairs = ((b, nid, m) for b, nid in enumerate(pre.node_ids) for m in range(len(opt[b]) + 1))
         for b, nid, m in pairs:
             scanned += 1
-            g = _g_exact(pre, opt, padded, m, b, c)
+            g = g_exact(inst, m, nid, c)
             refined = g_refined_bound(m, pre.mu[b], c)
             weak = g_weak_bound(m, c)
             if g > refined + _TOL or refined > weak + _TOL:
@@ -538,7 +526,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
             witness or f"{scanned} (node, m) pairs: exact <= refined <= weak"))
 
         pen = weighted_penalty(inst, c)
-        cap_bound = g_weak_bound(1, c) * greedy_opt(inst, None, inst.root_id).weight
+        cap_bound = g_weak_bound(1, c) * sum(pre.w_by_rank[r] for r in opt[pre.root_idx])
         checks.append(LemmaCheck(
             "weighted-penalty", pen <= cap_bound + _TOL,
             f"penalty={pen!r} vs 2c/(1-c)*w(OPT)={cap_bound!r}"))

@@ -61,13 +61,14 @@ class _Pre:
     ``own_ranks[x]`` holds the ranks whose minimal node is ``x`` (ascending),
     ``children_idx[x]`` the child node indices and ``subtree_order[x]`` the
     nodes of ``x``'s subtree with every child before its parent.
+    ``global_optima`` is filled on first use by ``theory._global_optima``.
     """
 
     __slots__ = (
         "elements_by_rank", "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
         "node_ids", "node_index", "mu", "parent", "depth", "node_chain",
         "members_ranks", "own_ranks", "chain_by_rank", "children_idx", "subtree_order",
-        "root_idx", "virtual_rank_base",
+        "root_idx", "virtual_rank_base", "global_optima",
     )
 
     def __init__(self, inst: "LaminarInstance"):
@@ -90,21 +91,19 @@ class _Pre:
 
         depth = [-1] * len(inst.nodes)
         chains: list[tuple[int, ...]] = [()] * len(inst.nodes)
-
-        def resolve(i: int) -> tuple[int, ...]:
-            if depth[i] >= 0:
-                return chains[i]
-            if self.parent[i] < 0:
-                depth[i] = 0
-                chains[i] = (i,)
-            else:
-                up = resolve(self.parent[i])
-                depth[i] = len(up)
-                chains[i] = (i,) + up
-            return chains[i]
-
         for i in range(len(inst.nodes)):
-            resolve(i)
+            # climb to the first resolved node in a loop: a chain can be
+            # deeper than the recursion limit
+            path = []
+            x = i
+            while x >= 0 and depth[x] < 0:
+                path.append(x)
+                x = self.parent[x]
+            up = chains[x] if x >= 0 else ()
+            for y in reversed(path):
+                up = (y,) + up
+                depth[y] = len(up) - 1
+                chains[y] = up
         self.depth = depth
         self.node_chain = chains
 
@@ -137,6 +136,7 @@ class _Pre:
             base.append(acc)
             acc += cap
         self.virtual_rank_base = base
+        self.global_optima = None
 
     def virtual_id(self, vrank: int) -> int:
         return self.max_id + 1 + (vrank - self.n_real)
@@ -292,7 +292,7 @@ def load_instance(text: str) -> LaminarInstance:
     """Parse and validate the JSON instance format (see README)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise InstanceError(f"malformed instance text: {exc}") from None
     if not isinstance(doc, dict):
         raise InstanceError("malformed instance text: top level must be an object")

@@ -23,18 +23,18 @@ would contribute k*c instead of c + c^2 + ... + c^k).  All logarithms are
 natural.
 
 Backward ranks are counted in rank space by ``_padded_brank``, against
-optima from one bottom-up pass.  ``p_grid`` is the one grid of p values; it
-raises ``ValueError`` on a bad step or range.
+the global optima of ``_global_optima``: one bottom-up pass per instance,
+kept on the instance's precomputed tables.  ``p_grid`` is the one grid of p
+values; it raises ``ValueError`` on a bad step or range.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .kicknext import _ref_rank_lists
-from .matroid import greedy_opt
 from .model import LaminarInstance
 
 MAX_GRID_POINTS = 100_000
@@ -86,11 +86,15 @@ def _padded_brank(R: list[int], r: int) -> int:
     return len(R) - bisect_right(R, r)
 
 
-def _global_optima(pre) -> tuple[list[list[int]], list[list[int]]]:
-    """Every node's optimum of the whole ground set as ascending rank lists,
-    unpadded and padded to capacity."""
-    every = [True] * pre.n_real
-    return _ref_rank_lists(pre, every, False), _ref_rank_lists(pre, every, True)
+def _global_optima(pre) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Every node's optimum of the whole ground set as ascending rank tuples,
+    unpadded and padded to capacity.  Built once per instance, from one
+    padded pass, and kept on ``pre``; tuples, so no caller can change them."""
+    if pre.global_optima is None:
+        padded = tuple(map(tuple, _ref_rank_lists(pre, [True] * pre.n_real, True)))
+        real = tuple(R[:bisect_left(R, pre.n_real)] for R in padded)  # virtual ranks sort last
+        pre.global_optima = real, padded
+    return pre.global_optima
 
 
 def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
@@ -104,12 +108,6 @@ def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
     opt, padded = _global_optima(pre)
     if not 0 <= m <= len(opt[b]):
         raise ValueError(f"m must be within 0..{len(opt[b])}, got {m}")
-    return _g_exact(pre, opt, padded, m, b, c)
-
-
-def _g_exact(pre, opt, padded, m: int, b: int, c: float) -> float:
-    """``g_exact`` at node index ``b`` against the global optima ``opt`` and
-    ``padded`` of ``_global_optima``, so that callers build them once."""
     total = 0.0
     for r in reversed(opt[b][:m]):  # the m heaviest, lightest of them first
         ch = pre.chain_by_rank[r]
@@ -164,14 +162,12 @@ def weighted_penalty_telescoped(inst: LaminarInstance, c: float) -> float:
     Agrees with ``weighted_penalty`` exactly; used as a cross-check."""
     if not 0.0 < c < 0.5:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
-    opt = greedy_opt(inst, None, inst.root_id)
-    ws = [inst.weight(eid) for eid in reversed(opt.elements)]  # heaviest first
     pre = inst.pre()
-    ranks, padded = _global_optima(pre)
+    ws = [pre.w_by_rank[r] for r in _global_optima(pre)[0][pre.root_idx]]  # heaviest first
     total = 0.0
     for l in range(1, len(ws) + 1):
         nxt = ws[l] if l < len(ws) else 0.0
-        total += (ws[l - 1] - nxt) * _g_exact(pre, ranks, padded, l, pre.root_idx, c)
+        total += (ws[l - 1] - nxt) * g_exact(inst, l, inst.root_id, c)
     return total
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -78,6 +79,15 @@ def test_theory_sweep_script_rejects_bad_step():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 2
     assert res.stdout == "" and "error:" in res.stderr
+
+
+def test_theory_sweep_script_cannot_write_exit_2(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "theory_sweep.py"
+    out = tmp_path / "missing" / "x.csv"
+    res = subprocess.run([sys.executable, str(script), "--csv", str(out)],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "" and res.stderr.startswith(f"error: cannot write {out}: ")
 
 
 @pytest.mark.parametrize("flags", [["--p", "0"], ["--p", "1"], ["--p", "nan"], ["--trials", "0"]])
@@ -293,3 +303,56 @@ def test_failed_output_write_exit_2(four_file, tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert not out.parent.exists()
+
+
+def test_deep_chain_with_ids_rising_to_the_root(tmp_path, capsys):
+    # node j's parent is j + 1, so resolving a chain from node 0 goes 1499 deep
+    n = 1500
+    doc = {"name": "deep", "elements": [{"id": i, "weight": float(i + 1)} for i in range(5)],
+           "nodes": [{"id": j, "capacity": j + 1, "parent": j + 1 if j < n - 1 else None}
+                     for j in range(n)],
+           "membership": {str(i): i for i in range(5)}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["opt", str(path)]) == 0
+    assert "optimum has 5 elements" in capsys.readouterr().out
+    assert main(["montecarlo", str(path), "--trials", "10"]) == 0
+    assert "ratio estimate" in capsys.readouterr().out
+
+
+def test_deeply_nested_text_exit_2(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["opt", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed instance text" in captured.err
+
+
+@pytest.mark.parametrize("limit,n,shown", [(3, 4, False), (9, 9, True)])
+def test_verify_follows_the_exact_enumeration_limit(tmp_path, capsys, monkeypatch,
+                                                    limit, n, shown):
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "EXACT_ENUM_LIMIT", limit)
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--family", "random_tree", "--n", str(n), "--seed", "1",
+                 "-o", str(path)]) == 0
+    assert main(["verify", str(path), "--trials", "50"]) == 0
+    captured = capsys.readouterr()
+    assert ("exact ratio: padded" in captured.out) == shown
+    assert captured.err == ""
+
+
+def test_ratio_experiment_script_follows_the_exact_enumeration_limit(capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ratio_experiment.py"
+    spec = importlib.util.spec_from_file_location("ratio_experiment", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for owner in (module, experiments):
+        monkeypatch.setattr(owner, "EXACT_ENUM_LIMIT", 6)
+    monkeypatch.setattr(sys, "argv", [str(script), "--trials", "20"])
+    module.main()
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == len(module.SPECS)
+    for row in rows:
+        n, exact = int(row.split()[1]), row.split()[5]
+        assert (exact != "-") == (n <= 6)

@@ -16,6 +16,7 @@ from laminar_secretary import (
     exact_expectation,
     exact_ratio,
     generate,
+    greedy_opt,
     make_instance,
     make_trial,
     monte_carlo_ratio,
@@ -32,7 +33,9 @@ from laminar_secretary.experiments import (
     _trial_weights_chunk,
     _trials,
 )
-from laminar_secretary.kicknext import _ref_rank_lists, _run_weight, _sample_ids
+import laminar_secretary.kicknext as kicknext
+import laminar_secretary.matroid as matroid
+from laminar_secretary.kicknext import _orders, _ref_rank_lists, _run_weight, _sample_ids
 from laminar_secretary.theory import _global_optima, _padded_brank
 
 from helpers import (
@@ -155,7 +158,7 @@ class TestTrials:
     """``_trials`` is the one trial stream of the Monte Carlo ratio, the
     eviction-failure frequencies and the lemma checks."""
 
-    @pytest.mark.parametrize("n", [16, 17])  # with and without the cache
+    @pytest.mark.parametrize("n", [16, 17])  # where ``_trial_weights_chunk`` switches paths
     @pytest.mark.parametrize("padding", [True, False])
     def test_matches_draw_and_reference_lists(self, n, padding):
         pre = generate(GenSpec("random_tree", n, 4)).pre()
@@ -166,7 +169,7 @@ class TestTrials:
             assert trial == (in_s, order, _ref_rank_lists(pre, in_s, padding))
 
     def test_yields_fresh_lists(self):
-        # n = 4: sample sets repeat, so cached lists are handed out again
+        # n = 4: sample sets repeat, and each must still get lists of its own
         pre = generate(GenSpec("chain", 4, 2)).pre()
         seen = set()
         repeats = 0
@@ -179,6 +182,60 @@ class TestTrials:
             in_s.clear()
             order.clear()
         assert repeats > 100
+
+
+class TestGlobalOptima:
+    """The whole ground set's per-node optima are built once per instance and
+    shared, read-only, by the ratio denominators, the theory sums and the
+    checks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(FAMILIES, st.integers(1, 30), st.integers(0, 10_000))
+    def test_memoized_and_equal_to_a_fresh_build(self, family, n, seed):
+        inst = family_instance(family, n, seed)
+        pre = inst.pre()
+        first = _global_optima(pre)
+        assert _global_optima(pre) is first
+        every = [True] * pre.n_real
+        for padding, got in zip((False, True), first):
+            assert got == tuple(map(tuple, _ref_rank_lists(pre, every, padding)))
+        # the same summation order, so the very same float
+        assert experiments._opt_weight(inst) == greedy_opt(inst, None, inst.root_id).weight
+
+    def test_a_verify_sequence_builds_the_optimum_once(self, monkeypatch):
+        calls = []
+        real = matroid._greedy_ranks
+
+        def counted(pre, in_v, b=None):
+            calls.append(all(in_v))
+            return real(pre, in_v, b)
+
+        # both bindings: reference lists go through kicknext, ``greedy_opt``
+        # through matroid
+        monkeypatch.setattr(kicknext, "_greedy_ranks", counted)
+        monkeypatch.setattr(matroid, "_greedy_ranks", counted)
+        inst = generate(GenSpec("random_tree", 8, 3))
+        p, trials, seed = 0.14, 10, 30
+        # no draw of these trials is empty, so no trial builds from all-True flags
+        assert all(_orders(inst.pre(), p, experiments._seeds(seed, 0, trials)))
+        monte_carlo_ratio(inst, p, trials, seed)
+        checks = verify_lemmas(inst, p, trials=trials, master_seed=seed)
+        assert checks[0].passed  # c < 1/2: the chain-decay sums ran
+        allkicked_frequency(inst, p, trials, seed)
+        exact_ratio(inst, p)
+        assert sum(calls) == 1
+        assert len(calls) > 1  # the trials were counted too
+
+
+def test_one_enumeration_limit(monkeypatch):
+    monkeypatch.setattr(experiments, "EXACT_ENUM_LIMIT", 3)
+    inst = four_element()
+    with pytest.raises(ValueError, match="limited to 3 elements, got 4"):
+        exact_expectation(inst, 0.08)
+    with pytest.raises(ValueError, match="limited to 3 elements, got 4"):
+        qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2, method="exact")
+    # above the limit, ``auto`` samples instead
+    assert not qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2, trials=200).exact
 
 
 class TestWeightMemo:

@@ -94,6 +94,11 @@ class TestLoad:
         with pytest.raises(InstanceError, match="missing field"):
             load_instance("{}")
 
+    def test_deeply_nested_text(self):
+        # the JSON decoder recurses once per level and runs out of stack
+        with pytest.raises(InstanceError, match="malformed instance text"):
+            load_instance("[" * 100_000 + "]" * 100_000)
+
     @pytest.mark.parametrize("name", [[1, 2], None, 7, 1.5, True, {"a": 1}])
     def test_non_string_name(self, name):
         with pytest.raises(InstanceError, match="name must be a string"):
