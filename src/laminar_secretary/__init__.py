@@ -15,7 +15,6 @@ from .model import (
 )
 from .matroid import (
     RankedOptimum,
-    all_reference_sets,
     brank,
     brute_force_opt,
     greedy_opt,

@@ -224,10 +224,14 @@ _COMMANDS = {
 }
 
 
+# built once: a parser is about 380 objects of cyclic garbage, and parsing
+# leaves it unchanged
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

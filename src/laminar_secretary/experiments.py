@@ -16,8 +16,12 @@ lists); arrivals walk them by ``kicknext._arrive``, and every backward
 rank, eviction-failure event and qualifying slot is read by
 ``theory._padded_brank``.  Up to ``SMALL_N`` elements, draws repeat often,
 and the Monte Carlo ratio memoizes each arrival order's weight, which the
-order fixes.  The global optima, which the checks measure against, are
-built once per instance (``theory._global_optima``).
+order fixes.  The reference lists and the whole ground set's optima OPT,
+which the ratio denominators and the checks measure against, come from
+``matroid`` (``_ref_rank_lists``, and ``_global_optima``, built once per
+instance); a padded backward rank against OPT is ``theory._global_brank``.
+Every sampling entry point checks its trial count, p and master seed
+through ``_check_run``.
 
 The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
@@ -42,10 +46,10 @@ from itertools import product, repeat
 from multiprocessing import Pool
 
 from .model import LaminarInstance
-from .kicknext import (_MASK64, _arrive, _check_p, _check_seed, _flags, _orders, _ref_rank_lists,
-                       _run_weight)
+from .matroid import _global_optima, _ref_rank_lists
+from .kicknext import _MASK64, _arrive, _check_p, _check_seed, _flags, _orders, _run_weight
 from .theory import (
-    _global_optima,
+    _global_brank,
     _padded_brank,
     allkicked_bound,
     g_exact,
@@ -185,6 +189,15 @@ class ExperimentReport:
 # -- Monte Carlo ratio -------------------------------------------------------
 
 
+def _check_run(p: float, trials: int, master_seed: int) -> None:
+    """Refuse a sampling run with fewer than one trial, a bad p or a master
+    seed outside 0..2^64-1, checked in that order."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    _check_p(p)
+    _check_seed(master_seed)
+
+
 def _seeds(master_seed: int, start: int, count: int):
     """The seeds of trials ``start`` to ``start + count - 1``."""
     return map(derive_seed, repeat(master_seed), range(start, start + count))
@@ -245,7 +258,7 @@ def _opt_weight(inst: LaminarInstance) -> float:
     """The offline optimum's weight, the denominator of every ratio.  A zero
     optimum is refused, as no ratio is defined for it."""
     pre = inst.pre()
-    w_opt = sum(pre.w_by_rank[r] for r in _global_optima(pre)[0][pre.root_idx])  # heaviest first
+    w_opt = sum(pre.w_by_rank[r] for r in _global_optima(pre)[pre.root_idx])  # heaviest first
     if not w_opt > 0.0:
         raise ValueError("degenerate instance: optimum weight is zero")
     return w_opt
@@ -255,10 +268,7 @@ def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed:
                       *, padding: bool = True, jobs: int = 1) -> ExperimentReport:
     """Estimate the expected solution-to-optimum weight ratio over ``trials``
     independent runs.  ``jobs`` only parallelizes; it never changes values."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    _check_p(p)
-    _check_seed(master_seed)
+    _check_run(p, trials, master_seed)
     w_opt = _opt_weight(inst)
 
     plan = _chunk_plan(trials, jobs)
@@ -368,13 +378,10 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     conditional probability (given the element arrives in the selection
     phase) that all lighter reference elements at that node were already
     evicted when it arrived, next to the analytical bound."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    _check_p(p)
-    _check_seed(master_seed)
+    _check_run(p, trials, master_seed)
     params = theory_params(p)  # the bound needs p < 1/2
     pre = inst.pre()
-    opt, _ = _global_optima(pre)
+    opt = _global_optima(pre)
     root_opt = opt[pre.root_idx]
     seen = dict.fromkeys(root_opt, 0)  # arrivals per optimum element
     hits: dict[tuple[int, int], int] = defaultdict(int)
@@ -444,10 +451,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     Exact by enumeration when the instance is small enough, Monte Carlo
     otherwise (``method`` forces either).
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    _check_p(p)
-    _check_seed(master_seed)
+    _check_run(p, trials, master_seed)
     counts = [_count(x) for x in counts]
     if any(x < 0 for x in counts):
         raise ValueError("counts must be non-negative")
@@ -498,15 +502,12 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     """Exact per-instance checks of the chain-decay and weighted-penalty
     bounds plus sampled backward-rank dominance checks.  The decay bounds
     require c = 4p(1-p) < 1/2 and are reported as skipped otherwise."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    _check_p(p)
-    _check_seed(master_seed)
+    _check_run(p, trials, master_seed)
     params = theory_params(p)
     c = params.c
     checks: list[LemmaCheck] = []
     pre = inst.pre()
-    opt, padded = _global_optima(pre)
+    opt = _global_optima(pre)
 
     if c < 0.5:
         witness = ""  # the first failure; empty while every check holds
@@ -547,7 +548,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     # reported; their global backward ranks do not depend on the trial.
     ids = pre.ids_by_rank
     members = [[pre.rank_by_id[eid] for eid in inst.members(nid)] for nid in pre.node_ids]
-    bu_by_node = [[_padded_brank(padded[b], r) for r in rs] for b, rs in enumerate(members)]
+    bu_by_node = [[_global_brank(pre, opt, b, r) for r in rs] for b, rs in enumerate(members)]
     in_opt = [set(rs) for rs in opt]
     weak_witness = ""  # first failures, as above
     member_witness = ""

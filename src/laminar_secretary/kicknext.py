@@ -9,8 +9,9 @@ of the rest are ever observed.)
 
 From the sample, every family node gets a reference set: the sample optimum
 restricted to that node, optionally padded with zero-weight virtual elements
-up to the node's capacity.  An arriving element is then pushed through the
-chain of nodes from its minimal set to the root.  At each node it is accepted
+up to the node's capacity (``matroid._ref_rank_lists`` builds them all in
+one pass).  An arriving element is then pushed through the chain of nodes
+from its minimal set to the root.  At each node it is accepted
 iff the reference set still holds some lighter element, in which case the
 *heaviest* reference element lighter than the arrival is evicted; otherwise
 the chain walk stops and the element is rejected from the overall solution.
@@ -37,7 +38,7 @@ from math import isfinite, log, log1p, sqrt
 from typing import Mapping, Sequence
 
 from .model import InstanceError, LaminarInstance, chain
-from .matroid import _greedy_ranks, _rank_flags
+from .matroid import _rank_flags, _ref_rank_lists
 
 _MASK64 = (1 << 64) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -185,17 +186,6 @@ def _sample_ids(pre, p: float, seed: int):
     every rank and the arrival order that ``_orders`` draws from ``seed``."""
     order = next(_orders(pre, p, (seed,)))
     return _flags(pre.n_real, order), order
-
-
-def _ref_rank_lists(pre, in_s, padding: bool) -> list[list[int]]:
-    """Reference sets per node index as ascending rank lists (heaviest
-    first); virtual ranks fill the tail up to capacity when padding."""
-    refs = _greedy_ranks(pre, in_s)
-    if padding:
-        for b, chosen in enumerate(refs):
-            base = pre.virtual_rank_base[b]
-            chosen.extend(range(base + len(chosen), base + pre.mu[b]))
-    return refs
 
 
 def reference_sets(inst: LaminarInstance, sample, padding: bool = True) -> dict[int, list[int]]:

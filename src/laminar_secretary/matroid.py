@@ -13,9 +13,11 @@ optimum too), so the pass visits the nodes children first and builds each
 optimum from the node's first capacity-many flagged own ranks and its
 children's optima, sorted and cut to capacity.  The per-element filtering,
 merging and sorting run in C builtins, so a pass costs a few interpreted
-steps per node rather than per element.  Reference sets, ``greedy_opt``,
-``brank`` and the theory module's backward ranks all index into that one
-result.
+steps per node rather than per element.  This module is the one place that
+builds optima: the reference lists of a trial (``_ref_rank_lists``), the
+whole ground set's optima OPT, built once per instance and cached unpadded
+(``_global_optima``), and ``greedy_opt`` and ``brank``, which read OPT or,
+given a subset, index one pass over it.
 ``brute_force_opt`` re-derives an optimum by exhaustive search and exists
 purely as a cross-check oracle for small inputs.
 """
@@ -74,23 +76,20 @@ def _rank_flags(pre, subset) -> list[bool]:
     return flags
 
 
-def _greedy_ranks(pre, in_v: list[bool], b: int | None = None) -> list[list[int]]:
+def _greedy_ranks(pre, in_v: list[bool]) -> list[list[int]]:
     """Every node's optimum of the flagged ranks, in one bottom-up pass.
 
-    The nodes of ``b``'s subtree (default: the whole tree) are visited
-    children first; node ``x`` takes its first ``mu[x]`` flagged own ranks,
-    merges in its children's optima and keeps the ``mu[x]`` heaviest.  Entry
-    ``x`` of the result is the optimum of node ``x``'s subtree for every
-    ``x`` inside ``b`` and empty elsewhere.  Each list holds ranks heaviest
+    The nodes are visited children first (``pre.bottom_up``); node ``x``
+    takes its first ``mu[x]`` flagged own ranks, merges in its children's
+    optima and keeps the ``mu[x]`` heaviest, so entry ``x`` of the result is
+    the optimum of node ``x``'s subtree.  Each list holds ranks heaviest
     first and is a fresh object that callers may mutate."""
-    if b is None:
-        b = pre.root_idx
     mu = pre.mu
     own_ranks = pre.own_ranks
     children_idx = pre.children_idx
     flagged = in_v.__getitem__
-    opt: list[list[int]] = [[] for _ in mu]
-    for x in pre.subtree_order[b]:
+    opt: list = [None] * len(mu)  # ``bottom_up`` sets every entry
+    for x in pre.bottom_up:
         cap = mu[x]
         chosen = list(islice(filter(flagged, own_ranks[x]), cap))
         kids = children_idx[x]
@@ -101,6 +100,34 @@ def _greedy_ranks(pre, in_v: list[bool], b: int | None = None) -> list[list[int]
             del chosen[cap:]
         opt[x] = chosen
     return opt
+
+
+def _ref_rank_lists(pre, in_s, padding: bool) -> list[list[int]]:
+    """Reference sets per node index as ascending rank lists (heaviest
+    first); virtual ranks fill the tail up to capacity when padding."""
+    refs = _greedy_ranks(pre, in_s)
+    if padding:
+        for b, chosen in enumerate(refs):
+            base = pre.virtual_rank_base[b]
+            chosen.extend(range(base + len(chosen), base + pre.mu[b]))
+    return refs
+
+
+def _global_optima(pre) -> tuple[tuple[int, ...], ...]:
+    """Every node's optimum of the whole ground set (OPT) as an ascending
+    rank tuple, unpadded.  Built once per instance and kept on ``pre``;
+    tuples, so no caller can change them."""
+    if pre.global_optima is None:
+        pre.global_optima = tuple(map(tuple, _greedy_ranks(pre, [True] * pre.n_real)))
+    return pre.global_optima
+
+
+def _optimum_ranks(pre, subset, b: int):
+    """Node index ``b``'s optimum of ``subset`` as ranks, heaviest first:
+    the cached OPT when ``subset`` is ``None``, else one pass."""
+    if subset is None:
+        return _global_optima(pre)[b]
+    return _greedy_ranks(pre, _rank_flags(pre, subset))[b]
 
 
 def _ranked_optimum(inst: LaminarInstance, node_id: int, ranks_heavy_first) -> RankedOptimum:
@@ -114,18 +141,7 @@ def greedy_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimum:
     node's set and its capacity subtree.  ``subset=None`` means the whole
     ground set."""
     pre = inst.pre()
-    b = pre.node_idx(node_id)
-    return _ranked_optimum(inst, node_id, _greedy_ranks(pre, _rank_flags(pre, subset), b)[b])
-
-
-def all_reference_sets(inst: LaminarInstance, sample) -> dict[int, RankedOptimum]:
-    """Per-node optimum of the sample (``None`` means the whole ground set)."""
-    pre = inst.pre()
-    opt = _greedy_ranks(pre, _rank_flags(pre, sample))
-    return {
-        node_id: _ranked_optimum(inst, node_id, opt[b])
-        for b, node_id in enumerate(pre.node_ids)
-    }
+    return _ranked_optimum(inst, node_id, _optimum_ranks(pre, subset, pre.node_idx(node_id)))
 
 
 def brank(inst: LaminarInstance, element_id: int, node_id: int, subset=None) -> int:
@@ -136,8 +152,7 @@ def brank(inst: LaminarInstance, element_id: int, node_id: int, subset=None) -> 
     b = pre.node_idx(node_id)
     if b not in pre.chain_by_rank[r]:
         raise InstanceError(f"element {element_id} is not contained in node {node_id}")
-    chosen = _greedy_ranks(pre, _rank_flags(pre, subset), b)[b]
-    return sum(1 for c in chosen if c > r)
+    return sum(1 for c in _optimum_ranks(pre, subset, b) if c > r)
 
 
 def brute_force_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimum:

@@ -58,16 +58,18 @@ class _Pre:
     padding slots are addressed by ranks >= n_real, one block per node, so
     they sort below every real element.
 
-    ``own_ranks[x]`` holds the ranks whose minimal node is ``x`` (ascending),
-    ``children_idx[x]`` the child node indices and ``subtree_order[x]`` the
-    nodes of ``x``'s subtree with every child before its parent.
-    ``global_optima`` is filled on first use by ``theory._global_optima``.
+    ``own_ranks[x]`` holds the ranks whose minimal node is ``x`` (ascending)
+    and ``children_idx[x]`` the child node indices.  One walk down from the
+    root gives ``depth``, ``node_chain`` (each node's path up to the root,
+    itself first), ``children_idx`` and ``bottom_up``, every node once with
+    each child before its parent.  ``global_optima`` is filled on first use
+    by ``matroid._global_optima``.
     """
 
     __slots__ = (
         "elements_by_rank", "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
-        "node_ids", "node_index", "mu", "parent", "depth", "node_chain",
-        "members_ranks", "own_ranks", "chain_by_rank", "children_idx", "subtree_order",
+        "node_ids", "node_index", "mu", "depth", "node_chain",
+        "members_ranks", "own_ranks", "chain_by_rank", "children_idx", "bottom_up",
         "root_idx", "virtual_rank_base", "global_optima",
     )
 
@@ -83,40 +85,26 @@ class _Pre:
         self.node_ids = [nd.id for nd in inst.nodes]
         self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
         self.mu = [nd.capacity for nd in inst.nodes]
-        self.parent = [
-            self.node_index[nd.parent] if nd.parent is not None else -1
-            for nd in inst.nodes
-        ]
-        self.root_idx = next(i for i, p in enumerate(self.parent) if p < 0)
-
-        depth = [-1] * len(inst.nodes)
-        chains: list[tuple[int, ...]] = [()] * len(inst.nodes)
-        for i in range(len(inst.nodes)):
-            # climb to the first resolved node in a loop: a chain can be
-            # deeper than the recursion limit
-            path = []
-            x = i
-            while x >= 0 and depth[x] < 0:
-                path.append(x)
-                x = self.parent[x]
-            up = chains[x] if x >= 0 else ()
-            for y in reversed(path):
-                up = (y,) + up
-                depth[y] = len(up) - 1
-                chains[y] = up
-        self.depth = depth
-        self.node_chain = chains
+        self.root_idx = next(i for i, nd in enumerate(inst.nodes) if nd.parent is None)
 
         n_nodes = len(inst.nodes)
-        children: list[list[int]] = [[] for _ in range(n_nodes)]
-        subtree: list[list[int]] = [[] for _ in range(n_nodes)]
-        for x in sorted(range(n_nodes), key=depth.__getitem__, reverse=True):
-            if self.parent[x] >= 0:
-                children[self.parent[x]].append(x)
-            for a in chains[x]:  # deepest first, so children precede parents
-                subtree[a].append(x)
-        self.children_idx = [tuple(c) for c in children]
-        self.subtree_order = [tuple(s) for s in subtree]
+        depth = [0] * n_nodes
+        chains: list[tuple[int, ...]] = [()] * n_nodes
+        children: list[tuple[int, ...]] = [()] * n_nodes
+        chains[self.root_idx] = (self.root_idx,)
+        top_down = [self.root_idx]
+        for x in top_down:  # the list grows as it is read: parents before children
+            kids = tuple(self.node_index[c] for c in inst.nodes[x].children)
+            children[x] = kids
+            up = chains[x]
+            for c in kids:
+                chains[c] = (c,) + up
+                depth[c] = len(up)
+            top_down += kids
+        self.depth = depth
+        self.node_chain = chains
+        self.children_idx = children
+        self.bottom_up = tuple(reversed(top_down))
 
         self.chain_by_rank = [
             chains[self.node_index[inst.membership[eid]]]
@@ -260,14 +248,14 @@ def make_instance(name, elements, nodes, membership) -> LaminarInstance:
             if nd.parent not in raw:
                 raise InstanceError(f"node {nd.id}: unknown parent {nd.parent}")
             children[nd.parent].append(nd.id)
-    # every node must reach the root, otherwise the parent links hold a cycle
-    for nid, nd in raw.items():
-        hops, cur = 0, nd
-        while cur.parent is not None:
-            cur = raw[cur.parent]
-            hops += 1
-            if hops > len(raw):
-                raise InstanceError(f"node {nid}: cycle in parent links")
+    # a node the root does not reach lies on or below a cycle of parent links
+    reached = [roots[0]]
+    for nid in reached:  # grows as it is read; every node has one parent
+        reached += children[nid]
+    if len(reached) < len(raw):
+        cut = raw.keys() - reached
+        nid = next(nid for nid in raw if nid in cut)  # the first in input order
+        raise InstanceError(f"node {nid}: cycle in parent links")
 
     membership = dict(membership)
     for eid in membership:

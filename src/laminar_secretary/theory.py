@@ -22,19 +22,19 @@ simply false on sparse instances (a lone element under k nested capacities
 would contribute k*c instead of c + c^2 + ... + c^k).  All logarithms are
 natural.
 
-Backward ranks are counted in rank space by ``_padded_brank``, against
-the global optima of ``_global_optima``: one bottom-up pass per instance,
-kept on the instance's precomputed tables.  ``p_grid`` is the one grid of p
-values; it raises ``ValueError`` on a bad step or range.
+Backward ranks are counted in rank space by ``_padded_brank``, and against
+the unpadded global optima OPT of ``matroid._global_optima`` by
+``_global_brank``.  ``p_grid`` is the one grid of p values; it raises
+``ValueError`` on a bad step or range.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .kicknext import _ref_rank_lists
+from .matroid import _global_optima
 from .model import LaminarInstance
 
 MAX_GRID_POINTS = 100_000
@@ -86,15 +86,12 @@ def _padded_brank(R: list[int], r: int) -> int:
     return len(R) - bisect_right(R, r)
 
 
-def _global_optima(pre) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Every node's optimum of the whole ground set as ascending rank tuples,
-    unpadded and padded to capacity.  Built once per instance, from one
-    padded pass, and kept on ``pre``; tuples, so no caller can change them."""
-    if pre.global_optima is None:
-        padded = tuple(map(tuple, _ref_rank_lists(pre, [True] * pre.n_real, True)))
-        real = tuple(R[:bisect_left(R, pre.n_real)] for R in padded)  # virtual ranks sort last
-        pre.global_optima = real, padded
-    return pre.global_optima
+def _global_brank(pre, opt, x: int, r: int) -> int:
+    """Padded backward rank of the real rank ``r`` at node index ``x`` against
+    OPT (``opt``, from ``_global_optima``): the entries of ``opt[x]`` lighter
+    than ``r`` plus the ``mu[x] - len(opt[x])`` virtual slots, all lighter
+    than every real rank, that pad the node up to capacity."""
+    return pre.mu[x] - bisect_right(opt[x], r)
 
 
 def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
@@ -105,14 +102,14 @@ def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
         raise ValueError(f"c must be in (0, 1), got {c}")
     pre = inst.pre()
     b = pre.node_idx(node_id)
-    opt, padded = _global_optima(pre)
+    opt = _global_optima(pre)
     if not 0 <= m <= len(opt[b]):
         raise ValueError(f"m must be within 0..{len(opt[b])}, got {m}")
     total = 0.0
     for r in reversed(opt[b][:m]):  # the m heaviest, lightest of them first
         ch = pre.chain_by_rank[r]
         for x in ch[:len(ch) - pre.depth[b]]:  # the chain up to the node
-            total += c ** (1 + _padded_brank(padded[x], r))
+            total += c ** (1 + _global_brank(pre, opt, x, r))
     return total
 
 
@@ -146,12 +143,12 @@ def weighted_penalty(inst: LaminarInstance, c: float) -> float:
     if not 0.0 < c < 0.5:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
     pre = inst.pre()
-    opt, padded = _global_optima(pre)
+    opt = _global_optima(pre)
     total = 0.0
     for r in reversed(opt[pre.root_idx]):  # lightest first
         decay = 0.0
         for b in pre.chain_by_rank[r]:
-            decay += c ** (1 + _padded_brank(padded[b], r))
+            decay += c ** (1 + _global_brank(pre, opt, b, r))
         total += pre.w_by_rank[r] * decay
     return total
 
@@ -163,7 +160,7 @@ def weighted_penalty_telescoped(inst: LaminarInstance, c: float) -> float:
     if not 0.0 < c < 0.5:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
     pre = inst.pre()
-    ws = [pre.w_by_rank[r] for r in _global_optima(pre)[0][pre.root_idx]]  # heaviest first
+    ws = [pre.w_by_rank[r] for r in _global_optima(pre)[pre.root_idx]]  # heaviest first
     total = 0.0
     for l in range(1, len(ws) + 1):
         nxt = ws[l] if l < len(ws) else 0.0

@@ -158,11 +158,11 @@ def per_node_greedy_ranks(pre, in_v, b):
 
 def padded_brank_by_ids(inst, opts, element_id, node_id):
     """Reference padded backward rank in id space: the node's optimum
-    elements (``opts`` from ``all_reference_sets(inst, None)``) lighter than
-    the element, plus one per unfilled capacity slot."""
+    elements (``opts`` from ``reference_sets(inst, None, padding=False)``)
+    lighter than the element, plus one per unfilled capacity slot."""
     opt = opts[node_id]
     key = inst.key(element_id)
-    below = sum(1 for eid in opt.elements if inst.key(eid) > key)
+    below = sum(1 for eid in opt if inst.key(eid) > key)
     deficit = inst.node(node_id).capacity - len(opt)
     return below + deficit
 

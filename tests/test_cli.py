@@ -356,3 +356,12 @@ def test_ratio_experiment_script_follows_the_exact_enumeration_limit(capsys, mon
     for row in rows:
         n, exact = int(row.split()[1]), row.split()[5]
         assert (exact != "-") == (n <= 6)
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert main(["theory", "--p", "0.08"]) == 0
+    assert capsys.readouterr().out.startswith("p,alpha,c,ratio_lower_bound\n0.08,")

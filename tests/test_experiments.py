@@ -9,7 +9,6 @@ from laminar_secretary import (
     Element,
     FamilyNode,
     GenSpec,
-    all_reference_sets,
     allkicked_frequency,
     brank,
     derive_seed,
@@ -35,8 +34,9 @@ from laminar_secretary.experiments import (
 )
 import laminar_secretary.kicknext as kicknext
 import laminar_secretary.matroid as matroid
-from laminar_secretary.kicknext import _orders, _ref_rank_lists, _run_weight, _sample_ids
-from laminar_secretary.theory import _global_optima, _padded_brank
+from laminar_secretary.kicknext import _orders, _run_weight, _sample_ids
+from laminar_secretary.matroid import _global_optima, _ref_rank_lists
+from laminar_secretary.theory import _global_brank, _padded_brank
 
 from helpers import (
     allkicked_frequency_by_trace,
@@ -197,8 +197,12 @@ class TestGlobalOptima:
         first = _global_optima(pre)
         assert _global_optima(pre) is first
         every = [True] * pre.n_real
-        for padding, got in zip((False, True), first):
-            assert got == tuple(map(tuple, _ref_rank_lists(pre, every, padding)))
+        assert first == tuple(map(tuple, _ref_rank_lists(pre, every, False)))
+        # the padded view is the cached optima padded to capacity
+        padded = _ref_rank_lists(pre, every, True)
+        for b, R in enumerate(padded):
+            for r in pre.members_ranks[b]:
+                assert _global_brank(pre, first, b, r) == _padded_brank(R, r)
         # the same summation order, so the very same float
         assert experiments._opt_weight(inst) == greedy_opt(inst, None, inst.root_id).weight
 
@@ -206,13 +210,12 @@ class TestGlobalOptima:
         calls = []
         real = matroid._greedy_ranks
 
-        def counted(pre, in_v, b=None):
+        def counted(pre, in_v):
             calls.append(all(in_v))
-            return real(pre, in_v, b)
+            return real(pre, in_v)
 
-        # both bindings: reference lists go through kicknext, ``greedy_opt``
-        # through matroid
-        monkeypatch.setattr(kicknext, "_greedy_ranks", counted)
+        # the one binding: reference lists and optima are both built in matroid
+        assert not hasattr(kicknext, "_greedy_ranks")
         monkeypatch.setattr(matroid, "_greedy_ranks", counted)
         inst = generate(GenSpec("random_tree", 8, 3))
         p, trials, seed = 0.14, 10, 30
@@ -225,6 +228,27 @@ class TestGlobalOptima:
         exact_ratio(inst, p)
         assert sum(calls) == 1
         assert len(calls) > 1  # the trials were counted too
+
+    def test_whole_set_optima_read_the_cache(self, monkeypatch):
+        inst = generate(GenSpec("random_tree", 12, 5))
+        monte_carlo_ratio(inst, 0.08, 5, 1)
+        calls = []
+        real = matroid._greedy_ranks
+
+        def counted(pre, in_v):
+            calls.append(1)
+            return real(pre, in_v)
+
+        monkeypatch.setattr(matroid, "_greedy_ranks", counted)
+        pre = inst.pre()
+        for b, nd in enumerate(inst.nodes):
+            opt = greedy_opt(inst, None, nd.id)
+            assert opt.elements == tuple(pre.ids_by_rank[r] for r in reversed(_global_optima(pre)[b]))
+            for eid in inst.members(nd.id):
+                brank(inst, eid, nd.id)
+        assert calls == []
+        assert greedy_opt(inst, inst.element_ids(), inst.root_id) == greedy_opt(inst, None, inst.root_id)
+        assert calls == [1]  # a subset takes one fresh pass
 
 
 def test_one_enumeration_limit(monkeypatch):
@@ -415,15 +439,15 @@ class TestRankSpaceHarness:
     def test_backward_ranks(self, family, n, seed, p):
         inst = family_instance(family, n, seed)
         pre = inst.pre()
-        opt, padded = _global_optima(pre)
-        opts = all_reference_sets(inst, None)
+        opt = _global_optima(pre)
+        opts = reference_sets(inst, None, padding=False)
         sample = make_trial(inst, p, seed).sample_set
         refs = _ref_rank_lists(pre, [eid in sample for eid in pre.ids_by_rank], True)
         ref_ids = reference_sets(inst, sample, padding=True)
         for b, nid in enumerate(pre.node_ids):
             for eid in inst.members(nid):
                 r = pre.rank_by_id[eid]
-                assert _padded_brank(padded[b], r) == padded_brank_by_ids(inst, opts, eid, nid)
+                assert _global_brank(pre, opt, b, r) == padded_brank_by_ids(inst, opts, eid, nid)
                 assert _padded_brank(opt[b], r) == brank(inst, eid, nid)
                 key = inst.key(eid)
                 assert _padded_brank(refs[b], r) == sum(1 for x in ref_ids[nid] if inst.key(x) > key)

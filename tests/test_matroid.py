@@ -8,7 +8,6 @@ from laminar_secretary import (
     FamilyNode,
     GenSpec,
     InstanceError,
-    all_reference_sets,
     brank,
     brute_force_opt,
     generate,
@@ -94,35 +93,40 @@ class TestOnePassOptima:
                        parts=1 + seed % 4 if family == "partition" else None,
                        part_capacity=1 + seed % 3,
                        depth=2 + seed % 3 if family == "chain" else None)
-        pre = generate(spec).pre()
+        inst = generate(spec)
+        pre = inst.pre()
         rnd = random.Random(seed)
         in_v = [rnd.random() < keep for _ in range(pre.n_real)]
         reference = [per_node_greedy_ranks(pre, in_v, x) for x in range(len(pre.mu))]
-        assert _greedy_ranks(pre, in_v) == reference  # the root bound covers every node
-        for b in range(len(pre.mu)):
-            got = _greedy_ranks(pre, in_v, b)
-            for x in range(len(pre.mu)):
-                assert got[x] == (reference[x] if b in pre.node_chain[x] else [])
-            # padding extends and the walk pops these lists in place
-            assert len({id(lst) for lst in got}) == len(got)
+        got = _greedy_ranks(pre, in_v)
+        assert got == reference
+        # padding extends and the walk pops these lists in place
+        assert len({id(lst) for lst in got}) == len(got)
+        # one node's optimum of a subset is that node's entry of the one pass
+        subset = [eid for eid, kept in zip(pre.ids_by_rank, in_v) if kept]
+        for b, nid in enumerate(pre.node_ids):
+            assert (greedy_opt(inst, subset, nid).elements
+                    == tuple(pre.ids_by_rank[r] for r in reversed(reference[b])))
 
 
 class TestReferenceSets:
     def test_example(self):
         inst = four_element()
-        refs = all_reference_sets(inst, {1, 3})
-        assert refs[0].elements == (3, 1)
-        assert refs[1].elements == (1,)
+        assert greedy_opt(inst, {1, 3}, 0).elements == (3, 1)
+        assert greedy_opt(inst, {1, 3}, 1).elements == (1,)
+        assert reference_sets(inst, {1, 3}, padding=False) == {0: [3, 1], 1: [1]}
 
     def test_empty_sample(self):
-        refs = all_reference_sets(four_element(), set())
-        assert all(len(r) == 0 for r in refs.values())
+        inst = four_element()
+        assert all(len(greedy_opt(inst, set(), nd.id)) == 0 for nd in inst.nodes)
+        assert all(ids == [] for ids in reference_sets(inst, set(), padding=False).values())
 
     def test_full_sample_is_optimum(self):
         inst = four_element()
-        refs = all_reference_sets(inst, inst.element_ids())
+        refs = reference_sets(inst, inst.element_ids(), padding=False)
         for nd in inst.nodes:
-            assert refs[nd.id].elements == greedy_opt(inst, None, nd.id).elements
+            full = greedy_opt(inst, inst.element_ids(), nd.id).elements
+            assert full == tuple(refs[nd.id]) == greedy_opt(inst, None, nd.id).elements
 
     def test_padded_sizes_match_capacity(self):
         inst = four_element()
@@ -191,7 +195,7 @@ class TestBrankDominance:
     def test_dominance_over_sampled_splits(self):
         rnd = random.Random(5)
         for inst in mixed_instances(8, seed0=77, n_hi=9):
-            opts = all_reference_sets(inst, None)
+            opts = reference_sets(inst, None, padding=False)
             ids = sorted(inst.element_ids())
             for _ in range(30):
                 sample = {x for x in ids if rnd.random() < 0.9}
@@ -203,14 +207,14 @@ class TestBrankDominance:
                         bs = sum(1 for k in ref_keys if k > key)
                         bu = padded_brank_by_ids(inst, opts, eid, nd.id)
                         assert bs >= bu
-                        if eid not in sample and eid in opts[nd.id].ids:
+                        if eid not in sample and eid in opts[nd.id]:
                             assert bs >= bu + 1
 
     def test_plus_one_needs_membership_in_the_optimum(self):
         # An arriving element below a sampled heavier one gains nothing: the
         # +1 strengthening only holds for elements of the node's optimum.
         inst = rank1([10.0, 9.0])
-        opts = all_reference_sets(inst, None)
+        opts = reference_sets(inst, None, padding=False)
         refs = reference_sets(inst, {0}, padding=True)
         ref_keys = [inst.key(x) for x in refs[0]]
         bs = sum(1 for k in ref_keys if k > inst.key(1))

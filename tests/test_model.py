@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from laminar_secretary import (
     Element,
@@ -19,7 +19,10 @@ from laminar_secretary import (
     order_key,
 )
 
-from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element, four_element, tree
+from laminar_secretary.matroid import _global_optima, _ref_rank_lists
+from laminar_secretary.theory import _global_brank, _padded_brank
+
+from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element, family_instance, four_element, tree
 
 
 def _doc(**overrides):
@@ -81,6 +84,17 @@ class TestLoad:
             {"id": 2, "capacity": 2, "parent": 1},
         ])
         with pytest.raises(InstanceError, match="cycle"):
+            load_instance(bad)
+
+    def test_cycle_names_the_first_node_the_root_misses(self):
+        # node 7 hangs below the cycle 1 -> 2 -> 1 and comes first in the input
+        bad = _doc(nodes=[
+            {"id": 7, "capacity": 1, "parent": 2},
+            {"id": 0, "capacity": 5, "parent": None},
+            {"id": 1, "capacity": 3, "parent": 2},
+            {"id": 2, "capacity": 2, "parent": 1},
+        ])
+        with pytest.raises(InstanceError, match=r"^node 7: cycle in parent links$"):
             load_instance(bad)
 
     def test_non_positive_weight(self):
@@ -298,6 +312,65 @@ class TestChain:
                 caps = [inst.node(nid).capacity
                         for nid in chain(inst, inst.minimal_node(eid), inst.root_id)]
                 assert caps == sorted(caps) and len(set(caps)) == len(caps)
+
+
+@st.composite
+def shaped_trees(draw):
+    """A hand-built instance: a deep chain, a wide star or a random tree of
+    up to 40 nodes, node ids shuffled so that the id order is not the tree
+    order, and up to 30 elements spread over the nodes."""
+    size = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(("deep", "wide", "random")))
+    parents = [None] + [
+        i - 1 if shape == "deep" else 0 if shape == "wide" else draw(st.integers(0, i - 1))
+        for i in range(1, size)
+    ]
+    ids = draw(st.permutations(range(size)))
+    nodes = [FamilyNode(ids[i], draw(st.integers(1, 4)), None if q is None else ids[q])
+             for i, q in enumerate(parents)]
+    n = draw(st.integers(1, 30))
+    elements = [Element(e, draw(st.floats(0.5, 100.0))) for e in range(n)]
+    membership = {e: ids[draw(st.integers(0, size - 1))] for e in range(n)}
+    return make_instance("shaped", elements, nodes, membership)
+
+
+FAMILY_OR_SHAPED = st.one_of(
+    st.builds(family_instance, st.sampled_from(("uniform", "partition", "chain", "random_tree")),
+              st.integers(1, 30), st.integers(0, 10_000)),
+    shaped_trees(),
+)
+
+
+class TestTreeTables:
+    """Every tree table comes from one walk down from the root."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(FAMILY_OR_SHAPED)
+    def test_against_parent_pointers(self, inst):
+        pre = inst.pre()
+        n_nodes = len(inst.nodes)
+        parent = [-1 if nd.parent is None else pre.node_index[nd.parent] for nd in inst.nodes]
+        assert sorted(pre.bottom_up) == list(range(n_nodes))
+        place = {x: i for i, x in enumerate(pre.bottom_up)}
+        for x in range(n_nodes):
+            up = [x]
+            while parent[up[-1]] >= 0:
+                up.append(parent[up[-1]])
+            assert pre.node_chain[x] == tuple(up)
+            assert pre.depth[x] == len(up) - 1
+            assert pre.children_idx[x] == tuple(c for c in range(n_nodes) if parent[c] == x)
+            if parent[x] >= 0:
+                assert place[x] < place[parent[x]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(FAMILY_OR_SHAPED)
+    def test_global_brank_is_the_padded_one(self, inst):
+        pre = inst.pre()
+        opt = _global_optima(pre)
+        padded = _ref_rank_lists(pre, [True] * pre.n_real, True)
+        for b in range(len(pre.mu)):
+            for r in pre.members_ranks[b]:
+                assert _global_brank(pre, opt, b, r) == _padded_brank(padded[b], r)
 
 
 class TestLaminarity:
