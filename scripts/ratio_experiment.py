@@ -22,7 +22,7 @@ from laminar_secretary import (
     monte_carlo_ratio,
     ratio_lower_bound,
 )
-from laminar_secretary.experiments import EXACT_ENUM_LIMIT
+from laminar_secretary.experiments import EXACT_ENUM_LIMIT, _check_run
 
 SPECS = [
     GenSpec("uniform", 6, 1, "uniform", rank=2),
@@ -42,10 +42,10 @@ def main():
     ap.add_argument("--trials", type=int, default=50_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    if not 0.0 < args.p < 1.0:
-        ap.exit(2, f"error: --p must be in (0, 1), got {args.p}\n")
-    if args.trials < 1:
-        ap.exit(2, f"error: --trials must be at least 1, got {args.trials}\n")
+    try:
+        _check_run(args.p, args.trials, args.seed)
+    except ValueError as exc:
+        ap.exit(2, f"error: {exc}\n")
 
     bound = ratio_lower_bound(args.p) if args.p < 0.5 else float("nan")
     print(f"p = {args.p}, trials = {args.trials}, guarantee = {bound:.6f}")

@@ -6,7 +6,6 @@ from .model import (
     FamilyNode,
     InstanceError,
     LaminarInstance,
-    chain,
     dump_instance,
     load_instance,
     make_instance,
@@ -19,7 +18,6 @@ from .matroid import (
     brute_force_opt,
     greedy_opt,
     is_independent,
-    node_usage,
 )
 from .kicknext import (
     BreakRecord,

@@ -267,8 +267,11 @@ def _opt_weight(inst: LaminarInstance) -> float:
 def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed: int,
                       *, padding: bool = True, jobs: int = 1) -> ExperimentReport:
     """Estimate the expected solution-to-optimum weight ratio over ``trials``
-    independent runs.  ``jobs`` only parallelizes; it never changes values."""
+    independent runs.  ``jobs`` (at least 1) only parallelizes; it never
+    changes values."""
     _check_run(p, trials, master_seed)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     w_opt = _opt_weight(inst)
 
     plan = _chunk_plan(trials, jobs)
@@ -420,11 +423,10 @@ def _qualifying_counts(pre, b: int, skip: int, in_s: list[bool]) -> list[int]:
     to ``b``, and is counted at the heaviest slot lighter than it."""
     refs = _ref_rank_lists(pre, in_s, True)
     got = [0] * pre.mu[b]
-    for r in pre.members_ranks[b]:
+    for r in pre.members(b):
         if r == skip or in_s[r]:
             continue
-        ch = pre.chain_by_rank[r]
-        if all(refs[x][-1] > r for x in ch[:len(ch) - pre.depth[b]]):
+        if all(refs[x][-1] > r for x in pre.upto(r, b)):
             got[_padded_brank(refs[b], r) - 1] += 1  # qualifying implies >= 1
     return got
 

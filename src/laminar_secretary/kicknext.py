@@ -37,7 +37,7 @@ from hashlib import shake_128
 from math import isfinite, log, log1p, sqrt
 from typing import Mapping, Sequence
 
-from .model import InstanceError, LaminarInstance, chain
+from .model import InstanceError, LaminarInstance
 from .matroid import _rank_flags, _ref_rank_lists
 
 _MASK64 = (1 << 64) - 1
@@ -288,16 +288,14 @@ def qualifies(inst: LaminarInstance, element_id: int, node_id: int,
     accepted at (or evict from) that node.  Empty reference sets disqualify.
     """
     pre = inst.pre()
-    own = pre.chain_by_rank[pre.rank_of(element_id)]
-    if pre.node_idx(node_id) not in own:
+    r = pre.rank_of(element_id)
+    up = pre.upto(r, pre.node_idx(node_id))
+    if up is None:
         raise InstanceError(f"element {element_id} is not contained in node {node_id}")
-    key = inst.key(element_id)
-    for nid in chain(inst, inst.membership[element_id], node_id):
-        ids = refsets.get(nid, ())
-        if not ids:
-            return False
-        lightest = max(inst.key(x) for x in ids)
-        if not lightest > key:
+    rank, n_real = pre.rank_by_id.get, pre.n_real  # an id that is not real is virtual
+    for b in up:
+        ids = refsets.get(pre.node_ids[b], ())
+        if not ids or max(rank(x, n_real) for x in ids) <= r:
             return False
     return True
 

@@ -50,21 +50,14 @@ class RankedOptimum:
         return len(self.elements)
 
 
-def node_usage(inst: LaminarInstance, element_ids: Iterable[int]) -> dict[int, int]:
-    """Count how many of the given elements fall inside each node's set."""
-    pre = inst.pre()
-    counts = [0] * len(pre.mu)
-    for eid in element_ids:
-        for b in pre.chain_by_rank[pre.rank_of(eid)]:
-            counts[b] += 1
-    return {pre.node_ids[b]: counts[b] for b in range(len(counts))}
-
-
 def is_independent(inst: LaminarInstance, element_ids: Iterable[int]) -> bool:
     """True iff every node's capacity accommodates its share of the set."""
     pre = inst.pre()
-    usage = node_usage(inst, element_ids)
-    return all(usage[pre.node_ids[b]] <= pre.mu[b] for b in range(len(pre.mu)))
+    usage = [0] * len(pre.mu)
+    for eid in element_ids:
+        for b in pre.chain_by_rank[pre.rank_of(eid)]:
+            usage[b] += 1
+    return all(u <= cap for u, cap in zip(usage, pre.mu))
 
 
 def _rank_flags(pre, subset) -> list[bool]:
@@ -150,7 +143,7 @@ def brank(inst: LaminarInstance, element_id: int, node_id: int, subset=None) -> 
     pre = inst.pre()
     r = pre.rank_of(element_id)
     b = pre.node_idx(node_id)
-    if b not in pre.chain_by_rank[r]:
+    if pre.upto(r, b) is None:
         raise InstanceError(f"element {element_id} is not contained in node {node_id}")
     return sum(1 for c in _optimum_ranks(pre, subset, b) if c > r)
 
@@ -166,12 +159,11 @@ def brute_force_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimu
     pre = inst.pre()
     b = pre.node_idx(node_id)
     in_v = _rank_flags(pre, subset)
-    pool = [r for r in pre.members_ranks[b] if in_v[r]]
+    pool = [r for r in pre.members(b) if in_v[r]]
     if len(pool) > BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"brute-force oracle limited to {BRUTE_FORCE_LIMIT} elements, got {len(pool)}"
         )
-    depth_b = pre.depth[b]
     counts = [0] * len(pre.mu)
     best_sum = Fraction(0)
     best_seq: tuple[int, ...] = ()
@@ -184,15 +176,14 @@ def brute_force_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimu
                 best_sum, best_seq = cur_sum, tuple(cur)
             return
         r = pool[idx]
-        ch = pre.chain_by_rank[r]
-        cut = len(ch) - depth_b
-        if all(counts[nx] < pre.mu[nx] for nx in ch[:cut]):
-            for nx in ch[:cut]:
+        up = pre.upto(r, b)
+        if all(counts[nx] < pre.mu[nx] for nx in up):
+            for nx in up:
                 counts[nx] += 1
             cur.append(r)
             walk(idx + 1, cur_sum + Fraction(pre.w_by_rank[r]))
             cur.pop()
-            for nx in ch[:cut]:
+            for nx in up:
                 counts[nx] -= 1
         walk(idx + 1, cur_sum)
 

@@ -62,14 +62,19 @@ class _Pre:
     and ``children_idx[x]`` the child node indices.  One walk down from the
     root gives ``depth``, ``node_chain`` (each node's path up to the root,
     itself first), ``children_idx`` and ``bottom_up``, every node once with
-    each child before its parent.  ``global_optima`` is filled on first use
-    by ``matroid._global_optima``.
+    each child before its parent.  ``chain_by_rank[r]`` is the chain of rank
+    r's minimal node.  ``global_optima`` is filled on first use by
+    ``matroid._global_optima``.
+
+    Subtree membership is decided here and nowhere else: node b lies on a
+    chain exactly at ``depth[b]`` places from its root end, so ``upto``
+    tests one index, and ``members`` scans the ranks with that test.
     """
 
     __slots__ = (
         "elements_by_rank", "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
         "node_ids", "node_index", "mu", "depth", "node_chain",
-        "members_ranks", "own_ranks", "chain_by_rank", "children_idx", "bottom_up",
+        "own_ranks", "chain_by_rank", "children_idx", "bottom_up",
         "root_idx", "virtual_rank_base", "global_optima",
     )
 
@@ -110,13 +115,9 @@ class _Pre:
             chains[self.node_index[inst.membership[eid]]]
             for eid in self.ids_by_rank
         ]
-        members: list[list[int]] = [[] for _ in inst.nodes]
         own: list[list[int]] = [[] for _ in inst.nodes]
         for r, ch in enumerate(self.chain_by_rank):
             own[ch[0]].append(r)
-            for b in ch:
-                members[b].append(r)
-        self.members_ranks = members
         self.own_ranks = own
 
         base, acc = [], self.n_real
@@ -125,6 +126,18 @@ class _Pre:
             acc += cap
         self.virtual_rank_base = base
         self.global_optima = None
+
+    def upto(self, r: int, b: int) -> tuple[int, ...] | None:
+        """Rank ``r``'s chain from its minimal node up to node index ``b``,
+        both ends included, or ``None`` when ``r`` lies outside ``b``."""
+        ch = self.chain_by_rank[r]
+        cut = len(ch) - self.depth[b]
+        return ch[:cut] if cut > 0 and ch[cut - 1] == b else None
+
+    def members(self, b: int) -> list[int]:
+        """The ranks inside node index ``b``, ascending."""
+        d = self.depth[b]
+        return [r for r, ch in enumerate(self.chain_by_rank) if len(ch) > d and ch[-1 - d] == b]
 
     def virtual_id(self, vrank: int) -> int:
         return self.max_id + 1 + (vrank - self.n_real)
@@ -198,7 +211,7 @@ class LaminarInstance:
     def members(self, node_id: int) -> frozenset[int]:
         """All element ids contained in the node's set (subtree closure)."""
         pre = self.pre()
-        return frozenset(pre.ids_by_rank[r] for r in pre.members_ranks[pre.node_idx(node_id)])
+        return frozenset(pre.ids_by_rank[r] for r in pre.members(pre.node_idx(node_id)))
 
     def element_ids(self) -> frozenset[int]:
         return frozenset(e.id for e in self.elements)
@@ -356,20 +369,6 @@ def dump_instance(inst: LaminarInstance) -> str:
 
 
 # -- structure operations ----------------------------------------------------
-
-
-def chain(inst: LaminarInstance, from_node: int, to_node: int) -> list[int]:
-    """Node ids from ``from_node`` up to ``to_node`` following parent links,
-    both ends included.  ``from_node`` must lie inside ``to_node``."""
-    pre = inst.pre()
-    up = pre.node_chain[pre.node_idx(from_node)]
-    pre.node_idx(to_node)
-    out = []
-    for b in up:
-        out.append(pre.node_ids[b])
-        if pre.node_ids[b] == to_node:
-            return out
-    raise InstanceError(f"node {from_node} is not contained in node {to_node}")
 
 
 def normalize_family(inst: LaminarInstance) -> LaminarInstance:

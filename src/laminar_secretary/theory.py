@@ -107,8 +107,7 @@ def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
         raise ValueError(f"m must be within 0..{len(opt[b])}, got {m}")
     total = 0.0
     for r in reversed(opt[b][:m]):  # the m heaviest, lightest of them first
-        ch = pre.chain_by_rank[r]
-        for x in ch[:len(ch) - pre.depth[b]]:  # the chain up to the node
+        for x in pre.upto(r, b):
             total += c ** (1 + _global_brank(pre, opt, x, r))
     return total
 

@@ -7,22 +7,23 @@ from collections import defaultdict
 from hashlib import shake_128
 from itertools import permutations
 
+from hypothesis import strategies as st
+
 from laminar_secretary import (
     AllKickedRow,
     Element,
     FamilyNode,
     GenSpec,
+    InstanceError,
     RunConfig,
     allkicked_bound,
     brank,
-    chain,
     derive_seed,
     generate,
     greedy_opt,
     load_instance,
     make_instance,
     make_trial,
-    qualifies,
     reference_sets,
     run_kicknext,
     theory_params,
@@ -119,6 +120,45 @@ def family_instance(family, n, seed):
                             depth=2 + seed % 3 if family == "chain" else None))
 
 
+@st.composite
+def shaped_trees(draw):
+    """A hand-built instance: a deep chain, a wide star or a random tree of
+    up to 40 nodes, node ids shuffled so that the id order is not the tree
+    order, and up to 30 elements spread over the nodes."""
+    size = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(("deep", "wide", "random")))
+    parents = [None] + [
+        i - 1 if shape == "deep" else 0 if shape == "wide" else draw(st.integers(0, i - 1))
+        for i in range(1, size)
+    ]
+    ids = draw(st.permutations(range(size)))
+    nodes = [FamilyNode(ids[i], draw(st.integers(1, 4)), None if q is None else ids[q])
+             for i, q in enumerate(parents)]
+    n = draw(st.integers(1, 30))
+    elements = [Element(e, draw(st.floats(0.5, 100.0))) for e in range(n)]
+    membership = {e: ids[draw(st.integers(0, size - 1))] for e in range(n)}
+    return make_instance("shaped", elements, nodes, membership)
+
+
+FAMILY_OR_SHAPED = st.one_of(
+    st.builds(family_instance, st.sampled_from(("uniform", "partition", "chain", "random_tree")),
+              st.integers(1, 30), st.integers(0, 10_000)),
+    shaped_trees(),
+)
+
+
+def path_up(inst, from_node, to_node):
+    """Node ids from ``from_node`` up to ``to_node`` by parent links, both
+    ends included, or ``None`` when ``to_node`` is not on the way up."""
+    parent = {nd.id: nd.parent for nd in inst.nodes}
+    out = [from_node]
+    while out[-1] != to_node:
+        if parent[out[-1]] is None:
+            return None
+        out.append(parent[out[-1]])
+    return out
+
+
 def sample_ranks_by_prefix(n, p, seed):
     """Reference for ``kicknext._sample_ids``: one read of the 2n + 1 words
     that a draw can use at most (n + 1 gaps, n keys), each word decoded by
@@ -144,13 +184,12 @@ def per_node_greedy_ranks(pre, in_v, b):
     everywhere.  Returns node ``b``'s optimum as ranks, heaviest first."""
     counts = [0] * len(pre.mu)
     out = []
-    for r in pre.members_ranks[b]:
+    for r in pre.members(b):
         if not in_v[r]:
             continue
-        ch = pre.chain_by_rank[r]
-        cut = len(ch) - pre.depth[b]
-        if all(counts[nx] < pre.mu[nx] for nx in ch[:cut]):
-            for nx in ch[:cut]:
+        up = pre.upto(r, b)
+        if all(counts[nx] < pre.mu[nx] for nx in up):
+            for nx in up:
                 counts[nx] += 1
             out.append(r)
     return out
@@ -175,7 +214,7 @@ def allkicked_frequency_by_trace(inst, p, trials, master_seed, *, padding=True):
     params = theory_params(p)
     root = inst.root_id
     opt = greedy_opt(inst, None, root)
-    chains = {eid: chain(inst, inst.membership[eid], root) for eid in opt.elements}
+    chains = {eid: path_up(inst, inst.membership[eid], root) for eid in opt.elements}
     hits = defaultdict(int)
     seen = defaultdict(int)
     for t_idx in range(trials):
@@ -208,9 +247,27 @@ def allkicked_frequency_by_trace(inst, p, trials, master_seed, *, padding=True):
     return rows
 
 
+def qualifies_by_ids(inst, element_id, node_id, refsets):
+    """Reference for ``kicknext.qualifies`` in id space: the element outweighs,
+    by ``inst.key``, the lightest reference element at every node on its
+    parent-link path up to ``node_id``; empty reference sets disqualify."""
+    path = path_up(inst, inst.membership[element_id], node_id)
+    if path is None:
+        raise InstanceError(f"element {element_id} is not contained in node {node_id}")
+    key = inst.key(element_id)
+    for nid in path:
+        ids = refsets.get(nid, ())
+        if not ids:
+            return False
+        lightest = max(inst.key(x) for x in ids)
+        if not lightest > key:
+            return False
+    return True
+
+
 def qualifying_counts_by_ids(inst, node_id, element_id, sample):
     """Reference qualifying counts in id space, from ``reference_sets`` and
-    ``qualifies``: per reference slot (lightest first), the selection-phase
+    ``qualifies_by_ids``: per reference slot (lightest first), the selection-phase
     elements other than ``element_id`` that qualify for the node and fall
     strictly between consecutive reference elements by weight."""
     refs = reference_sets(inst, sample, padding=True)
@@ -221,7 +278,7 @@ def qualifying_counts_by_ids(inst, node_id, element_id, sample):
     for x in inst.members(node_id):
         if x == element_id or x in sample:
             continue
-        if not qualifies(inst, x, node_id, refs):
+        if not qualifies_by_ids(inst, x, node_id, refs):
             continue
         kx = inst.key(x)
         j = sum(1 for k in keys if k > kx)  # reference slots strictly lighter

@@ -99,6 +99,19 @@ def test_ratio_experiment_script_rejects_bad_flags(flags):
     assert res.stdout == "" and "error:" in res.stderr
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "-1"], "seed must be in"),
+    (["--seed", "18446744073709551616"], "seed must be in"),
+    (["--p", "1e-320"], "longest trial gap"),
+])
+def test_ratio_experiment_script_rejects_bad_run_before_output(flags, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ratio_experiment.py"
+    res = subprocess.run([sys.executable, str(script), *flags],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "" and res.stderr.startswith("error: ") and message in res.stderr
+
+
 def test_gen_opt_run_pipeline(tmp_path, capsys):
     out = tmp_path / "u.json"
     assert main(["gen", "--family", "uniform", "--n", "5", "--k", "2",
@@ -167,6 +180,13 @@ def test_montecarlo_jobs_flag_preserves_output(four_file, tmp_path, capsys):
     assert main(base + ["--jobs", "2", "--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_montecarlo_jobs_below_one_exit_2(four_file, capsys, jobs):
+    assert main(["montecarlo", four_file, "--trials", "20", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "jobs must be at least 1" in captured.err
 
 
 def test_exact_matches_library(four_file, capsys):

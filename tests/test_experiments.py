@@ -201,7 +201,7 @@ class TestGlobalOptima:
         # the padded view is the cached optima padded to capacity
         padded = _ref_rank_lists(pre, every, True)
         for b, R in enumerate(padded):
-            for r in pre.members_ranks[b]:
+            for r in pre.members(b):
                 assert _global_brank(pre, first, b, r) == _padded_brank(R, r)
         # the same summation order, so the very same float
         assert experiments._opt_weight(inst) == greedy_opt(inst, None, inst.root_id).weight
@@ -356,6 +356,11 @@ class TestMonteCarlo:
         serial = monte_carlo_ratio(inst, 0.1, 600, master_seed=3, jobs=1)
         parallel = monte_carlo_ratio(inst, 0.1, 600, master_seed=3, jobs=3)
         assert serial.ratio == parallel.ratio
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            monte_carlo_ratio(four_element(), 0.1, 20, master_seed=3, jobs=jobs)
 
     def test_variance_does_not_cancel(self):
         values = [0.3 + 1e-9 * (i % 2) for i in range(1000)]

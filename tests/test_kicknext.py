@@ -32,10 +32,12 @@ from laminar_secretary.kicknext import (
 )
 
 from helpers import (
+    FAMILY_OR_SHAPED,
     check_run_invariants,
     family_instance,
     four_element,
     mixed_instances,
+    qualifies_by_ids,
     rank1,
     replay_events,
     sample_ranks_by_prefix,
@@ -384,3 +386,23 @@ class TestQualifies:
                 res = run_kicknext(inst, trial, RunConfig(padding=True))
                 for eid in res.sol_root:
                     assert qualifies(inst, eid, inst.root_id, refs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(FAMILY_OR_SHAPED, st.data())
+    def test_matches_the_id_space_reference(self, inst, data):
+        ids = sorted(inst.element_ids())
+        sample = data.draw(st.sets(st.sampled_from(ids)))
+        refs = reference_sets(inst, sample, padding=data.draw(st.booleans()))
+        # arbitrary sets too, mixing real ids with ids past them (virtual)
+        pool = st.sampled_from(ids + [ids[-1] + k for k in (1, 2, 50)])
+        mixed = {nd.id: data.draw(st.lists(pool, max_size=4)) for nd in inst.nodes}
+        for refsets in (refs, mixed):
+            for eid in ids:
+                for nd in inst.nodes:
+                    try:
+                        want = qualifies_by_ids(inst, eid, nd.id, refsets)
+                    except InstanceError:
+                        with pytest.raises(InstanceError, match="not contained"):
+                            qualifies(inst, eid, nd.id, refsets)
+                    else:
+                        assert qualifies(inst, eid, nd.id, refsets) == want

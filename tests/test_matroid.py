@@ -14,7 +14,6 @@ from laminar_secretary import (
     greedy_opt,
     is_independent,
     make_instance,
-    node_usage,
     reference_sets,
 )
 from laminar_secretary.matroid import _greedy_ranks
@@ -34,10 +33,6 @@ class TestIndependence:
         assert not is_independent(inst, {0, 1})  # both inside the unit node
         assert is_independent(inst, set())
         assert is_independent(inst, {0, 2, 3})
-
-    def test_usage_counts(self):
-        inst = four_element()
-        assert node_usage(inst, {0, 2, 3}) == {0: 3, 1: 1}
 
     def test_unknown_element(self):
         with pytest.raises(InstanceError, match="unknown element id 9"):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,6 @@ from laminar_secretary import (
     FamilyNode,
     GenSpec,
     InstanceError,
-    chain,
     dump_instance,
     generate,
     is_independent,
@@ -22,7 +22,14 @@ from laminar_secretary import (
 from laminar_secretary.matroid import _global_optima, _ref_rank_lists
 from laminar_secretary.theory import _global_brank, _padded_brank
 
-from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element, family_instance, four_element, tree
+from helpers import (
+    FAMILY_OR_SHAPED,
+    FOUR_ELEMENT_TEXT,
+    corrupt_four_element,
+    four_element,
+    path_up,
+    tree,
+)
 
 
 def _doc(**overrides):
@@ -286,59 +293,13 @@ class TestNormalize:
 
 
 class TestChain:
-    def test_path(self):
-        inst = tree(
-            "path", [(0, 3, None), (1, 2, 0), (2, 1, 1)], {0: 2}, [1.0]
-        )
-        assert chain(inst, 2, 0) == [2, 1, 0]
-        assert chain(inst, 0, 0) == [0]
-        assert chain(inst, 1, 0) == [1, 0]
-
-    def test_siblings_rejected(self):
-        inst = tree(
-            "sib", [(0, 3, None), (1, 1, 0), (2, 2, 0)], {0: 1, 1: 2}, [2.0, 1.0]
-        )
-        with pytest.raises(InstanceError, match="not contained"):
-            chain(inst, 1, 2)
-
-    def test_unknown_node(self):
-        with pytest.raises(InstanceError, match="unknown node"):
-            chain(four_element(), 7, 0)
-
     def test_capacities_increase_along_chains(self):
         for seed in range(25):
             inst = generate(GenSpec("random_tree", n=6, seed=seed))
+            pre = inst.pre()
             for eid in inst.element_ids():
-                caps = [inst.node(nid).capacity
-                        for nid in chain(inst, inst.minimal_node(eid), inst.root_id)]
+                caps = [pre.mu[b] for b in pre.chain_by_rank[pre.rank_of(eid)]]
                 assert caps == sorted(caps) and len(set(caps)) == len(caps)
-
-
-@st.composite
-def shaped_trees(draw):
-    """A hand-built instance: a deep chain, a wide star or a random tree of
-    up to 40 nodes, node ids shuffled so that the id order is not the tree
-    order, and up to 30 elements spread over the nodes."""
-    size = draw(st.integers(1, 40))
-    shape = draw(st.sampled_from(("deep", "wide", "random")))
-    parents = [None] + [
-        i - 1 if shape == "deep" else 0 if shape == "wide" else draw(st.integers(0, i - 1))
-        for i in range(1, size)
-    ]
-    ids = draw(st.permutations(range(size)))
-    nodes = [FamilyNode(ids[i], draw(st.integers(1, 4)), None if q is None else ids[q])
-             for i, q in enumerate(parents)]
-    n = draw(st.integers(1, 30))
-    elements = [Element(e, draw(st.floats(0.5, 100.0))) for e in range(n)]
-    membership = {e: ids[draw(st.integers(0, size - 1))] for e in range(n)}
-    return make_instance("shaped", elements, nodes, membership)
-
-
-FAMILY_OR_SHAPED = st.one_of(
-    st.builds(family_instance, st.sampled_from(("uniform", "partition", "chain", "random_tree")),
-              st.integers(1, 30), st.integers(0, 10_000)),
-    shaped_trees(),
-)
 
 
 class TestTreeTables:
@@ -364,12 +325,44 @@ class TestTreeTables:
 
     @settings(max_examples=150, deadline=None)
     @given(FAMILY_OR_SHAPED)
+    def test_upto_and_members_against_parent_pointers(self, inst):
+        pre = inst.pre()
+        for b, nid in enumerate(pre.node_ids):
+            inside = []
+            for r, eid in enumerate(pre.ids_by_rank):
+                path = path_up(inst, inst.membership[eid], nid)
+                if path is None:
+                    assert pre.upto(r, b) is None
+                else:
+                    assert pre.upto(r, b) == tuple(pre.node_index[x] for x in path)
+                    inside.append(r)
+            assert pre.members(b) == inside
+            assert inst.members(nid) == {pre.ids_by_rank[r] for r in inside}
+
+    def test_deep_chain_keeps_no_member_table(self):
+        # one element per node of a 2000-node chain: the node chains take
+        # about 16 MiB, and a per-ancestor member table would add as much
+        size = 2000
+        inst = make_instance(
+            "deep", [Element(i, 1.0 + i) for i in range(size)],
+            [FamilyNode(i, size - i, None if i == 0 else i - 1) for i in range(size)],
+            {i: i for i in range(size)})
+        tracemalloc.start()
+        try:
+            inst.pre()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    @settings(max_examples=150, deadline=None)
+    @given(FAMILY_OR_SHAPED)
     def test_global_brank_is_the_padded_one(self, inst):
         pre = inst.pre()
         opt = _global_optima(pre)
         padded = _ref_rank_lists(pre, [True] * pre.n_real, True)
         for b in range(len(pre.mu)):
-            for r in pre.members_ranks[b]:
+            for r in pre.members(b):
                 assert _global_brank(pre, opt, b, r) == _padded_brank(padded[b], r)
 
 
