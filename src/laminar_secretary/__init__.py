@@ -59,6 +59,7 @@ from .experiments import (
     monte_carlo_ratio,
     qualifying_joint_probability,
     verify_lemmas,
+    verify_report,
 )
 from .generators import GenSpec, generate
 

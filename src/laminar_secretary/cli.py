@@ -20,11 +20,10 @@ from pathlib import Path
 from .experiments import (
     EXACT_ENUM_LIMIT,
     _opt_weight,
-    allkicked_frequency,
     exact_expectation,
     exact_ratio,
     monte_carlo_ratio,
-    verify_lemmas,
+    verify_report,
 )
 from .generators import FAMILIES, WEIGHTS, GenSpec, generate
 from .kicknext import RunConfig, make_trial, run_kicknext, trace_csv
@@ -199,10 +198,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load(args.file)
-    report = monte_carlo_ratio(inst, args.p, args.trials, args.seed)
-    report.lemma_checks = verify_lemmas(inst, args.p, trials=min(args.trials, 500),
-                                        master_seed=args.seed)
-    report.allkicked = allkicked_frequency(inst, args.p, args.trials, args.seed)
+    report = verify_report(inst, args.p, args.trials, args.seed)
     sys.stdout.write(report.summary())
     if inst.n <= EXACT_ENUM_LIMIT:
         unpadded = exact_ratio(inst, args.p, padding=False)

@@ -14,14 +14,22 @@ The Monte Carlo ratio and the checks take trials from ``_trials``, as
 sample flags, arrival ranks and fresh reference lists (ascending rank
 lists); arrivals walk them by ``kicknext._arrive``, and every backward
 rank, eviction-failure event and qualifying slot is read by
-``theory._padded_brank``.  Up to ``SMALL_N`` elements, draws repeat often,
-and the Monte Carlo ratio memoizes each arrival order's weight, which the
-order fixes.  The reference lists and the whole ground set's optima OPT,
-which the ratio denominators and the checks measure against, come from
-``matroid`` (``_ref_rank_lists``, and ``_global_optima``, built once per
-instance); a padded backward rank against OPT is ``theory._global_brank``.
+``theory._padded_brank``, inlined in the dominance checks' inner loop.  Up
+to ``SMALL_N`` elements, draws repeat often, and the Monte Carlo ratio
+memoizes each arrival order's weight, which the order fixes.  The
+reference lists and the whole ground set's optima OPT, which the ratio
+denominators and the checks measure against, come from ``matroid``
+(``_ref_rank_lists``, and ``_global_optima``, built once per instance); a
+padded backward rank against OPT is ``theory._global_brank``.
 Every sampling entry point checks its trial count, p and master seed
 through ``_check_run``.
+
+CLI ``verify`` reads ``verify_report``, which draws each trial once: the
+backward-rank dominance reads a trial's fresh reference lists, and one walk
+of them gives both its root weight for the ratio and its eviction failures.
+``monte_carlo_ratio``, ``verify_lemmas`` and ``allkicked_frequency`` drive
+the same per-trial steps (``_Dominance``, ``_EvictionFailures``) from their
+own trial loops, so each returns what its part of the report holds.
 
 The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
@@ -66,6 +74,9 @@ RNG_VERSION = 2
 # up to this many elements, ``_trial_weights_chunk`` memoizes each arrival
 # order's weight, as draws repeat often
 SMALL_N = 16
+# ``verify_report`` runs the backward-rank dominance checks on at most this
+# many trials
+LEMMA_TRIALS = 500
 _WEIGHT_MEMO_CAP = 1 << 14
 _TOL = 1e-12
 
@@ -283,13 +294,21 @@ def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed:
             chunks = pool.starmap(_trial_weights_chunk, args)
         weights = [w for ch in chunks for w in ch]
 
+    report = ExperimentReport(inst.name, p, trials, master_seed)
+    report.ratio = _ratio_estimate(weights, w_opt, p, padding)
+    return report
+
+
+def _ratio_estimate(weights: list[float], w_opt: float, p: float,
+                    padding: bool) -> RatioEstimate:
+    """Mean and standard error of the per-trial ratios ``weight / w_opt``,
+    one trial per weight, next to the guarantee when p < 1/2."""
+    trials = len(weights)
     ratios = [w / w_opt for w in weights]
     mean = math.fsum(ratios) / trials
     se = math.sqrt(_sample_variance(ratios, mean) / trials) if trials > 1 else 0.0
     bound = ratio_lower_bound(p) if p < 0.5 else None
-    report = ExperimentReport(inst.name, p, trials, master_seed)
-    report.ratio = RatioEstimate(mean, se, trials, padding, bound)
-    return report
+    return RatioEstimate(mean, se, trials, padding, bound)
 
 
 # -- exact expectation by enumeration ----------------------------------------
@@ -375,6 +394,57 @@ def exact_ratio(inst: LaminarInstance, p: float, *, padding: bool = True) -> flo
 # -- eviction-failure frequencies ---------------------------------------------
 
 
+class _EvictionFailures:
+    """Eviction-failure counts in three steps: set up once per instance,
+    ``walk`` once per trial, ``rows`` at the end.  An event is an optimum
+    element arriving at a chain node that holds no lighter reference."""
+
+    def __init__(self, pre, opt):
+        self.pre = pre
+        self.opt = opt
+        self.seen = dict.fromkeys(opt[pre.root_idx], 0)  # arrivals per optimum element
+        self.hits: dict[tuple[int, int], int] = defaultdict(int)
+
+    def walk(self, refs: list[list[int]], order) -> float:
+        """Walk one trial's arrivals through ``refs``, which the walk
+        consumes, counting the events; returns the weight accepted at the
+        root, added in arrival order as ``kicknext._run_weight`` adds it."""
+        chains = self.pre.chain_by_rank
+        w = self.pre.w_by_rank
+        seen = self.seen
+        hits = self.hits
+        total = 0.0
+        for r in order:
+            ch = chains[r]
+            k = len(_arrive(refs, ch, r))
+            if k == len(ch):
+                total += w[r]
+            if r in seen:
+                seen[r] += 1
+                # every node the walk passed held a lighter reference, and
+                # the walk left the rest of the chain as it found it
+                for b in ch[k:]:
+                    if _padded_brank(refs[b], r) == 0:
+                        hits[r, b] += 1
+        return total
+
+    def rows(self, params) -> list[AllKickedRow]:
+        """One row per (optimum element, chain node), lightest element
+        first: the event's frequency among the element's arrivals, next to
+        ``allkicked_bound`` at its backward rank against OPT."""
+        pre, opt = self.pre, self.opt
+        rows = []
+        for r in reversed(opt[pre.root_idx]):  # lightest first
+            ncond = self.seen[r]
+            for b in pre.chain_by_rank[r]:
+                d = _padded_brank(opt[b], r)
+                freq = self.hits[r, b] / ncond if ncond else 0.0
+                se = math.sqrt(freq * (1.0 - freq) / ncond) if ncond else 0.0
+                rows.append(AllKickedRow(pre.ids_by_rank[r], pre.node_ids[b], d, ncond, freq,
+                                         se, allkicked_bound(params, d)))
+        return rows
+
+
 def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_seed: int,
                         *, padding: bool = True) -> list[AllKickedRow]:
     """For every optimum element and every node on its chain, estimate the
@@ -384,49 +454,34 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     _check_run(p, trials, master_seed)
     params = theory_params(p)  # the bound needs p < 1/2
     pre = inst.pre()
-    opt = _global_optima(pre)
-    root_opt = opt[pre.root_idx]
-    seen = dict.fromkeys(root_opt, 0)  # arrivals per optimum element
-    hits: dict[tuple[int, int], int] = defaultdict(int)
-
+    failures = _EvictionFailures(pre, _global_optima(pre))
     for _, order, refs in _trials(pre, p, master_seed, 0, trials, padding):
-        for r in order:
-            ch = pre.chain_by_rank[r]
-            evicted = _arrive(refs, ch, r)
-            if r in seen:
-                seen[r] += 1
-                # every node the walk passed held a lighter reference, and
-                # the walk left the rest of the chain as it found it
-                for b in ch[len(evicted):]:
-                    if _padded_brank(refs[b], r) == 0:
-                        hits[r, b] += 1
-
-    rows = []
-    for r in reversed(root_opt):  # lightest first
-        ncond = seen[r]
-        for b in pre.chain_by_rank[r]:
-            d = _padded_brank(opt[b], r)
-            freq = hits[r, b] / ncond if ncond else 0.0
-            se = math.sqrt(freq * (1.0 - freq) / ncond) if ncond else 0.0
-            rows.append(AllKickedRow(pre.ids_by_rank[r], pre.node_ids[b], d, ncond, freq, se,
-                                     allkicked_bound(params, d)))
-    return rows
+        failures.walk(refs, order)
+    return failures.rows(params)
 
 
 # -- qualifying-count joint probabilities --------------------------------------
 
 
-def _qualifying_counts(pre, b: int, skip: int, in_s: list[bool]) -> list[int]:
+def _qualifying_members(pre, b: int, skip: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The ranks inside node index ``b`` other than ``skip``, each with its
+    chain up to ``b``: what ``_qualifying_counts`` scans, built once per
+    call rather than once per trial."""
+    return [(r, pre.upto(r, b)) for r in pre.members(b) if r != skip]
+
+
+def _qualifying_counts(pre, b: int, members, in_s: list[bool]) -> list[int]:
     """Counts per reference slot of node index ``b`` (lightest slot first) of
-    the selection-phase ranks other than ``skip`` that qualify for the node:
-    each outweighs the lightest reference slot at every node of its chain up
-    to ``b``, and is counted at the heaviest slot lighter than it."""
+    the selection-phase ranks of ``members`` (from ``_qualifying_members``)
+    that qualify for the node: each outweighs the lightest reference slot at
+    every node of its chain up to ``b``, and is counted at the heaviest slot
+    lighter than it."""
     refs = _ref_rank_lists(pre, in_s, True)
     got = [0] * pre.mu[b]
-    for r in pre.members(b):
-        if r == skip or in_s[r]:
+    for r, up in members:
+        if in_s[r]:
             continue
-        if all(refs[x][-1] > r for x in pre.upto(r, b)):
+        if all(refs[x][-1] > r for x in up):
             got[_padded_brank(refs[b], r) - 1] += 1  # qualifying implies >= 1
     return got
 
@@ -469,6 +524,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
     use_exact = method == "exact" or (method == "auto" and n <= EXACT_ENUM_LIMIT)
+    members = _qualifying_members(pre, b, skip)
 
     if use_exact:
         _check_enumerable(n)
@@ -477,7 +533,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
             in_s = [*flags[:skip], False, *flags[skip:]]
             k = sum(flags)
             prob = (1.0 - p) ** k * p ** (n - 1 - k)
-            if _qualifying_counts(pre, b, skip, in_s) == counts:
+            if _qualifying_counts(pre, b, members, in_s) == counts:
                 acc.append(prob)
         return QualifyingProbability(math.fsum(acc), bound, True)
 
@@ -487,7 +543,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
         if skip not in order:
             continue  # rejection sampling for the conditional law
         ncond += 1
-        if _qualifying_counts(pre, b, skip, _flags(n, order)) == counts:
+        if _qualifying_counts(pre, b, members, _flags(n, order)) == counts:
             hits += 1
     if ncond == 0:
         raise ValueError("no trial satisfied the conditioning event; raise trials")
@@ -499,6 +555,99 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
 # -- lemma verification --------------------------------------------------------
 
 
+def _exact_lemma_checks(inst: LaminarInstance, pre, opt, c: float) -> list[LemmaCheck]:
+    """The chain-decay, weighted-penalty and telescoping checks, exact per
+    instance; skipped unless c < 1/2, the decay bounds' hypothesis."""
+    if not c < 0.5:
+        reason = f"skipped: hypothesis not met (c={c:.4f} >= 1/2)"
+        return [LemmaCheck(name, None, reason)
+                for name in ("g-chain-decay", "weighted-penalty", "telescoping-identity")]
+    checks = []
+    witness = ""  # the first failure; empty while every check holds
+    scanned = 0
+    pairs = ((b, nid, m) for b, nid in enumerate(pre.node_ids) for m in range(len(opt[b]) + 1))
+    for b, nid, m in pairs:
+        scanned += 1
+        g = g_exact(inst, m, nid, c)
+        refined = g_refined_bound(m, pre.mu[b], c)
+        weak = g_weak_bound(m, c)
+        if g > refined + _TOL or refined > weak + _TOL:
+            witness = (f"node {nid}, m={m}: g={g!r}, refined={refined!r}, "
+                       f"weak={weak!r}")
+            break
+    checks.append(LemmaCheck(
+        "g-chain-decay", not witness,
+        witness or f"{scanned} (node, m) pairs: exact <= refined <= weak"))
+
+    pen = weighted_penalty(inst, c)
+    cap_bound = g_weak_bound(1, c) * sum(pre.w_by_rank[r] for r in opt[pre.root_idx])
+    checks.append(LemmaCheck(
+        "weighted-penalty", pen <= cap_bound + _TOL,
+        f"penalty={pen!r} vs 2c/(1-c)*w(OPT)={cap_bound!r}"))
+
+    tele = weighted_penalty_telescoped(inst, c)
+    scale = max(1.0, abs(pen))
+    checks.append(LemmaCheck(
+        "telescoping-identity", abs(pen - tele) <= 1e-9 * scale,
+        f"direct={pen!r} telescoped={tele!r}"))
+    return checks
+
+
+class _Dominance:
+    """Backward-rank dominance of sample optima, in the padded view, in three
+    steps: set up once per instance, ``step`` once per trial on its fresh
+    reference lists, ``checks`` at the end.  Members are visited in
+    ``inst.members`` order, which fixes the first example reported; their
+    global backward ranks do not depend on the trial."""
+
+    def __init__(self, inst: LaminarInstance, pre, opt):
+        self.ids = pre.ids_by_rank
+        self.node_ids = pre.node_ids
+        self.members = [[pre.rank_by_id[eid] for eid in inst.members(nid)]
+                        for nid in pre.node_ids]
+        self.bu_by_node = [[_global_brank(pre, opt, b, r) for r in rs]
+                           for b, rs in enumerate(self.members)]
+        self.in_opt = [set(rs) for rs in opt]
+        self.weak_witness = ""  # first failures, as in ``_exact_lemma_checks``
+        self.member_witness = ""
+        self.strict_violations = 0
+        self.strict_example = ""
+
+    def step(self, t_idx: int, in_s: list[bool], refs: list[list[int]]) -> None:
+        ids = self.ids
+        for b, nid in enumerate(self.node_ids):
+            R = refs[b]
+            size = len(R)
+            in_opt = self.in_opt[b]
+            for r, bu in zip(self.members[b], self.bu_by_node[b]):
+                bs = size - bisect_right(R, r)  # ``_padded_brank(R, r)``, inlined
+                if bs < bu and not self.weak_witness:
+                    self.weak_witness = f"trial {t_idx}, element {ids[r]}, node {nid}: {bs} < {bu}"
+                if in_s[r]:
+                    continue
+                if r in in_opt:
+                    if bs < bu + 1 and not self.member_witness:
+                        self.member_witness = (f"trial {t_idx}, element {ids[r]}, node {nid}: "
+                                               f"{bs} < {bu}+1")
+                elif bs < bu + 1:
+                    self.strict_violations += 1
+                    if not self.strict_example:
+                        self.strict_example = f"trial {t_idx}, element {ids[r]}, node {nid}"
+
+    def checks(self, trials: int) -> list[LemmaCheck]:
+        example = self.strict_example
+        return [
+            LemmaCheck("brank-dominance", not self.weak_witness,
+                       self.weak_witness or f"{trials} trials, all nodes"),
+            LemmaCheck("brank-dominance-optimum", not self.member_witness,
+                       self.member_witness or "strict +1 for optimum elements held"),
+            LemmaCheck("brank-dominance-strict", None,
+                       f"informational: +1 for arbitrary arriving elements violated "
+                       f"{self.strict_violations} times"
+                       + (f" (first: {example})" if example else "")),
+        ]
+
+
 def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
                   master_seed: int = 0) -> list[LemmaCheck]:
     """Exact per-instance checks of the chain-decay and weighted-penalty
@@ -506,79 +655,45 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     require c = 4p(1-p) < 1/2 and are reported as skipped otherwise."""
     _check_run(p, trials, master_seed)
     params = theory_params(p)
-    c = params.c
-    checks: list[LemmaCheck] = []
     pre = inst.pre()
     opt = _global_optima(pre)
-
-    if c < 0.5:
-        witness = ""  # the first failure; empty while every check holds
-        scanned = 0
-        pairs = ((b, nid, m) for b, nid in enumerate(pre.node_ids) for m in range(len(opt[b]) + 1))
-        for b, nid, m in pairs:
-            scanned += 1
-            g = g_exact(inst, m, nid, c)
-            refined = g_refined_bound(m, pre.mu[b], c)
-            weak = g_weak_bound(m, c)
-            if g > refined + _TOL or refined > weak + _TOL:
-                witness = (f"node {nid}, m={m}: g={g!r}, refined={refined!r}, "
-                           f"weak={weak!r}")
-                break
-        checks.append(LemmaCheck(
-            "g-chain-decay", not witness,
-            witness or f"{scanned} (node, m) pairs: exact <= refined <= weak"))
-
-        pen = weighted_penalty(inst, c)
-        cap_bound = g_weak_bound(1, c) * sum(pre.w_by_rank[r] for r in opt[pre.root_idx])
-        checks.append(LemmaCheck(
-            "weighted-penalty", pen <= cap_bound + _TOL,
-            f"penalty={pen!r} vs 2c/(1-c)*w(OPT)={cap_bound!r}"))
-
-        tele = weighted_penalty_telescoped(inst, c)
-        scale = max(1.0, abs(pen))
-        checks.append(LemmaCheck(
-            "telescoping-identity", abs(pen - tele) <= 1e-9 * scale,
-            f"direct={pen!r} telescoped={tele!r}"))
-    else:
-        reason = f"skipped: hypothesis not met (c={c:.4f} >= 1/2)"
-        checks.append(LemmaCheck("g-chain-decay", None, reason))
-        checks.append(LemmaCheck("weighted-penalty", None, reason))
-        checks.append(LemmaCheck("telescoping-identity", None, reason))
-
-    # backward-rank dominance of sample optima, in the padded view.  Members
-    # are visited in ``inst.members`` order, which fixes the first example
-    # reported; their global backward ranks do not depend on the trial.
-    ids = pre.ids_by_rank
-    members = [[pre.rank_by_id[eid] for eid in inst.members(nid)] for nid in pre.node_ids]
-    bu_by_node = [[_global_brank(pre, opt, b, r) for r in rs] for b, rs in enumerate(members)]
-    in_opt = [set(rs) for rs in opt]
-    weak_witness = ""  # first failures, as above
-    member_witness = ""
-    strict_violations = 0
-    strict_example = ""
+    checks = _exact_lemma_checks(inst, pre, opt, params.c)
+    dominance = _Dominance(inst, pre, opt)
     for t_idx, (in_s, _, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
-        for b, nid in enumerate(pre.node_ids):
-            R = refs[b]
-            for r, bu in zip(members[b], bu_by_node[b]):
-                bs = _padded_brank(R, r)
-                if bs < bu and not weak_witness:
-                    weak_witness = f"trial {t_idx}, element {ids[r]}, node {nid}: {bs} < {bu}"
-                if in_s[r]:
-                    continue
-                if r in in_opt[b]:
-                    if bs < bu + 1 and not member_witness:
-                        member_witness = (f"trial {t_idx}, element {ids[r]}, node {nid}: "
-                                          f"{bs} < {bu}+1")
-                elif bs < bu + 1:
-                    strict_violations += 1
-                    if not strict_example:
-                        strict_example = f"trial {t_idx}, element {ids[r]}, node {nid}"
-    checks.append(LemmaCheck("brank-dominance", not weak_witness,
-                             weak_witness or f"{trials} trials, all nodes"))
-    checks.append(LemmaCheck("brank-dominance-optimum", not member_witness,
-                             member_witness or "strict +1 for optimum elements held"))
-    checks.append(LemmaCheck(
-        "brank-dominance-strict", None,
-        f"informational: +1 for arbitrary arriving elements violated "
-        f"{strict_violations} times" + (f" (first: {strict_example})" if strict_example else "")))
-    return checks
+        dominance.step(t_idx, in_s, refs)
+    return checks + dominance.checks(trials)
+
+
+# -- CLI verify: every check from one pass ---------------------------------------
+
+
+def verify_report(inst: LaminarInstance, p: float, trials: int,
+                  master_seed: int) -> ExperimentReport:
+    """The report of CLI ``verify``: the padded Monte Carlo ratio, the lemma
+    checks and the eviction-failure rows, from one pass that draws each
+    trial once.  The backward-rank dominance reads the fresh reference lists
+    of the first ``min(trials, LEMMA_TRIALS)`` trials; then one walk of the
+    lists gives both the trial's root weight and its eviction failures.
+    Each part equals what ``monte_carlo_ratio``, ``verify_lemmas`` (on the
+    capped trial count) and ``allkicked_frequency`` return on their own.
+    Checked before any trial is drawn, in this order: the run, a zero
+    optimum, and p < 1/2."""
+    _check_run(p, trials, master_seed)
+    w_opt = _opt_weight(inst)
+    params = theory_params(p)
+    pre = inst.pre()
+    opt = _global_optima(pre)
+    lemma_trials = min(trials, LEMMA_TRIALS)
+    dominance = _Dominance(inst, pre, opt)
+    failures = _EvictionFailures(pre, opt)
+    weights = []
+    for t_idx, (in_s, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
+        if t_idx < lemma_trials:
+            dominance.step(t_idx, in_s, refs)
+        weights.append(failures.walk(refs, order))
+    report = ExperimentReport(inst.name, p, trials, master_seed)
+    report.ratio = _ratio_estimate(weights, w_opt, p, True)
+    report.lemma_checks = (_exact_lemma_checks(inst, pre, opt, params.c)
+                           + dominance.checks(lemma_trials))
+    report.allkicked = failures.rows(params)
+    return report

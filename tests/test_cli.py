@@ -8,8 +8,11 @@ import pytest
 
 import laminar_secretary.cli as cli
 import laminar_secretary.experiments as experiments
-from laminar_secretary import exact_ratio, greedy_opt, load_instance
+import laminar_secretary.matroid as matroid
+from laminar_secretary import (GenSpec, dump_instance, exact_ratio, generate, greedy_opt,
+                               load_instance)
 from laminar_secretary.cli import main
+from laminar_secretary.kicknext import _orders
 
 from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element
 
@@ -202,6 +205,44 @@ def test_verify_passes(four_file, capsys):
     out = capsys.readouterr().out
     assert "verify: PASS" in out
     assert "lemma g-chain-decay: pass" in out
+
+
+def test_verify_refuses_p_at_or_above_half_before_any_trial(four_file, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "_orders", no_draw)
+    assert main(["verify", four_file, "--p", "0.6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p must be in (0, 1/2), got 0.6\n"
+
+
+def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
+    inst = generate(GenSpec("random_tree", 60, 3))
+    path = tmp_path / "tree.json"
+    path.write_text(dump_instance(inst))
+    trials, seed = 150, 1
+    # no draw of these trials is empty, so no trial builds from all-True flags
+    assert all(_orders(inst.pre(), 0.08, experiments._seeds(seed, 0, trials)))
+    seeds, refs = [], []
+    derive, greedy = experiments.derive_seed, matroid._greedy_ranks
+
+    def counted_seed(master_seed, index):
+        seeds.append(index)
+        return derive(master_seed, index)
+
+    def counted_greedy(pre, in_v):
+        if not all(in_v):
+            refs.append(1)
+        return greedy(pre, in_v)
+
+    monkeypatch.setattr(experiments, "derive_seed", counted_seed)
+    monkeypatch.setattr(matroid, "_greedy_ranks", counted_greedy)
+    assert main(["verify", str(path), "--trials", str(trials), "--seed", str(seed)]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
+    assert seeds == list(range(trials))
+    assert len(refs) == trials
 
 
 def test_verify_skips_out_of_hypothesis_lemmas(four_file, capsys):

@@ -23,11 +23,13 @@ from laminar_secretary import (
     ratio_lower_bound,
     reference_sets,
     verify_lemmas,
+    verify_report,
 )
 import laminar_secretary.experiments as experiments
 from laminar_secretary.experiments import (
     _chunk_plan,
     _qualifying_counts,
+    _qualifying_members,
     _sample_variance,
     _trial_weights_chunk,
     _trials,
@@ -321,6 +323,10 @@ class TestTinyP:
         with pytest.raises(ValueError, match="longest trial gap"):
             verify_lemmas(four_element(), self.P, trials=10)
 
+    def test_verify_report(self):
+        with pytest.raises(ValueError, match="longest trial gap"):
+            verify_report(four_element(), self.P, 10, 0)
+
     def test_exact(self):
         with pytest.raises(ValueError, match="longest trial gap"):
             exact_expectation(four_element(), self.P)
@@ -436,7 +442,8 @@ class TestRankSpaceHarness:
             in_s = [eid in sample for eid in pre.ids_by_rank]
             for b, nid in enumerate(pre.node_ids):
                 for eid in inst.members(nid):
-                    assert (_qualifying_counts(pre, b, pre.rank_by_id[eid], in_s)
+                    members = _qualifying_members(pre, b, pre.rank_by_id[eid])
+                    assert (_qualifying_counts(pre, b, members, in_s)
                             == qualifying_counts_by_ids(inst, nid, eid, sample))
 
     @settings(max_examples=80, deadline=None)
@@ -548,6 +555,42 @@ class TestVerifyLemmas:
     def test_trial_validation(self, trials):
         with pytest.raises(ValueError, match="at least one trial"):
             verify_lemmas(four_element(), 0.08, trials=trials)
+
+
+class TestVerifyReport:
+    @settings(max_examples=60, deadline=None)
+    @given(FAMILIES, st.integers(1, 40), st.integers(0, 10_000),
+           st.sampled_from((0.05, 0.08, 0.2, 0.3)), st.sampled_from((1, 37, 600)))
+    def test_one_pass_equals_the_separate_calls(self, family, n, seed, p, trials):
+        inst = family_instance(family, n, seed)
+        report = verify_report(inst, p, trials, seed)
+        # up to 16 elements ``monte_carlo_ratio`` reads its weight memo
+        alone = monte_carlo_ratio(inst, p, trials, seed)
+        assert (report.instance, report.p, report.trials, report.master_seed) == (
+            alone.instance, alone.p, alone.trials, alone.master_seed)
+        assert report.ratio == alone.ratio
+        assert report.lemma_checks == verify_lemmas(
+            inst, p, trials=min(trials, experiments.LEMMA_TRIALS), master_seed=seed)
+        assert report.allkicked == allkicked_frequency(inst, p, trials, seed)
+
+    @pytest.mark.parametrize("p,trials,seed,message", [
+        (0.6, 0, 0, "at least one trial"),
+        (1.5, 10, 0, "p must be in \\(0, 1\\)"),
+        (0.6, 10, -1, "seed must be in"),
+        (0.6, 10, 0, "p must be in \\(0, 1/2\\)"),
+    ])
+    def test_checks_come_before_any_draw(self, monkeypatch, p, trials, seed, message):
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(experiments, "_orders", no_draw)
+        with pytest.raises(ValueError, match=message):
+            verify_report(four_element(), p, trials, seed)
+
+    def test_zero_optimum_is_refused_before_p(self):
+        empty = make_instance("empty", [], [FamilyNode(0, 1, None)], {})
+        with pytest.raises(ValueError, match="degenerate"):
+            verify_report(empty, 0.6, 10, 0)
 
 
 class TestReportCsv:

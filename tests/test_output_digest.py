@@ -4,23 +4,30 @@ The grid covers every family at n = 6, 16, 17 and 200 (on both sides of the
 small-instance caches), p = 0.05, 0.08 and 0.2, padding on and off.  It
 hashes the Monte Carlo weight list of ``_trial_weights_chunk``, the
 ``monte_carlo_ratio`` CSV and the ``_sample_ids`` draws, so any change to a
-fixed-seed value changes the digest.  A change that alters fixed-seed
-outputs on purpose must say so and record the new digest.
+fixed-seed value changes the digest.  ``VERIFY_DIGEST`` pins the report of
+CLI ``verify`` (``verify_report``'s summary and CSV) over every family at
+n = 6, 17 and 60, the same p values and 1, 37 and 600 trials; the last
+runs past the 500-trial cap of the backward-rank dominance checks.  A
+change that alters fixed-seed outputs on purpose must say so and record the
+new digest.
 """
 
 from hashlib import sha256
 
-from laminar_secretary import derive_seed, monte_carlo_ratio
+from laminar_secretary import derive_seed, monte_carlo_ratio, verify_report
 from laminar_secretary.experiments import _trial_weights_chunk
 from laminar_secretary.kicknext import _sample_ids
 
 from helpers import family_instance
 
 DIGEST = "7d698a3a338e4dc16cdff626fa174b908c7665dd3ba179948af8c12bc911095c"
+VERIFY_DIGEST = "88eb67db033a08836ce90dc227da9c2edd9c445419a1f094b74b4d51d5862230"
 
 FAMILIES = ("uniform", "partition", "chain", "random_tree")
 SIZES = (6, 16, 17, 200)
 PS = (0.05, 0.08, 0.2)
+VERIFY_SIZES = (6, 17, 60)
+VERIFY_TRIALS = (1, 37, 600)
 
 
 def _digest() -> str:
@@ -44,3 +51,20 @@ def _digest() -> str:
 
 def test_fixed_seed_outputs_are_unchanged():
     assert _digest() == DIGEST
+
+
+def _verify_digest() -> str:
+    h = sha256()
+    for fi, family in enumerate(FAMILIES):
+        for n in VERIFY_SIZES:
+            inst = family_instance(family, n, 10 * fi + n)
+            for p in PS:
+                for trials in VERIFY_TRIALS:
+                    report = verify_report(inst, p, trials, 1000 * n + int(1000 * p) + trials)
+                    h.update(report.summary().encode())
+                    h.update(report.to_csv().encode())
+    return h.hexdigest()
+
+
+def test_verify_reports_are_unchanged():
+    assert _verify_digest() == VERIFY_DIGEST
