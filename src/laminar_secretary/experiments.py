@@ -31,11 +31,18 @@ of them gives both its root weight for the ratio and its eviction failures.
 the same per-trial steps (``_Dominance``, ``_EvictionFailures``) from their
 own trial loops, so each returns what its part of the report holds.
 
+The backward-rank dominance step costs what a trial changes, not n: the
+weak check compares each node's sample optimum with OPT entry by entry, and
+the optimum and strict checks read only the trial's arrivals along their
+chains (see ``_Dominance``).
+
 The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
 arrivals still to come and the current reference lists, so the recursion is
-memoized on that pair, per split.  That is about 3^n states in all (6305 at
-n = 8) against the sum of C(n, t) * t! (split, order) leaves (109600).
+memoized on that pair.  The pair fixes the value whatever split reached
+it, so one memo serves every split of a call; at n = 8 it holds 973 to
+5233 states, against 6305 to 6928 when each split starts afresh, and the
+sum of C(n, t) * t! (split, order) leaves is 109600.
 
 Estimators that condition on an event (an element landing in the selection
 phase) do so by rejection: trials violating the condition are discarded,
@@ -47,11 +54,12 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from multiprocessing import Pool
+from operator import gt
 
 from .model import LaminarInstance
 from .matroid import _global_optima, _ref_rank_lists
@@ -69,6 +77,12 @@ from .theory import (
     weighted_penalty_telescoped,
 )
 
+# ``exact_expectation`` enumerates 2^n sample splits and shares one memo of
+# (arrivals to come, reference lists) states across them, so the memo lives
+# for the whole call.  At n = 8 it ends with 973 to 5233 states (the four
+# families at p = 0.08, padding on and off; at most 1.2 MiB under
+# tracemalloc), fewer than the 6305 to 6928 that fresh memos per split add
+# up to; at n = 10, 7322 to 42060 states, up to 14 MiB, and 50 to 530 ms.
 EXACT_ENUM_LIMIT = 8
 RNG_VERSION = 2
 # up to this many elements, ``_trial_weights_chunk`` memoizes each arrival
@@ -362,16 +376,19 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     is a self-check and equals 1 up to float rounding.
 
     Each split's expectation is ``_expected_rest`` of all its arrivals: a
-    recursion over the next arrival, memoized per split on (arrivals still
-    to come, reference lists), so a split with t arrivals holds about 2^t
-    memo entries.  That visits about 3^n states in total (6305 at n = 8)
-    instead of walking all C(n, t) * t! arrival orders (109600 leaves)."""
+    recursion over the next arrival, memoized on (arrivals still to come,
+    reference lists).  That pair fixes the value, so one memo serves every
+    split of the call (see ``EXACT_ENUM_LIMIT`` for its measured size),
+    instead of walking all C(n, t) * t! arrival orders (109600 leaves at
+    n = 8).  A state's value is computed the same way whichever split
+    reaches it first, so sharing changes no bit of the result."""
     _check_p(p)
     pre = inst.pre()
     n = pre.n_real
     _check_enumerable(n)
     contribs: list[float] = []
     probs: list[float] = []
+    memo: dict = {}
     for mask in range(1 << n):  # set bit r: rank r arrives in the selection phase
         t = mask.bit_count()
         prob = (1.0 - p) ** (n - t) * p ** t
@@ -380,7 +397,7 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
             continue
         in_s = [not ((mask >> r) & 1) for r in range(n)]
         refs = tuple(map(tuple, _ref_rank_lists(pre, in_s, padding)))
-        contribs.append(prob * _expected_rest(pre, mask, refs, {}))
+        contribs.append(prob * _expected_rest(pre, mask, refs, memo))
     return math.fsum(contribs), math.fsum(probs)
 
 
@@ -596,43 +613,84 @@ def _exact_lemma_checks(inst: LaminarInstance, pre, opt, c: float) -> list[Lemma
 class _Dominance:
     """Backward-rank dominance of sample optima, in the padded view, in three
     steps: set up once per instance, ``step`` once per trial on its fresh
-    reference lists, ``checks`` at the end.  Members are visited in
-    ``inst.members`` order, which fixes the first example reported; their
-    global backward ranks do not depend on the trial."""
+    reference lists and its arrivals, ``checks`` at the end.  The first
+    example reported is the least by (trial, node index, position in
+    ``inst.members`` order).
+
+    The weak check compares the sample optimum with OPT entry by entry.  A
+    padded list holds ``mu[b]`` ranks, so a member r of node b has a smaller
+    backward rank against the sample's list R than against OPT exactly when
+    R holds more ranks up to r than OPT does.  That excess peaks at R's real
+    entries, which are members of b, so it occurs iff R has more real
+    entries than OPT has entries or some OPT entry is lighter than R's entry
+    at the same place.  Only a node that fails is scanned member by member,
+    for the witness.  The optimum and strict checks concern arriving ranks
+    only, so they read the trial's arrivals along their chains.  A trial
+    costs O(nodes + OPT's entries + the arrivals' chain lengths), not
+    O(n)."""
 
     def __init__(self, inst: LaminarInstance, pre, opt):
-        self.ids = pre.ids_by_rank
-        self.node_ids = pre.node_ids
+        self.pre = pre
+        self.opt = opt
         self.members = [[pre.rank_by_id[eid] for eid in inst.members(nid)]
                         for nid in pre.node_ids]
-        self.bu_by_node = [[_global_brank(pre, opt, b, r) for r in rs]
-                           for b, rs in enumerate(self.members)]
+        position = [dict(zip(rs, range(len(rs)))) for rs in self.members]
+        # per rank, per node of its chain: the backward rank against OPT,
+        # which no trial changes, and the rank's place in the node's members
+        self.bu_by_rank = [tuple(_global_brank(pre, opt, b, r) for b in ch)
+                           for r, ch in enumerate(pre.chain_by_rank)]
+        self.pos_by_rank = [tuple(position[b][r] for b in ch)
+                            for r, ch in enumerate(pre.chain_by_rank)]
         self.in_opt = [set(rs) for rs in opt]
         self.weak_witness = ""  # first failures, as in ``_exact_lemma_checks``
         self.member_witness = ""
         self.strict_violations = 0
         self.strict_example = ""
 
-    def step(self, t_idx: int, in_s: list[bool], refs: list[list[int]]) -> None:
-        ids = self.ids
-        for b, nid in enumerate(self.node_ids):
-            R = refs[b]
-            size = len(R)
-            in_opt = self.in_opt[b]
-            for r, bu in zip(self.members[b], self.bu_by_node[b]):
-                bs = size - bisect_right(R, r)  # ``_padded_brank(R, r)``, inlined
-                if bs < bu and not self.weak_witness:
-                    self.weak_witness = f"trial {t_idx}, element {ids[r]}, node {nid}: {bs} < {bu}"
-                if in_s[r]:
+    def step(self, t_idx: int, order, refs: list[list[int]]) -> None:
+        pre = self.pre
+        if not self.weak_witness:
+            self.weak_witness = self._weak_witness(t_idx, refs)
+        want_member = not self.member_witness
+        want_strict = not self.strict_example
+        member = strict = None  # this trial's least (node, position, ...)
+        violations = 0
+        for r in order:
+            for b, bu, pos in zip(pre.chain_by_rank[r], self.bu_by_rank[r], self.pos_by_rank[r]):
+                R = refs[b]
+                bs = len(R) - bisect_right(R, r)  # ``_padded_brank(R, r)``, inlined
+                if bs > bu:
                     continue
-                if r in in_opt:
-                    if bs < bu + 1 and not self.member_witness:
-                        self.member_witness = (f"trial {t_idx}, element {ids[r]}, node {nid}: "
-                                               f"{bs} < {bu}+1")
-                elif bs < bu + 1:
-                    self.strict_violations += 1
-                    if not self.strict_example:
-                        self.strict_example = f"trial {t_idx}, element {ids[r]}, node {nid}"
+                if r in self.in_opt[b]:
+                    if want_member and (member is None or (b, pos) < member[:2]):
+                        member = (b, pos, r, bs, bu)
+                else:
+                    violations += 1
+                    if want_strict and (strict is None or (b, pos) < strict[:2]):
+                        strict = (b, pos, r)
+        self.strict_violations += violations
+        if member is not None:
+            b, _, r, bs, bu = member
+            self.member_witness = (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
+                                   f"node {pre.node_ids[b]}: {bs} < {bu}+1")
+        if strict is not None:
+            b, _, r = strict
+            self.strict_example = (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
+                                   f"node {pre.node_ids[b]}")
+
+    def _weak_witness(self, t_idx: int, refs: list[list[int]]) -> str:
+        """The trial's first weak violation, or ``""``: the first failing
+        node, scanned in member order."""
+        pre, opt = self.pre, self.opt
+        for b, (O, R) in enumerate(zip(opt, refs)):
+            if bisect_left(R, pre.n_real) > len(O) or any(map(gt, O, R)):
+                for r in self.members[b]:
+                    bs = _padded_brank(R, r)
+                    bu = _global_brank(pre, opt, b, r)
+                    if bs < bu:
+                        return (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
+                                f"node {pre.node_ids[b]}: {bs} < {bu}")
+        return ""
 
     def checks(self, trials: int) -> list[LemmaCheck]:
         example = self.strict_example
@@ -659,8 +717,8 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     opt = _global_optima(pre)
     checks = _exact_lemma_checks(inst, pre, opt, params.c)
     dominance = _Dominance(inst, pre, opt)
-    for t_idx, (in_s, _, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
-        dominance.step(t_idx, in_s, refs)
+    for t_idx, (_, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
+        dominance.step(t_idx, order, refs)
     return checks + dominance.checks(trials)
 
 
@@ -687,9 +745,9 @@ def verify_report(inst: LaminarInstance, p: float, trials: int,
     dominance = _Dominance(inst, pre, opt)
     failures = _EvictionFailures(pre, opt)
     weights = []
-    for t_idx, (in_s, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
+    for t_idx, (_, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
         if t_idx < lemma_trials:
-            dominance.step(t_idx, in_s, refs)
+            dominance.step(t_idx, order, refs)
         weights.append(failures.walk(refs, order))
     report = ExperimentReport(inst.name, p, trials, master_seed)
     report.ratio = _ratio_estimate(weights, w_opt, p, True)

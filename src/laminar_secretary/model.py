@@ -19,6 +19,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
+# ``_Pre`` keeps every node's chain to the root, one slot per node on it, so
+# the tables grow with the sum of (depth + 1) over the nodes.  A tree that
+# needs more slots than this is refused: the limit is about 40 MiB of
+# pointers, above a 3000-node chain (4.5M slots), and a chain of 100k nodes
+# would need 5 * 10^9.
+MAX_CHAIN_SLOTS = 5_000_000
+
 
 class InstanceError(ValueError):
     """An instance file or structure violates a model invariant."""
@@ -69,6 +76,10 @@ class _Pre:
     Subtree membership is decided here and nowhere else: node b lies on a
     chain exactly at ``depth[b]`` places from its root end, so ``upto``
     tests one index, and ``members`` scans the ranks with that test.
+
+    The chains hold one slot per (node, node on its chain); a tree that
+    needs more than ``MAX_CHAIN_SLOTS`` raises ``InstanceError`` during the
+    walk, before the chains that would pass the limit are built.
     """
 
     __slots__ = (
@@ -97,11 +108,16 @@ class _Pre:
         chains: list[tuple[int, ...]] = [()] * n_nodes
         children: list[tuple[int, ...]] = [()] * n_nodes
         chains[self.root_idx] = (self.root_idx,)
+        slots = 1  # chain slots so far: depth + 1 per node
         top_down = [self.root_idx]
         for x in top_down:  # the list grows as it is read: parents before children
             kids = tuple(self.node_index[c] for c in inst.nodes[x].children)
             children[x] = kids
             up = chains[x]
+            slots += len(kids) * (len(up) + 1)
+            if slots > MAX_CHAIN_SLOTS:  # checked before the children's chains exist
+                raise InstanceError(f"capacity tree too deep: its node chains need more "
+                                    f"than {MAX_CHAIN_SLOTS} slots")
             for c in kids:
                 chains[c] = (c,) + up
                 depth[c] = len(up)

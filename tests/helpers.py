@@ -3,6 +3,7 @@ implementations for the test suite."""
 
 import json
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from hashlib import shake_128
 from itertools import permutations
@@ -29,6 +30,8 @@ from laminar_secretary import (
     theory_params,
 )
 from laminar_secretary.kicknext import _ref_rank_lists, _run_weight
+from laminar_secretary.matroid import _global_optima
+from laminar_secretary.theory import _global_brank
 
 # The documented four-element example: two heavy elements share a unit-capacity
 # inner node, two lighter ones sit directly under the root.
@@ -284,6 +287,41 @@ def qualifying_counts_by_ids(inst, node_id, element_id, sample):
         j = sum(1 for k in keys if k > kx)  # reference slots strictly lighter
         got[j - 1] += 1  # qualifying implies j >= 1
     return got
+
+
+def dominance_by_scan(inst, trials):
+    """Reference for ``experiments._Dominance``: the backward-rank dominance
+    checks by a scan of every node's members, in ``inst.members`` order, on
+    every trial.  ``trials`` holds (in_s, refs) pairs, refs padded.  Returns
+    (weak_witness, member_witness, strict_violations, strict_example)."""
+    pre = inst.pre()
+    opt = _global_optima(pre)
+    ids = pre.ids_by_rank
+    members = [[pre.rank_by_id[eid] for eid in inst.members(nid)] for nid in pre.node_ids]
+    bu_by_node = [[_global_brank(pre, opt, b, r) for r in rs] for b, rs in enumerate(members)]
+    in_opt_by_node = [set(rs) for rs in opt]
+    weak_witness = member_witness = strict_example = ""
+    strict_violations = 0
+    for t_idx, (in_s, refs) in enumerate(trials):
+        for b, nid in enumerate(pre.node_ids):
+            R = refs[b]
+            size = len(R)
+            in_opt = in_opt_by_node[b]
+            for r, bu in zip(members[b], bu_by_node[b]):
+                bs = size - bisect_right(R, r)
+                if bs < bu and not weak_witness:
+                    weak_witness = f"trial {t_idx}, element {ids[r]}, node {nid}: {bs} < {bu}"
+                if in_s[r]:
+                    continue
+                if r in in_opt:
+                    if bs < bu + 1 and not member_witness:
+                        member_witness = (f"trial {t_idx}, element {ids[r]}, node {nid}: "
+                                          f"{bs} < {bu}+1")
+                elif bs < bu + 1:
+                    strict_violations += 1
+                    if not strict_example:
+                        strict_example = f"trial {t_idx}, element {ids[r]}, node {nid}"
+    return weak_witness, member_witness, strict_violations, strict_example
 
 
 def exact_expectation_by_permutations(inst, p, *, padding=True):

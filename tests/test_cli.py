@@ -9,6 +9,7 @@ import pytest
 import laminar_secretary.cli as cli
 import laminar_secretary.experiments as experiments
 import laminar_secretary.matroid as matroid
+import laminar_secretary.model as model
 from laminar_secretary import (GenSpec, dump_instance, exact_ratio, generate, greedy_opt,
                                load_instance)
 from laminar_secretary.cli import main
@@ -379,6 +380,21 @@ def test_deep_chain_with_ids_rising_to_the_root(tmp_path, capsys):
     assert "optimum has 5 elements" in capsys.readouterr().out
     assert main(["montecarlo", str(path), "--trials", "10"]) == 0
     assert "ratio estimate" in capsys.readouterr().out
+
+
+def test_too_many_chain_slots_exit_2(tmp_path, capsys, monkeypatch):
+    # a four-node chain needs 1 + 2 + 3 + 4 = 10 chain slots
+    monkeypatch.setattr(model, "MAX_CHAIN_SLOTS", 9)
+    doc = {"name": "deep", "elements": [{"id": 0, "weight": 1.0}],
+           "nodes": [{"id": j, "capacity": 1, "parent": j - 1 if j else None} for j in range(4)],
+           "membership": {"0": 3}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["opt", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "too deep" in captured.err
+    monkeypatch.setattr(model, "MAX_CHAIN_SLOTS", 10)
+    assert main(["opt", str(path)]) == 0
 
 
 def test_deeply_nested_text_exit_2(tmp_path, capsys):

@@ -36,12 +36,13 @@ from laminar_secretary.experiments import (
 )
 import laminar_secretary.kicknext as kicknext
 import laminar_secretary.matroid as matroid
-from laminar_secretary.kicknext import _orders, _run_weight, _sample_ids
+from laminar_secretary.kicknext import _flags, _orders, _run_weight, _sample_ids
 from laminar_secretary.matroid import _global_optima, _ref_rank_lists
 from laminar_secretary.theory import _global_brank, _padded_brank
 
 from helpers import (
     allkicked_frequency_by_trace,
+    dominance_by_scan,
     exact_expectation_by_permutations,
     family_instance,
     four_element,
@@ -49,6 +50,7 @@ from helpers import (
     padded_brank_by_ids,
     qualifying_counts_by_ids,
     rank1,
+    tree,
 )
 
 FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))
@@ -591,6 +593,138 @@ class TestVerifyReport:
         empty = make_instance("empty", [], [FamilyNode(0, 1, None)], {})
         with pytest.raises(ValueError, match="degenerate"):
             verify_report(empty, 0.6, 10, 0)
+
+
+def _dominance(inst, trials):
+    """``_Dominance`` driven over (in_s, order, refs) trials, its four
+    outcomes in the order ``dominance_by_scan`` returns them."""
+    pre = inst.pre()
+    dominance = experiments._Dominance(inst, pre, _global_optima(pre))
+    for t_idx, (_, order, refs) in enumerate(trials):
+        dominance.step(t_idx, order, refs)
+    return (dominance.weak_witness, dominance.member_witness,
+            dominance.strict_violations, dominance.strict_example)
+
+
+def _scan(inst, trials):
+    return dominance_by_scan(inst, [(in_s, refs) for in_s, _, refs in trials])
+
+
+def _swap_in_heavier(refs, b, e, h):
+    """Node ``b``'s list with real entry ``e`` swapped for the heavier
+    non-entry ``h``: still padded, and able to break the weak check."""
+    refs[b] = sorted([x for x in refs[b] if x != e] + [h])
+
+
+def _drop_lighter(pre, refs, b, r):
+    """Node ``b``'s list with every entry lighter than the arriving ``r``
+    removed: refilled with the heaviest members of ``b`` above ``r``, then
+    padded, so ``r``'s backward rank can fall to OPT's."""
+    heavier = [x for x in pre.members(b) if x < r][:pre.mu[b]]
+    base = pre.virtual_rank_base[b]
+    refs[b] = heavier + list(range(base, base + pre.mu[b] - len(heavier)))
+
+
+class TestDominance:
+    @settings(max_examples=50, deadline=None)
+    @given(FAMILIES, st.integers(1, 40), st.integers(0, 10_000),
+           st.sampled_from((0.05, 0.08, 0.2, 0.3)), st.integers(1, 600))
+    def test_equals_the_member_scan(self, family, n, seed, p, trials):
+        inst = family_instance(family, n, seed)
+        drawn = list(_trials(inst.pre(), p, seed, 0, trials, True))
+        assert _dominance(inst, drawn) == _scan(inst, drawn)
+
+    @settings(max_examples=80, deadline=None)
+    @given(FAMILIES, st.integers(2, 30), st.integers(0, 10_000),
+           st.sampled_from((0.05, 0.08, 0.2, 0.3)), st.integers(1, 60),
+           st.sampled_from(("swap", "drop")), st.data())
+    def test_equals_the_member_scan_on_doctored_lists(self, family, n, seed, p, trials,
+                                                       kind, data):
+        inst = family_instance(family, n, seed)
+        pre = inst.pre()
+        drawn = list(_trials(pre, p, seed, 0, trials, True))
+        _, order, refs = drawn[data.draw(st.integers(0, trials - 1))]
+        if kind == "swap":
+            choices = [(b, e, h) for b in range(len(pre.mu)) for e in refs[b] if e < pre.n_real
+                       for h in pre.members(b) if h < e and h not in refs[b]]
+        else:
+            choices = [(b, r) for r in order for b in pre.chain_by_rank[r]
+                       if r in _global_optima(pre)[b]]
+        if choices:
+            args = data.draw(st.sampled_from(choices))
+            if kind == "swap":
+                _swap_in_heavier(refs, *args)
+            else:
+                _drop_lighter(pre, refs, *args)
+        assert _dominance(inst, drawn) == _scan(inst, drawn)
+
+    def test_doctored_lists_give_witnesses(self):
+        # ranks: 0 and 1 in the unit-capacity node (index 1), 2 and 3 in the
+        # root (index 0, capacity 3); OPT is [0, 2, 3] at the root, [0] below
+        inst = four_element()
+        pre = inst.pre()
+        assert _global_optima(pre) == ((0, 2, 3), (0,))
+        # rank 1 arrives, and the root's entry 3 is swapped for it
+        swapped = [(_flags(4, [1]), [1], [[0, 2, 3], [0]])]
+        _swap_in_heavier(swapped[0][2], 0, 3, 1)
+        # rank 2 (in OPT) arrives, and the root's lighter entries go
+        dropped = [(_flags(4, [2]), [2], [[0, 3, pre.virtual_rank_base[0]], [0]])]
+        _drop_lighter(pre, dropped[0][2], 0, 2)
+        assert dropped[0][2][0] == [0, 1, pre.virtual_rank_base[0]]
+        for trials in (swapped, dropped, swapped + dropped):
+            assert _dominance(inst, trials) == _scan(inst, trials)
+        assert _dominance(inst, swapped)[:2] == ("trial 0, element 1, node 0: 1 < 2", "")
+        assert _dominance(inst, dropped)[1] == "trial 0, element 2, node 0: 1 < 1+1"
+
+    def test_more_real_entries_than_opt_is_a_weak_witness(self):
+        # node 1 (capacity 1) holds ranks 0 and 3, the root (capacity 4)
+        # ranks 1 and 2, so OPT at the root is [0, 1, 2]; a root list that
+        # also holds 3 is no lighter than OPT anywhere, but one entry longer
+        inst = tree("long", [(0, 4, None), (1, 1, 0)], {0: 1, 1: 0, 2: 0, 3: 1},
+                    [4.0, 3.0, 2.0, 1.0])
+        trials = [(_flags(4, [3]), [3], [[0, 1, 2, 3], [0]])]
+        assert _dominance(inst, trials) == _scan(inst, trials)
+        assert _dominance(inst, trials)[0] == "trial 0, element 3, node 0: 0 < 1"
+
+
+class TestWorkCounts:
+    def test_dominance_step_reads_only_the_arrivals(self, monkeypatch):
+        inst = generate(GenSpec("partition", 2000, 5, parts=40, part_capacity=3))
+        pre = inst.pre()
+        _, order, refs = next(_trials(pre, 0.08, 11, 0, 1, True))
+        dominance = experiments._Dominance(inst, pre, _global_optima(pre))
+        calls = 0
+        bisect_right = experiments.bisect_right
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return bisect_right(*args)
+
+        monkeypatch.setattr(experiments, "bisect_right", counted)
+        dominance.step(0, order, refs)
+        chains = sum(len(pre.chain_by_rank[r]) for r in order)
+        assert 0 < calls <= chains < pre.n_real
+
+    def test_exact_shares_one_memo_across_splits(self, monkeypatch):
+        inst = family_instance("random_tree", 8, 38)
+        pre = inst.pre()
+        calls = 0
+        expected_rest = experiments._expected_rest
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return expected_rest(*args)
+
+        monkeypatch.setattr(experiments, "_expected_rest", counted)
+        exact_expectation(inst, 0.08)
+        shared, calls = calls, 0
+        for mask in range(1, 1 << pre.n_real):
+            in_s = [not ((mask >> r) & 1) for r in range(pre.n_real)]
+            refs = tuple(map(tuple, _ref_rank_lists(pre, in_s, True)))
+            experiments._expected_rest(pre, mask, refs, {})
+        assert shared < calls
 
 
 class TestReportCsv:

@@ -19,6 +19,7 @@ from laminar_secretary import (
     order_key,
 )
 
+import laminar_secretary.model as model
 from laminar_secretary.matroid import _global_optima, _ref_rank_lists
 from laminar_secretary.theory import _global_brank, _padded_brank
 
@@ -354,6 +355,21 @@ class TestTreeTables:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(FAMILY_OR_SHAPED)
+    def test_chain_slots_at_and_over_the_limit(self, inst):
+        pre = inst.pre()
+        slots = sum(map(len, pre.node_chain))
+        assert slots == sum(d + 1 for d in pre.depth)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "MAX_CHAIN_SLOTS", slots)
+            fresh = make_instance(inst.name, inst.elements, inst.nodes, inst.membership)
+            assert fresh.pre().node_chain == pre.node_chain
+            mp.setattr(model, "MAX_CHAIN_SLOTS", slots - 1)
+            fresh = make_instance(inst.name, inst.elements, inst.nodes, inst.membership)
+            with pytest.raises(InstanceError, match="too deep"):
+                fresh.pre()
 
     @settings(max_examples=150, deadline=None)
     @given(FAMILY_OR_SHAPED)

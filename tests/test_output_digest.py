@@ -7,14 +7,15 @@ hashes the Monte Carlo weight list of ``_trial_weights_chunk``, the
 fixed-seed value changes the digest.  ``VERIFY_DIGEST`` pins the report of
 CLI ``verify`` (``verify_report``'s summary and CSV) over every family at
 n = 6, 17 and 60, the same p values and 1, 37 and 600 trials; the last
-runs past the 500-trial cap of the backward-rank dominance checks.  A
-change that alters fixed-seed outputs on purpose must say so and record the
-new digest.
+runs past the 500-trial cap of the backward-rank dominance checks.
+``EXACT_DIGEST`` pins ``exact_expectation`` over every family at n = 1, 4,
+6 and 8, the same p values, padding on and off.  A change that alters
+fixed-seed outputs on purpose must say so and record the new digest.
 """
 
 from hashlib import sha256
 
-from laminar_secretary import derive_seed, monte_carlo_ratio, verify_report
+from laminar_secretary import derive_seed, exact_expectation, monte_carlo_ratio, verify_report
 from laminar_secretary.experiments import _trial_weights_chunk
 from laminar_secretary.kicknext import _sample_ids
 
@@ -22,12 +23,14 @@ from helpers import family_instance
 
 DIGEST = "7d698a3a338e4dc16cdff626fa174b908c7665dd3ba179948af8c12bc911095c"
 VERIFY_DIGEST = "88eb67db033a08836ce90dc227da9c2edd9c445419a1f094b74b4d51d5862230"
+EXACT_DIGEST = "c050f24d03b56d3e612dba1f16f274a5067e23c52b09a5d5abc5fcff3c78752e"
 
 FAMILIES = ("uniform", "partition", "chain", "random_tree")
 SIZES = (6, 16, 17, 200)
 PS = (0.05, 0.08, 0.2)
 VERIFY_SIZES = (6, 17, 60)
 VERIFY_TRIALS = (1, 37, 600)
+EXACT_SIZES = (1, 4, 6, 8)
 
 
 def _digest() -> str:
@@ -68,3 +71,18 @@ def _verify_digest() -> str:
 
 def test_verify_reports_are_unchanged():
     assert _verify_digest() == VERIFY_DIGEST
+
+
+def _exact_digest() -> str:
+    h = sha256()
+    for fi, family in enumerate(FAMILIES):
+        for n in EXACT_SIZES:
+            inst = family_instance(family, n, 10 * fi + n)
+            for p in PS:
+                for padding in (True, False):
+                    h.update(repr(exact_expectation(inst, p, padding=padding)).encode())
+    return h.hexdigest()
+
+
+def test_exact_expectations_are_unchanged():
+    assert _exact_digest() == EXACT_DIGEST
