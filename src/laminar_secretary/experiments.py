@@ -39,10 +39,15 @@ chains (see ``_Dominance``).
 The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
 arrivals still to come and the current reference lists, so the recursion is
-memoized on that pair.  The pair fixes the value whatever split reached
-it, so one memo serves every split of a call; at n = 8 it holds 973 to
-5233 states, against 6305 to 6928 when each split starts afresh, and the
-sum of C(n, t) * t! (split, order) leaves is 109600.
+memoized on that pair, held as one int.  Its low n bits are the arrivals to
+come; then each node has a field of n + min(capacity, members) bits, a
+real rank r at bit r and the j-th virtual slot at bit n + j, so that the
+KickNext step is a mask, a lowest-set-bit and a clear (``_enum_states``).
+The state fixes the value whatever split reached it, so one memo serves
+every split of a call; at n = 8 it holds 973 to 5233 states, against 6305
+to 6928 when each split starts afresh, and the sum of C(n, t) * t! (split,
+order) leaves is 109600.  No field is wider than 2n bits, so capacity does
+not drive the cost.
 
 Estimators that condition on an event (an element landing in the selection
 phase) do so by rejection: trials violating the condition are discarded,
@@ -79,10 +84,11 @@ from .theory import (
 
 # ``exact_expectation`` enumerates 2^n sample splits and shares one memo of
 # (arrivals to come, reference lists) states across them, so the memo lives
-# for the whole call.  At n = 8 it ends with 973 to 5233 states (the four
-# families at p = 0.08, padding on and off; at most 1.2 MiB under
-# tracemalloc), fewer than the 6305 to 6928 that fresh memos per split add
-# up to; at n = 10, 7322 to 42060 states, up to 14 MiB, and 50 to 530 ms.
+# for the whole call.  At n = 8 it ends with 973 to 5233 states, fewer than
+# the 6305 to 6928 that fresh memos per split add up to; at n = 10, 7322 to
+# 42060 states.  A call takes 3 to 18 ms and at most 0.5 MiB under
+# tracemalloc at n = 8, and 23 to 225 ms and at most 3.8 MiB at n = 10 (the
+# four families at p = 0.08, padding on and off; Python 3.11, 2 cores).
 EXACT_ENUM_LIMIT = 8
 RNG_VERSION = 2
 # up to this many elements, ``_trial_weights_chunk`` memoizes each arrival
@@ -328,39 +334,74 @@ def _ratio_estimate(weights: list[float], w_opt: float, p: float,
 # -- exact expectation by enumeration ----------------------------------------
 
 
-def _expected_rest(pre, remaining: int, refs: tuple, memo: dict) -> float:
-    """Expected root weight that the ranks of ``remaining`` (bit r set: rank
-    r is still to arrive) add from reference lists ``refs``, each of them
-    arriving next with equal chance.  An arrival takes the step of
-    ``kicknext._arrive`` and gains its weight only when it passes every
-    node.  KickNext's future depends on nothing else, so the value is
-    memoized on the pair; the step is written here on tuples, copied on
-    write, because a memo key must be hashable."""
-    key = (remaining, refs)
-    value = memo.get(key)
-    if value is not None:
-        return value
-    w = pre.w_by_rank
-    chains = pre.chain_by_rank
+def _enum_states(pre, padding: bool) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The bit layout of ``_expected_rest``'s states: per rank, one mask per
+    node of its chain, selecting the node's field bits lighter than the
+    rank; and the start state of every sample split, indexed by its mask.
+
+    Bits 0..n-1 hold the ranks still to arrive.  Node b's field follows,
+    ``n + min(mu[b], members of b)`` bits wide: real rank r at bit r of the
+    field and virtual slot j at bit n + j, so the field's bit order is the
+    padded list's rank order.  A split fills slots k.. of the field, where k
+    is the node's number of real entries: the unpadded lists of
+    ``_ref_rank_lists`` plus one precomputed fill per (node, k).  Arrivals
+    take the lowest free slot, and node b sees at most as many arrivals as
+    it has members, so the slots past that count are never reached and
+    leaving them out keeps every step and break as on the padded list."""
+    n = pre.n_real
+    slots = [min(cap, len(pre.members(b))) for b, cap in enumerate(pre.mu)]
+    offset = []
+    top = n
+    for v in slots:
+        offset.append(top)
+        top += n + v
+    fill = [[((1 << v) - (1 << k)) << (o + n) if padding else 0 for k in range(v + 1)]
+            for v, o in zip(slots, offset)]
+    lighter = [tuple(((1 << n + slots[b]) - (2 << r)) << offset[b] for b in ch)
+               for r, ch in enumerate(pre.chain_by_rank)]
+    starts = [0]  # the split with no arrival has nothing to recurse on
+    for mask in range(1, 1 << n):  # set bit r: rank r arrives in the selection phase
+        state = mask
+        refs = _ref_rank_lists(pre, [not ((mask >> r) & 1) for r in range(n)], False)
+        for R, o, f in zip(refs, offset, fill):
+            for r in R:
+                state |= 1 << (o + r)
+            state |= f[len(R)]
+        starts.append(state)
+    return lighter, starts
+
+
+def _expected_rest(state: int, lighter, w, memo: dict) -> float:
+    """Expected root weight that the ranks still to arrive in ``state``
+    (bits 0..n-1, n = ``len(w)``) add, each of them arriving next with
+    equal chance; see ``_enum_states`` for the layout.  An arrival r takes
+    the step of ``kicknext._arrive`` on bits: at each node of its chain the
+    lowest set bit of ``state & lighter[r][i]`` is the heaviest lighter
+    reference, which the step clears, and an empty field breaks the walk.
+    It gains its weight only when it passes every node.  KickNext's future
+    depends on nothing else, so the value is memoized on the state; callers
+    look it up before calling."""
+    remaining = bits = state & ((1 << len(w)) - 1)
     acc = []
-    bits = remaining
     while bits:
         low = bits & -bits
         bits ^= low
         r = low.bit_length() - 1
-        after = list(refs)
-        for b in chains[r]:
-            R = after[b]
-            i = bisect_right(R, r)
-            if i == len(R):
+        after = state ^ low
+        for m in lighter[r]:
+            x = after & m
+            if not x:
                 break
-            after[b] = R[:i] + R[i + 1:]
+            after ^= x & -x
         else:
             acc.append(w[r])
         if remaining != low:
-            acc.append(_expected_rest(pre, remaining ^ low, tuple(after), memo))
+            value = memo.get(after)
+            if value is None:
+                value = _expected_rest(after, lighter, w, memo)
+            acc.append(value)
     value = math.fsum(acc) / remaining.bit_count()
-    memo[key] = value
+    memo[state] = value
     return value
 
 
@@ -376,28 +417,34 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     is a self-check and equals 1 up to float rounding.
 
     Each split's expectation is ``_expected_rest`` of all its arrivals: a
-    recursion over the next arrival, memoized on (arrivals still to come,
-    reference lists).  That pair fixes the value, so one memo serves every
+    recursion over the next arrival, memoized on one int that holds the
+    arrivals still to come and every node's reference list (see
+    ``_enum_states``).  The state fixes the value, so one memo serves every
     split of the call (see ``EXACT_ENUM_LIMIT`` for its measured size),
     instead of walking all C(n, t) * t! arrival orders (109600 leaves at
     n = 8).  A state's value is computed the same way whichever split
-    reaches it first, so sharing changes no bit of the result."""
+    reaches it first, so sharing changes no bit of the result.  A node's
+    field is at most 2n bits wide whatever its capacity, so neither time
+    nor memory grows with capacity."""
     _check_p(p)
     pre = inst.pre()
     n = pre.n_real
     _check_enumerable(n)
+    lighter, starts = _enum_states(pre, padding)
+    w = pre.w_by_rank
     contribs: list[float] = []
     probs: list[float] = []
     memo: dict = {}
-    for mask in range(1 << n):  # set bit r: rank r arrives in the selection phase
+    for mask, state in enumerate(starts):
         t = mask.bit_count()
         prob = (1.0 - p) ** (n - t) * p ** t
         probs.append(prob)
         if t == 0:
             continue
-        in_s = [not ((mask >> r) & 1) for r in range(n)]
-        refs = tuple(map(tuple, _ref_rank_lists(pre, in_s, padding)))
-        contribs.append(prob * _expected_rest(pre, mask, refs, memo))
+        value = memo.get(state)
+        if value is None:
+            value = _expected_rest(state, lighter, w, memo)
+        contribs.append(prob * value)
     return math.fsum(contribs), math.fsum(probs)
 
 

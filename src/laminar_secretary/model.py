@@ -240,17 +240,20 @@ def make_instance(name, elements, nodes, membership) -> LaminarInstance:
     """Validate and assemble an instance; children links are recomputed."""
     if type(name) is not str:
         raise InstanceError(f"name must be a string, got {name!r}")
-    elements = tuple(sorted(elements, key=lambda e: e.id))
+    elements = tuple(elements)
     seen: set[int] = set()
-    for e in elements:
+    for e in elements:  # before the sort, which compares ids
         if type(e.id) is not int or e.id < 0:  # bool is not an id
             raise InstanceError(f"element id must be a non-negative integer: {e.id!r}")
         if e.id in seen:
             raise InstanceError(f"duplicate element id {e.id}")
         seen.add(e.id)
-        if not 0.0 < e.weight < math.inf:
+        # a float, the common case, needs no call
+        w = e.weight if type(e.weight) is float else _weight(e.weight, e.id)
+        if not 0.0 < w < math.inf:
             what = "non-positive" if e.weight <= 0 else "non-finite"
             raise InstanceError(f"element {e.id}: {what} weight {e.weight!r}")
+    elements = tuple(sorted(elements, key=lambda e: e.id))
 
     raw = {}
     for nd in nodes:
@@ -318,7 +321,7 @@ def load_instance(text: str) -> LaminarInstance:
             raise InstanceError(f"missing field '{key}'")
     try:
         elements = [
-            Element(_json_int(e["id"], "element id"), _json_weight(e["weight"], e["id"]))
+            Element(_json_int(e["id"], "element id"), _weight(e["weight"], e["id"]))
             for e in doc["elements"]
         ]
         nodes = [
@@ -347,8 +350,10 @@ def _json_int(value, what: str) -> int:
     raise InstanceError(f"{what} must be an integer, got {value!r}")
 
 
-def _json_weight(value, element_id) -> float:
-    """A JSON number as a float; finiteness is checked by ``make_instance``."""
+def _weight(value, element_id) -> float:
+    """A weight as a float: an int or a float, not a bool, and refused as
+    non-finite when an int is too large for a float.  ``make_instance``
+    checks the range; it keeps the weight it was given."""
     if type(value) is float:
         return value
     if type(value) is int:

@@ -350,6 +350,58 @@ def exact_expectation_by_permutations(inst, p, *, padding=True):
     return math.fsum(contribs), math.fsum(probs)
 
 
+def _expected_rest_by_tuples(pre, remaining, refs, memo):
+    """The recursion of ``exact_expectation_by_tuples``: the state is
+    (arrivals still to come, padded reference lists as rank tuples), and
+    the KickNext step slices a new tuple for every node it passes."""
+    key = (remaining, refs)
+    value = memo.get(key)
+    if value is not None:
+        return value
+    w = pre.w_by_rank
+    acc = []
+    bits = remaining
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        r = low.bit_length() - 1
+        after = list(refs)
+        for b in pre.chain_by_rank[r]:
+            R = after[b]
+            i = bisect_right(R, r)
+            if i == len(R):
+                break
+            after[b] = R[:i] + R[i + 1:]
+        else:
+            acc.append(w[r])
+        if remaining != low:
+            acc.append(_expected_rest_by_tuples(pre, remaining ^ low, tuple(after), memo))
+    value = math.fsum(acc) / remaining.bit_count()
+    memo[key] = value
+    return value
+
+
+def exact_expectation_by_tuples(inst, p, *, padding=True):
+    """Reference for ``exact_expectation`` with the same splits, the same
+    recursion order and the same sums, on tuple states.  Returns
+    (expected_weight, total_probability, memo_size)."""
+    pre = inst.pre()
+    n = pre.n_real
+    contribs = []
+    probs = []
+    memo = {}
+    for mask in range(1 << n):  # set bit r: rank r arrives in the selection phase
+        t = mask.bit_count()
+        prob = (1.0 - p) ** (n - t) * p ** t
+        probs.append(prob)
+        if t == 0:
+            continue
+        in_s = [not ((mask >> r) & 1) for r in range(n)]
+        refs = tuple(map(tuple, _ref_rank_lists(pre, in_s, padding)))
+        contribs.append(prob * _expected_rest_by_tuples(pre, mask, refs, memo))
+    return math.fsum(contribs), math.fsum(probs), len(memo)
+
+
 def enumerable_suite():
     """Twenty enumeration-friendly instances (n <= 7) across all families."""
     specs = [

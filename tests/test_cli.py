@@ -312,6 +312,18 @@ def test_exact_ratio_is_printed_weight_over_optimum(four_file, capsys):
     assert ratio == expected / w_opt
 
 
+@pytest.mark.parametrize("padding", [[], ["--no-padding"]])
+def test_exact_at_a_huge_capacity(tmp_path, capsys, padding):
+    # one node of capacity 10^9 over six elements: no list of capacity length
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "name": "huge", "elements": [{"id": i, "weight": 1.0 + i} for i in range(6)],
+        "nodes": [{"id": 0, "capacity": 10 ** 9, "parent": None}],
+        "membership": {str(i): 0 for i in range(6)}}))
+    assert main(["exact", str(path), "--p", "0.2", *padding]) == 0
+    assert capsys.readouterr().out.startswith("exact expected weight")
+
+
 def test_exact_size_guard_exit_2(tmp_path, capsys):
     path = tmp_path / "nine.json"
     assert main(["gen", "--family", "random_tree", "--n", "9", "--seed", "1",

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,7 @@ from helpers import (
     allkicked_frequency_by_trace,
     dominance_by_scan,
     exact_expectation_by_permutations,
+    exact_expectation_by_tuples,
     family_instance,
     four_element,
     mixed_instances,
@@ -128,6 +130,57 @@ class TestExactRecursion:
         ref_expected, ref_mass = exact_expectation_by_permutations(inst, p, padding=padding)
         assert abs(expected - ref_expected) <= 1e-12 * abs(ref_expected)
         assert mass == ref_mass
+
+
+def _exact_and_memo_size(monkeypatch, inst, p, padding):
+    """``exact_expectation`` of the instance, and the size of the one memo
+    its recursion filled."""
+    memos = []
+    real = experiments._expected_rest
+
+    def spy(state, lighter, w, memo):
+        memos.append(memo)
+        return real(state, lighter, w, memo)
+
+    monkeypatch.setattr(experiments, "_expected_rest", spy)
+    expected, mass = exact_expectation(inst, p, padding=padding)
+    monkeypatch.undo()
+    assert all(m is memos[0] for m in memos)
+    return expected, mass, len(memos[0])
+
+
+class TestExactBitStates:
+    """The recursion on one int per state against the tuple-state recursion
+    it replaced, kept in ``helpers``: the same bits and the same states."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(FAMILIES, st.integers(1, 8), st.integers(0, 10_000),
+           st.sampled_from((0.05, 0.08, 0.2, 0.45)), st.booleans())
+    def test_equals_the_tuple_recursion(self, family, n, seed, p, padding):
+        inst = family_instance(family, n, seed)
+        expected, mass = exact_expectation(inst, p, padding=padding)
+        assert (expected, mass) == exact_expectation_by_tuples(inst, p, padding=padding)[:2]
+
+    @pytest.mark.parametrize("padding", [True, False])
+    @pytest.mark.parametrize("family,seed", [("uniform", 8), ("partition", 18), ("chain", 28),
+                                             ("random_tree", 38)])
+    def test_same_memo_size_at_eight(self, monkeypatch, family, seed, padding):
+        inst = family_instance(family, 8, seed)
+        got = _exact_and_memo_size(monkeypatch, inst, 0.08, padding)
+        assert got == exact_expectation_by_tuples(inst, 0.08, padding=padding)
+
+    @pytest.mark.parametrize("padding", [True, False])
+    def test_capacity_does_not_drive_the_cost(self, padding):
+        weights = [3.0, 1.0, 4.0, 1.5, 5.0, 9.0]
+        small = exact_expectation(rank1(weights, capacity=6), 0.2, padding=padding)
+        huge = rank1(weights, capacity=10 ** 9)
+        tracemalloc.start()
+        try:
+            assert exact_expectation(huge, 0.2, padding=padding) == small
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -720,10 +773,9 @@ class TestWorkCounts:
         monkeypatch.setattr(experiments, "_expected_rest", counted)
         exact_expectation(inst, 0.08)
         shared, calls = calls, 0
-        for mask in range(1, 1 << pre.n_real):
-            in_s = [not ((mask >> r) & 1) for r in range(pre.n_real)]
-            refs = tuple(map(tuple, _ref_rank_lists(pre, in_s, True)))
-            experiments._expected_rest(pre, mask, refs, {})
+        lighter, starts = experiments._enum_states(pre, True)
+        for state in starts[1:]:
+            experiments._expected_rest(state, lighter, pre.w_by_rank, {})
         assert shared < calls
 
 

@@ -198,8 +198,23 @@ class TestLoadRejects:
     def test_make_instance_checks_too(self):
         with pytest.raises(InstanceError, match="non-finite weight"):
             make_instance("x", [Element(0, math.inf)], [FamilyNode(0, 1, None)], {0: 0})
+        with pytest.raises(InstanceError, match="non-finite weight"):
+            make_instance("x", [Element(0, 10 ** 400)], [FamilyNode(0, 1, None)], {0: 0})
         with pytest.raises(InstanceError, match="capacity must be an integer"):
             make_instance("x", [Element(0, 1.0)], [FamilyNode(0, 1.5, None)], {0: 0})
+
+    def test_make_instance_checks_ids_before_sorting(self):
+        elements = [Element(1, 1.0), Element("0", 2.0)]
+        with pytest.raises(InstanceError, match="element id must be a non-negative integer: '0'"):
+            make_instance("x", elements, [FamilyNode(0, 1, None)], {1: 0, "0": 0})
+
+    def test_make_instance_refuses_a_string_weight(self):
+        with pytest.raises(InstanceError, match="element 0: weight must be a number, got '2.5'"):
+            make_instance("x", [Element(0, "2.5")], [FamilyNode(0, 1, None)], {0: 0})
+
+    def test_make_instance_refuses_a_bool_weight(self):
+        with pytest.raises(InstanceError, match="element 0: weight must be a number, got True"):
+            make_instance("x", [Element(0, True)], [FamilyNode(0, 1, None)], {0: 0})
 
 
 @given(st.sampled_from(("uniform", "partition", "chain", "random_tree")),
