@@ -10,7 +10,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from laminar_secretary import best_p, p_grid, ratio_lower_bound, theory_params
+from laminar_secretary import best_p, p_grid
+from laminar_secretary.theory import _theory_csv
 
 
 def main():
@@ -23,17 +24,13 @@ def main():
         grid = p_grid(args.step)
     except ValueError as exc:
         ap.exit(2, f"error: {exc}\n")
-    lines = ["p,alpha,c,ratio_lower_bound"]
-    for p in grid:
-        t = theory_params(p)
-        lines.append(f"{p!r},{t.alpha!r},{t.c!r},{ratio_lower_bound(p)!r}")
-    text = "\n".join(lines) + "\n"
+    text = _theory_csv(grid)
     if args.csv:
         try:
             Path(args.csv).write_text(text)
         except OSError as exc:
             ap.exit(2, f"error: cannot write {args.csv}: {exc}\n")
-        print(f"wrote {len(lines) - 1} rows to {args.csv}")
+        print(f"wrote {len(grid)} rows to {args.csv}")
     else:
         sys.stdout.write(text)
 

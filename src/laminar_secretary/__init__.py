@@ -21,7 +21,6 @@ from .matroid import (
 )
 from .kicknext import (
     BreakRecord,
-    RunConfig,
     RunResult,
     TraceEvent,
     Trial,

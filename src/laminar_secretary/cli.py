@@ -26,10 +26,10 @@ from .experiments import (
     verify_report,
 )
 from .generators import FAMILIES, WEIGHTS, GenSpec, generate
-from .kicknext import RunConfig, make_trial, run_kicknext, trace_csv
+from .kicknext import make_trial, run_kicknext, trace_csv
 from .matroid import greedy_opt
 from .model import InstanceError, dump_instance, load_instance
-from .theory import p_grid, ratio_lower_bound, theory_params
+from .theory import _theory_csv, p_grid
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,8 +137,7 @@ def _cmd_opt(args) -> int:
 def _cmd_run(args) -> int:
     inst = _load(args.file)
     trial = make_trial(inst, args.p, args.seed)
-    config = RunConfig(padding=not args.no_padding, trace=args.trace)
-    result = run_kicknext(inst, trial, config)
+    result = run_kicknext(inst, trial, padding=not args.no_padding)
     if args.trace:
         _emit(trace_csv(result), args.output)
         if args.output is None:
@@ -185,11 +184,7 @@ def _cmd_theory(args) -> int:
         raise ValueError("--p-max and --step need --p-min")
     else:
         grid = [0.08]
-    lines = ["p,alpha,c,ratio_lower_bound"]
-    for p in grid:
-        t = theory_params(p)
-        lines.append(f"{p!r},{t.alpha!r},{t.c!r},{ratio_lower_bound(p)!r}")
-    text = "\n".join(lines) + "\n"
+    text = _theory_csv(grid)
     if args.csv:
         _write(args.csv, text)
     sys.stdout.write(text)

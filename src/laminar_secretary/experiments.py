@@ -34,7 +34,9 @@ own trial loops, so each returns what its part of the report holds.
 The backward-rank dominance step costs what a trial changes, not n: the
 weak check compares each node's sample optimum with OPT entry by entry, and
 the optimum and strict checks read only the trial's arrivals along their
-chains (see ``_Dominance``).
+chains (see ``_Dominance``).  Ids appear only in the printed witnesses,
+each the least example by (trial, node index, rank), so relabelling the ids
+without changing the weight order changes no more than the ids printed.
 
 The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
@@ -661,8 +663,9 @@ class _Dominance:
     """Backward-rank dominance of sample optima, in the padded view, in three
     steps: set up once per instance, ``step`` once per trial on its fresh
     reference lists and its arrivals, ``checks`` at the end.  The first
-    example reported is the least by (trial, node index, position in
-    ``inst.members`` order).
+    example reported is the least by (trial, node index, rank), so it
+    depends on the weight order alone, not on how ids are chosen or how a
+    set of them iterates.
 
     The weak check compares the sample optimum with OPT entry by entry.  A
     padded list holds ``mu[b]`` ranks, so a member r of node b has a smaller
@@ -676,18 +679,13 @@ class _Dominance:
     costs O(nodes + OPT's entries + the arrivals' chain lengths), not
     O(n)."""
 
-    def __init__(self, inst: LaminarInstance, pre, opt):
+    def __init__(self, pre, opt):
         self.pre = pre
         self.opt = opt
-        self.members = [[pre.rank_by_id[eid] for eid in inst.members(nid)]
-                        for nid in pre.node_ids]
-        position = [dict(zip(rs, range(len(rs)))) for rs in self.members]
         # per rank, per node of its chain: the backward rank against OPT,
-        # which no trial changes, and the rank's place in the node's members
+        # which no trial changes
         self.bu_by_rank = [tuple(_global_brank(pre, opt, b, r) for b in ch)
                            for r, ch in enumerate(pre.chain_by_rank)]
-        self.pos_by_rank = [tuple(position[b][r] for b in ch)
-                            for r, ch in enumerate(pre.chain_by_rank)]
         self.in_opt = [set(rs) for rs in opt]
         self.weak_witness = ""  # first failures, as in ``_exact_lemma_checks``
         self.member_witness = ""
@@ -700,38 +698,38 @@ class _Dominance:
             self.weak_witness = self._weak_witness(t_idx, refs)
         want_member = not self.member_witness
         want_strict = not self.strict_example
-        member = strict = None  # this trial's least (node, position, ...)
+        member = strict = None  # this trial's least (node, rank, ...)
         violations = 0
         for r in order:
-            for b, bu, pos in zip(pre.chain_by_rank[r], self.bu_by_rank[r], self.pos_by_rank[r]):
+            for b, bu in zip(pre.chain_by_rank[r], self.bu_by_rank[r]):
                 R = refs[b]
                 bs = len(R) - bisect_right(R, r)  # ``_padded_brank(R, r)``, inlined
                 if bs > bu:
                     continue
                 if r in self.in_opt[b]:
-                    if want_member and (member is None or (b, pos) < member[:2]):
-                        member = (b, pos, r, bs, bu)
+                    if want_member and (member is None or (b, r) < member[:2]):
+                        member = (b, r, bs, bu)
                 else:
                     violations += 1
-                    if want_strict and (strict is None or (b, pos) < strict[:2]):
-                        strict = (b, pos, r)
+                    if want_strict and (strict is None or (b, r) < strict):
+                        strict = (b, r)
         self.strict_violations += violations
         if member is not None:
-            b, _, r, bs, bu = member
+            b, r, bs, bu = member
             self.member_witness = (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
                                    f"node {pre.node_ids[b]}: {bs} < {bu}+1")
         if strict is not None:
-            b, _, r = strict
+            b, r = strict
             self.strict_example = (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
                                    f"node {pre.node_ids[b]}")
 
     def _weak_witness(self, t_idx: int, refs: list[list[int]]) -> str:
         """The trial's first weak violation, or ``""``: the first failing
-        node, scanned in member order."""
+        node, scanned heaviest member first."""
         pre, opt = self.pre, self.opt
         for b, (O, R) in enumerate(zip(opt, refs)):
             if bisect_left(R, pre.n_real) > len(O) or any(map(gt, O, R)):
-                for r in self.members[b]:
+                for r in pre.members(b):
                     bs = _padded_brank(R, r)
                     bu = _global_brank(pre, opt, b, r)
                     if bs < bu:
@@ -763,7 +761,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     pre = inst.pre()
     opt = _global_optima(pre)
     checks = _exact_lemma_checks(inst, pre, opt, params.c)
-    dominance = _Dominance(inst, pre, opt)
+    dominance = _Dominance(pre, opt)
     for t_idx, (_, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
         dominance.step(t_idx, order, refs)
     return checks + dominance.checks(trials)
@@ -789,7 +787,7 @@ def verify_report(inst: LaminarInstance, p: float, trials: int,
     pre = inst.pre()
     opt = _global_optima(pre)
     lemma_trials = min(trials, LEMMA_TRIALS)
-    dominance = _Dominance(inst, pre, opt)
+    dominance = _Dominance(pre, opt)
     failures = _EvictionFailures(pre, opt)
     weights = []
     for t_idx, (_, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):

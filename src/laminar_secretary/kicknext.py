@@ -57,12 +57,6 @@ class Trial:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    padding: bool = True
-    trace: bool = False
-
-
-@dataclass(frozen=True)
 class TraceEvent:
     step: int
     element: int
@@ -90,7 +84,7 @@ class RunResult:
     initial_refsets: dict[int, tuple[int, ...]]
     final_refsets: dict[int, tuple[int, ...]]
     breaks: dict[int, BreakRecord]
-    events: tuple[TraceEvent, ...] | None = None
+    events: tuple[TraceEvent, ...]
 
 
 def make_trial(inst: LaminarInstance, p: float, seed: int) -> Trial:
@@ -193,14 +187,8 @@ def reference_sets(inst: LaminarInstance, sample, padding: bool = True) -> dict[
     Virtual padding elements get fresh ids above every real id."""
     pre = inst.pre()
     refs = _ref_rank_lists(pre, _rank_flags(pre, sample), padding)
-    out = {}
-    for b, ranks in enumerate(refs):
-        ids = [
-            pre.ids_by_rank[r] if r < pre.n_real else pre.virtual_id(r)
-            for r in reversed(ranks)
-        ]
-        out[pre.node_ids[b]] = ids
-    return out
+    return {pre.node_ids[b]: [pre.id_of(r) for r in reversed(ranks)]
+            for b, ranks in enumerate(refs)}
 
 
 def _arrive(refs: list[list[int]], chain: Sequence[int], r: int) -> list[int]:
@@ -237,21 +225,18 @@ def _run_weight(pre, refs: list[list[int]], order_ranks) -> float:
     return total
 
 
-def run_kicknext(inst: LaminarInstance, trial: Trial, config: RunConfig = RunConfig()) -> RunResult:
+def run_kicknext(inst: LaminarInstance, trial: Trial, *, padding: bool = True) -> RunResult:
     """Execute one full run and report per-node acceptances, reference-set
-    evolution, break records, and (optionally) the per-step event trace."""
+    evolution, break records and the per-step event trace."""
     pre = inst.pre()
     in_s = _rank_flags(pre, trial.sample_set)
     order_ranks = [pre.rank_by_id[eid] for eid in trial.arrival_order]
 
-    refs = _ref_rank_lists(pre, in_s, config.padding)
+    refs = _ref_rank_lists(pre, in_s, padding)
     initial = [tuple(x) for x in refs]
     sol: list[list[int]] = [[] for _ in pre.mu]
     breaks: dict[int, BreakRecord] = {}
-    events: list[TraceEvent] | None = [] if config.trace else None
-
-    def as_id(rank: int) -> int:
-        return pre.ids_by_rank[rank] if rank < pre.n_real else pre.virtual_id(rank)
+    events: list[TraceEvent] = []
 
     for step, r in enumerate(order_ranks):
         eid = pre.ids_by_rank[r]
@@ -259,17 +244,15 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, config: RunConfig = RunCon
         evicted = _arrive(refs, ch, r)
         for b, x in zip(ch, evicted):
             sol[b].append(r)
-            if events is not None:
-                events.append(TraceEvent(step, eid, pre.node_ids[b], "accept",
-                                         as_id(x), x >= pre.n_real))
+            events.append(TraceEvent(step, eid, pre.node_ids[b], "accept",
+                                     pre.id_of(x), x >= pre.n_real))
         if len(evicted) < len(ch):
             b = ch[len(evicted)]
             breaks[eid] = BreakRecord(pre.node_ids[b], step, sum(1 for x in initial[b] if x > r))
-            if events is not None:
-                events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
+            events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
 
     def ids_ascending_weight(ranks) -> tuple[int, ...]:
-        return tuple(as_id(r) for r in sorted(ranks, reverse=True))
+        return tuple(map(pre.id_of, sorted(ranks, reverse=True)))
 
     return RunResult(
         sol_root=tuple(pre.ids_by_rank[r] for r in sol[pre.root_idx]),
@@ -277,7 +260,7 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, config: RunConfig = RunCon
         initial_refsets={pre.node_ids[b]: ids_ascending_weight(initial[b]) for b in range(len(initial))},
         final_refsets={pre.node_ids[b]: ids_ascending_weight(refs[b]) for b in range(len(refs))},
         breaks=breaks,
-        events=tuple(events) if events is not None else None,
+        events=tuple(events),
     )
 
 
@@ -303,8 +286,6 @@ def qualifies(inst: LaminarInstance, element_id: int, node_id: int,
 def trace_csv(result: RunResult) -> str:
     """Event log as CSV: step, element_id, node_id, action, evicted_id,
     evicted_virtual."""
-    if result.events is None:
-        raise ValueError("run was executed without trace=True")
     lines = ["step,element_id,node_id,action,evicted_id,evicted_virtual"]
     for ev in result.events:
         evicted = "" if ev.evicted is None else str(ev.evicted)

@@ -24,6 +24,7 @@ purely as a cross-check oracle for small inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -145,7 +146,8 @@ def brank(inst: LaminarInstance, element_id: int, node_id: int, subset=None) -> 
     b = pre.node_idx(node_id)
     if pre.upto(r, b) is None:
         raise InstanceError(f"element {element_id} is not contained in node {node_id}")
-    return sum(1 for c in _optimum_ranks(pre, subset, b) if c > r)
+    opt = _optimum_ranks(pre, subset, b)  # ascending ranks
+    return len(opt) - bisect_right(opt, r)
 
 
 def brute_force_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimum:

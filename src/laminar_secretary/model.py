@@ -155,8 +155,10 @@ class _Pre:
         d = self.depth[b]
         return [r for r, ch in enumerate(self.chain_by_rank) if len(ch) > d and ch[-1 - d] == b]
 
-    def virtual_id(self, vrank: int) -> int:
-        return self.max_id + 1 + (vrank - self.n_real)
+    def id_of(self, r: int) -> int:
+        """The id of real or virtual rank ``r``: virtual ranks take fresh ids
+        above every real id, in rank order."""
+        return self.ids_by_rank[r] if r < self.n_real else self.max_id + 1 + (r - self.n_real)
 
     def rank_of(self, element_id: int) -> int:
         r = self.rank_by_id.get(element_id)

@@ -25,7 +25,8 @@ natural.
 Backward ranks are counted in rank space by ``_padded_brank``, and against
 the unpadded global optima OPT of ``matroid._global_optima`` by
 ``_global_brank``.  ``p_grid`` is the one grid of p values; it raises
-``ValueError`` on a bad step or range.
+``ValueError`` on a bad step or range.  ``_theory_csv`` is the one table of
+the guarantee over a grid, for CLI ``theory`` and ``scripts/theory_sweep.py``.
 """
 
 from __future__ import annotations
@@ -172,6 +173,16 @@ def ratio_lower_bound(p: float) -> float:
     p * (1 - 2 alpha c / (1-c)^2)."""
     t = theory_params(p)
     return p * (1.0 - 2.0 * t.alpha * t.c / (1.0 - t.c) ** 2)
+
+
+def _theory_csv(grid) -> str:
+    """The guarantee table of CLI ``theory`` and ``scripts/theory_sweep.py``:
+    a header, then p, alpha, c and the ratio guarantee per point of ``grid``."""
+    lines = ["p,alpha,c,ratio_lower_bound"]
+    for p in grid:
+        t = theory_params(p)
+        lines.append(f"{p!r},{t.alpha!r},{t.c!r},{ratio_lower_bound(p)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def p_grid(step: float, p_min: float | None = None, p_max: float | None = None) -> list[float]:

@@ -16,7 +16,6 @@ from laminar_secretary import (
     FamilyNode,
     GenSpec,
     InstanceError,
-    RunConfig,
     allkicked_bound,
     brank,
     derive_seed,
@@ -222,7 +221,7 @@ def allkicked_frequency_by_trace(inst, p, trials, master_seed, *, padding=True):
     seen = defaultdict(int)
     for t_idx in range(trials):
         trial = make_trial(inst, p, derive_seed(master_seed, t_idx))
-        res = run_kicknext(inst, trial, RunConfig(padding=padding, trace=True))
+        res = run_kicknext(inst, trial, padding=padding)
         arrived = {eid: s for s, eid in enumerate(trial.arrival_order)}
         ev_by_node = defaultdict(list)
         for ev in res.events:
@@ -291,13 +290,13 @@ def qualifying_counts_by_ids(inst, node_id, element_id, sample):
 
 def dominance_by_scan(inst, trials):
     """Reference for ``experiments._Dominance``: the backward-rank dominance
-    checks by a scan of every node's members, in ``inst.members`` order, on
-    every trial.  ``trials`` holds (in_s, refs) pairs, refs padded.  Returns
+    checks by a scan of every node's members, heaviest first, on every
+    trial.  ``trials`` holds (in_s, refs) pairs, refs padded.  Returns
     (weak_witness, member_witness, strict_violations, strict_example)."""
     pre = inst.pre()
     opt = _global_optima(pre)
     ids = pre.ids_by_rank
-    members = [[pre.rank_by_id[eid] for eid in inst.members(nid)] for nid in pre.node_ids]
+    members = [pre.members(b) for b in range(len(pre.node_ids))]
     bu_by_node = [[_global_brank(pre, opt, b, r) for r in rs] for b, rs in enumerate(members)]
     in_opt_by_node = [set(rs) for rs in opt]
     weak_witness = member_witness = strict_example = ""

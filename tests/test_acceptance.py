@@ -11,7 +11,6 @@ import pytest
 
 from laminar_secretary import (
     GenSpec,
-    RunConfig,
     allkicked_frequency,
     best_p,
     brute_force_opt,
@@ -113,7 +112,7 @@ def test_criterion_4_feasibility_suite(capsys):
         for t in range(trials_per):
             trace = t % 20 == 0
             trial = make_trial(inst, 0.08, 40_000 + idx * trials_per + t)
-            res = run_kicknext(inst, trial, RunConfig(padding=True, trace=trace))
+            res = run_kicknext(inst, trial, padding=True)
             total += 1
             try:
                 check_run_invariants(inst, res)

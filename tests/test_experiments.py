@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -652,7 +653,7 @@ def _dominance(inst, trials):
     """``_Dominance`` driven over (in_s, order, refs) trials, its four
     outcomes in the order ``dominance_by_scan`` returns them."""
     pre = inst.pre()
-    dominance = experiments._Dominance(inst, pre, _global_optima(pre))
+    dominance = experiments._Dominance(pre, _global_optima(pre))
     for t_idx, (_, order, refs) in enumerate(trials):
         dominance.step(t_idx, order, refs)
     return (dominance.weak_witness, dominance.member_witness,
@@ -739,13 +740,30 @@ class TestDominance:
         assert _dominance(inst, trials) == _scan(inst, trials)
         assert _dominance(inst, trials)[0] == "trial 0, element 3, node 0: 0 < 1"
 
+    def test_witnesses_do_not_depend_on_the_ids(self):
+        # ids times 7 keep the weight order, ties included, but the root's
+        # member frozenset iterates in another order
+        inst = family_instance("uniform", 6, 3)
+        relabelled = make_instance(inst.name, [Element(7 * e.id, e.weight) for e in inst.elements],
+                                   inst.nodes, {7 * e: b for e, b in inst.membership.items()})
+        root = inst.root_id
+        assert list(inst.members(root)) != [x // 7 for x in relabelled.members(root)]
+
+        def details(report, scale):
+            return [re.sub(r"element (\d+)", lambda m: f"element {int(m[1]) // scale}", c.detail)
+                    for c in report.lemma_checks]
+
+        want = details(verify_report(inst, 0.2, 40, 7), 1)
+        assert "(first: trial 0, element" in want[-1]
+        assert details(verify_report(relabelled, 0.2, 40, 7), 7) == want
+
 
 class TestWorkCounts:
     def test_dominance_step_reads_only_the_arrivals(self, monkeypatch):
         inst = generate(GenSpec("partition", 2000, 5, parts=40, part_capacity=3))
         pre = inst.pre()
         _, order, refs = next(_trials(pre, 0.08, 11, 0, 1, True))
-        dominance = experiments._Dominance(inst, pre, _global_optima(pre))
+        dominance = experiments._Dominance(pre, _global_optima(pre))
         calls = 0
         bisect_right = experiments.bisect_right
 

@@ -1,4 +1,5 @@
-"""Every module-level import of the package modules is used.
+"""Every module-level import of the package modules and of ``scripts/`` is
+used.
 
 A stdlib ``ast`` check: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere else in the same module.  The
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "laminar_secretary"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "laminar_secretary"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> list[str]:
@@ -32,9 +35,11 @@ def used_names(tree: ast.Module) -> set[str]:
 
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "experiments.py", "kicknext.py"}
+    assert {p.name for p in SCRIPTS} >= {"ratio_experiment.py", "theory_sweep.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: p.name if p.parent == SRC else f"scripts/{p.name}")
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = [name for name in imported_names(tree) if name not in used_names(tree)]

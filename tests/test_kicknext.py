@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from laminar_secretary import (
     GenSpec,
     InstanceError,
-    RunConfig,
     Trial,
     derive_seed,
     generate,
@@ -241,10 +240,10 @@ class TestRunExample:
     node and 1 at the root; element 2 evicts 3 at the root.
     """
 
-    def _run(self, trace=True):
+    def _run(self):
         inst = four_element()
         trial = Trial(0, 0.5, frozenset({1, 3}), (0, 2))
-        return inst, run_kicknext(inst, trial, RunConfig(padding=True, trace=trace))
+        return inst, run_kicknext(inst, trial, padding=True)
 
     def test_solution(self):
         inst, res = self._run()
@@ -273,11 +272,11 @@ class TestRunExample:
         assert lines[1] == "0,0,1,accept,1,0"
         assert len(lines) == 4
 
-    def test_trace_requires_flag(self):
-        _, res = self._run(trace=False)
-        assert res.events is None
-        with pytest.raises(ValueError, match="trace"):
-            trace_csv(res)
+    def test_every_run_records_its_events(self):
+        inst, res = self._run()
+        plain = run_kicknext(inst, Trial(0, 0.5, frozenset({1, 3}), (0, 2)))
+        assert plain.events == res.events and len(plain.events) == 3
+        assert trace_csv(plain) == trace_csv(res)
 
 
 class TestRunEdges:
@@ -289,7 +288,7 @@ class TestRunEdges:
     def test_single_node_upgrade(self):
         inst = rank1([9.0, 1.0])
         trial = Trial(0, 0.5, frozenset({1}), (0,))
-        res = run_kicknext(inst, trial, RunConfig(trace=True))
+        res = run_kicknext(inst, trial)
         assert res.sol_root == (0,)
         assert res.final_refsets[0] == ()
 
@@ -304,7 +303,7 @@ class TestRunEdges:
             [10.0, 9.0, 5.0, 1.0, 2.0],
         )
         trial = Trial(0, 0.5, frozenset({3, 4}), (0, 1, 2))
-        res = run_kicknext(inst, trial, RunConfig(padding=True, trace=True))
+        res = run_kicknext(inst, trial, padding=True)
         assert res.sol_root == (0, 1)
         assert res.sol_per_node[1] == (2,)
         assert res.breaks[2].node == 0
@@ -314,19 +313,19 @@ class TestRunEdges:
     def test_unpadded_break_with_empty_reference(self):
         inst = rank1([5.0])
         trial = Trial(0, 0.5, frozenset(), (0,))
-        res = run_kicknext(inst, trial, RunConfig(padding=False, trace=True))
+        res = run_kicknext(inst, trial, padding=False)
         assert res.sol_root == ()
         assert res.breaks[0].node == 0
         assert res.breaks[0].initial_below == 0
         # with padding the virtual slot lets it in
-        res = run_kicknext(inst, trial, RunConfig(padding=True))
+        res = run_kicknext(inst, trial, padding=True)
         assert res.sol_root == (0,)
 
     def test_determinism(self):
         inst = generate(GenSpec("random_tree", n=10, seed=3))
         trial = make_trial(inst, 0.2, 99)
-        a = run_kicknext(inst, trial, RunConfig(trace=True))
-        b = run_kicknext(inst, trial, RunConfig(trace=True))
+        a = run_kicknext(inst, trial)
+        b = run_kicknext(inst, trial)
         assert a == b
 
 
@@ -336,7 +335,7 @@ class TestRunInvariants:
             opt_ids = greedy_opt(inst, None, inst.root_id).ids
             for t in range(40):
                 trial = make_trial(inst, 0.15, 7_000 + t)
-                res = run_kicknext(inst, trial, RunConfig(padding=True, trace=True))
+                res = run_kicknext(inst, trial, padding=True)
                 check_run_invariants(inst, res)
                 replay_events(inst, res)
                 # failure characterization: an arriving optimum element is
@@ -348,7 +347,7 @@ class TestRunInvariants:
         for inst in mixed_instances(6, seed0=950):
             for t in range(20):
                 trial = make_trial(inst, 0.3, 11_000 + t)
-                res = run_kicknext(inst, trial, RunConfig(padding=False, trace=True))
+                res = run_kicknext(inst, trial, padding=False)
                 check_run_invariants(inst, res)
                 replay_events(inst, res)
 
@@ -383,7 +382,7 @@ class TestQualifies:
             for t in range(20):
                 trial = make_trial(inst, 0.25, t)
                 refs = reference_sets(inst, trial.sample_set, padding=True)
-                res = run_kicknext(inst, trial, RunConfig(padding=True))
+                res = run_kicknext(inst, trial, padding=True)
                 for eid in res.sol_root:
                     assert qualifies(inst, eid, inst.root_id, refs)
 

@@ -11,7 +11,9 @@ from laminar_secretary import (
     GenSpec,
     InstanceError,
     dump_instance,
+    exact_ratio,
     generate,
+    greedy_opt,
     is_independent,
     load_instance,
     make_instance,
@@ -282,6 +284,17 @@ class TestNormalize:
         for mask in range(1 << len(ids)):
             subset = {ids[i] for i in range(len(ids)) if (mask >> i) & 1}
             assert is_independent(inst, subset) == is_independent(norm, subset)
+
+    def test_keeps_the_optimum_but_changes_the_run(self):
+        # node 1 has the root's capacity, so it binds nothing, but its
+        # reference list is one more step of every walk from inside it
+        inst = tree("nested", [(0, 2, None), (1, 2, 0)], {0: 1, 1: 1, 2: 1, 3: 0, 4: 1},
+                    [5.0, 4.0, 3.0, 2.0, 1.0])
+        norm = normalize_family(inst)
+        assert [nd.id for nd in norm.nodes] == [0]
+        assert greedy_opt(norm, None, 0).weight == greedy_opt(inst, None, 0).weight == 9.0
+        assert exact_ratio(inst, 0.2) == pytest.approx(0.2021925925925926, abs=1e-12)
+        assert exact_ratio(norm, 0.2) == pytest.approx(0.2054162962962963, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     def test_idempotent(self, seed):

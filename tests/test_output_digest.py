@@ -22,7 +22,7 @@ from laminar_secretary.kicknext import _sample_ids
 from helpers import family_instance
 
 DIGEST = "7d698a3a338e4dc16cdff626fa174b908c7665dd3ba179948af8c12bc911095c"
-VERIFY_DIGEST = "88eb67db033a08836ce90dc227da9c2edd9c445419a1f094b74b4d51d5862230"
+VERIFY_DIGEST = "e920ed8301f179bc0ed2156c4193ff8ae5b7bc26b60aec4dde1f102b9c60c644"
 EXACT_DIGEST = "c050f24d03b56d3e612dba1f16f274a5067e23c52b09a5d5abc5fcff3c78752e"
 
 FAMILIES = ("uniform", "partition", "chain", "random_tree")
