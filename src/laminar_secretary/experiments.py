@@ -12,9 +12,11 @@ chunking.
 
 The Monte Carlo ratio and the checks take trials from ``_trials``, as
 sample flags, arrival ranks and fresh reference lists (ascending rank
-lists); arrivals walk them by ``kicknext._arrive``, and every backward
-rank, eviction-failure event and qualifying slot is read by
-``theory._padded_brank``, inlined in the dominance checks' inner loop.  Up
+lists, padded to the ``_Pre.slots`` a walk can reach); arrivals walk them
+by ``kicknext._arrive``.  An eviction-failure event is a zero
+``theory._padded_brank``; a dominance check's backward rank and a qualifying
+slot are capacity-padded, ``mu[b] - bisect_right(R, r)``, as every slot a
+list leaves out is virtual.  Up
 to ``SMALL_N`` elements, draws repeat often, and the Monte Carlo ratio
 memoizes each arrival order's weight, which the order fixes.  The
 reference lists and the whole ground set's optima OPT, which the ratio
@@ -42,7 +44,7 @@ The exact expectation sums over every sample split, and within a split
 recurses over the next arrival: KickNext's future depends only on the
 arrivals still to come and the current reference lists, so the recursion is
 memoized on that pair, held as one int.  Its low n bits are the arrivals to
-come; then each node has a field of n + min(capacity, members) bits, a
+come; then each node has a field of n + ``_Pre.slots`` bits, a
 real rank r at bit r and the j-th virtual slot at bit n + j, so that the
 KickNext step is a mask, a lowest-set-bit and a clear (``_enum_states``).
 The state fixes the value whatever split reached it, so one memo serves
@@ -126,6 +128,15 @@ class RatioEstimate:
 
 @dataclass(frozen=True)
 class AllKickedRow:
+    """One eviction-failure row: an optimum element, a node of its chain,
+    and the event's frequency among the element's arrivals.  ``brank`` is
+    the element's *unpadded* backward rank at the node, the entries of
+    OPT's list there that are lighter than it, and ``bound`` is
+    ``allkicked_bound`` at that rank.  Every other backward rank in the
+    package is capacity-padded; the padded rank here would be larger by the
+    node's unfilled capacity slots, each of which would tighten the bound
+    by a factor c."""
+
     element: int
     node: int
     brank: int
@@ -342,16 +353,15 @@ def _enum_states(pre, padding: bool) -> tuple[list[tuple[int, ...]], list[int]]:
     rank; and the start state of every sample split, indexed by its mask.
 
     Bits 0..n-1 hold the ranks still to arrive.  Node b's field follows,
-    ``n + min(mu[b], members of b)`` bits wide: real rank r at bit r of the
-    field and virtual slot j at bit n + j, so the field's bit order is the
-    padded list's rank order.  A split fills slots k.. of the field, where k
-    is the node's number of real entries: the unpadded lists of
-    ``_ref_rank_lists`` plus one precomputed fill per (node, k).  Arrivals
-    take the lowest free slot, and node b sees at most as many arrivals as
-    it has members, so the slots past that count are never reached and
-    leaving them out keeps every step and break as on the padded list."""
+    ``n + pre.slots[b]`` bits wide: real rank r at bit r of the field and
+    virtual slot j at bit n + j, so the field's bit order is the padded
+    list's rank order, and the field holds the slots that
+    ``_ref_rank_lists`` pads to (``model._Pre`` shows a walk never needs
+    more).  A split fills slots k.. of the field, where k is the node's
+    number of real entries: the unpadded lists of ``_ref_rank_lists`` plus
+    one precomputed fill per (node, k)."""
     n = pre.n_real
-    slots = [min(cap, len(pre.members(b))) for b, cap in enumerate(pre.mu)]
+    slots = pre.slots
     offset = []
     top = n
     for v in slots:
@@ -426,8 +436,9 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     instead of walking all C(n, t) * t! arrival orders (109600 leaves at
     n = 8).  A state's value is computed the same way whichever split
     reaches it first, so sharing changes no bit of the result.  A node's
-    field is at most 2n bits wide whatever its capacity, so neither time
-    nor memory grows with capacity."""
+    field is at most 2n bits wide whatever its capacity, as its padded
+    list holds at most n slots, so neither time nor memory grows with
+    capacity."""
     _check_p(p)
     pre = inst.pre()
     n = pre.n_real
@@ -497,13 +508,13 @@ class _EvictionFailures:
     def rows(self, params) -> list[AllKickedRow]:
         """One row per (optimum element, chain node), lightest element
         first: the event's frequency among the element's arrivals, next to
-        ``allkicked_bound`` at its backward rank against OPT."""
+        ``allkicked_bound`` at its unpadded backward rank against OPT."""
         pre, opt = self.pre, self.opt
         rows = []
         for r in reversed(opt[pre.root_idx]):  # lightest first
             ncond = self.seen[r]
             for b in pre.chain_by_rank[r]:
-                d = _padded_brank(opt[b], r)
+                d = len(opt[b]) - bisect_right(opt[b], r)  # unpadded (see ``AllKickedRow``)
                 freq = self.hits[r, b] / ncond if ncond else 0.0
                 se = math.sqrt(freq * (1.0 - freq) / ncond) if ncond else 0.0
                 rows.append(AllKickedRow(pre.ids_by_rank[r], pre.node_ids[b], d, ncond, freq,
@@ -537,18 +548,21 @@ def _qualifying_members(pre, b: int, skip: int) -> list[tuple[int, tuple[int, ..
 
 
 def _qualifying_counts(pre, b: int, members, in_s: list[bool]) -> list[int]:
-    """Counts per reference slot of node index ``b`` (lightest slot first) of
-    the selection-phase ranks of ``members`` (from ``_qualifying_members``)
-    that qualify for the node: each outweighs the lightest reference slot at
-    every node of its chain up to ``b``, and is counted at the heaviest slot
-    lighter than it."""
+    """Counts per reference slot of node index ``b`` (lightest slot first,
+    one per unit of capacity) of the selection-phase ranks of ``members``
+    (from ``_qualifying_members``) that qualify for the node: each outweighs
+    the lightest reference slot at every node of its chain up to ``b``, and
+    is counted at the heaviest slot lighter than it, its capacity-padded
+    backward rank."""
     refs = _ref_rank_lists(pre, in_s, True)
-    got = [0] * pre.mu[b]
+    cap = pre.mu[b]
+    R = refs[b]
+    got = [0] * cap
     for r, up in members:
         if in_s[r]:
             continue
         if all(refs[x][-1] > r for x in up):
-            got[_padded_brank(refs[b], r) - 1] += 1  # qualifying implies >= 1
+            got[cap - bisect_right(R, r) - 1] += 1  # qualifying implies >= 1
     return got
 
 
@@ -667,9 +681,11 @@ class _Dominance:
     depends on the weight order alone, not on how ids are chosen or how a
     set of them iterates.
 
-    The weak check compares the sample optimum with OPT entry by entry.  A
-    padded list holds ``mu[b]`` ranks, so a member r of node b has a smaller
-    backward rank against the sample's list R than against OPT exactly when
+    The weak check compares the sample optimum with OPT entry by entry.
+    Against either list the capacity-padded backward rank of a member r of
+    node b is ``mu[b] - bisect_right(list, r)``, as every slot up to
+    capacity that a list leaves out is virtual, so r's backward rank
+    against the sample's list R is smaller than against OPT exactly when
     R holds more ranks up to r than OPT does.  That excess peaks at R's real
     entries, which are members of b, so it occurs iff R has more real
     entries than OPT has entries or some OPT entry is lighter than R's entry
@@ -694,6 +710,7 @@ class _Dominance:
 
     def step(self, t_idx: int, order, refs: list[list[int]]) -> None:
         pre = self.pre
+        mu = pre.mu
         if not self.weak_witness:
             self.weak_witness = self._weak_witness(t_idx, refs)
         want_member = not self.member_witness
@@ -703,7 +720,7 @@ class _Dominance:
         for r in order:
             for b, bu in zip(pre.chain_by_rank[r], self.bu_by_rank[r]):
                 R = refs[b]
-                bs = len(R) - bisect_right(R, r)  # ``_padded_brank(R, r)``, inlined
+                bs = mu[b] - bisect_right(R, r)  # capacity-padded
                 if bs > bu:
                     continue
                 if r in self.in_opt[b]:
@@ -730,7 +747,7 @@ class _Dominance:
         for b, (O, R) in enumerate(zip(opt, refs)):
             if bisect_left(R, pre.n_real) > len(O) or any(map(gt, O, R)):
                 for r in pre.members(b):
-                    bs = _padded_brank(R, r)
+                    bs = pre.mu[b] - bisect_right(R, r)  # capacity-padded
                     bu = _global_brank(pre, opt, b, r)
                     if bs < bu:
                         return (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "

@@ -10,8 +10,9 @@ of the rest are ever observed.)
 From the sample, every family node gets a reference set: the sample optimum
 restricted to that node, optionally padded with zero-weight virtual elements
 up to the node's capacity (``matroid._ref_rank_lists`` builds them all in
-one pass).  An arriving element is then pushed through the chain of nodes
-from its minimal set to the root.  At each node it is accepted
+one pass, holding only the ``_Pre.slots`` that a walk can reach).  An
+arriving element is then pushed through the chain of nodes from its
+minimal set to the root.  At each node it is accepted
 iff the reference set still holds some lighter element, in which case the
 *heaviest* reference element lighter than the arrival is evicted; otherwise
 the chain walk stops and the element is rejected from the overall solution.
@@ -79,6 +80,10 @@ class BreakRecord:
 
 @dataclass
 class RunResult:
+    """One run's outcome.  ``initial_refsets`` and ``final_refsets`` hold
+    each node's reference ids lightest first, laid out as
+    ``reference_sets`` lays them out."""
+
     sol_root: tuple[int, ...]
     sol_per_node: dict[int, tuple[int, ...]]
     initial_refsets: dict[int, tuple[int, ...]]
@@ -184,11 +189,17 @@ def _sample_ids(pre, p: float, seed: int):
 
 def reference_sets(inst: LaminarInstance, sample, padding: bool = True) -> dict[int, list[int]]:
     """Per-node reference sets as element ids sorted lightest-first.
-    Virtual padding elements get fresh ids above every real id."""
+    Virtual padding elements get fresh ids above every real id.  A padded
+    set holds ``min(capacity, elements inside the node)`` ids, the slots a
+    run can reach; the virtual ids past that are left out."""
     pre = inst.pre()
-    refs = _ref_rank_lists(pre, _rank_flags(pre, sample), padding)
-    return {pre.node_ids[b]: [pre.id_of(r) for r in reversed(ranks)]
-            for b, ranks in enumerate(refs)}
+    return _id_lists(pre, _ref_rank_lists(pre, _rank_flags(pre, sample), padding), list)
+
+
+def _id_lists(pre, refs, kind) -> dict:
+    """Ascending rank lists per node index as ``kind`` (``list`` or
+    ``tuple``) id sequences per node id, lightest first."""
+    return {nid: kind(map(pre.id_of, reversed(ranks))) for nid, ranks in zip(pre.node_ids, refs)}
 
 
 def _arrive(refs: list[list[int]], chain: Sequence[int], r: int) -> list[int]:
@@ -251,14 +262,11 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, *, padding: bool = True) -
             breaks[eid] = BreakRecord(pre.node_ids[b], step, sum(1 for x in initial[b] if x > r))
             events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
 
-    def ids_ascending_weight(ranks) -> tuple[int, ...]:
-        return tuple(map(pre.id_of, sorted(ranks, reverse=True)))
-
     return RunResult(
         sol_root=tuple(pre.ids_by_rank[r] for r in sol[pre.root_idx]),
         sol_per_node={pre.node_ids[b]: tuple(pre.ids_by_rank[r] for r in sol[b]) for b in range(len(sol))},
-        initial_refsets={pre.node_ids[b]: ids_ascending_weight(initial[b]) for b in range(len(initial))},
-        final_refsets={pre.node_ids[b]: ids_ascending_weight(refs[b]) for b in range(len(refs))},
+        initial_refsets=_id_lists(pre, initial, tuple),
+        final_refsets=_id_lists(pre, refs, tuple),  # the walk keeps each list ascending
         breaks=breaks,
         events=tuple(events),
     )

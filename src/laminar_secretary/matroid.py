@@ -98,12 +98,14 @@ def _greedy_ranks(pre, in_v: list[bool]) -> list[list[int]]:
 
 def _ref_rank_lists(pre, in_s, padding: bool) -> list[list[int]]:
     """Reference sets per node index as ascending rank lists (heaviest
-    first); virtual ranks fill the tail up to capacity when padding."""
+    first).  When padding, virtual ranks fill node b's tail up to
+    ``pre.slots[b]``, the slots a walk can reach, not up to capacity (see
+    ``model._Pre``), so no list grows with capacity."""
     refs = _greedy_ranks(pre, in_s)
     if padding:
         for b, chosen in enumerate(refs):
             base = pre.virtual_rank_base[b]
-            chosen.extend(range(base + len(chosen), base + pre.mu[b]))
+            chosen.extend(range(base + len(chosen), base + pre.slots[b]))
     return refs
 
 

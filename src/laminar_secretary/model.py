@@ -33,8 +33,9 @@ class InstanceError(ValueError):
 
 @dataclass(frozen=True)
 class Element:
-    """A ground-set element.  Capacity padding uses virtual ranks past the
-    real ones (``_Pre.virtual_rank_base``), never an ``Element``."""
+    """A ground-set element.  Padding uses virtual ranks past the real ones,
+    ``_Pre.slots[b]`` of them at most per node from
+    ``_Pre.virtual_rank_base[b]``, never an ``Element``."""
 
     id: int
     weight: float
@@ -62,8 +63,9 @@ class _Pre:
 
     Ranks number the real elements 0..n-1 in weight order (rank 0 is the
     heaviest).  ``x`` is lighter than ``y`` iff rank(x) > rank(y).  Virtual
-    padding slots are addressed by ranks >= n_real, one block per node, so
-    they sort below every real element.
+    padding slots are addressed by ranks >= n_real, one block of capacity
+    length per node (``virtual_rank_base``), so they sort below every real
+    element; a list uses the first ``slots[b]`` ranks of its block at most.
 
     ``own_ranks[x]`` holds the ranks whose minimal node is ``x`` (ascending)
     and ``children_idx[x]`` the child node indices.  One walk down from the
@@ -77,21 +79,35 @@ class _Pre:
     chain exactly at ``depth[b]`` places from its root end, so ``upto``
     tests one index, and ``members`` scans the ranks with that test.
 
+    ``slots[b]``, the length of node b's padded reference list, is decided
+    here too: ``min(mu[b], ranks inside b)``, counted children first over
+    ``bottom_up``.  The analysis pads every list to capacity, but a walk
+    never reaches past ``slots[b]``.  Node b's list starts with its k real
+    entries, all sampled ranks inside b.  Only unsampled ranks inside b
+    reach it, at most (ranks inside b) - k of them, and each evicts one
+    entry at most, virtual ones lowest first.  When ``mu[b]`` is the
+    smaller count the two lists are the same; otherwise the shorter one
+    holds a virtual entry for every possible arrival, so neither runs out
+    of lighter entries, and both evict the same entries.  Only a backward
+    rank reads the slots left out, all lighter than every real rank:
+    against a list padded to ``slots[b]``, or not at all, the
+    capacity-padded backward rank of a real rank r is
+    ``mu[b] - bisect_right(list, r)``.
+
     The chains hold one slot per (node, node on its chain); a tree that
     needs more than ``MAX_CHAIN_SLOTS`` raises ``InstanceError`` during the
     walk, before the chains that would pass the limit are built.
     """
 
     __slots__ = (
-        "elements_by_rank", "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
-        "node_ids", "node_index", "mu", "depth", "node_chain",
+        "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
+        "node_ids", "node_index", "mu", "slots", "depth", "node_chain",
         "own_ranks", "chain_by_rank", "children_idx", "bottom_up",
         "root_idx", "virtual_rank_base", "global_optima",
     )
 
     def __init__(self, inst: "LaminarInstance"):
         ranked = sorted(inst.elements, key=lambda e: order_key(e.weight, e.id))
-        self.elements_by_rank = ranked
         self.ids_by_rank = [e.id for e in ranked]
         self.rank_by_id = {e.id: r for r, e in enumerate(ranked)}
         self.w_by_rank = [e.weight for e in ranked]
@@ -135,6 +151,11 @@ class _Pre:
         for r, ch in enumerate(self.chain_by_rank):
             own[ch[0]].append(r)
         self.own_ranks = own
+        inside = [len(rs) for rs in own]  # ranks inside each node, children first
+        for x in self.bottom_up:
+            for c in children[x]:
+                inside[x] += inside[c]
+        self.slots = [min(cap, k) for cap, k in zip(self.mu, inside)]
 
         base, acc = [], self.n_real
         for cap in self.mu:
@@ -203,8 +224,7 @@ class LaminarInstance:
         return self.pre().node_ids[self.pre().root_idx]
 
     def element(self, element_id: int) -> Element:
-        pre = self.pre()
-        return pre.elements_by_rank[pre.rank_of(element_id)]
+        return Element(element_id, self.weight(element_id))
 
     def node(self, node_id: int) -> FamilyNode:
         return self.nodes[self.pre().node_idx(node_id)]

@@ -20,12 +20,16 @@ optimum is conceptually filled up to the node's capacity with zero-weight
 virtual elements.  Without that convention the per-node geometric sums are
 simply false on sparse instances (a lone element under k nested capacities
 would contribute k*c instead of c + c^2 + ... + c^k).  All logarithms are
-natural.
+natural.  One reader departs from it on purpose: the eviction-failure rows
+(``experiments.AllKickedRow``) report and bound the unpadded backward rank.
 
-Backward ranks are counted in rank space by ``_padded_brank``, and against
-the unpadded global optima OPT of ``matroid._global_optima`` by
-``_global_brank``.  ``p_grid`` is the one grid of p values; it raises
-``ValueError`` on a bad step or range.  ``_theory_csv`` is the one table of
+Backward ranks are counted in rank space.  ``_padded_brank`` counts a
+list's entries lighter than a rank.  The capacity-padded backward rank at
+node b against the unpadded global optima OPT of ``matroid._global_optima``
+is ``_global_brank``, ``mu[b] - bisect_right(opt[b], r)``; the same formula
+gives it against a trial's reference list, which is padded only to the
+slots a walk can reach (``model._Pre``).  ``p_grid`` is the one grid of p
+values; it raises ``ValueError`` on a bad step or range.  ``_theory_csv`` is the one table of
 the guarantee over a grid, for CLI ``theory`` and ``scripts/theory_sweep.py``.
 """
 
@@ -82,8 +86,11 @@ def geometric_sum(c: float, i: int) -> float:
 
 def _padded_brank(R: list[int], r: int) -> int:
     """Backward rank of rank ``r`` against the ascending rank list ``R``: the
-    entries of ``R`` lighter than it.  Against a list padded with virtual
-    ranks this is the padded backward rank; 0 means no lighter entry is left."""
+    entries of ``R`` lighter than it; 0 means no lighter entry is left.  A
+    reference list padded to its node's ``_Pre.slots`` runs out of lighter
+    entries exactly when the capacity-long list would, but it leaves out
+    the virtual slots past them, so this is the capacity-padded backward
+    rank only when the list reaches capacity (see ``_global_brank``)."""
     return len(R) - bisect_right(R, r)
 
 

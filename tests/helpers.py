@@ -273,17 +273,19 @@ def qualifying_counts_by_ids(inst, node_id, element_id, sample):
     elements other than ``element_id`` that qualify for the node and fall
     strictly between consecutive reference elements by weight."""
     refs = reference_sets(inst, sample, padding=True)
-    slots = refs[node_id]  # ascending weight, padded to capacity
-    got = [0] * len(slots)
+    capacity = inst.node(node_id).capacity
+    got = [0] * capacity  # one slot per unit of capacity
     sample = set(sample)
-    keys = [inst.key(x) for x in slots]
+    real = [inst.key(x) for x in refs[node_id] if x in inst.membership]  # virtual ids are in no node
     for x in inst.members(node_id):
         if x == element_id or x in sample:
             continue
         if not qualifies_by_ids(inst, x, node_id, refs):
             continue
         kx = inst.key(x)
-        j = sum(1 for k in keys if k > kx)  # reference slots strictly lighter
+        # reference slots strictly lighter: the lighter real elements, and
+        # one virtual per capacity slot that no real element fills
+        j = sum(1 for k in real if k > kx) + capacity - len(real)
         got[j - 1] += 1  # qualifying implies j >= 1
     return got
 
@@ -291,7 +293,9 @@ def qualifying_counts_by_ids(inst, node_id, element_id, sample):
 def dominance_by_scan(inst, trials):
     """Reference for ``experiments._Dominance``: the backward-rank dominance
     checks by a scan of every node's members, heaviest first, on every
-    trial.  ``trials`` holds (in_s, refs) pairs, refs padded.  Returns
+    trial.  ``trials`` holds (in_s, refs) pairs, refs padded.  A sample
+    backward rank counts the list's real entries lighter than the member
+    and one virtual per capacity slot that no real entry fills.  Returns
     (weak_witness, member_witness, strict_violations, strict_example)."""
     pre = inst.pre()
     opt = _global_optima(pre)
@@ -303,11 +307,11 @@ def dominance_by_scan(inst, trials):
     strict_violations = 0
     for t_idx, (in_s, refs) in enumerate(trials):
         for b, nid in enumerate(pre.node_ids):
-            R = refs[b]
-            size = len(R)
+            real = [x for x in refs[b] if x < pre.n_real]
+            virtual = pre.mu[b] - len(real)
             in_opt = in_opt_by_node[b]
             for r, bu in zip(members[b], bu_by_node[b]):
-                bs = size - bisect_right(R, r)
+                bs = sum(1 for x in real if x > r) + virtual
                 if bs < bu and not weak_witness:
                     weak_witness = f"trial {t_idx}, element {ids[r]}, node {nid}: {bs} < {bu}"
                 if in_s[r]:

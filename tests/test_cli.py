@@ -2,6 +2,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -312,16 +313,53 @@ def test_exact_ratio_is_printed_weight_over_optimum(four_file, capsys):
     assert ratio == expected / w_opt
 
 
+def _one_node_file(tmp_path, capacity):
+    """One node of the given capacity over six elements."""
+    path = tmp_path / f"cap{capacity}.json"
+    path.write_text(json.dumps({
+        "name": "huge", "elements": [{"id": i, "weight": 1.0 + i} for i in range(6)],
+        "nodes": [{"id": 0, "capacity": capacity, "parent": None}],
+        "membership": {str(i): 0 for i in range(6)}}))
+    return str(path)
+
+
 @pytest.mark.parametrize("padding", [[], ["--no-padding"]])
 def test_exact_at_a_huge_capacity(tmp_path, capsys, padding):
     # one node of capacity 10^9 over six elements: no list of capacity length
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({
-        "name": "huge", "elements": [{"id": i, "weight": 1.0 + i} for i in range(6)],
-        "nodes": [{"id": 0, "capacity": 10 ** 9, "parent": None}],
-        "membership": {str(i): 0 for i in range(6)}}))
-    assert main(["exact", str(path), "--p", "0.2", *padding]) == 0
+    path = _one_node_file(tmp_path, 10 ** 9)
+    assert main(["exact", path, "--p", "0.2", *padding]) == 0
     assert capsys.readouterr().out.startswith("exact expected weight")
+
+
+@pytest.mark.parametrize("command", [
+    ["montecarlo", "--trials", "300"],
+    ["montecarlo", "--trials", "300", "--no-padding"],
+    ["verify", "--trials", "300"],
+    ["run", "--seed", "3"],
+    ["run", "--seed", "3", "--no-padding"],
+    ["run", "--seed", "3", "--trace"],
+    ["exact"],
+], ids=" ".join)
+def test_capacity_does_not_drive_the_cost(tmp_path, capsys, command):
+    # a padded list holds the slots a walk can reach, at most the six
+    # elements, so capacity 10^9 peaks as capacity 6 does; a list padded to
+    # capacity would need tens of GiB
+    def peak(capacity):
+        tracemalloc.start()
+        try:
+            code = main([command[0], _one_node_file(tmp_path, capacity), "--p", "0.2",
+                         *command[1:]])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(6)  # first-call allocations stay out of the comparison
+    code, small = peak(6)
+    assert code == 0
+    code, huge = peak(10 ** 9)
+    assert code == 0
+    assert huge <= small + small // 4
 
 
 def test_exact_size_guard_exit_2(tmp_path, capsys):

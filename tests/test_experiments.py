@@ -11,6 +11,7 @@ from laminar_secretary import (
     Element,
     FamilyNode,
     GenSpec,
+    allkicked_bound,
     allkicked_frequency,
     brank,
     derive_seed,
@@ -24,6 +25,7 @@ from laminar_secretary import (
     qualifying_joint_probability,
     ratio_lower_bound,
     reference_sets,
+    theory_params,
     verify_lemmas,
     verify_report,
 )
@@ -256,11 +258,14 @@ class TestGlobalOptima:
         assert _global_optima(pre) is first
         every = [True] * pre.n_real
         assert first == tuple(map(tuple, _ref_rank_lists(pre, every, False)))
-        # the padded view is the cached optima padded to capacity
+        # the padded view is the cached optima padded to capacity; the lists
+        # hold the slots a walk can reach, and the ones they leave out are
+        # virtual, lighter than every member
         padded = _ref_rank_lists(pre, every, True)
         for b, R in enumerate(padded):
+            assert len(R) == min(pre.mu[b], len(pre.members(b)))
             for r in pre.members(b):
-                assert _global_brank(pre, first, b, r) == _padded_brank(R, r)
+                assert _global_brank(pre, first, b, r) == _padded_brank(R, r) + pre.mu[b] - len(R)
         # the same summation order, so the very same float
         assert experiments._opt_weight(inst) == greedy_opt(inst, None, inst.root_id).weight
 
@@ -476,6 +481,18 @@ class TestAllKicked:
             for row in allkicked_frequency(inst, 0.08, 3000, master_seed=6):
                 assert row.frequency <= row.bound + 4 * row.std_err
 
+    def test_rows_use_the_unpadded_backward_rank(self):
+        # one node of capacity 3 holds both elements, so OPT leaves one
+        # capacity slot unfilled: the padded ranks would be 2 and 1
+        inst = rank1([3.0, 2.0], capacity=3)
+        pre = inst.pre()
+        assert [_global_brank(pre, _global_optima(pre), 0, r) for r in (0, 1)] == [2, 1]
+        rows = allkicked_frequency(inst, 0.2, 50, master_seed=0)
+        assert [(row.element, row.brank) for row in rows] == [(1, 0), (0, 1)]
+        params = theory_params(0.2)
+        assert [row.bound for row in rows] == [allkicked_bound(params, 0),
+                                               allkicked_bound(params, 1)]
+
 
 class TestRankSpaceHarness:
     """The rank-space harness against the id-space implementations it
@@ -673,10 +690,11 @@ def _swap_in_heavier(refs, b, e, h):
 def _drop_lighter(pre, refs, b, r):
     """Node ``b``'s list with every entry lighter than the arriving ``r``
     removed: refilled with the heaviest members of ``b`` above ``r``, then
-    padded, so ``r``'s backward rank can fall to OPT's."""
+    padded to the node's slots as ``_ref_rank_lists`` pads, so ``r``'s
+    backward rank can fall to OPT's."""
     heavier = [x for x in pre.members(b) if x < r][:pre.mu[b]]
     base = pre.virtual_rank_base[b]
-    refs[b] = heavier + list(range(base, base + pre.mu[b] - len(heavier)))
+    refs[b] = heavier + list(range(base, base + pre.slots[b] - len(heavier)))
 
 
 class TestDominance:

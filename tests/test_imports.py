@@ -1,13 +1,15 @@
 """Every module-level import of the package modules and of ``scripts/`` is
-used.
+used, and the package imports nothing outside the standard library.
 
 A stdlib ``ast`` check: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere else in the same module.  The
 package ``__init__`` re-exports by importing, so it is skipped, and so are
-``__future__`` imports.
+``__future__`` imports.  Every ``import`` in the package, nested ones
+included, must be relative or name a module of ``sys.stdlib_module_names``.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,27 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = [name for name in imported_names(tree) if name not in used_names(tree)]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def outside_imports(tree: ast.Module) -> list[str]:
+    """Top-level names of the absolute imports anywhere in ``tree`` that are
+    not standard-library modules."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.partition(".")[0] not in sys.stdlib_module_names]
+
+
+def test_outside_imports_are_found():
+    tree = ast.parse("import os\nfrom . import cli\ndef f():\n    import numpy.linalg\n"
+                     "    from yaml import load\n")
+    assert outside_imports(tree) == ["numpy.linalg", "yaml"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not outside_imports(tree), f"{path.name}: imports outside the standard library"

@@ -196,10 +196,12 @@ class TestBrankDominance:
                 sample = {x for x in ids if rnd.random() < 0.9}
                 refs = reference_sets(inst, sample, padding=True)
                 for nd in inst.nodes:
-                    ref_keys = [inst.key(x) for x in refs[nd.id]]
+                    # the real reference elements; every other capacity
+                    # slot is a virtual one, lighter than every member
+                    ref_keys = [inst.key(x) for x in refs[nd.id] if x in inst.membership]
                     for eid in inst.members(nd.id):
                         key = inst.key(eid)
-                        bs = sum(1 for k in ref_keys if k > key)
+                        bs = sum(1 for k in ref_keys if k > key) + nd.capacity - len(ref_keys)
                         bu = padded_brank_by_ids(inst, opts, eid, nd.id)
                         assert bs >= bu
                         if eid not in sample and eid in opts[nd.id]:

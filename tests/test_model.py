@@ -148,6 +148,13 @@ class TestLookups:
         with pytest.raises(InstanceError, match="unknown node id 99"):
             inst.members(99)
 
+    def test_element_is_the_stored_one(self):
+        inst = four_element()
+        for e in inst.elements:
+            assert inst.element(e.id) == e
+        with pytest.raises(InstanceError, match="unknown element id 99"):
+            inst.element(99)
+
 
 INT_FIELDS = ("element id", "node id", "capacity", "parent", "membership")
 NOT_AN_INTEGER = st.one_of(
@@ -406,8 +413,11 @@ class TestTreeTables:
         opt = _global_optima(pre)
         padded = _ref_rank_lists(pre, [True] * pre.n_real, True)
         for b in range(len(pre.mu)):
+            # the slots a list leaves out up to capacity are virtual
+            assert len(padded[b]) == min(pre.mu[b], len(pre.members(b)))
+            unfilled = pre.mu[b] - len(padded[b])
             for r in pre.members(b):
-                assert _global_brank(pre, opt, b, r) == _padded_brank(padded[b], r)
+                assert _global_brank(pre, opt, b, r) == _padded_brank(padded[b], r) + unfilled
 
 
 class TestLaminarity:
