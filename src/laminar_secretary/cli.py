@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--trace", action="store_true")
     r.add_argument("--no-padding", action="store_true")
-    r.add_argument("-o", "--output", default=None)
+    r.add_argument("-o", "--output", default=None, help="trace CSV file (needs --trace)")
 
     m = sub.add_parser("montecarlo", help="Monte Carlo ratio estimate")
     m.add_argument("file")
@@ -135,6 +135,8 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.output is not None and not args.trace:
+        raise ValueError("-o/--output needs --trace")
     inst = _load(args.file)
     trial = make_trial(inst, args.p, args.seed)
     result = run_kicknext(inst, trial, padding=not args.no_padding)

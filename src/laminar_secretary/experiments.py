@@ -14,15 +14,18 @@ The Monte Carlo ratio and the checks take trials from ``_trials``, as
 sample flags, arrival ranks and fresh reference lists (ascending rank
 lists, padded to the ``_Pre.slots`` a walk can reach); arrivals walk them
 by ``kicknext._arrive``.  An eviction-failure event is a zero
-``theory._padded_brank``; a dominance check's backward rank and a qualifying
-slot are capacity-padded, ``mu[b] - bisect_right(R, r)``, as every slot a
-list leaves out is virtual.  Up
+``theory._padded_brank``.  Every slot a list leaves out up to capacity is
+virtual and lighter than every real rank, so a dominance check compares
+the counts of entries up to a rank, trial list against OPT, in which
+capacity cancels, and a qualifying count is indexed by the padded list's
+own lighter entries.  The capacity-padded backward ranks that a witness
+prints come from the one function ``theory._global_brank``.  Up
 to ``SMALL_N`` elements, draws repeat often, and the Monte Carlo ratio
 memoizes each arrival order's weight, which the order fixes.  The
 reference lists and the whole ground set's optima OPT, which the ratio
 denominators and the checks measure against, come from ``matroid``
-(``_ref_rank_lists``, and ``_global_optima``, built once per instance); a
-padded backward rank against OPT is ``theory._global_brank``.
+(``_ref_rank_lists``, and ``_global_optima``, built once per instance and
+read by each check itself).
 Every sampling entry point checks its trial count, p and master seed
 through ``_check_run``.
 
@@ -66,7 +69,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from multiprocessing import Pool
 from operator import gt
 
@@ -476,9 +479,9 @@ class _EvictionFailures:
     ``walk`` once per trial, ``rows`` at the end.  An event is an optimum
     element arriving at a chain node that holds no lighter reference."""
 
-    def __init__(self, pre, opt):
+    def __init__(self, pre):
         self.pre = pre
-        self.opt = opt
+        self.opt = opt = _global_optima(pre)
         self.seen = dict.fromkeys(opt[pre.root_idx], 0)  # arrivals per optimum element
         self.hits: dict[tuple[int, int], int] = defaultdict(int)
 
@@ -531,7 +534,7 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     _check_run(p, trials, master_seed)
     params = theory_params(p)  # the bound needs p < 1/2
     pre = inst.pre()
-    failures = _EvictionFailures(pre, _global_optima(pre))
+    failures = _EvictionFailures(pre)
     for _, order, refs in _trials(pre, p, master_seed, 0, trials, padding):
         failures.walk(refs, order)
     return failures.rows(params)
@@ -548,21 +551,22 @@ def _qualifying_members(pre, b: int, skip: int) -> list[tuple[int, tuple[int, ..
 
 
 def _qualifying_counts(pre, b: int, members, in_s: list[bool]) -> list[int]:
-    """Counts per reference slot of node index ``b`` (lightest slot first,
-    one per unit of capacity) of the selection-phase ranks of ``members``
-    (from ``_qualifying_members``) that qualify for the node: each outweighs
-    the lightest reference slot at every node of its chain up to ``b``, and
-    is counted at the heaviest slot lighter than it, its capacity-padded
-    backward rank."""
+    """Counts per entry of node index ``b``'s padded reference list
+    (``slots[b]`` of them, lightest first) of the selection-phase ranks of
+    ``members`` (from ``_qualifying_members``) that qualify for the node:
+    each outweighs the lightest reference entry at every node of its chain
+    up to ``b``, and is counted at the heaviest entry lighter than it, at
+    the list's own lighter-entry count less one.  The capacity-long counts
+    put ``mu[b] - slots[b]`` zeros in front: a member's capacity-padded
+    backward rank exceeds this count by the slots the list leaves out."""
     refs = _ref_rank_lists(pre, in_s, True)
-    cap = pre.mu[b]
     R = refs[b]
-    got = [0] * cap
+    got = [0] * len(R)
     for r, up in members:
         if in_s[r]:
             continue
         if all(refs[x][-1] > r for x in up):
-            got[cap - bisect_right(R, r) - 1] += 1  # qualifying implies >= 1
+            got[len(R) - bisect_right(R, r) - 1] += 1  # qualifying implies >= 1
     return got
 
 
@@ -600,6 +604,10 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
         )
     skip = pre.rank_of(element_id)
     bound = p ** sum(counts)
+    # ``_qualifying_counts`` leaves out the lightest ``mu - slots`` counts,
+    # always zero, so a nonzero one matches no trial
+    head = pre.mu[b] - pre.slots[b]
+    tail = None if any(islice(counts, head)) else counts[head:]
     n = inst.n
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
@@ -613,7 +621,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
             in_s = [*flags[:skip], False, *flags[skip:]]
             k = sum(flags)
             prob = (1.0 - p) ** k * p ** (n - 1 - k)
-            if _qualifying_counts(pre, b, members, in_s) == counts:
+            if _qualifying_counts(pre, b, members, in_s) == tail:
                 acc.append(prob)
         return QualifyingProbability(math.fsum(acc), bound, True)
 
@@ -623,7 +631,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
         if skip not in order:
             continue  # rejection sampling for the conditional law
         ncond += 1
-        if _qualifying_counts(pre, b, members, _flags(n, order)) == counts:
+        if _qualifying_counts(pre, b, members, _flags(n, order)) == tail:
             hits += 1
     if ncond == 0:
         raise ValueError("no trial satisfied the conditioning event; raise trials")
@@ -635,13 +643,15 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
 # -- lemma verification --------------------------------------------------------
 
 
-def _exact_lemma_checks(inst: LaminarInstance, pre, opt, c: float) -> list[LemmaCheck]:
+def _exact_lemma_checks(inst: LaminarInstance, c: float) -> list[LemmaCheck]:
     """The chain-decay, weighted-penalty and telescoping checks, exact per
     instance; skipped unless c < 1/2, the decay bounds' hypothesis."""
     if not c < 0.5:
         reason = f"skipped: hypothesis not met (c={c:.4f} >= 1/2)"
         return [LemmaCheck(name, None, reason)
                 for name in ("g-chain-decay", "weighted-penalty", "telescoping-identity")]
+    pre = inst.pre()
+    opt = _global_optima(pre)
     checks = []
     witness = ""  # the first failure; empty while every check holds
     scanned = 0
@@ -681,27 +691,29 @@ class _Dominance:
     depends on the weight order alone, not on how ids are chosen or how a
     set of them iterates.
 
-    The weak check compares the sample optimum with OPT entry by entry.
-    Against either list the capacity-padded backward rank of a member r of
-    node b is ``mu[b] - bisect_right(list, r)``, as every slot up to
-    capacity that a list leaves out is virtual, so r's backward rank
-    against the sample's list R is smaller than against OPT exactly when
-    R holds more ranks up to r than OPT does.  That excess peaks at R's real
-    entries, which are members of b, so it occurs iff R has more real
-    entries than OPT has entries or some OPT entry is lighter than R's entry
-    at the same place.  Only a node that fails is scanned member by member,
-    for the witness.  The optimum and strict checks concern arriving ranks
-    only, so they read the trial's arrivals along their chains.  A trial
-    costs O(nodes + OPT's entries + the arrivals' chain lengths), not
-    O(n)."""
+    The capacity-padded backward rank of a member r of node b is ``mu[b]``
+    less the entries up to r of the list it is taken against, as every slot
+    up to capacity that a list leaves out is virtual (``theory._global_brank``).
+    So ``mu[b]`` cancels: r's rank against the sample's list R is smaller
+    than against OPT exactly when R holds more entries up to r than OPT
+    does, and the checks compare those counts, with no capacity read.  The
+    padded ranks a witness prints are computed only when it is recorded.
+    The weak check compares the sample optimum with OPT entry by entry:
+    the excess of R's count peaks at R's real entries, which are members of
+    b, so it occurs iff R has more real entries than OPT has entries or
+    some OPT entry is lighter than R's entry at the same place.  Only a
+    node that fails is scanned member by member, for the witness.  The
+    optimum and strict checks concern arriving ranks only, so they read the
+    trial's arrivals along their chains.  A trial costs O(nodes + OPT's
+    entries + the arrivals' chain lengths), not O(n)."""
 
-    def __init__(self, pre, opt):
+    def __init__(self, pre):
         self.pre = pre
-        self.opt = opt
-        # per rank, per node of its chain: the backward rank against OPT,
+        self.opt = opt = _global_optima(pre)
+        # per rank, per node of its chain: OPT's entries up to the rank,
         # which no trial changes
-        self.bu_by_rank = [tuple(_global_brank(pre, opt, b, r) for b in ch)
-                           for r, ch in enumerate(pre.chain_by_rank)]
+        self.opt_upto = [tuple(bisect_right(opt[b], r) for b in ch)
+                         for r, ch in enumerate(pre.chain_by_rank)]
         self.in_opt = [set(rs) for rs in opt]
         self.weak_witness = ""  # first failures, as in ``_exact_lemma_checks``
         self.member_witness = ""
@@ -710,29 +722,27 @@ class _Dominance:
 
     def step(self, t_idx: int, order, refs: list[list[int]]) -> None:
         pre = self.pre
-        mu = pre.mu
         if not self.weak_witness:
             self.weak_witness = self._weak_witness(t_idx, refs)
         want_member = not self.member_witness
         want_strict = not self.strict_example
-        member = strict = None  # this trial's least (node, rank, ...)
+        member = strict = None  # this trial's least (node, rank)
         violations = 0
         for r in order:
-            for b, bu in zip(pre.chain_by_rank[r], self.bu_by_rank[r]):
-                R = refs[b]
-                bs = mu[b] - bisect_right(R, r)  # capacity-padded
-                if bs > bu:
+            for b, k in zip(pre.chain_by_rank[r], self.opt_upto[r]):
+                if bisect_right(refs[b], r) < k:  # a larger padded rank than OPT's
                     continue
                 if r in self.in_opt[b]:
-                    if want_member and (member is None or (b, r) < member[:2]):
-                        member = (b, r, bs, bu)
+                    if want_member and (member is None or (b, r) < member):
+                        member = (b, r)
                 else:
                     violations += 1
                     if want_strict and (strict is None or (b, r) < strict):
                         strict = (b, r)
         self.strict_violations += violations
         if member is not None:
-            b, r, bs, bu = member
+            b, r = member
+            bs, bu = _global_brank(pre, refs, b, r), _global_brank(pre, self.opt, b, r)
             self.member_witness = (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
                                    f"node {pre.node_ids[b]}: {bs} < {bu}+1")
         if strict is not None:
@@ -743,13 +753,13 @@ class _Dominance:
     def _weak_witness(self, t_idx: int, refs: list[list[int]]) -> str:
         """The trial's first weak violation, or ``""``: the first failing
         node, scanned heaviest member first."""
-        pre, opt = self.pre, self.opt
-        for b, (O, R) in enumerate(zip(opt, refs)):
+        pre = self.pre
+        for b, (O, R) in enumerate(zip(self.opt, refs)):
             if bisect_left(R, pre.n_real) > len(O) or any(map(gt, O, R)):
                 for r in pre.members(b):
-                    bs = pre.mu[b] - bisect_right(R, r)  # capacity-padded
-                    bu = _global_brank(pre, opt, b, r)
-                    if bs < bu:
+                    if bisect_right(R, r) > bisect_right(O, r):
+                        bs = _global_brank(pre, refs, b, r)
+                        bu = _global_brank(pre, self.opt, b, r)
                         return (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
                                 f"node {pre.node_ids[b]}: {bs} < {bu}")
         return ""
@@ -776,9 +786,8 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     _check_run(p, trials, master_seed)
     params = theory_params(p)
     pre = inst.pre()
-    opt = _global_optima(pre)
-    checks = _exact_lemma_checks(inst, pre, opt, params.c)
-    dominance = _Dominance(pre, opt)
+    checks = _exact_lemma_checks(inst, params.c)
+    dominance = _Dominance(pre)
     for t_idx, (_, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
         dominance.step(t_idx, order, refs)
     return checks + dominance.checks(trials)
@@ -802,10 +811,9 @@ def verify_report(inst: LaminarInstance, p: float, trials: int,
     w_opt = _opt_weight(inst)
     params = theory_params(p)
     pre = inst.pre()
-    opt = _global_optima(pre)
     lemma_trials = min(trials, LEMMA_TRIALS)
-    dominance = _Dominance(pre, opt)
-    failures = _EvictionFailures(pre, opt)
+    dominance = _Dominance(pre)
+    failures = _EvictionFailures(pre)
     weights = []
     for t_idx, (_, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
         if t_idx < lemma_trials:
@@ -813,7 +821,7 @@ def verify_report(inst: LaminarInstance, p: float, trials: int,
         weights.append(failures.walk(refs, order))
     report = ExperimentReport(inst.name, p, trials, master_seed)
     report.ratio = _ratio_estimate(weights, w_opt, p, True)
-    report.lemma_checks = (_exact_lemma_checks(inst, pre, opt, params.c)
+    report.lemma_checks = (_exact_lemma_checks(inst, params.c)
                            + dominance.checks(lemma_trials))
     report.allkicked = failures.rows(params)
     return report

@@ -9,6 +9,7 @@ a no-op.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -58,6 +59,11 @@ def generate(spec: GenSpec) -> LaminarInstance:
         raise ValueError(f"need at least one element, got n={spec.n}")
     if spec.seed < 0:  # random.Random(-s) would seed as random.Random(s)
         raise ValueError(f"seed must be non-negative, got {spec.seed}")
+    # a Pareto law needs a positive shape: 0 divides by zero, and a negative
+    # one draws weights in (0, 1]
+    if not 0.0 < spec.power_exponent < math.inf:
+        raise ValueError(
+            f"power exponent must be positive and finite, got {spec.power_exponent!r}")
     rnd = random.Random(spec.seed)
 
     if spec.family == "uniform":

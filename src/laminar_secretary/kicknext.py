@@ -238,10 +238,21 @@ def _run_weight(pre, refs: list[list[int]], order_ranks) -> float:
 
 def run_kicknext(inst: LaminarInstance, trial: Trial, *, padding: bool = True) -> RunResult:
     """Execute one full run and report per-node acceptances, reference-set
-    evolution, break records and the per-step event trace."""
+    evolution, break records and the per-step event trace.  The trial must
+    split the ground set: ``InstanceError`` refuses an unknown id, an
+    arrival that repeats or is sampled, and an element in neither set."""
     pre = inst.pre()
     in_s = _rank_flags(pre, trial.sample_set)
-    order_ranks = [pre.rank_by_id[eid] for eid in trial.arrival_order]
+    order_ranks = [pre.rank_of(eid) for eid in trial.arrival_order]
+    seen = in_s[:]
+    for eid, r in zip(trial.arrival_order, order_ranks):
+        if seen[r]:
+            what = "is sampled and arrives" if in_s[r] else "arrives twice"
+            raise InstanceError(f"element {eid} {what}")
+        seen[r] = True
+    if not all(seen):
+        raise InstanceError(f"element {pre.ids_by_rank[seen.index(False)]} is neither "
+                            f"sampled nor arriving")
 
     refs = _ref_rank_lists(pre, in_s, padding)
     initial = [tuple(x) for x in refs]

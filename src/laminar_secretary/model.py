@@ -91,8 +91,8 @@ class _Pre:
     of lighter entries, and both evict the same entries.  Only a backward
     rank reads the slots left out, all lighter than every real rank:
     against a list padded to ``slots[b]``, or not at all, the
-    capacity-padded backward rank of a real rank r is
-    ``mu[b] - bisect_right(list, r)``.
+    capacity-padded backward rank of a real rank r is ``mu[b]`` less the
+    list's entries up to r (``theory._global_brank``).
 
     The chains hold one slot per (node, node on its chain); a tree that
     needs more than ``MAX_CHAIN_SLOTS`` raises ``InstanceError`` during the

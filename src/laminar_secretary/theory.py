@@ -23,12 +23,15 @@ would contribute k*c instead of c + c^2 + ... + c^k).  All logarithms are
 natural.  One reader departs from it on purpose: the eviction-failure rows
 (``experiments.AllKickedRow``) report and bound the unpadded backward rank.
 
-Backward ranks are counted in rank space.  ``_padded_brank`` counts a
-list's entries lighter than a rank.  The capacity-padded backward rank at
-node b against the unpadded global optima OPT of ``matroid._global_optima``
-is ``_global_brank``, ``mu[b] - bisect_right(opt[b], r)``; the same formula
-gives it against a trial's reference list, which is padded only to the
-slots a walk can reach (``model._Pre``).  ``p_grid`` is the one grid of p
+Backward ranks are counted in rank space.  ``_global_brank`` is the one
+capacity-padded backward rank: at node b, against any per-node table of
+ascending rank lists (OPT from ``matroid._global_optima``, or a trial's
+reference lists, padded only to the slots a walk can reach, see
+``model._Pre``), it is ``mu[b]`` less the list's entries up to the rank.
+The chain-decay sums read it, and so do the printed witnesses of the
+checks; the checks themselves compare the counts of entries up to a rank,
+in which capacity cancels.  ``_padded_brank`` counts a list's own entries
+lighter than a rank and reads no capacity.  ``p_grid`` is the one grid of p
 values; it raises ``ValueError`` on a bad step or range.  ``_theory_csv`` is the one table of
 the guarantee over a grid, for CLI ``theory`` and ``scripts/theory_sweep.py``.
 """
@@ -85,21 +88,22 @@ def geometric_sum(c: float, i: int) -> float:
 
 
 def _padded_brank(R: list[int], r: int) -> int:
-    """Backward rank of rank ``r`` against the ascending rank list ``R``: the
-    entries of ``R`` lighter than it; 0 means no lighter entry is left.  A
-    reference list padded to its node's ``_Pre.slots`` runs out of lighter
-    entries exactly when the capacity-long list would, but it leaves out
-    the virtual slots past them, so this is the capacity-padded backward
-    rank only when the list reaches capacity (see ``_global_brank``)."""
+    """The entries of the ascending rank list ``R`` lighter than rank ``r``,
+    virtual entries included; 0 means no lighter entry is left.  It reads
+    no capacity, so against a list padded to its node's ``_Pre.slots`` it
+    leaves out the virtual slots up to capacity: the capacity-padded
+    backward rank is ``_global_brank``."""
     return len(R) - bisect_right(R, r)
 
 
-def _global_brank(pre, opt, x: int, r: int) -> int:
-    """Padded backward rank of the real rank ``r`` at node index ``x`` against
-    OPT (``opt``, from ``_global_optima``): the entries of ``opt[x]`` lighter
-    than ``r`` plus the ``mu[x] - len(opt[x])`` virtual slots, all lighter
-    than every real rank, that pad the node up to capacity."""
-    return pre.mu[x] - bisect_right(opt[x], r)
+def _global_brank(pre, lists, x: int, r: int) -> int:
+    """Capacity-padded backward rank of the real rank ``r`` at node index
+    ``x`` against ``lists``, a table of ascending rank lists per node
+    index: OPT from ``_global_optima``, or a trial's reference lists.  The
+    list's entries lighter than ``r`` and the virtual slots up to capacity
+    that it leaves out, all lighter than every real rank, are the
+    ``mu[x]`` slots less the entries up to ``r``."""
+    return pre.mu[x] - bisect_right(lists[x], r)
 
 
 def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:

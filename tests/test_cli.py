@@ -156,6 +156,25 @@ def test_run_trace_csv(four_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_output_needs_trace(four_file, tmp_path, capsys):
+    # without --trace nothing would go to the file
+    out = tmp_path / "trace.csv"
+    assert main(["run", four_file, "--seed", "3", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: -o/--output needs --trace\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exponent", ["0", "-1", "nan", "inf"])
+def test_gen_bad_power_exponent_exit_2(tmp_path, capsys, exponent):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--family", "uniform", "--n", "4", "--seed", "1", "--weights",
+                 "power_law", f"--power-exponent={exponent}", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "power exponent must be positive and finite" in captured.err
+    assert not out.exists()
+
+
 def test_montecarlo_csv_byte_identical(four_file, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["montecarlo", four_file, "--p", "0.08", "--trials", "2000", "--seed", "3"]

@@ -516,8 +516,12 @@ class TestRankSpaceHarness:
             for b, nid in enumerate(pre.node_ids):
                 for eid in inst.members(nid):
                     members = _qualifying_members(pre, b, pre.rank_by_id[eid])
-                    assert (_qualifying_counts(pre, b, members, in_s)
-                            == qualifying_counts_by_ids(inst, nid, eid, sample))
+                    want = qualifying_counts_by_ids(inst, nid, eid, sample)
+                    # one count per padded-list entry: the capacity-long
+                    # counts past the lightest mu - slots, which are zero
+                    head = pre.mu[b] - pre.slots[b]
+                    assert _qualifying_counts(pre, b, members, in_s) == want[head:]
+                    assert want[:head] == [0] * head
 
     @settings(max_examples=80, deadline=None)
     @given(FAMILIES, st.integers(1, 15), st.integers(0, 10_000), P_VALUES)
@@ -596,6 +600,31 @@ class TestQualifyingJointProbability:
         assert (qualifying_joint_probability(four_element(), 0.08, 1, [1.0], element_id=2)
                 == qualifying_joint_probability(four_element(), 0.08, 1, [1], element_id=2))
 
+    @pytest.mark.parametrize("n,method,p", [(8, "exact", 0.3), (20, "mc", 0.08)])
+    def test_capacity_pads_the_law_with_zero_counts(self, n, method, p):
+        # on one node the padded list holds n slots whatever the capacity, and
+        # a capacity-long count vector has capacity - n always-zero counts in
+        # front: at capacity 10^5 the law of the counts so padded is the law
+        # at capacity n
+        weights = [float((7 * i) % n + 1) for i in range(n)]
+        small, big = rank1(weights, capacity=n), rank1(weights, capacity=10**5)
+        head = [0] * (10**5 - n)
+        seen = {(0,) * n}
+        for t_idx in range(40 if method == "exact" else 6):
+            sample = make_trial(small, p, derive_seed(1, t_idx)).sample_set - {3}
+            seen.add(tuple(qualifying_counts_by_ids(small, 0, 3, sample)))
+        assert len(seen) > 1
+        kw = dict(element_id=3, method=method, trials=2000, master_seed=5)
+        total = 0.0
+        for counts in sorted(seen):
+            want = qualifying_joint_probability(small, p, 0, counts, **kw)
+            assert qualifying_joint_probability(big, p, 0, head + list(counts), **kw) == want
+            total += want.probability
+            nonzero_head = [1] + head[1:] + list(counts)
+            got = qualifying_joint_probability(big, p, 0, nonzero_head, **kw)
+            assert got.probability == 0.0 and got.bound == p ** (1 + sum(counts))
+        assert total > 0.0
+
 
 class TestVerifyLemmas:
     def test_four_element_all_pass(self):
@@ -670,7 +699,7 @@ def _dominance(inst, trials):
     """``_Dominance`` driven over (in_s, order, refs) trials, its four
     outcomes in the order ``dominance_by_scan`` returns them."""
     pre = inst.pre()
-    dominance = experiments._Dominance(pre, _global_optima(pre))
+    dominance = experiments._Dominance(pre)
     for t_idx, (_, order, refs) in enumerate(trials):
         dominance.step(t_idx, order, refs)
     return (dominance.weak_witness, dominance.member_witness,
@@ -781,7 +810,7 @@ class TestWorkCounts:
         inst = generate(GenSpec("partition", 2000, 5, parts=40, part_capacity=3))
         pre = inst.pre()
         _, order, refs = next(_trials(pre, 0.08, 11, 0, 1, True))
-        dominance = experiments._Dominance(pre, _global_optima(pre))
+        dominance = experiments._Dominance(pre)
         calls = 0
         bisect_right = experiments.bisect_right
 

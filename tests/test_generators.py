@@ -93,6 +93,17 @@ def test_parameter_validation():
         generate(GenSpec("chain", n=3, seed=0, depth=0))
 
 
+@pytest.mark.parametrize("exponent", [0.0, -1.0, float("inf"), float("nan")])
+def test_power_exponent_must_be_positive_and_finite(exponent):
+    # 0 divides by zero in the Pareto draw; -1 draws weights in (0, 1]
+    with pytest.raises(ValueError, match="power exponent must be positive and finite"):
+        generate(GenSpec("uniform", n=3, seed=0, weights="power_law", power_exponent=exponent))
+    weights = [e.weight for e in
+               generate(GenSpec("uniform", n=50, seed=0, weights="power_law",
+                                power_exponent=0.5)).elements]
+    assert min(weights) >= 1.0  # a Pareto law of any positive shape
+
+
 def test_negative_seed_rejected():
     # random.Random(-5) seeds as random.Random(5): the two instances would match
     with pytest.raises(ValueError, match="seed must be non-negative"):

@@ -1,11 +1,15 @@
 """Every module-level import of the package modules and of ``scripts/`` is
-used, and the package imports nothing outside the standard library.
+used, every private helper of the package is read, and the package imports
+nothing outside the standard library.
 
 A stdlib ``ast`` check: a name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere else in the same module.  The
 package ``__init__`` re-exports by importing, so it is skipped, and so are
-``__future__`` imports.  Every ``import`` in the package, nested ones
-included, must be relative or name a module of ``sys.stdlib_module_names``.
+``__future__`` imports.  A private top-level function or class, or a
+private method, of the package must be read, as a name or an attribute,
+somewhere in the package or in ``scripts/``.  Every ``import`` in the
+package, nested ones included, must be relative or name a module of
+``sys.stdlib_module_names``.
 """
 
 import ast
@@ -46,6 +50,41 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = [name for name in imported_names(tree) if name not in used_names(tree)]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The private top-level functions and classes of ``tree`` and the
+    private methods of its top-level classes; dunder names are not private."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    nodes = [node for node in tree.body if isinstance(node, defs)]
+    nodes += [item for node in nodes if isinstance(node, ast.ClassDef)
+              for item in node.body if isinstance(item, defs[:2])]
+    return [node.name for node in nodes
+            if node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """The names ``tree`` reads, bare or as an attribute."""
+    return used_names(tree) | {node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)}
+
+
+def test_unread_private_definitions_are_found():
+    tree = ast.parse("def _kept(): pass\ndef _left(): pass\nclass _C:\n"
+                     "    def __init__(self): pass\n    def _gone(self): pass\n"
+                     "    def _used(self): self._used\n_kept(_C)\n")
+    assert private_definitions(tree) == ["_kept", "_left", "_C", "_gone", "_used"]
+    assert [name for name in private_definitions(tree)
+            if name not in read_names(tree)] == ["_left", "_gone"]
+
+
+def test_every_private_definition_is_read():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) + SCRIPTS}
+    read = set().union(*map(read_names, trees.values()))
+    unread = [f"{path.name}: {name}" for path, tree in trees.items() if path.parent == SRC
+              for name in private_definitions(tree) if name not in read]
+    assert not unread, f"private definitions read nowhere: {unread}"
 
 
 def outside_imports(tree: ast.Module) -> list[str]:

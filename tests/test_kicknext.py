@@ -285,6 +285,19 @@ class TestRunEdges:
         trial = Trial(0, 0.5, frozenset(inst.element_ids()), ())
         assert run_kicknext(inst, trial).sol_root == ()
 
+    @pytest.mark.parametrize("sample,arrivals,message", [
+        ({0, 1, 2}, (2, 2, 3), "element 2 is sampled and arrives"),
+        ({0, 1}, (2, 3, 3, 4), "element 3 arrives twice"),
+        ({0, 1}, (2, 3), "element 4 is neither sampled nor arriving"),
+        ({0, 1}, (2, 3, 9), "unknown element id 9"),
+        ({0, 1, 7}, (2, 3, 4), "unknown element id 7"),
+    ], ids=["sampled", "repeated", "missing", "unknown_arrival", "unknown_sampled"])
+    def test_trial_must_split_the_ground_set(self, sample, arrivals, message):
+        inst = generate(GenSpec("uniform", 5, 1))
+        with pytest.raises(InstanceError, match=message):
+            run_kicknext(inst, Trial(0, 0.5, frozenset(sample), arrivals))
+        assert run_kicknext(inst, Trial(0, 0.5, frozenset({0, 1}), (2, 3, 4))).events
+
     def test_single_node_upgrade(self):
         inst = rank1([9.0, 1.0])
         trial = Trial(0, 0.5, frozenset({1}), (0,))
