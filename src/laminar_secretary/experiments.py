@@ -69,7 +69,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from multiprocessing import Pool
 from operator import gt
 
@@ -593,21 +593,33 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     otherwise (``method`` forces either).
     """
     _check_run(p, trials, master_seed)
-    counts = [_count(x) for x in counts]
-    if any(x < 0 for x in counts):
-        raise ValueError("counts must be non-negative")
     pre = inst.pre()
     b = pre.node_idx(node_id)
-    if len(counts) != pre.mu[b]:
-        raise ValueError(
-            f"counts must have one entry per reference slot ({pre.mu[b]} for node {node_id})"
-        )
-    skip = pre.rank_of(element_id)
-    bound = p ** sum(counts)
+    mu = pre.mu[b]
     # ``_qualifying_counts`` leaves out the lightest ``mu - slots`` counts,
-    # always zero, so a nonzero one matches no trial
-    head = pre.mu[b] - pre.slots[b]
-    tail = None if any(islice(counts, head)) else counts[head:]
+    # always zero, so a nonzero one matches no trial: one pass validates
+    # ``counts`` and keeps only the ``slots``-long tail, whatever the capacity
+    head = mu - pre.slots[b]
+    tail: list[int] | None = []
+    nonzero_head = False
+    length = total = 0
+    for x in map(_count, counts):
+        if x < 0:
+            raise ValueError("counts must be non-negative")
+        if length < head:
+            nonzero_head = nonzero_head or x > 0
+        elif length < mu:
+            tail.append(x)
+        length += 1
+        total += x
+    if length != mu:
+        raise ValueError(
+            f"counts must have one entry per reference slot ({mu} for node {node_id})"
+        )
+    if nonzero_head:
+        tail = None
+    skip = pre.rank_of(element_id)
+    bound = p ** total
     n = inst.n
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")

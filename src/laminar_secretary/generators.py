@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import Element, FamilyNode, LaminarInstance, make_instance
+from .model import LaminarInstance, _assemble
 
 FAMILIES = ("uniform", "partition", "chain", "random_tree")
 WEIGHTS = ("uniform", "exponential", "power_law", "near_ties")
@@ -70,7 +70,7 @@ def generate(spec: GenSpec) -> LaminarInstance:
         k = spec.rank if spec.rank is not None else min(3, spec.n)
         if not 1 <= k <= spec.n:
             raise ValueError(f"rank must satisfy 1 <= k <= n, got k={k}, n={spec.n}")
-        nodes = [FamilyNode(0, k, None)]
+        nodes = [(0, k, None)]
         membership = {i: 0 for i in range(spec.n)}
 
     elif spec.family == "partition":
@@ -79,8 +79,8 @@ def generate(spec: GenSpec) -> LaminarInstance:
         if parts < 1 or cap < 1:
             raise ValueError(f"need parts >= 1 and part capacity >= 1, got {parts}, {cap}")
         root_cap = parts * cap if parts > 1 else cap + 1
-        nodes = [FamilyNode(0, root_cap, None)]
-        nodes += [FamilyNode(j, cap, 0) for j in range(1, parts + 1)]
+        nodes = [(0, root_cap, None)]
+        nodes += [(j, cap, 0) for j in range(1, parts + 1)]
         membership = {i: 1 + rnd.randrange(parts) for i in range(spec.n)}
 
     elif spec.family == "chain":
@@ -91,7 +91,7 @@ def generate(spec: GenSpec) -> LaminarInstance:
         for _ in range(depth - 1):
             caps.append(caps[-1] + rnd.randint(1, 2))
         caps.reverse()  # caps[0] largest -> root
-        nodes = [FamilyNode(j, caps[j], None if j == 0 else j - 1) for j in range(depth)]
+        nodes = [(j, caps[j], None if j == 0 else j - 1) for j in range(depth)]
         membership = {i: rnd.randrange(depth) for i in range(spec.n)}
 
     else:  # random_tree
@@ -113,12 +113,11 @@ def generate(spec: GenSpec) -> LaminarInstance:
             parents.append(par)
             kids[par] += 1
             kids.append(0)
-        nodes = [FamilyNode(j, caps[j], parents[j]) for j in range(len(caps))]
+        nodes = [(j, caps[j], parents[j]) for j in range(len(caps))]
         membership = {i: rnd.randrange(len(caps)) for i in range(spec.n)}
 
-    elements = [
-        Element(i, _draw_weight(rnd, spec.weights, spec.power_exponent))
-        for i in range(spec.n)
-    ]
+    weights = [_draw_weight(rnd, spec.weights, spec.power_exponent) for _ in range(spec.n)]
     name = f"{spec.family}-n{spec.n}-s{spec.seed}"
-    return make_instance(name, elements, nodes, membership)
+    # the model's one validator takes the columns and the (id, capacity,
+    # parent) node triples as they are drawn
+    return _assemble(name, list(range(spec.n)), weights, nodes, membership)

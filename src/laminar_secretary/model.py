@@ -10,6 +10,15 @@ Elements attach to their *minimal* containing set only; membership in every
 larger set follows from the tree (an element belongs to a node's set iff its
 minimal node lies in that node's subtree).
 
+An instance holds its elements as two id-ordered columns, ``ids`` and
+``weights``.  ``load_instance`` reads them from the JSON with one pass per
+column and ``_Pre`` builds the rank tables from them, so loading and
+running build no ``Element``; ``LaminarInstance.elements`` builds the
+tuple of them on first read.  ``load_instance``, ``make_instance`` and the
+generators share one validator, ``_assemble``, which tests each rule of the
+format on a whole column and scans for the first bad entry only to word the
+error.
+
 Instances are immutable after construction and safe to share across threads.
 """
 
@@ -17,7 +26,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 # ``_Pre`` keeps every node's chain to the root, one slot per node on it, so
 # the tables grow with the sum of (depth + 1) over the nodes.  A tree that
@@ -62,7 +72,12 @@ class _Pre:
     """Per-instance precomputed tables (rank-space views of the tree).
 
     Ranks number the real elements 0..n-1 in weight order (rank 0 is the
-    heaviest).  ``x`` is lighter than ``y`` iff rank(x) > rank(y).  Virtual
+    heaviest).  ``x`` is lighter than ``y`` iff rank(x) > rank(y).  The
+    rank tables come straight from the instance's id-ordered columns: one
+    stable sort of their positions by weight, heaviest first, keeps equal
+    weights in id order, the tie-break of ``order_key``, and
+    ``ids_by_rank``, ``w_by_rank`` and ``chain_by_rank`` read the columns
+    through that order.  Virtual
     padding slots are addressed by ranks >= n_real, one block of capacity
     length per node (``virtual_rank_base``), so they sort below every real
     element; a list uses the first ``slots[b]`` ranks of its block at most.
@@ -107,12 +122,14 @@ class _Pre:
     )
 
     def __init__(self, inst: "LaminarInstance"):
-        ranked = sorted(inst.elements, key=lambda e: order_key(e.weight, e.id))
-        self.ids_by_rank = [e.id for e in ranked]
-        self.rank_by_id = {e.id: r for r, e in enumerate(ranked)}
-        self.w_by_rank = [e.weight for e in ranked]
-        self.n_real = len(ranked)
-        self.max_id = max((e.id for e in inst.elements), default=-1)
+        ids, weights = inst.ids, inst.weights
+        # reverse=True keeps a stable sort stable: equal weights stay in id order
+        order = sorted(range(len(ids)), key=weights.__getitem__, reverse=True)
+        self.ids_by_rank = list(map(ids.__getitem__, order))
+        self.rank_by_id = dict(zip(self.ids_by_rank, range(len(order))))
+        self.w_by_rank = list(map(weights.__getitem__, order))
+        self.n_real = len(order)
+        self.max_id = ids[-1] if ids else -1
 
         self.node_ids = [nd.id for nd in inst.nodes]
         self.node_index = {nid: i for i, nid in enumerate(self.node_ids)}
@@ -143,10 +160,9 @@ class _Pre:
         self.children_idx = children
         self.bottom_up = tuple(reversed(top_down))
 
-        self.chain_by_rank = [
-            chains[self.node_index[inst.membership[eid]]]
-            for eid in self.ids_by_rank
-        ]
+        chain_of = dict(zip(self.node_ids, chains))  # node id -> its chain
+        self.chain_by_rank = list(map(chain_of.__getitem__,
+                                      map(inst.membership.__getitem__, self.ids_by_rank)))
         own: list[list[int]] = [[] for _ in inst.nodes]
         for r, ch in enumerate(self.chain_by_rank):
             own[ch[0]].append(r)
@@ -194,19 +210,35 @@ class _Pre:
         return b
 
 
-@dataclass(eq=False)
 class LaminarInstance:
     """A named ground set with weights plus the rooted capacity tree.
 
-    ``membership`` maps each element id to the id of its minimal containing
-    node.  Treat instances as frozen once built.
+    ``ids`` lists the element ids ascending and ``weights[i]`` is the weight
+    of ``ids[i]``: two read-only columns.  ``elements`` gives the same as
+    ``Element`` objects, built on first read.  ``membership`` maps each
+    element id to the id of its minimal containing node.  Treat instances
+    as frozen once built; build them with ``make_instance`` or
+    ``load_instance``, which validate.
     """
 
-    name: str
-    elements: tuple[Element, ...]
-    nodes: tuple[FamilyNode, ...]
-    membership: dict[int, int]
-    _pre: _Pre | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("name", "ids", "weights", "nodes", "membership", "_elements", "_pre")
+
+    def __init__(self, name: str, ids: list[int], weights: list[float],
+                 nodes: tuple[FamilyNode, ...], membership: dict[int, int]):
+        self.name = name
+        self.ids = ids
+        self.weights = weights
+        self.nodes = nodes
+        self.membership = membership
+        self._elements: tuple[Element, ...] | None = None
+        self._pre: _Pre | None = None
+
+    @property
+    def elements(self) -> tuple[Element, ...]:
+        """The elements in id order."""
+        if self._elements is None:
+            self._elements = tuple(map(Element, self.ids, self.weights))
+        return self._elements
 
     def pre(self) -> _Pre:
         if self._pre is None:
@@ -217,7 +249,7 @@ class LaminarInstance:
 
     @property
     def n(self) -> int:
-        return len(self.elements)
+        return len(self.ids)
 
     @property
     def root_id(self) -> int:
@@ -252,56 +284,80 @@ class LaminarInstance:
         return frozenset(pre.ids_by_rank[r] for r in pre.members(pre.node_idx(node_id)))
 
     def element_ids(self) -> frozenset[int]:
-        return frozenset(e.id for e in self.elements)
+        return frozenset(self.ids)
 
 
 # -- construction and validation -------------------------------------------
 
 
 def make_instance(name, elements, nodes, membership) -> LaminarInstance:
-    """Validate and assemble an instance; children links are recomputed."""
+    """Validate and assemble an instance; children links are recomputed.
+    Each element keeps the weight it was given."""
+    elements = tuple(elements)
+    return _assemble(name, [e.id for e in elements], [e.weight for e in elements],
+                     [(nd.id, nd.capacity, nd.parent) for nd in nodes], dict(membership))
+
+
+def _assemble(name, ids: list, weights: list, nodes: list[tuple], membership: dict
+              ) -> LaminarInstance:
+    """The one validator, for ``make_instance``, ``load_instance`` and the
+    generators: check the instance, put the element columns in id order
+    and link the tree.  ``nodes`` holds (id, capacity, parent) triples.
+    Each rule is one test over a whole column; only when it fails is the
+    column scanned, for the first bad entry, to word the error.
+    ``membership`` becomes the instance's own."""
     if type(name) is not str:
         raise InstanceError(f"name must be a string, got {name!r}")
-    elements = tuple(elements)
-    seen: set[int] = set()
-    for e in elements:  # before the sort, which compares ids
-        if type(e.id) is not int or e.id < 0:  # bool is not an id
-            raise InstanceError(f"element id must be a non-negative integer: {e.id!r}")
-        if e.id in seen:
-            raise InstanceError(f"duplicate element id {e.id}")
-        seen.add(e.id)
-        # a float, the common case, needs no call
-        w = e.weight if type(e.weight) is float else _weight(e.weight, e.id)
-        if not 0.0 < w < math.inf:
-            what = "non-positive" if e.weight <= 0 else "non-finite"
-            raise InstanceError(f"element {e.id}: {what} weight {e.weight!r}")
-    elements = tuple(sorted(elements, key=lambda e: e.id))
+    if not set(map(type, ids)) <= {int} or (ids and min(ids) < 0):  # bool is not an id
+        bad = next(i for i in ids if type(i) is not int or i < 0)
+        raise InstanceError(f"element id must be a non-negative integer: {bad!r}")
+    known = set(ids)
+    if len(known) < len(ids):
+        seen: set[int] = set()
+        for i in ids:
+            if i in seen:
+                raise InstanceError(f"duplicate element id {i}")
+            seen.add(i)
+    # floats, the common case, need no call
+    floats = weights if set(map(type, weights)) <= {float} else list(map(_weight, weights, ids))
+    # a NaN or an infinity fails the sum's test, and so may finite weights
+    # whose sum overflows: a failed test only starts the scan, which decides
+    if floats and not (0.0 < min(floats) and sum(floats) < math.inf):
+        for f, w, i in zip(floats, weights, ids):
+            if not 0.0 < f < math.inf:
+                what = "non-positive" if w <= 0 else "non-finite"
+                raise InstanceError(f"element {i}: {what} weight {w!r}")
+    if ids != sorted(ids):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = list(map(ids.__getitem__, order))
+        weights = list(map(weights.__getitem__, order))
 
-    raw = {}
+    raw: dict[int, tuple] = {}
     for nd in nodes:
-        if type(nd.id) is not int or nd.id < 0:
-            raise InstanceError(f"node id must be a non-negative integer: {nd.id!r}")
-        if nd.id in raw:
-            raise InstanceError(f"duplicate node id {nd.id}")
-        if type(nd.capacity) is not int:
-            raise InstanceError(f"node {nd.id}: capacity must be an integer: {nd.capacity!r}")
-        if nd.capacity <= 0:
-            raise InstanceError(f"node {nd.id}: non-positive capacity")
-        raw[nd.id] = nd
+        nid, cap, _ = nd
+        if type(nid) is not int or nid < 0:
+            raise InstanceError(f"node id must be a non-negative integer: {nid!r}")
+        if nid in raw:
+            raise InstanceError(f"duplicate node id {nid}")
+        if type(cap) is not int:
+            raise InstanceError(f"node {nid}: capacity must be an integer: {cap!r}")
+        if cap <= 0:
+            raise InstanceError(f"node {nid}: non-positive capacity")
+        raw[nid] = nd
     if not raw:
         raise InstanceError("no root node (empty family)")
 
-    roots = [nid for nid, nd in raw.items() if nd.parent is None]
+    roots = [nid for nid, (_, _, parent) in raw.items() if parent is None]
     if len(roots) > 1:
         raise InstanceError(f"multiple roots (nodes {roots[0]} and {roots[1]})")
     if not roots:
         raise InstanceError("no root node")
     children: dict[int, list[int]] = {nid: [] for nid in raw}
-    for nd in raw.values():
-        if nd.parent is not None:
-            if nd.parent not in raw:
-                raise InstanceError(f"node {nd.id}: unknown parent {nd.parent}")
-            children[nd.parent].append(nd.id)
+    for nid, _, parent in raw.values():
+        if parent is not None:
+            if parent not in raw:
+                raise InstanceError(f"node {nid}: unknown parent {parent}")
+            children[parent].append(nid)
     # a node the root does not reach lies on or below a cycle of parent links
     reached = [roots[0]]
     for nid in reached:  # grows as it is read; every node has one parent
@@ -311,27 +367,26 @@ def make_instance(name, elements, nodes, membership) -> LaminarInstance:
         nid = next(nid for nid in raw if nid in cut)  # the first in input order
         raise InstanceError(f"node {nid}: cycle in parent links")
 
-    membership = dict(membership)
-    for eid in membership:
-        if eid not in seen:
-            raise InstanceError(f"membership: unknown element {eid}")
-    for e in elements:
-        if e.id not in membership:
-            raise InstanceError(f"element {e.id} not assigned to any node")
-        if membership[e.id] not in raw:
-            raise InstanceError(
-                f"element {e.id}: membership references unknown node {membership[e.id]}"
-            )
+    if not known.issuperset(membership):
+        eid = next(eid for eid in membership if eid not in known)
+        raise InstanceError(f"membership: unknown element {eid}")
+    if len(membership) < len(ids):  # its keys are known ids, so some id has none
+        eid = next(eid for eid in ids if eid not in membership)
+        raise InstanceError(f"element {eid} not assigned to any node")
+    if not set(membership.values()) <= raw.keys():
+        eid = next(eid for eid in ids if membership[eid] not in raw)
+        raise InstanceError(
+            f"element {eid}: membership references unknown node {membership[eid]}"
+        )
 
-    linked = tuple(
-        FamilyNode(nd.id, nd.capacity, nd.parent, tuple(sorted(children[nd.id])))
-        for nd in sorted(raw.values(), key=lambda x: x.id)
-    )
-    return LaminarInstance(name, elements, linked, membership)
+    linked = tuple(FamilyNode(*raw[nid], tuple(sorted(children[nid]))) for nid in sorted(raw))
+    return LaminarInstance(name, ids, weights, linked, membership)
 
 
 def load_instance(text: str) -> LaminarInstance:
-    """Parse and validate the JSON instance format (see README)."""
+    """Parse and validate the JSON instance format (see README).  Each
+    column is read and type-checked in one pass: integral floats become
+    ints, int weights become floats."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
@@ -342,24 +397,37 @@ def load_instance(text: str) -> LaminarInstance:
         if key not in doc:
             raise InstanceError(f"missing field '{key}'")
     try:
-        elements = [
-            Element(_json_int(e["id"], "element id"), _weight(e["weight"], e["id"]))
-            for e in doc["elements"]
-        ]
+        raw_ids = list(map(itemgetter("id"), doc["elements"]))
+        raw_weights = list(map(itemgetter("weight"), doc["elements"]))
         nodes = [
-            FamilyNode(
+            (
                 _json_int(nd["id"], "node id"),
                 _json_int(nd["capacity"], f"node {nd['id']!r}: capacity"),
                 None if nd["parent"] is None else _json_int(nd["parent"], f"node {nd['id']!r}: parent"),
             )
             for nd in doc["nodes"]
         ]
-        membership = {
-            _json_key(k): _json_int(v, "membership value") for k, v in doc["membership"].items()
-        }
+        pairs = doc["membership"].items()
     except (AttributeError, KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance text: {exc}") from None
-    return make_instance(doc["name"], elements, nodes, membership)
+    ids = _json_ints(raw_ids, "element id")
+    weights = (raw_weights if set(map(type, raw_weights)) <= {float}
+               else list(map(_weight, raw_weights, raw_ids)))  # worded with the id as written
+    keys = list(map(itemgetter(0), pairs))
+    try:
+        eids = list(map(int, keys))
+        canonical = list(map(str, eids)) == keys
+    except ValueError:
+        canonical = False
+    if not canonical:
+        eids = list(map(_json_key, keys))
+    nids = _json_ints(list(map(itemgetter(1), pairs)), "membership value")
+    return _assemble(doc["name"], ids, weights, nodes, dict(zip(eids, nids)))
+
+
+def _json_ints(col: list, what: str) -> list:
+    """A column of integral JSON numbers (see ``_json_int``)."""
+    return col if set(map(type, col)) <= {int} else [_json_int(v, what) for v in col]
 
 
 def _json_int(value, what: str) -> int:
@@ -374,8 +442,8 @@ def _json_int(value, what: str) -> int:
 
 def _weight(value, element_id) -> float:
     """A weight as a float: an int or a float, not a bool, and refused as
-    non-finite when an int is too large for a float.  ``make_instance``
-    checks the range; it keeps the weight it was given."""
+    non-finite when an int is too large for a float.  ``_assemble`` checks
+    the range; it keeps the weight it was given."""
     if type(value) is float:
         return value
     if type(value) is int:
@@ -401,7 +469,7 @@ def dump_instance(inst: LaminarInstance) -> str:
     """Canonical JSON serialization; loading it back round-trips exactly."""
     doc = {
         "name": inst.name,
-        "elements": [{"id": e.id, "weight": e.weight} for e in inst.elements],
+        "elements": [{"id": i, "weight": w} for i, w in zip(inst.ids, inst.weights)],
         "nodes": [
             {"id": nd.id, "capacity": nd.capacity, "parent": nd.parent}
             for nd in inst.nodes

@@ -24,6 +24,7 @@ from laminar_secretary import (
     load_instance,
     make_instance,
     make_trial,
+    order_key,
     reference_sets,
     run_kicknext,
     theory_params,
@@ -159,6 +160,31 @@ def path_up(inst, from_node, to_node):
             return None
         out.append(parent[out[-1]])
     return out
+
+
+def rank_tables_by_elements(elements, nodes, membership):
+    """Reference for ``_Pre``'s rank tables from raw parts in any order:
+    the ``Element``s sorted by ``order_key``, and each rank's chain of node
+    indices (nodes numbered in id order) walked up by parent links."""
+    ranked = sorted(elements, key=lambda e: order_key(e.weight, e.id))
+    index = {nid: i for i, nid in enumerate(sorted(nd.id for nd in nodes))}
+    parent = {nd.id: nd.parent for nd in nodes}
+
+    def chain(nid):
+        out = []
+        while nid is not None:
+            out.append(index[nid])
+            nid = parent[nid]
+        return tuple(out)
+
+    return {
+        "n_real": len(ranked),
+        "ids_by_rank": [e.id for e in ranked],
+        "w_by_rank": [e.weight for e in ranked],
+        "rank_by_id": {e.id: r for r, e in enumerate(ranked)},
+        "max_id": max((e.id for e in ranked), default=-1),
+        "chain_by_rank": [chain(membership[e.id]) for e in ranked],
+    }
 
 
 def sample_ranks_by_prefix(n, p, seed):

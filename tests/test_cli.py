@@ -511,3 +511,26 @@ def test_parser_is_built_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_build_parser", refuse)
     assert main(["theory", "--p", "0.08"]) == 0
     assert capsys.readouterr().out.startswith("p,alpha,c,ratio_lower_bound\n0.08,")
+
+
+@pytest.mark.parametrize("command", [
+    ["opt"], ["montecarlo", "--trials", "300"], ["exact"], ["verify", "--trials", "300"],
+    ["run", "--seed", "3", "--trace"],
+])
+@pytest.mark.parametrize("text", [
+    FOUR_ELEMENT_TEXT, dump_instance(generate(GenSpec("random_tree", 8, 5, "near_ties"))),
+], ids=["four", "random-tree"])
+def test_cli_builds_no_element(tmp_path, capsys, monkeypatch, command, text):
+    # the instance is loaded as columns and run in rank space
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    argv = [command[0], str(path), *command[1:]]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Element was built")
+
+    monkeypatch.setattr(model, "Element", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want

@@ -625,6 +625,27 @@ class TestQualifyingJointProbability:
             assert got.probability == 0.0 and got.bound == p ** (1 + sum(counts))
         assert total > 0.0
 
+    def test_capacity_long_counts_are_not_copied(self):
+        # the counts' validation keeps the slots-long tail, not a copy of
+        # the capacity-long vector the caller holds
+        n = 8
+        weights = [float((7 * i) % n + 1) for i in range(n)]
+        small, big = rank1(weights, capacity=n), rank1(weights, capacity=10**5)
+        tail = [0, 0, 1, 0, 0, 0, 0, 0]
+        counts = [0] * (10**5 - n) + tail
+        kw = dict(element_id=3, method="mc", trials=200, master_seed=5)
+        want = qualifying_joint_probability(small, 0.3, 0, tail, **kw)
+        assert want.probability > 0.0
+        qualifying_joint_probability(big, 0.3, 0, counts, **kw)  # builds the instance's tables
+        tracemalloc.start()
+        try:
+            got = qualifying_joint_probability(big, 0.3, 0, counts, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 64 * 1024, peak
+
 
 class TestVerifyLemmas:
     def test_four_element_all_pass(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     corrupt_four_element,
     four_element,
     path_up,
+    rank_tables_by_elements,
     tree,
 )
 
@@ -418,6 +420,62 @@ class TestTreeTables:
             unfilled = pre.mu[b] - len(padded[b])
             for r in pre.members(b):
                 assert _global_brank(pre, opt, b, r) == _padded_brank(padded[b], r) + unfilled
+
+
+def _rank_tables(pre):
+    return {key: getattr(pre, key) for key in
+            ("n_real", "ids_by_rank", "w_by_rank", "rank_by_id", "max_id", "chain_by_rank")}
+
+
+class TestRankTables:
+    """``_Pre``'s rank tables, built from the id-ordered columns, against
+    the ``Element``s sorted by ``order_key``."""
+
+    GRID = [(family, weights, seed)
+            for family in ("uniform", "partition", "chain", "random_tree")
+            for weights in ("uniform", "exponential", "power_law", "near_ties")
+            for seed in (1, 2)]
+
+    @pytest.mark.parametrize("family,weights,seed", GRID)
+    def test_loaded_from_shuffled_json(self, family, weights, seed):
+        inst = generate(GenSpec(family, 40, seed, weights))
+        doc = json.loads(dump_instance(inst))
+        rnd = random.Random(seed)
+        # sparse ids, listed out of order, and the membership out of order too
+        for e in doc["elements"]:
+            e["id"] = 3 * e["id"] + 5
+        rnd.shuffle(doc["elements"])
+        pairs = [(str(3 * int(k) + 5), v) for k, v in doc["membership"].items()]
+        rnd.shuffle(pairs)
+        doc["membership"] = dict(pairs)
+        plain = load_instance(dump_instance(inst))
+        assert _rank_tables(plain.pre()) == rank_tables_by_elements(
+            inst.elements, inst.nodes, inst.membership)
+        shuffled = load_instance(json.dumps(doc))
+        assert _rank_tables(shuffled.pre()) == rank_tables_by_elements(
+            [Element(e["id"], e["weight"]) for e in doc["elements"]], inst.nodes,
+            {int(k): v for k, v in doc["membership"].items()})
+        assert shuffled.ids == sorted(shuffled.ids)
+
+    @pytest.mark.parametrize("family,weights,seed", GRID)
+    def test_made_from_shuffled_elements(self, family, weights, seed):
+        inst = generate(GenSpec(family, 40, seed, weights))
+        rnd = random.Random(seed)
+        elements = list(inst.elements)
+        rnd.shuffle(elements)
+        pairs = list(inst.membership.items())
+        rnd.shuffle(pairs)
+        made = make_instance(inst.name, elements, reversed(inst.nodes), dict(pairs))
+        want = rank_tables_by_elements(elements, inst.nodes, inst.membership)
+        assert _rank_tables(made.pre()) == want
+        assert _rank_tables(inst.pre()) == want
+        assert made.elements == inst.elements
+
+    def test_ties_keep_id_order(self):
+        inst = make_instance("ties", [Element(9, 2.0), Element(4, 2.0), Element(7, 3.0),
+                                      Element(1, 2.0)], [FamilyNode(0, 2, None)],
+                             {9: 0, 4: 0, 7: 0, 1: 0})
+        assert inst.pre().ids_by_rank == [7, 1, 4, 9]
 
 
 class TestLaminarity:

@@ -1,0 +1,39 @@
+"""The benchmark's tracer (``perfbench/tracer.py``, imported here, never
+changed) sees each CLI call load its instance once and build its rank
+tables once.  It wraps ``load_instance`` and ``_Pre`` where the package looks
+them up, so both must stay plain module-level calls."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import laminar_secretary
+from laminar_secretary import GenSpec, dump_instance, generate
+from laminar_secretary.cli import main
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("command", [["opt"], ["montecarlo", "--trials", "50"]])
+def test_one_load_and_one_pre_span_per_call(tmp_path, command):
+    path = tmp_path / "partition.json"
+    path.write_text(dump_instance(generate(GenSpec("partition", 40, 3, parts=4))))
+    tracer = _tracing().Tracer(laminar_secretary)
+    tracer.install()
+    try:
+        for _ in range(3):
+            assert main([command[0], str(path), *command[1:]]) == 0
+    finally:
+        tracer.restore()
+    assert not tracer.patched()
+    names = [tracer.names[i] for i in tracer.name]
+    assert names.count("model.load") == 3
+    assert names.count("model.pre") == 3
