@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 # ``_Pre`` keeps every node's chain to the root, one slot per node on it, so
@@ -294,8 +295,19 @@ def make_instance(name, elements, nodes, membership) -> LaminarInstance:
     """Validate and assemble an instance; children links are recomputed.
     Each element keeps the weight it was given."""
     elements = tuple(elements)
-    return _assemble(name, [e.id for e in elements], [e.weight for e in elements],
+    inst = _assemble(name, [e.id for e in elements], [e.weight for e in elements],
                      [(nd.id, nd.capacity, nd.parent) for nd in nodes], dict(membership))
+    # ``_assemble`` finds keys and values by value, so True passes as 1 and
+    # 2.0 as 2.  Loading and generating make plain ints, so only this entry
+    # tests their types, after the rules that word an unknown id or node.
+    m = inst.membership
+    if not set(map(type, m)) <= {int}:
+        eid = next(eid for eid in m if type(eid) is not int)
+        raise InstanceError(f"membership key must be an element id, got {eid!r}")
+    if not set(map(type, m.values())) <= {int}:
+        nid = next(nid for nid in m.values() if type(nid) is not int)
+        raise InstanceError(f"membership value must be an integer, got {nid!r}")
+    return inst
 
 
 def _assemble(name, ids: list, weights: list, nodes: list[tuple], membership: dict
@@ -334,7 +346,7 @@ def _assemble(name, ids: list, weights: list, nodes: list[tuple], membership: di
 
     raw: dict[int, tuple] = {}
     for nd in nodes:
-        nid, cap, _ = nd
+        nid, cap, parent = nd
         if type(nid) is not int or nid < 0:
             raise InstanceError(f"node id must be a non-negative integer: {nid!r}")
         if nid in raw:
@@ -343,6 +355,8 @@ def _assemble(name, ids: list, weights: list, nodes: list[tuple], membership: di
             raise InstanceError(f"node {nid}: capacity must be an integer: {cap!r}")
         if cap <= 0:
             raise InstanceError(f"node {nid}: non-positive capacity")
+        if parent is not None and type(parent) is not int:  # True would link under node 1
+            raise InstanceError(f"node {nid}: parent must be an integer, got {parent!r}")
         raw[nid] = nd
     if not raw:
         raise InstanceError("no root node (empty family)")
@@ -465,18 +479,41 @@ def _json_key(key: str) -> int:
     return eid
 
 
+# The layout of ``json.dumps(doc, sort_keys=True, indent=1)``: keys sorted,
+# one entry per line, one space of indent per level.  ``indent`` makes
+# ``json`` fall back to its pure-Python encoder, so the text is joined here.
+_ELEMENT = '  {\n   "id": %r,\n   "weight": %r\n  }'
+_NODE = '  {\n   "capacity": %r,\n   "id": %r,\n   "parent": %s\n  }'
+_MEMBER = '  "%s": %r'
+
+
+def _block(brackets: str, entries: list[str]) -> str:
+    """A JSON array or object at the top level of the document."""
+    if not entries:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(entries) + f"\n {brackets[1]}"
+
+
 def dump_instance(inst: LaminarInstance) -> str:
-    """Canonical JSON serialization; loading it back round-trips exactly."""
-    doc = {
-        "name": inst.name,
-        "elements": [{"id": i, "weight": w} for i, w in zip(inst.ids, inst.weights)],
-        "nodes": [
-            {"id": nd.id, "capacity": nd.capacity, "parent": nd.parent}
-            for nd in inst.nodes
-        ],
-        "membership": {str(k): inst.membership[k] for k in sorted(inst.membership)},
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    """Canonical JSON serialization; loading it back round-trips exactly.
+
+    The text is that of ``json.dumps`` with ``sort_keys=True, indent=1``,
+    written directly: membership keys sort as strings ("10" before "9"),
+    numbers are their ``repr``, as in ``json``, and the name is escaped by
+    ``json``'s own ASCII routine.  A validated instance holds only plain
+    ints and finite floats in the numeric fields."""
+    m = inst.membership
+    elements = [_ELEMENT % e for e in zip(inst.ids, inst.weights)]
+    members = [_MEMBER % kv for kv in sorted(zip(map(str, m), m.values()))]
+    nodes = [_NODE % (nd.capacity, nd.id, "null" if nd.parent is None else nd.parent)
+             for nd in inst.nodes]
+    return "".join((
+        '{\n "elements": ', _block("[]", elements),
+        ',\n "membership": ', _block("{}", members),
+        ',\n "name": ', encode_basestring_ascii(inst.name),
+        ',\n "nodes": ', _block("[]", nodes),
+        "\n}",
+    ))
 
 
 # -- structure operations ----------------------------------------------------
@@ -500,8 +537,6 @@ def normalize_family(inst: LaminarInstance) -> LaminarInstance:
                 removed.add(nd.id)
                 break
             cur = by_id[cur].parent
-    if not removed:
-        return make_instance(inst.name, inst.elements, inst.nodes, inst.membership)
 
     def surviving(node_id: int) -> int:
         while node_id in removed:
@@ -509,9 +544,9 @@ def normalize_family(inst: LaminarInstance) -> LaminarInstance:
         return node_id
 
     nodes = [
-        FamilyNode(nd.id, nd.capacity, surviving(nd.parent) if nd.parent is not None else None)
+        (nd.id, nd.capacity, surviving(nd.parent) if nd.parent is not None else None)
         for nd in inst.nodes
         if nd.id not in removed
     ]
     membership = {eid: surviving(nid) for eid, nid in inst.membership.items()}
-    return make_instance(inst.name, inst.elements, nodes, membership)
+    return _assemble(inst.name, list(inst.ids), list(inst.weights), nodes, membership)

@@ -75,6 +75,25 @@ def corrupt_four_element(field, value):
     return json.dumps(doc)
 
 
+def instance_doc(inst):
+    """The document that ``dump_instance`` writes, built field by field."""
+    return {
+        "name": inst.name,
+        "elements": [{"id": i, "weight": w} for i, w in zip(inst.ids, inst.weights)],
+        "nodes": [
+            {"id": nd.id, "capacity": nd.capacity, "parent": nd.parent}
+            for nd in inst.nodes
+        ],
+        "membership": {str(k): inst.membership[k] for k in sorted(inst.membership)},
+    }
+
+
+def dump_instance_by_json(inst):
+    """The canonical text by ``json.dumps``, whose ``indent`` runs the
+    pure-Python encoder: the oracle for ``dump_instance``."""
+    return json.dumps(instance_doc(inst), sort_keys=True, indent=1)
+
+
 def rank1(weights, capacity=1, name="rank1"):
     """Single-node instance: select at most ``capacity`` of the elements."""
     elements = [Element(i, float(w)) for i, w in enumerate(weights)]

@@ -9,7 +9,9 @@ package ``__init__`` re-exports by importing, so it is skipped, and so are
 private method, of the package must be read, as a name or an attribute,
 somewhere in the package or in ``scripts/``.  Every ``import`` in the
 package, nested ones included, must be relative or name a module of
-``sys.stdlib_module_names``.
+``sys.stdlib_module_names``.  No package module calls ``json.dump`` or
+``json.dumps`` with ``indent``, which makes ``json`` fall back from its C
+encoder to the pure-Python one.
 """
 
 import ast
@@ -109,3 +111,35 @@ def test_outside_imports_are_found():
 def test_package_imports_only_the_standard_library(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert not outside_imports(tree), f"{path.name}: imports outside the standard library"
+
+
+def indented_json_calls(tree: ast.Module) -> list[int]:
+    """The lines of the calls in ``tree`` to ``json.dump`` or ``json.dumps``,
+    by attribute or by a name imported from ``json``, that pass ``indent``."""
+    dumps = {"dump", "dumps"}
+    bare = {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "json"
+            for a in node.names if a.name in dumps}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or "indent" not in {k.arg for k in node.keywords}:
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in dumps
+                and isinstance(f.value, ast.Name) and f.value.id == "json"
+                or isinstance(f, ast.Name) and f.id in bare):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_indented_json_calls_are_found():
+    tree = ast.parse("import json\nfrom json import dumps as d\njson.dumps(x)\n"
+                     "json.dumps(x, indent=1)\njson.dump(x, f, sort_keys=True, indent=None)\n"
+                     "d(x, indent=2)\nd(x)\ntext.dumps(x, indent=1)\n")
+    assert indented_json_calls(tree) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_writes_no_indented_json(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not indented_json_calls(tree), f"{path.name}: json with indent, a pure-Python encode"

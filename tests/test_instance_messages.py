@@ -258,6 +258,11 @@ MAKE_CASES = [
     ("capacity-null", _node(1, 1, None, 0), "node 1: capacity must be an integer: None"),
     ("capacity-zero", _node(1, 1, 0, 0), "node 1: non-positive capacity"),
     ("capacity-negative", _node(1, 1, -1, 0), "node 1: non-positive capacity"),
+    # True and False hash as 1 and 0, so they would pass as node and element ids
+    ("parent-true", _node(1, 1, 1, True), "node 1: parent must be an integer, got True"),
+    ("parent-false", _node(1, 1, 1, False), "node 1: parent must be an integer, got False"),
+    ("parent-float", _node(1, 1, 1, 0.0), "node 1: parent must be an integer, got 0.0"),
+    ("parent-string", _node(1, 1, 1, "0"), "node 1: parent must be an integer, got '0'"),
     ("parent-unknown", _node(1, 1, 1, 5), "node 1: unknown parent 5"),
     ("parent-negative", _node(1, 1, 1, -1), "node 1: unknown parent -1"),
     ("parent-self", _node(1, 1, 1, 1), "node 1: cycle in parent links"),
@@ -271,6 +276,20 @@ MAKE_CASES = [
     ("key-negative", {"membership": {0: 1, 1: 1, 2: 0, 3: 0, -1: 0}},
      "membership: unknown element -1"),
     ("key-string", {"membership": {0: 1, 1: 1, "2": 0, 3: 0}}, "membership: unknown element 2"),
+    ("key-true", {"membership": {0: 1, True: 1, 2: 0, 3: 0}},
+     "membership key must be an element id, got True"),
+    ("key-false", {"membership": {False: 1, 1: 1, 2: 0, 3: 0}},
+     "membership key must be an element id, got False"),
+    ("key-float", {"membership": {0: 1, 1: 1, 2.0: 0, 3: 0}},
+     "membership key must be an element id, got 2.0"),
+    ("value-true", {"membership": {0: 1, 1: 1, 2: 0, 3: True}},
+     "membership value must be an integer, got True"),
+    ("value-false", {"membership": {0: 1, 1: 1, 2: False, 3: 0}},
+     "membership value must be an integer, got False"),
+    ("value-float", {"membership": {0: 1, 1: 1, 2: 0.0, 3: 0}},
+     "membership value must be an integer, got 0.0"),
+    ("value-string", {"membership": {0: 1, 1: 1, 2: "0", 3: 0}},
+     "element 2: membership references unknown node 0"),
     ("value-unknown-node", {"membership": {0: 1, 1: 1, 2: 9, 3: 0}},
      "element 2: membership references unknown node 9"),
     ("value-negative", {"membership": {0: 1, 1: 1, 2: -1, 3: 0}},
@@ -350,3 +369,12 @@ def test_finite_weights_whose_sum_overflows_are_legal():
     assert load_instance(json.dumps(doc)).weights == [1e308] * 4
     elements = [Element(e.id, 1e308) for e in ELEMENTS]
     assert make_instance("four", elements, NODES, MEMBERSHIP).weights == [1e308] * 4
+
+
+def test_make_refuses_bools_that_would_not_load():
+    # True hashes as 1: the instance would link and dump, but its file would
+    # hold "parent": true and a "True" key, which load_instance refuses
+    with pytest.raises(InstanceError) as info:
+        make_instance("x", [Element(0, 1.0), Element(1, 2.0)],
+                      [FamilyNode(1, 2, None), FamilyNode(2, 1, True)], {0: True, True: 2})
+    assert str(info.value) == "node 2: parent must be an integer, got True"

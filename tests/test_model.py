@@ -30,7 +30,9 @@ from helpers import (
     FAMILY_OR_SHAPED,
     FOUR_ELEMENT_TEXT,
     corrupt_four_element,
+    dump_instance_by_json,
     four_element,
+    instance_doc,
     path_up,
     rank_tables_by_elements,
     tree,
@@ -239,6 +241,65 @@ def test_dump_load_round_trip(family, weights, n, seed):
     assert back.elements == inst.elements and back.membership == inst.membership
 
 
+# the extremes of the float range, a float whose repr is short but not
+# exact, and int weights, which ``make_instance`` keeps as given
+EDGE_WEIGHTS = (5e-324, 1e-300, 0.1, 1e16, 1.7976931348623157e308, 1, 7, 10 ** 300)
+EDGE_NAMES = ('say "hi"', "back\\slash", "\x00\x1f\x7f\n\t", "Kettenbr\u00fcche \u03bb \u4e2d",
+              "lone \ud800 surrogate", "\udfff", "\U0001f600", "")
+# A high surrogate followed by a low one is written as an escaped pair,
+# which loads back as one astral character, so only high ones are drawn.
+HIGH_SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDBFF, categories=("Cs",))
+
+
+@st.composite
+def written_instances(draw):
+    """An instance for the writer: one node, a deep chain or a random tree,
+    sparse node and element ids up to 10^6 in no order, weights of every
+    magnitude, floats or ints, and any name, lone surrogates included."""
+    size = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(("deep", "random")))
+    node_ids = draw(st.lists(st.integers(0, 10 ** 6), min_size=size, max_size=size, unique=True))
+    parents = [None] + [i - 1 if shape == "deep" else draw(st.integers(0, i - 1))
+                        for i in range(1, size)]
+    nodes = [FamilyNode(nid, draw(st.integers(1, 10 ** 6)), None if q is None else node_ids[q])
+             for nid, q in zip(node_ids, parents)]
+    eids = draw(st.lists(st.integers(0, 10 ** 6), max_size=25, unique=True))
+    weight = st.one_of(st.sampled_from(EDGE_WEIGHTS),
+                       st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+                       st.integers(1, 10 ** 308))
+    elements = [Element(e, draw(weight)) for e in eids]
+    membership = {e: draw(st.sampled_from(node_ids)) for e in eids}
+    name = draw(st.one_of(st.sampled_from(EDGE_NAMES), st.text(),
+                          st.text(st.one_of(HIGH_SURROGATES, st.characters(max_codepoint=0x7F)))))
+    return make_instance(name, elements, nodes, membership)
+
+
+class TestWriter:
+    """``dump_instance`` writes the text of ``json.dumps(doc, sort_keys=True,
+    indent=1)`` without ``json``'s encoder."""
+
+    @given(written_instances())
+    def test_same_text_as_json_dumps(self, inst):
+        text = dump_instance(inst)
+        assert text == dump_instance_by_json(inst)
+        assert json.loads(text) == instance_doc(inst)
+
+    @pytest.mark.parametrize("weight", EDGE_WEIGHTS)
+    @pytest.mark.parametrize("name", EDGE_NAMES)
+    def test_edge_weights_and_names(self, weight, name):
+        inst = make_instance(name, [Element(9, weight), Element(10, 2.5)],
+                             [FamilyNode(10 ** 6, 1, None)], {10: 10 ** 6, 9: 10 ** 6})
+        text = dump_instance(inst)
+        assert text == dump_instance_by_json(inst)
+        assert json.loads(text) == instance_doc(inst)
+
+    def test_empty_columns(self):
+        inst = make_instance("none", [], [FamilyNode(0, 1, None)], {})
+        assert dump_instance(inst) == dump_instance_by_json(inst)
+        assert '"elements": [],' in dump_instance(inst)
+        assert '"membership": {},' in dump_instance(inst)
+
+
 class TestNormalize:
     def test_removes_equal_capacity_child(self):
         inst = tree(
@@ -304,6 +365,22 @@ class TestNormalize:
         assert greedy_opt(norm, None, 0).weight == greedy_opt(inst, None, 0).weight == 9.0
         assert exact_ratio(inst, 0.2) == pytest.approx(0.2021925925925926, abs=1e-12)
         assert exact_ratio(norm, 0.2) == pytest.approx(0.2054162962962963, abs=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        four_element,  # nothing to remove
+        lambda: tree("messy", [(0, 4, None), (1, 5, 0), (2, 2, 1), (3, 2, 2), (4, 1, 0)],
+                     {0: 3, 1: 3, 2: 2, 3: 1, 4: 4, 5: 0}, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]),
+    ], ids=["monotone", "messy"])
+    def test_builds_no_element(self, build, monkeypatch):
+        # the columns go straight to the validator; each call gets a new
+        # instance, whose Element tuple is not built yet
+        want = dump_instance(normalize_family(build()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an Element was built")
+
+        monkeypatch.setattr(model, "Element", refuse)
+        assert dump_instance(normalize_family(build())) == want
 
     @given(st.integers(0, 10_000))
     def test_idempotent(self, seed):

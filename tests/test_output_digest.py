@@ -9,13 +9,29 @@ CLI ``verify`` (``verify_report``'s summary and CSV) over every family at
 n = 6, 17 and 60, the same p values and 1, 37 and 600 trials; the last
 runs past the 500-trial cap of the backward-rank dominance checks.
 ``EXACT_DIGEST`` pins ``exact_expectation`` over every family at n = 1, 4,
-6 and 8, the same p values, padding on and off.  A change that alters
+6 and 8, the same p values, padding on and off.  ``GEN_DIGEST`` pins the
+text of ``dump_instance`` over every family and weight regime at n = 1, 6,
+17, 200 and 2000, plus one hand-built instance with int weights, sparse
+ids ("100" sorts before "12" as a key), nodes given out of id order and a
+non-ASCII name, so ``gen`` files stay byte-identical.  A change that alters
 fixed-seed outputs on purpose must say so and record the new digest.
 """
 
 from hashlib import sha256
 
-from laminar_secretary import derive_seed, exact_expectation, monte_carlo_ratio, verify_report
+from laminar_secretary import (
+    Element,
+    FamilyNode,
+    GenSpec,
+    derive_seed,
+    dump_instance,
+    exact_expectation,
+    generate,
+    make_instance,
+    monte_carlo_ratio,
+    verify_report,
+)
+from laminar_secretary.generators import WEIGHTS
 from laminar_secretary.experiments import _trial_weights_chunk
 from laminar_secretary.kicknext import _sample_ids
 
@@ -24,6 +40,7 @@ from helpers import family_instance
 DIGEST = "7d698a3a338e4dc16cdff626fa174b908c7665dd3ba179948af8c12bc911095c"
 VERIFY_DIGEST = "e920ed8301f179bc0ed2156c4193ff8ae5b7bc26b60aec4dde1f102b9c60c644"
 EXACT_DIGEST = "c050f24d03b56d3e612dba1f16f274a5067e23c52b09a5d5abc5fcff3c78752e"
+GEN_DIGEST = "d1aabf01088ad9009d148054ef751827652a189954eaf75af0639e6072b1c322"
 
 FAMILIES = ("uniform", "partition", "chain", "random_tree")
 SIZES = (6, 16, 17, 200)
@@ -31,6 +48,7 @@ PS = (0.05, 0.08, 0.2)
 VERIFY_SIZES = (6, 17, 60)
 VERIFY_TRIALS = (1, 37, 600)
 EXACT_SIZES = (1, 4, 6, 8)
+GEN_SIZES = (1, 6, 17, 200, 2000)
 
 
 def _digest() -> str:
@@ -86,3 +104,24 @@ def _exact_digest() -> str:
 
 def test_exact_expectations_are_unchanged():
     assert _exact_digest() == EXACT_DIGEST
+
+
+def _gen_digest() -> str:
+    h = sha256()
+    for fi, family in enumerate(FAMILIES):
+        for weights in WEIGHTS:
+            for n in GEN_SIZES:
+                spec = GenSpec(family, n, 10 * fi + n, weights)
+                h.update(dump_instance(generate(spec)).encode())
+    hand = make_instance(
+        "Kettenbr\u00fcche \u2014 \u03bb",
+        [Element(40, 3), Element(12, 7), Element(100, 2), Element(10, 7), Element(95, 1)],
+        [FamilyNode(31, 1, 10), FamilyNode(10, 2, None), FamilyNode(17, 1, 10)],
+        {95: 31, 10: 17, 100: 17, 40: 10, 12: 31},
+    )
+    h.update(dump_instance(hand).encode())
+    return h.hexdigest()
+
+
+def test_instance_files_are_unchanged():
+    assert _gen_digest() == GEN_DIGEST
