@@ -1,10 +1,12 @@
 """Empirical verification harness.
 
-Everything here is seeded and reproducible: trial ``i`` of a run with master
-seed ``s`` is the draw of ``derive_seed(s, i)``, a pure function of the
-pair, so serial and parallel execution produce identical statistics.  A
-call draws all its trials as one stream, ``kicknext._orders`` over
-``_seeds``, which sets up its per-call constants once.  ``RNG_VERSION``
+Everything here is seeded and reproducible: trials come in blocks of
+B = ``kicknext._block_size(n, p)``, and trial ``i`` of a run with master
+seed ``s`` is draw ``i % B`` of the stream of ``derive_seed(s, i // B)``,
+a pure function of the pair, so serial and parallel execution produce
+identical statistics.  ``_arrival_orders`` is the one map from (master
+seed, first trial, count) to arrival orders; a range that starts inside a
+block decodes the block's earlier draws and drops them.  ``RNG_VERSION``
 names that trial stream, and every summary prints it, so that a printed
 estimate says which draws it rests on.  Aggregation goes through
 ``math.fsum`` (exact summation), which keeps results independent of
@@ -69,13 +71,22 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product
 from multiprocessing import Pool
 from operator import gt
 
 from .model import LaminarInstance
 from .matroid import _global_optima, _ref_rank_lists
-from .kicknext import _MASK64, _arrive, _check_p, _check_seed, _flags, _orders, _run_weight
+from .kicknext import (
+    _MASK64,
+    _arrive,
+    _block_size,
+    _check_p,
+    _check_seed,
+    _flags,
+    _orders,
+    _run_weight,
+)
 from .theory import (
     _global_brank,
     _padded_brank,
@@ -97,7 +108,7 @@ from .theory import (
 # tracemalloc at n = 8, and 23 to 225 ms and at most 3.8 MiB at n = 10 (the
 # four families at p = 0.08, padding on and off; Python 3.11, 2 cores).
 EXACT_ENUM_LIMIT = 8
-RNG_VERSION = 2
+RNG_VERSION = 3
 # up to this many elements, ``_trial_weights_chunk`` memoizes each arrival
 # order's weight, as draws repeat often
 SMALL_N = 16
@@ -109,7 +120,8 @@ _TOL = 1e-12
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """Per-trial seed: SplitMix64 finalizer applied to
+    """Seed of the stream of block ``index`` (trials ``index * B`` on, see
+    ``_arrival_orders``): SplitMix64 finalizer applied to
     ``master_seed + GOLDEN * (index + 1)``.  Stable across platforms."""
     z = (master_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -245,16 +257,24 @@ def _check_run(p: float, trials: int, master_seed: int) -> None:
     _check_seed(master_seed)
 
 
-def _seeds(master_seed: int, start: int, count: int):
-    """The seeds of trials ``start`` to ``start + count - 1``."""
-    return map(derive_seed, repeat(master_seed), range(start, start + count))
+def _arrival_orders(pre, p: float, master_seed: int, start: int, count: int):
+    """The arrival orders of trials ``start`` to ``start + count - 1``:
+    trial i is draw ``i % B`` of the stream of ``derive_seed(master_seed,
+    i // B)``, with B = ``kicknext._block_size(n, p)``.  A range that
+    starts inside a block decodes the block's earlier draws, at most B - 1
+    of them, and drops them."""
+    size = _block_size(pre.n_real, p)
+    end = start + count
+    blocks = ((derive_seed(master_seed, b), max(start - b * size, 0), min(end - b * size, size))
+              for b in range(start // size, -(-end // size)))
+    return _orders(pre, p, blocks)
 
 
 def _trials(pre, p, master_seed, start, count, padding):
     """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
     ``(in_s, order, refs)``, fresh lists for the caller to consume."""
     n = pre.n_real
-    for order in _orders(pre, p, _seeds(master_seed, start, count)):
+    for order in _arrival_orders(pre, p, master_seed, start, count):
         in_s = _flags(n, order)
         yield in_s, order, _ref_rank_lists(pre, in_s, padding)
 
@@ -275,7 +295,7 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
                 for _, order, refs in _trials(pre, p, master_seed, start, count, padding)]
     memo: dict[tuple[int, ...], float] = {}
     out = []
-    for order in _orders(pre, p, _seeds(master_seed, start, count)):
+    for order in _arrival_orders(pre, p, master_seed, start, count):
         key = tuple(order)
         w = memo.get(key)
         if w is None:
@@ -639,7 +659,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
 
     hits = 0
     ncond = 0
-    for order in _orders(pre, p, _seeds(master_seed, 0, trials)):
+    for order in _arrival_orders(pre, p, master_seed, 0, trials):
         if skip not in order:
             continue  # rejection sampling for the conditional law
         ncond += 1

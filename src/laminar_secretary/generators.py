@@ -17,6 +17,9 @@ from .model import LaminarInstance, _assemble
 
 FAMILIES = ("uniform", "partition", "chain", "random_tree")
 WEIGHTS = ("uniform", "exponential", "power_law", "near_ties")
+# ``generate`` builds lists of n elements, of parts and of chain nodes, so a
+# larger n, ``parts`` or ``depth`` is refused before anything is allocated
+MAX_GEN_SIZE = 10**6
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,8 @@ def generate(spec: GenSpec) -> LaminarInstance:
         raise ValueError(f"unknown weight distribution {spec.weights!r}")
     if spec.n < 1:
         raise ValueError(f"need at least one element, got n={spec.n}")
+    if spec.n > MAX_GEN_SIZE:
+        raise ValueError(f"need at most {MAX_GEN_SIZE} elements, got n={spec.n}")
     if spec.seed < 0:  # random.Random(-s) would seed as random.Random(s)
         raise ValueError(f"seed must be non-negative, got {spec.seed}")
     # a Pareto law needs a positive shape: 0 divides by zero, and a negative
@@ -78,6 +83,8 @@ def generate(spec: GenSpec) -> LaminarInstance:
         cap = spec.part_capacity
         if parts < 1 or cap < 1:
             raise ValueError(f"need parts >= 1 and part capacity >= 1, got {parts}, {cap}")
+        if parts > MAX_GEN_SIZE:
+            raise ValueError(f"need at most {MAX_GEN_SIZE} parts, got {parts}")
         root_cap = parts * cap if parts > 1 else cap + 1
         nodes = [(0, root_cap, None)]
         nodes += [(j, cap, 0) for j in range(1, parts + 1)]
@@ -85,8 +92,8 @@ def generate(spec: GenSpec) -> LaminarInstance:
 
     elif spec.family == "chain":
         depth = spec.depth if spec.depth is not None else 3
-        if depth < 1:
-            raise ValueError(f"chain depth must be >= 1, got {depth}")
+        if not 1 <= depth <= MAX_GEN_SIZE:
+            raise ValueError(f"chain depth must be in 1..{MAX_GEN_SIZE}, got {depth}")
         caps = [rnd.randint(1, 2)]
         for _ in range(depth - 1):
             caps.append(caps[-1] + rnd.randint(1, 2))

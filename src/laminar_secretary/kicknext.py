@@ -19,13 +19,18 @@ the chain walk stops and the element is rejected from the overall solution.
 Acceptances at inner nodes are kept even when an outer node rejects — the
 walk never rolls back.  The run's output is the root's accepted list.
 
-A trial is a pure function of its 64-bit seed: ``_orders`` reads the
-SHAKE-128 output of each seed as 64-bit words and draws in rank space.  The
-arrivals are the ranks hit by geometric gaps with success probability p,
-one word per gap, and their order sorts them on one further word each (ties,
-with chance below n^2/2^65, go to the lower rank).  ``_orders`` draws a
-whole call's seeds as one stream, so its per-call constants are set up
-once; ``_sample_ids`` is the one-seed form with the sample flags.
+A 64-bit seed names a stream, the SHAKE-128 output of the seed read as
+64-bit words, and a stream holds consecutive draws: ``_orders`` reads a
+draw's words in rank space, and the next draw starts at the next unread
+word.  The arrivals are the ranks hit by geometric gaps with success
+probability p, one word per gap, and their order sorts them on one further
+word each (ties, with chance below n^2/2^65, go to the lower rank).  A
+stream serves up to ``_block_size(n, p)`` draws (64 on small instances),
+so one hash call sets up a block of trials; its first read is sized by
+``_first_read`` and holds about ``BLOCK_WORDS`` words (32 KiB) at most,
+unless one draw alone needs more.  ``_orders`` draws a whole call's
+streams, so its per-call constants are set up once; ``_sample_ids`` is
+the first draw of one seed's stream, with the sample flags.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from hashlib import shake_128
+from itertools import islice
 from math import isfinite, log, log1p, sqrt
 from typing import Mapping, Sequence
 
@@ -42,6 +48,10 @@ from .model import InstanceError, LaminarInstance
 from .matroid import _rank_flags, _ref_rank_lists
 
 _MASK64 = (1 << 64) - 1
+# a stream serves up to MAX_BLOCK draws, fewer where that many would read
+# more than BLOCK_WORDS words on average; see ``_block_size``
+MAX_BLOCK = 64
+BLOCK_WORDS = 4096
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -130,46 +140,76 @@ def _words(seed: int, count: int) -> array:
     return words
 
 
-def _first_read(n: int, p: float) -> int:
-    """Words in a draw's first read: the t + 1 gaps and t keys of up to
-    ``n*p + 2*sqrt(n*p) + 4`` arrivals, about two standard deviations above
-    the mean, rounded up to whole SHAKE-128 blocks of 21 words, since a
-    block costs the same read in full.  At n = 2000 and p = 0.08 that is
-    399 words, and 0.1% of draws read again (39% with ``2*int(n*p) + 8``)."""
-    t = n * p + 2.0 * sqrt(n * p) + 4.0
-    return -(-(2 * int(t) + 1) // 21) * 21
+def _block_size(n: int, p: float) -> int:
+    """Draws per stream: ``MAX_BLOCK``, or fewer when that many would read
+    more than ``BLOCK_WORDS`` words on average (2np + 1 words a draw).  A
+    pure function of (n, p), so the trial stream depends on nothing else:
+    64 at n <= 200 for p = 0.08, 50 at n = 200 for p = 0.2, and 12 at
+    n = 2000 for p = 0.08."""
+    return max(1, min(MAX_BLOCK, int(BLOCK_WORDS / (2.0 * n * p + 1.0))))
 
 
-def _orders(pre, p: float, seeds):
-    """Each seed's arrival order in rank space.  Each rank arrives
-    independently with probability p; a seed's words are read as geometric
-    gaps between arrivals, then as one sort key per arrival.  A draw with
-    t arrivals reads t + 1 gap words and then t keys; it reads a longer
-    prefix in the rare case that the first read falls short."""
+def _first_read(n: int, p: float, draws: int = 1) -> int:
+    """Words in the first read of ``draws`` draws of one stream: the
+    t + draws gaps and t keys of up to ``m + 2*sqrt(m) + 4`` arrivals,
+    m = draws*n*p, about two standard deviations above the mean, rounded up
+    to whole SHAKE-128 blocks of 21 words, since a block costs the same
+    read in full.  For one draw at n = 2000 and p = 0.08 that is 399 words,
+    and 0.1% of draws read again (39% with ``2*int(n*p) + 8``).  A whole
+    block (``_block_size`` draws) reads at most about ``BLOCK_WORDS`` words
+    (4053, 32 KiB, at n = 2000, p = 0.08), unless one draw alone needs
+    more; at n = 6 and p = 0.08 its 64 draws read 168 words."""
+    m = draws * n * p
+    t = m + 2.0 * sqrt(m) + 4.0
+    return -(-(2 * int(t) + draws) // 21) * 21
+
+
+def _orders(pre, p: float, blocks):
+    """Arrival orders in rank space, drawn from ``blocks``, an iterable of
+    ``(seed, start, stop)``: draws ``start`` to ``stop - 1`` of the stream
+    of each seed.  In a draw each rank arrives independently with
+    probability p; the words are read as geometric gaps between arrivals,
+    then as one sort key per arrival.  A draw with t arrivals reads t + 1
+    gap words and then t keys, and the next draw of the stream starts at
+    the next unread word, so the skipped draws are decoded but not sorted.
+    A stream reads ``_first_read`` words for its draws at first, and a
+    longer prefix in the rare case that this falls short."""
     n = pre.n_real
     lq = log1p(-p)
-    size = _first_read(n, p)
-    for seed in seeds:
-        words = rest = _words(seed, size)
-        arrivals: list[int] = []
-        r = -1
-        while r < n:
-            for u in rest:
-                r += 1 + int(log(((u >> 11) + 1) * 2**-53) / lq)
-                if r >= n:
-                    break
-                arrivals.append(r)
-            else:  # the gaps ran past the read: read twice as far
-                words = _words(seed, 2 * len(words))
-                rest = words[len(arrivals):]
-        t = len(arrivals)
-        if t < 2:
-            yield arrivals
-            continue
-        if 2 * t + 1 > len(words):
-            words = _words(seed, 2 * t + 1)
-        # stable over ascending ranks: tied keys go to the lower rank
-        yield sorted(arrivals, key=dict(zip(arrivals, words[t + 1:2 * t + 1])).__getitem__)
+    for seed, start, stop in blocks:
+        words = _words(seed, _first_read(n, p, stop))
+        it = iter(words)
+        pos = 0  # words read by the stream's earlier draws
+        for j in range(stop):
+            arrivals: list[int] = []
+            r = -1
+            while r < n:
+                for u in it:
+                    r += 1 + int(log(((u >> 11) + 1) * 2**-53) / lq)
+                    if r >= n:
+                        break
+                    arrivals.append(r)
+                else:  # the gaps ran past the read: read twice as far
+                    words = _words(seed, 2 * len(words))
+                    it = islice(words, pos + len(arrivals), None)
+            t = len(arrivals)
+            pos += 2 * t + 1
+            if pos > len(words):  # the keys run past the read
+                words = _words(seed, max(pos, 2 * len(words)))
+                keys = iter(words[pos - t:pos])
+                it = islice(words, pos, None)
+            else:
+                keys = it
+            if t < 2:
+                if t:
+                    next(keys)
+                if j >= start:
+                    yield arrivals
+            else:
+                # ``zip`` stops at the last arrival, so it reads exactly t keys
+                key = dict(zip(arrivals, keys))
+                if j >= start:  # stable over ascending ranks: tied keys go to the lower rank
+                    yield sorted(arrivals, key=key.__getitem__)
 
 
 def _flags(n: int, order) -> list[bool]:
@@ -183,7 +223,7 @@ def _flags(n: int, order) -> list[bool]:
 def _sample_ids(pre, p: float, seed: int):
     """One trial in rank space: ``(in_s, order_ranks)``, the sample flag of
     every rank and the arrival order that ``_orders`` draws from ``seed``."""
-    order = next(_orders(pre, p, (seed,)))
+    order = next(_orders(pre, p, ((seed, 0, 1),)))
     return _flags(pre.n_real, order), order
 
 

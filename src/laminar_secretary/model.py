@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -36,6 +37,9 @@ from operator import itemgetter
 # pointers, above a 3000-node chain (4.5M slots), and a chain of 100k nodes
 # would need 5 * 10^9.
 MAX_CHAIN_SLOTS = 5_000_000
+# JSON writes a high surrogate followed by a low one as two escapes, which
+# read back as one astral character, so a name holding such a pair is refused
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 class InstanceError(ValueError):
@@ -320,6 +324,10 @@ def _assemble(name, ids: list, weights: list, nodes: list[tuple], membership: di
     ``membership`` becomes the instance's own."""
     if type(name) is not str:
         raise InstanceError(f"name must be a string, got {name!r}")
+    pair = _SURROGATE_PAIR.search(name)
+    if pair:
+        raise InstanceError(f"name holds a surrogate pair at index {pair.start()}, "
+                            f"which would load back as one character")
     if not set(map(type, ids)) <= {int} or (ids and min(ids) < 0):  # bool is not an id
         bad = next(i for i in ids if type(i) is not int or i < 0)
         raise InstanceError(f"element id must be a non-negative integer: {bad!r}")

@@ -16,6 +16,7 @@ from laminar_secretary import (
     FamilyNode,
     GenSpec,
     InstanceError,
+    Trial,
     allkicked_bound,
     brank,
     derive_seed,
@@ -23,13 +24,12 @@ from laminar_secretary import (
     greedy_opt,
     load_instance,
     make_instance,
-    make_trial,
     order_key,
     reference_sets,
     run_kicknext,
     theory_params,
 )
-from laminar_secretary.kicknext import _ref_rank_lists, _run_weight
+from laminar_secretary.kicknext import _block_size, _ref_rank_lists, _run_weight
 from laminar_secretary.matroid import _global_optima
 from laminar_secretary.theory import _global_brank
 
@@ -206,23 +206,49 @@ def rank_tables_by_elements(elements, nodes, membership):
     }
 
 
+def stream_by_prefix(n, p, seed, draws):
+    """Reference for ``kicknext._orders``: the first ``draws`` draws of the
+    stream of ``seed``, from one read of the ``draws * (2n + 1)`` words
+    that they can use at most (n + 1 gaps and n keys each), each word
+    decoded by ``int.from_bytes``, read in order: a draw's gaps, then its
+    keys, then the next draw.  Returns one ``(in_s, order)`` per draw."""
+    buf = shake_128(seed.to_bytes(8, "little")).digest(8 * draws * (2 * n + 1))
+    words = iter([int.from_bytes(buf[j:j + 8], "little") for j in range(0, len(buf), 8)])
+    out = []
+    for _ in range(draws):
+        arrivals = []
+        r = -1
+        for u in words:
+            r += 1 + int(math.log(((u >> 11) + 1) * 2**-53) / math.log1p(-p))
+            if r >= n:
+                break
+            arrivals.append(r)
+        keys = [next(words) for _ in arrivals]
+        order = [r for _, r in sorted(zip(keys, arrivals))]
+        out.append(([r not in arrivals for r in range(n)], order))
+    return out
+
+
 def sample_ranks_by_prefix(n, p, seed):
-    """Reference for ``kicknext._sample_ids``: one read of the 2n + 1 words
-    that a draw can use at most (n + 1 gaps, n keys), each word decoded by
-    ``int.from_bytes``.  Returns ``(in_s, order)``."""
-    buf = shake_128(seed.to_bytes(8, "little")).digest(8 * (2 * n + 1))
-    words = [int.from_bytes(buf[j:j + 8], "little") for j in range(0, len(buf), 8)]
-    arrivals = []
-    r = -1
-    for used, u in enumerate(words, 1):
-        r += 1 + int(math.log(((u >> 11) + 1) * 2**-53) / math.log1p(-p))
-        if r >= n:
-            break
-        arrivals.append(r)
-    keys = words[used:used + len(arrivals)]
-    order = [r for _, r in sorted(zip(keys, arrivals))]
-    in_s = [r not in arrivals for r in range(n)]
-    return in_s, order
+    """Reference for ``kicknext._sample_ids``: the first draw of the stream
+    of ``seed``.  Returns ``(in_s, order)``."""
+    return stream_by_prefix(n, p, seed, 1)[0]
+
+
+def trials_by_prefix(n, p, master_seed, start, count):
+    """Reference for trials ``start`` to ``start + count - 1`` of
+    ``master_seed`` (stream rng=3): trial i is draw ``i % B`` of the stream
+    of ``derive_seed(master_seed, i // B)``, B = ``_block_size(n, p)``.
+    Returns one ``(in_s, order)`` per trial."""
+    size = _block_size(n, p)
+    streams = {}
+    out = []
+    for i in range(start, start + count):
+        block, j = divmod(i, size)
+        if block not in streams:
+            streams[block] = stream_by_prefix(n, p, derive_seed(master_seed, block), size)
+        out.append(streams[block][j])
+    return out
 
 
 def per_node_greedy_ranks(pre, in_v, b):
@@ -264,8 +290,10 @@ def allkicked_frequency_by_trace(inst, p, trials, master_seed, *, padding=True):
     chains = {eid: path_up(inst, inst.membership[eid], root) for eid in opt.elements}
     hits = defaultdict(int)
     seen = defaultdict(int)
-    for t_idx in range(trials):
-        trial = make_trial(inst, p, derive_seed(master_seed, t_idx))
+    ids = inst.pre().ids_by_rank
+    for in_s, order in trials_by_prefix(inst.n, p, master_seed, 0, trials):
+        sample = frozenset(eid for eid, s in zip(ids, in_s) if s)
+        trial = Trial(master_seed, p, sample, tuple(ids[r] for r in order))
         res = run_kicknext(inst, trial, padding=padding)
         arrived = {eid: s for s, eid in enumerate(trial.arrival_order)}
         ev_by_node = defaultdict(list)

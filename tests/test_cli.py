@@ -9,12 +9,13 @@ import pytest
 
 import laminar_secretary.cli as cli
 import laminar_secretary.experiments as experiments
+import laminar_secretary.generators as generators
 import laminar_secretary.matroid as matroid
 import laminar_secretary.model as model
 from laminar_secretary import (GenSpec, dump_instance, exact_ratio, generate, greedy_opt,
                                load_instance)
 from laminar_secretary.cli import main
-from laminar_secretary.kicknext import _orders
+from laminar_secretary.kicknext import _block_size
 
 from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element
 
@@ -186,9 +187,16 @@ def test_montecarlo_csv_byte_identical(four_file, tmp_path, capsys):
 
 
 def test_summary_names_the_trial_stream(four_file, capsys):
+    assert experiments.RNG_VERSION == 3
     assert main(["montecarlo", four_file, "--trials", "50", "--seed", "3"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first.endswith("seed=3  rng=2")
+    assert first.endswith(f"seed=3  rng={experiments.RNG_VERSION}")
+
+
+def test_readme_names_the_trial_stream():
+    # the README's seeding section states the stream that summaries print
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"rng={experiments.RNG_VERSION}" in readme
 
 
 def test_run_rejects_seed_outside_64_bits(four_file, capsys):
@@ -244,9 +252,11 @@ def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tree.json"
     path.write_text(dump_instance(inst))
     trials, seed = 150, 1
-    # no draw of these trials is empty, so no trial builds from all-True flags
-    assert all(_orders(inst.pre(), 0.08, experiments._seeds(seed, 0, trials)))
-    seeds, refs = [], []
+    # a trial with no arrival builds its lists from all-True flags, as the
+    # whole set's optima are built
+    empty = sum(not order for order in
+                experiments._arrival_orders(inst.pre(), 0.08, seed, 0, trials))
+    seeds, builds = [], []
     derive, greedy = experiments.derive_seed, matroid._greedy_ranks
 
     def counted_seed(master_seed, index):
@@ -254,16 +264,19 @@ def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
         return derive(master_seed, index)
 
     def counted_greedy(pre, in_v):
-        if not all(in_v):
-            refs.append(1)
+        builds.append(all(in_v))
         return greedy(pre, in_v)
 
     monkeypatch.setattr(experiments, "derive_seed", counted_seed)
     monkeypatch.setattr(matroid, "_greedy_ranks", counted_greedy)
     assert main(["verify", str(path), "--trials", str(trials), "--seed", str(seed)]) == 0
     assert "verify: PASS" in capsys.readouterr().out
-    assert seeds == list(range(trials))
-    assert len(refs) == trials
+    # one stream per block of 64 trials, each seeded once
+    assert _block_size(60, 0.08) == 64
+    assert seeds == [0, 1, 2]
+    # one build per trial, and one of the whole set's optima
+    assert len(builds) == trials + 1
+    assert sum(builds) == 1 + empty
 
 
 def test_verify_skips_out_of_hypothesis_lemmas(four_file, capsys):
@@ -396,6 +409,18 @@ def test_master_seed_outside_64_bits_exit_2(four_file, capsys, command, seed):
     assert main([command, four_file, "--trials", "20", "--seed", seed]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "seed must be in" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--parts", "--depth"])
+def test_gen_size_above_the_limit_exit_2(monkeypatch, capsys, flag):
+    monkeypatch.setattr(generators, "MAX_GEN_SIZE", 10)
+    family = {"--n": "uniform", "--parts": "partition", "--depth": "chain"}[flag]
+    argv = ["gen", "--family", family, "--n", "4", "--seed", "1"]
+    assert main(argv + [flag, "10"]) == 0
+    capsys.readouterr()
+    assert main(argv + [flag, "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "10" in captured.err and "11" in captured.err
 
 
 def test_gen_negative_seed_exit_2(capsys):

@@ -40,7 +40,7 @@ from laminar_secretary.experiments import (
 )
 import laminar_secretary.kicknext as kicknext
 import laminar_secretary.matroid as matroid
-from laminar_secretary.kicknext import _flags, _orders, _run_weight, _sample_ids
+from laminar_secretary.kicknext import _block_size, _flags, _run_weight, _sample_ids
 from laminar_secretary.matroid import _global_optima, _ref_rank_lists
 from laminar_secretary.theory import _global_brank, _padded_brank
 
@@ -55,6 +55,7 @@ from helpers import (
     padded_brank_by_ids,
     qualifying_counts_by_ids,
     rank1,
+    trials_by_prefix,
     tree,
 )
 
@@ -221,12 +222,18 @@ class TestTrials:
     @pytest.mark.parametrize("n", [16, 17])  # where ``_trial_weights_chunk`` switches paths
     @pytest.mark.parametrize("padding", [True, False])
     def test_matches_draw_and_reference_lists(self, n, padding):
+        # trials 5 to 204 run through three blocks of 64 draws, starting
+        # inside the first
         pre = generate(GenSpec("random_tree", n, 4)).pre()
+        assert _block_size(n, 0.3) == 64
         got = list(_trials(pre, 0.3, 7, 5, 200, padding))
         assert len(got) == 200
-        for idx, trial in enumerate(got, start=5):
-            in_s, order = _sample_ids(pre, 0.3, derive_seed(7, idx))
+        for trial, (in_s, order) in zip(got, trials_by_prefix(n, 0.3, 7, 5, 200)):
             assert trial == (in_s, order, _ref_rank_lists(pre, in_s, padding))
+        # the first draw of a block is the one-seed draw of its seed
+        for idx in (64, 128, 192):
+            in_s, order = _sample_ids(pre, 0.3, derive_seed(7, idx // 64))
+            assert got[idx - 5][:2] == (in_s, order)
 
     def test_yields_fresh_lists(self):
         # n = 4: sample sets repeat, and each must still get lists of its own
@@ -242,6 +249,46 @@ class TestTrials:
             in_s.clear()
             order.clear()
         assert repeats > 100
+
+
+class TestTrialBlocks:
+    """Trial i of a master seed is draw ``i % B`` of the stream of
+    ``derive_seed(master_seed, i // B)``; a range of trials, a ``--jobs``
+    chunk among them, may start and end anywhere inside a block."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from((0.05, 0.2, 0.45)), st.integers(0, 2**64 - 1),
+           st.integers(0, 200), st.integers(1, 150))
+    def test_orders_match_the_reference(self, n, p, master_seed, start, count):
+        pre = rank1(range(1, n + 1)).pre()
+        want = [order for _, order in trials_by_prefix(n, p, master_seed, start, count)]
+        assert list(experiments._arrival_orders(pre, p, master_seed, start, count)) == want
+
+    @pytest.mark.parametrize("n", [6, 16, 17, 40])  # the weight memo runs up to 16
+    @pytest.mark.parametrize("padding", [True, False])
+    def test_a_split_at_every_offset_changes_no_weight(self, n, padding):
+        inst = generate(GenSpec("random_tree", n, 3))
+        p, seed = 0.2, 9
+        size = _block_size(n, p)
+        assert size == 64
+        whole = _trial_weights_chunk(inst, p, 0, 3 * size, seed, padding)
+        for cut in range(size, 2 * size + 1):  # every offset in block 1, and its end
+            head = _trial_weights_chunk(inst, p, 0, cut, seed, padding)
+            tail = _trial_weights_chunk(inst, p, cut, 3 * size - cut, seed, padding)
+            assert head + tail == whole, cut
+        # a chunk that starts and ends inside one block
+        assert _trial_weights_chunk(inst, p, size + 5, 10, seed, padding) == whole[size + 5:size + 15]
+
+    @pytest.mark.parametrize("cores", [2, 3, 7])
+    def test_chunk_plans_change_no_weight(self, monkeypatch, cores):
+        # the chunks of a ``--jobs`` plan, computed here without a worker
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        inst = generate(GenSpec("chain", 9, 4))
+        whole = _trial_weights_chunk(inst, 0.1, 0, 600, 3, True)
+        plan = _chunk_plan(600, cores)
+        assert len(plan) == cores
+        assert [w for start, count in plan
+                for w in _trial_weights_chunk(inst, 0.1, start, count, 3, True)] == whole
 
 
 class TestGlobalOptima:
@@ -283,7 +330,7 @@ class TestGlobalOptima:
         inst = generate(GenSpec("random_tree", 8, 3))
         p, trials, seed = 0.14, 10, 30
         # no draw of these trials is empty, so no trial builds from all-True flags
-        assert all(_orders(inst.pre(), p, experiments._seeds(seed, 0, trials)))
+        assert all(experiments._arrival_orders(inst.pre(), p, seed, 0, trials))
         monte_carlo_ratio(inst, p, trials, seed)
         checks = verify_lemmas(inst, p, trials=trials, master_seed=seed)
         assert checks[0].passed  # c < 1/2: the chain-decay sums ran

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from laminar_secretary import (
@@ -9,6 +11,7 @@ from laminar_secretary import (
     load_instance,
     normalize_family,
 )
+import laminar_secretary.generators as generators
 
 
 def test_uniform_shape():
@@ -102,6 +105,29 @@ def test_power_exponent_must_be_positive_and_finite(exponent):
                generate(GenSpec("uniform", n=50, seed=0, weights="power_law",
                                 power_exponent=0.5)).elements]
     assert min(weights) >= 1.0  # a Pareto law of any positive shape
+
+
+@pytest.mark.parametrize("spec,message", [
+    (GenSpec("uniform", n=10**5, seed=0), "need at most 10 elements, got n=100000"),
+    (GenSpec("partition", n=4, seed=0, parts=10**5), "need at most 10 parts, got 100000"),
+    (GenSpec("chain", n=4, seed=0, depth=10**5), "chain depth must be in 1..10, got 100000"),
+])
+def test_sizes_are_bounded_before_allocation(monkeypatch, spec, message):
+    # the limit lowered to 10: a size of 10^5 is refused before its lists
+    # are built, so the refusal allocates next to nothing
+    monkeypatch.setattr(generators, "MAX_GEN_SIZE", 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 64 * 1024, peak
+    # the limit itself is allowed
+    generate(GenSpec(spec.family, n=min(spec.n, 10), seed=0,
+                     parts=spec.parts and 10, depth=spec.depth and 10))
 
 
 def test_negative_seed_rejected():

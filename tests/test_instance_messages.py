@@ -227,6 +227,8 @@ MAKE_CASES = [
     ("name-number", {"name": 5}, "name must be a string, got 5"),
     ("name-null", {"name": None}, "name must be a string, got None"),
     ("name-bytes", {"name": b"four"}, "name must be a string, got b'four'"),
+    ("name-surrogate-pair", {"name": "four \ud800\udc00"},
+     "name holds a surrogate pair at index 5, which would load back as one character"),
     ("id-true", _element(1, True, 7.0), "element id must be a non-negative integer: True"),
     ("id-string", _element(1, "1", 7.0), "element id must be a non-negative integer: '1'"),
     ("id-float", _element(1, 1.0, 7.0), "element id must be a non-negative integer: 1.0"),

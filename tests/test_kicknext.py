@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -20,10 +21,14 @@ from laminar_secretary import (
     trace_csv,
 )
 import laminar_secretary.kicknext as kicknext
+from laminar_secretary.experiments import _arrival_orders
 from laminar_secretary.kicknext import (
+    MAX_BLOCK,
     _arrive,
+    _block_size,
     _check_p,
     _first_read,
+    _flags,
     _orders,
     _ref_rank_lists,
     _run_weight,
@@ -40,6 +45,7 @@ from helpers import (
     rank1,
     replay_events,
     sample_ranks_by_prefix,
+    stream_by_prefix,
     tree,
 )
 
@@ -100,29 +106,76 @@ class TestMakeTrial:
         assert make_trial(four_element(), p, 0).arrival_order == ()
 
 
+def _law(n, p):
+    """The probability of every (sample set, arrival order) outcome on n
+    ranks, keyed by the order: p^|T| (1-p)^(n-|T|) / |T|!."""
+    return {perm: p ** k * (1 - p) ** (n - k) / math.factorial(k)
+            for k in range(n + 1)
+            for arrivals in itertools.combinations(range(n), k)
+            for perm in itertools.permutations(arrivals)}
+
+
+def _within_4se(seen, law, trials):
+    """Each outcome's frequency among ``trials`` lies within 4 standard
+    errors of its probability in ``law``, and no other outcome occurs."""
+    assert set(seen) <= set(law)
+    for outcome, q in law.items():
+        se = math.sqrt(q * (1 - q) / trials)
+        assert abs(seen[outcome] / trials - q) <= 4 * se, outcome
+
+
 class TestTrialStream:
-    """``_sample_ids`` draws a trial from the SHAKE-128 words of its seed."""
+    """A trial is a draw of a SHAKE-128 stream: ``_sample_ids`` draws the
+    first draw of a seed's stream, and the trials of a master seed are
+    consecutive draws of one stream per block (``experiments._arrival_orders``)."""
+
+    @staticmethod
+    def _check_law(n, p, trials, draws):
+        # every (sample set, arrival order) occurs with its probability,
+        # within 4 standard errors
+        seen = Counter()
+        for in_s, order in draws:
+            assert sorted(order) == [r for r in range(n) if not in_s[r]]
+            seen[tuple(order)] += 1
+        assert sum(seen.values()) == trials
+        _within_4se(seen, _law(n, p), trials)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_law_of_every_outcome(self, n):
-        # every (sample set, arrival order) occurs with probability
-        # p^|T| (1-p)^(n-|T|) / |T|!, within 4 standard errors
-        inst = rank1(range(1, n + 1))
-        pre = inst.pre()
+        # the first draw of each of 200k seeds' streams
+        pre = rank1(range(1, n + 1)).pre()
         p, trials = 0.2, 200_000
-        seen = Counter()
-        for t in range(trials):
-            in_s, order = _sample_ids(pre, p, derive_seed(3, t))
-            assert sorted(order) == [r for r in range(n) if not in_s[r]]
-            seen[tuple(order)] += 1
-        outcomes = [perm for k in range(n + 1)
-                    for arrivals in itertools.combinations(range(n), k)
-                    for perm in itertools.permutations(arrivals)]
-        assert set(seen) <= set(outcomes)
-        for perm in outcomes:
-            q = p ** len(perm) * (1 - p) ** (n - len(perm)) / math.factorial(len(perm))
-            se = math.sqrt(q * (1 - q) / trials)
-            assert abs(seen[perm] / trials - q) <= 4 * se, perm
+        self._check_law(n, p, trials,
+                        (_sample_ids(pre, p, derive_seed(3, t)) for t in range(trials)))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_law_of_every_outcome_over_consecutive_trials(self, n):
+        # 200k consecutive trials of one master seed, 64 draws per stream
+        pre = rank1(range(1, n + 1)).pre()
+        p, trials = 0.2, 200_000
+        assert _block_size(n, p) == 64
+        orders = _arrival_orders(pre, p, 3, 0, trials)
+        self._check_law(n, p, trials, ((_flags(n, order), order) for order in orders))
+
+    def test_consecutive_draws_are_independent(self):
+        # trials 2i and 2i + 1 lie in one block; their joint law is the
+        # product law, on a class of each draw: its arrival count, and at
+        # two arrivals whether they arrive in rank order
+        n, p, trials = 3, 0.2, 200_000
+        pre = rank1(range(1, n + 1)).pre()
+        assert _block_size(n, p) % 2 == 0
+
+        def cls(order):
+            return len(order), len(order) == 2 and order[0] < order[1]
+
+        single = Counter()
+        for perm, q in _law(n, p).items():
+            single[cls(perm)] += q
+        orders = list(_arrival_orders(pre, p, 3, 0, trials))
+        seen = Counter((cls(a), cls(b)) for a, b in zip(orders[::2], orders[1::2]))
+        law = {(x, y): single[x] * single[y] for x in single for y in single}
+        assert min(law.values()) * trials / 2 > 5  # every cell is expected a few times
+        _within_4se(seen, law, trials // 2)
 
     def test_longer_read_matches_one_long_prefix(self):
         # p = 0.45, n = 200: the 188 words of the first read often run out
@@ -154,42 +207,103 @@ def _rank1_pre(n):
 
 
 class TestOrders:
-    """``_orders`` draws a call's trials as one stream; it and the one-seed
-    wrapper ``_sample_ids`` equal one read of the longest prefix a draw can
-    use."""
+    """``_orders`` draws consecutive draws of each seed's stream, and the
+    one-seed wrapper ``_sample_ids`` its first draw; both equal one read of
+    the longest prefix the draws can use, read in order."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 300), st.floats(1e-3, 0.6), st.integers(0, 2**64 - 1))
-    def test_matches_one_long_prefix(self, n, p, seed):
+    @given(st.integers(1, 300), st.floats(1e-3, 0.6), st.integers(0, 2**64 - 1),
+           st.integers(1, 40), st.data())
+    def test_matches_one_long_prefix(self, n, p, seed, draws, data):
         pre = _rank1_pre(n)
-        seeds = [derive_seed(seed, i) for i in range(4)]
-        expect = [sample_ranks_by_prefix(n, p, s) for s in seeds]
-        assert list(_orders(pre, p, seeds)) == [order for _, order in expect]
-        assert [_sample_ids(pre, p, s) for s in seeds] == expect
+        start = data.draw(st.integers(0, draws - 1))
+        seeds = [derive_seed(seed, i) for i in range(3)]
+        expect = [stream_by_prefix(n, p, s, draws) for s in seeds]
+        blocks = [(seeds[0], 0, 1), (seeds[1], start, draws), (seeds[2], 0, draws)]
+        want = ([expect[0][0][1]] + [order for _, order in expect[1][start:]]
+                + [order for _, order in expect[2]])
+        assert list(_orders(pre, p, blocks)) == want
+        assert [_sample_ids(pre, p, s) for s in seeds] == [e[0] for e in expect]
 
     def test_sort_keys_run_past_the_first_read(self):
         # n = 2000, p = 0.08: 203 arrivals need 407 words, past the 399 of
-        # the first read
+        # a one-draw first read
         pre = _rank1_pre(2000)
         seed = 15558682702953987295
         expect = sample_ranks_by_prefix(2000, 0.08, seed)
         assert 2 * len(expect[1]) + 1 > _first_read(2000, 0.08) == 399
-        assert next(_orders(pre, 0.08, [seed])) == expect[1]
+        assert next(_orders(pre, 0.08, [(seed, 0, 1)])) == expect[1]
         assert _sample_ids(pre, 0.08, seed) == expect
+
+    @pytest.mark.parametrize("n,p,block,past", [(200, 0.45, 926, "keys"),
+                                                (1000, 0.002, 6, "keys"),
+                                                (1000, 0.002, 308, "gaps")])
+    def test_block_reads_past_the_first_read(self, n, p, block, past):
+        # blocks of master seed 11 whose draws run past the first read (4179
+        # words for 22 draws at p = 0.45, 378 for 64 at p = 0.002), in the
+        # keys or the gaps of the draw that crosses it; such a block reads a
+        # longer prefix, and a run that starts inside it too
+        pre = _rank1_pre(n)
+        size = _block_size(n, p)
+        first = _first_read(n, p, size)
+        seed = derive_seed(11, block)
+        expect = [order for _, order in stream_by_prefix(n, p, seed, size)]
+        used = 0
+        for order in expect:
+            if used <= first < used + 2 * len(order) + 1:
+                assert past == ("gaps" if first < used + len(order) + 1 else "keys")
+            used += 2 * len(order) + 1
+        assert used > first
+        assert list(_orders(pre, p, [(seed, 0, size)])) == expect
+        assert list(_orders(pre, p, [(seed, 10, size)])) == expect[10:]
 
     @pytest.mark.parametrize("n,p", [(1, 0.5), (7, 0.3), (60, 0.08), (300, 0.2)])
     def test_one_word_first_read(self, monkeypatch, n, p):
-        # a one-word first read makes the gaps run out, then the keys
-        monkeypatch.setattr(kicknext, "_first_read", lambda n, p: 1)
+        # a one-word first read makes the gaps run out, then the keys, in
+        # the middle of a block as at its start
+        monkeypatch.setattr(kicknext, "_first_read", lambda n, p, draws=1: 1)
         pre = _rank1_pre(n)
-        seeds = [derive_seed(n, i) for i in range(50)]
-        assert list(_orders(pre, p, seeds)) == [sample_ranks_by_prefix(n, p, s)[1]
-                                                for s in seeds]
+        seeds = [derive_seed(n, i) for i in range(10)]
+        expect = [stream_by_prefix(n, p, s, 5) for s in seeds]
+        assert (list(_orders(pre, p, [(s, 0, 5) for s in seeds]))
+                == [order for draws in expect for _, order in draws])
+        assert (list(_orders(pre, p, [(s, 3, 5) for s in seeds]))
+                == [order for draws in expect for _, order in draws[3:]])
 
     def test_first_read_is_whole_blocks(self):
         for n, p in [(1, 0.001), (6, 0.08), (200, 0.2), (2000, 0.08), (10**6, 0.5)]:
-            size = _first_read(n, p)
-            assert size % 21 == 0 and size >= 2 * (n * p) + 1
+            for draws in (1, 7, _block_size(n, p)):
+                size = _first_read(n, p, draws)
+                assert size % 21 == 0 and size >= draws * (2 * (n * p) + 1)
+
+    def test_block_size(self):
+        assert [_block_size(n, p) for n, p in [(6, 0.08), (200, 0.08), (200, 0.2),
+                                               (2000, 0.08), (10**6, 0.5)]] == [64, 64, 50, 12, 1]
+        # a block's first read holds about BLOCK_WORDS words, 34 KiB at
+        # most, unless it holds one draw
+        for n in (1, 6, 16, 60, 200, 2000, 10**4, 10**6):
+            for p in (1e-6, 1e-3, 0.01, 0.05, 0.08, 0.2, 0.45, 0.9):
+                size = _block_size(n, p)
+                assert 1 <= size <= MAX_BLOCK
+                assert size == 1 or _first_read(n, p, size) <= 4400, (n, p)
+
+    def test_block_memory_is_bounded(self):
+        # n = 2000, p = 0.08: 50 blocks of 12 draws, each reading 4053
+        # words (32 KiB) at first; a block of 64 draws would read 170 KB,
+        # and drawing the same trials so peaked at 540-890 KB
+        n, p = 2000, 0.08
+        pre = _rank1_pre(n)
+        size = _block_size(n, p)
+        blocks = [(derive_seed(5, b), 0, size) for b in range(50)]
+        next(_orders(pre, p, blocks[:1]))
+        tracemalloc.start()
+        try:
+            for _ in _orders(pre, p, blocks):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
 
 
 FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))

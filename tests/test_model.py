@@ -246,16 +246,22 @@ def test_dump_load_round_trip(family, weights, n, seed):
 EDGE_WEIGHTS = (5e-324, 1e-300, 0.1, 1e16, 1.7976931348623157e308, 1, 7, 10 ** 300)
 EDGE_NAMES = ('say "hi"', "back\\slash", "\x00\x1f\x7f\n\t", "Kettenbr\u00fcche \u03bb \u4e2d",
               "lone \ud800 surrogate", "\udfff", "\U0001f600", "")
-# A high surrogate followed by a low one is written as an escaped pair,
-# which loads back as one astral character, so only high ones are drawn.
-HIGH_SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDBFF, categories=("Cs",))
+SURROGATES = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=("Cs",))
+
+
+def holds_surrogate_pair(name):
+    """True iff a high surrogate is directly followed by a low one, which
+    JSON writes as an escaped pair that loads back as one character."""
+    return any(0xD800 <= ord(a) <= 0xDBFF and 0xDC00 <= ord(b) <= 0xDFFF
+               for a, b in zip(name, name[1:]))
 
 
 @st.composite
 def written_instances(draw):
-    """An instance for the writer: one node, a deep chain or a random tree,
-    sparse node and element ids up to 10^6 in no order, weights of every
-    magnitude, floats or ints, and any name, lone surrogates included."""
+    """``make_instance``'s arguments for the writer: one node, a deep chain
+    or a random tree, sparse node and element ids up to 10^6 in no order,
+    weights of every magnitude, floats or ints, and any name, surrogates
+    included."""
     size = draw(st.integers(1, 30))
     shape = draw(st.sampled_from(("deep", "random")))
     node_ids = draw(st.lists(st.integers(0, 10 ** 6), min_size=size, max_size=size, unique=True))
@@ -270,8 +276,8 @@ def written_instances(draw):
     elements = [Element(e, draw(weight)) for e in eids]
     membership = {e: draw(st.sampled_from(node_ids)) for e in eids}
     name = draw(st.one_of(st.sampled_from(EDGE_NAMES), st.text(),
-                          st.text(st.one_of(HIGH_SURROGATES, st.characters(max_codepoint=0x7F)))))
-    return make_instance(name, elements, nodes, membership)
+                          st.text(st.one_of(SURROGATES, st.characters(max_codepoint=0x7F)))))
+    return name, elements, nodes, membership
 
 
 class TestWriter:
@@ -279,10 +285,19 @@ class TestWriter:
     indent=1)`` without ``json``'s encoder."""
 
     @given(written_instances())
-    def test_same_text_as_json_dumps(self, inst):
+    def test_same_text_as_json_dumps(self, args):
+        # a name is refused, or its instance round-trips
+        name = args[0]
+        try:
+            inst = make_instance(*args)
+        except InstanceError as err:
+            assert holds_surrogate_pair(name) and "surrogate pair" in str(err)
+            return
+        assert not holds_surrogate_pair(name)
         text = dump_instance(inst)
         assert text == dump_instance_by_json(inst)
         assert json.loads(text) == instance_doc(inst)
+        assert load_instance(text).name == name
 
     @pytest.mark.parametrize("weight", EDGE_WEIGHTS)
     @pytest.mark.parametrize("name", EDGE_NAMES)

@@ -37,8 +37,8 @@ from laminar_secretary.kicknext import _sample_ids
 
 from helpers import family_instance
 
-DIGEST = "7d698a3a338e4dc16cdff626fa174b908c7665dd3ba179948af8c12bc911095c"
-VERIFY_DIGEST = "e920ed8301f179bc0ed2156c4193ff8ae5b7bc26b60aec4dde1f102b9c60c644"
+DIGEST = "d23846c1715dbfa5871f37edb6c47fec855c427b08b622dae98065c69d82906b"
+VERIFY_DIGEST = "5655d4342b518110e0e1eb3b08fed7bfd0340b48f795ab5c59b34c553e7eec07"
 EXACT_DIGEST = "c050f24d03b56d3e612dba1f16f274a5067e23c52b09a5d5abc5fcff3c78752e"
 GEN_DIGEST = "d1aabf01088ad9009d148054ef751827652a189954eaf75af0639e6072b1c322"
 
