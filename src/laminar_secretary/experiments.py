@@ -6,16 +6,16 @@ seed ``s`` is draw ``i % B`` of the stream of ``derive_seed(s, i // B)``,
 a pure function of the pair, so serial and parallel execution produce
 identical statistics.  ``_arrival_orders`` is the one map from (master
 seed, first trial, count) to arrival orders; a range that starts inside a
-block decodes the block's earlier draws and drops them.  ``RNG_VERSION``
+block draws the block's earlier draws and drops them.  ``RNG_VERSION``
 names that trial stream, and every summary prints it, so that a printed
 estimate says which draws it rests on.  Aggregation goes through
 ``math.fsum`` (exact summation), which keeps results independent of
 chunking.
 
 The Monte Carlo ratio and the checks take trials from ``_trials``, as
-sample flags, arrival ranks and fresh reference lists (ascending rank
-lists, padded to the ``_Pre.slots`` a walk can reach); arrivals walk them
-by ``kicknext._arrive``.  An eviction-failure event is a zero
+arrival ranks and fresh reference lists (ascending rank lists, padded to
+the ``_Pre.slots`` a walk can reach); arrivals walk them by
+``kicknext._arrive``.  An eviction-failure event is a zero
 ``theory._padded_brank``.  Every slot a list leaves out up to capacity is
 virtual and lighter than every real rank, so a dominance check compares
 the counts of entries up to a rank, trial list against OPT, in which
@@ -71,7 +71,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from multiprocessing import Pool
 from operator import gt
 
@@ -261,22 +261,22 @@ def _arrival_orders(pre, p: float, master_seed: int, start: int, count: int):
     """The arrival orders of trials ``start`` to ``start + count - 1``:
     trial i is draw ``i % B`` of the stream of ``derive_seed(master_seed,
     i // B)``, with B = ``kicknext._block_size(n, p)``.  A range that
-    starts inside a block decodes the block's earlier draws, at most B - 1
+    starts inside a block draws the block's earlier draws, at most B - 1
     of them, and drops them."""
     size = _block_size(pre.n_real, p)
+    first, skip = divmod(start, size)
     end = start + count
-    blocks = ((derive_seed(master_seed, b), max(start - b * size, 0), min(end - b * size, size))
-              for b in range(start // size, -(-end // size)))
-    return _orders(pre, p, blocks)
+    blocks = ((derive_seed(master_seed, b), min(end - b * size, size))
+              for b in range(first, -(-end // size)))
+    return islice(_orders(pre, p, blocks), skip, None)
 
 
 def _trials(pre, p, master_seed, start, count, padding):
     """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
-    ``(in_s, order, refs)``, fresh lists for the caller to consume."""
+    ``(order, refs)``, fresh reference lists for the caller to consume."""
     n = pre.n_real
     for order in _arrival_orders(pre, p, master_seed, start, count):
-        in_s = _flags(n, order)
-        yield in_s, order, _ref_rank_lists(pre, in_s, padding)
+        yield order, _ref_rank_lists(pre, _flags(n, order), padding)
 
 
 def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
@@ -292,7 +292,7 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
     n = pre.n_real
     if n > SMALL_N:
         return [_run_weight(pre, refs, order)
-                for _, order, refs in _trials(pre, p, master_seed, start, count, padding)]
+                for order, refs in _trials(pre, p, master_seed, start, count, padding)]
     memo: dict[tuple[int, ...], float] = {}
     out = []
     for order in _arrival_orders(pre, p, master_seed, start, count):
@@ -555,7 +555,7 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     params = theory_params(p)  # the bound needs p < 1/2
     pre = inst.pre()
     failures = _EvictionFailures(pre)
-    for _, order, refs in _trials(pre, p, master_seed, 0, trials, padding):
+    for order, refs in _trials(pre, p, master_seed, 0, trials, padding):
         failures.walk(refs, order)
     return failures.rows(params)
 
@@ -820,7 +820,7 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     pre = inst.pre()
     checks = _exact_lemma_checks(inst, params.c)
     dominance = _Dominance(pre)
-    for t_idx, (_, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
+    for t_idx, (order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
         dominance.step(t_idx, order, refs)
     return checks + dominance.checks(trials)
 
@@ -847,7 +847,7 @@ def verify_report(inst: LaminarInstance, p: float, trials: int,
     dominance = _Dominance(pre)
     failures = _EvictionFailures(pre)
     weights = []
-    for t_idx, (_, order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
+    for t_idx, (order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
         if t_idx < lemma_trials:
             dominance.step(t_idx, order, refs)
         weights.append(failures.walk(refs, order))

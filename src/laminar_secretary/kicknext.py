@@ -26,11 +26,12 @@ word.  The arrivals are the ranks hit by geometric gaps with success
 probability p, one word per gap, and their order sorts them on one further
 word each (ties, with chance below n^2/2^65, go to the lower rank).  A
 stream serves up to ``_block_size(n, p)`` draws (64 on small instances),
-so one hash call sets up a block of trials; its first read is sized by
-``_first_read`` and holds about ``BLOCK_WORDS`` words (32 KiB) at most,
-unless one draw alone needs more.  ``_orders`` draws a whole call's
-streams, so its per-call constants are set up once; ``_sample_ids`` is
-the first draw of one seed's stream, with the sample flags.
+so one hash call sets up a block of trials.  ``_stream`` yields a stream's
+words without end: a first read sized by ``_first_read``, about
+``BLOCK_WORDS`` words (32 KiB) at most unless one draw alone needs more,
+then the new words of each doubled read.  ``_orders`` draws a whole call's
+blocks, so its per-call constants are set up once; ``_sample_ids`` is the
+first draw of one seed's stream, with the sample flags.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from hashlib import shake_128
-from itertools import islice
+from itertools import chain
 from math import isfinite, log, log1p, sqrt
 from typing import Mapping, Sequence
 
@@ -130,14 +131,24 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
 
 
-def _words(seed: int, count: int) -> array:
-    """The first ``count`` little-endian 64-bit words of SHAKE-128 of the
-    seed.  An extendable-output function gives the same leading words
-    whatever the count, so a longer read only appends."""
-    words = array("Q", shake_128(seed.to_bytes(8, "little")).digest(8 * count))
+def _words(seed: int, stop: int, start: int = 0) -> array:
+    """Words ``start`` to ``stop - 1`` of the stream of ``seed``: the
+    little-endian 64-bit words of SHAKE-128 of the seed."""
+    words = array("Q", shake_128(seed.to_bytes(8, "little")).digest(8 * stop)[8 * start:])
     if _BIG_ENDIAN:
         words.byteswap()
     return words
+
+
+def _stream(seed: int, count: int):
+    """The stream of ``seed`` without end, as arrays of words: the first
+    ``count``, then the new words of each doubled read.  SHAKE-128 is an
+    extendable-output function, so a longer read starts with the same
+    words, and a read here holds only its own new words."""
+    yield _words(seed, count)
+    while True:
+        count *= 2
+        yield _words(seed, count, count // 2)
 
 
 def _block_size(n: int, p: float) -> int:
@@ -155,10 +166,10 @@ def _first_read(n: int, p: float, draws: int = 1) -> int:
     m = draws*n*p, about two standard deviations above the mean, rounded up
     to whole SHAKE-128 blocks of 21 words, since a block costs the same
     read in full.  For one draw at n = 2000 and p = 0.08 that is 399 words,
-    and 0.1% of draws read again (39% with ``2*int(n*p) + 8``).  A whole
-    block (``_block_size`` draws) reads at most about ``BLOCK_WORDS`` words
-    (4053, 32 KiB, at n = 2000, p = 0.08), unless one draw alone needs
-    more; at n = 6 and p = 0.08 its 64 draws read 168 words."""
+    and 0.1% of draws read again.  A whole block (``_block_size`` draws)
+    reads at most about ``BLOCK_WORDS`` words (4053, 32 KiB, at n = 2000,
+    p = 0.08), unless one draw alone needs more; at n = 6 and p = 0.08 its
+    64 draws read 168 words."""
     m = draws * n * p
     t = m + 2.0 * sqrt(m) + 4.0
     return -(-(2 * int(t) + draws) // 21) * 21
@@ -166,50 +177,35 @@ def _first_read(n: int, p: float, draws: int = 1) -> int:
 
 def _orders(pre, p: float, blocks):
     """Arrival orders in rank space, drawn from ``blocks``, an iterable of
-    ``(seed, start, stop)``: draws ``start`` to ``stop - 1`` of the stream
-    of each seed.  In a draw each rank arrives independently with
-    probability p; the words are read as geometric gaps between arrivals,
-    then as one sort key per arrival.  A draw with t arrivals reads t + 1
-    gap words and then t keys, and the next draw of the stream starts at
-    the next unread word, so the skipped draws are decoded but not sorted.
-    A stream reads ``_first_read`` words for its draws at first, and a
-    longer prefix in the rare case that this falls short."""
+    ``(seed, draws)``: the first ``draws`` draws of the stream of each
+    seed.  In a draw each rank arrives independently with probability p;
+    the words are read as geometric gaps between arrivals, then as one sort
+    key per arrival.  A draw with t arrivals reads t + 1 gap words and then
+    t keys, and the next draw of the stream starts at the next unread word.
+    Each block reads its words through one iterator over ``_stream``, which
+    reads ``_first_read`` words at first and more on demand."""
     n = pre.n_real
     lq = log1p(-p)
-    for seed, start, stop in blocks:
-        words = _words(seed, _first_read(n, p, stop))
-        it = iter(words)
-        pos = 0  # words read by the stream's earlier draws
-        for j in range(stop):
+    for seed, draws in blocks:
+        words = chain.from_iterable(_stream(seed, _first_read(n, p, draws)))
+        for _ in range(draws):
             arrivals: list[int] = []
             r = -1
-            while r < n:
-                for u in it:
-                    r += 1 + int(log(((u >> 11) + 1) * 2**-53) / lq)
-                    if r >= n:
-                        break
-                    arrivals.append(r)
-                else:  # the gaps ran past the read: read twice as far
-                    words = _words(seed, 2 * len(words))
-                    it = islice(words, pos + len(arrivals), None)
-            t = len(arrivals)
-            pos += 2 * t + 1
-            if pos > len(words):  # the keys run past the read
-                words = _words(seed, max(pos, 2 * len(words)))
-                keys = iter(words[pos - t:pos])
-                it = islice(words, pos, None)
+            for u in words:
+                r += 1 + int(log(((u >> 11) + 1) * 2**-53) / lq)
+                if r >= n:
+                    break
+                arrivals.append(r)
+            if len(arrivals) < 2:
+                if arrivals:
+                    next(words)
+                yield arrivals
             else:
-                keys = it
-            if t < 2:
-                if t:
-                    next(keys)
-                if j >= start:
-                    yield arrivals
-            else:
-                # ``zip`` stops at the last arrival, so it reads exactly t keys
-                key = dict(zip(arrivals, keys))
-                if j >= start:  # stable over ascending ranks: tied keys go to the lower rank
-                    yield sorted(arrivals, key=key.__getitem__)
+                # ``zip`` stops at the last arrival, so it reads exactly t
+                # keys; ``sorted`` is stable over ascending ranks, so tied
+                # keys go to the lower rank
+                key = dict(zip(arrivals, words))
+                yield sorted(arrivals, key=key.__getitem__)
 
 
 def _flags(n: int, order) -> list[bool]:
@@ -223,7 +219,7 @@ def _flags(n: int, order) -> list[bool]:
 def _sample_ids(pre, p: float, seed: int):
     """One trial in rank space: ``(in_s, order_ranks)``, the sample flag of
     every rank and the arrival order that ``_orders`` draws from ``seed``."""
-    order = next(_orders(pre, p, ((seed, 0, 1),)))
+    order = next(_orders(pre, p, ((seed, 1),)))
     return _flags(pre.n_real, order), order
 
 

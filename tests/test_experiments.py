@@ -229,24 +229,25 @@ class TestTrials:
         got = list(_trials(pre, 0.3, 7, 5, 200, padding))
         assert len(got) == 200
         for trial, (in_s, order) in zip(got, trials_by_prefix(n, 0.3, 7, 5, 200)):
-            assert trial == (in_s, order, _ref_rank_lists(pre, in_s, padding))
+            assert trial == (order, _ref_rank_lists(pre, in_s, padding))
+            assert _flags(n, trial[0]) == in_s
         # the first draw of a block is the one-seed draw of its seed
         for idx in (64, 128, 192):
             in_s, order = _sample_ids(pre, 0.3, derive_seed(7, idx // 64))
-            assert got[idx - 5][:2] == (in_s, order)
+            assert got[idx - 5][0] == order
 
     def test_yields_fresh_lists(self):
         # n = 4: sample sets repeat, and each must still get lists of its own
         pre = generate(GenSpec("chain", 4, 2)).pre()
         seen = set()
         repeats = 0
-        for in_s, order, refs in _trials(pre, 0.5, 3, 0, 200, True):
+        for order, refs in _trials(pre, 0.5, 3, 0, 200, True):
+            in_s = _flags(4, order)
             assert refs == _ref_rank_lists(pre, in_s, True)
             repeats += tuple(in_s) in seen
             seen.add(tuple(in_s))
             for R in refs:  # consume every list, as a walk would
                 R.clear()
-            in_s.clear()
             order.clear()
         assert repeats > 100
 
@@ -380,7 +381,7 @@ class TestWeightMemo:
     @staticmethod
     def _walked(pre, p, start, count, padding):
         return [_run_weight(pre, refs, order)
-                for _, order, refs in _trials(pre, p, 7, start, count, padding)]
+                for order, refs in _trials(pre, p, 7, start, count, padding)]
 
     @pytest.mark.parametrize("n", [1, 6, 16, 17])
     @pytest.mark.parametrize("padding", [True, False])
@@ -407,7 +408,7 @@ class TestWeightMemo:
         monkeypatch.setattr(experiments, "_run_weight", counted)
         inst = generate(GenSpec("chain", 6, 2))
         _trial_weights_chunk(inst, 0.2, 0, 500, 9, True)
-        orders = [tuple(o) for _, o, _ in _trials(inst.pre(), 0.2, 9, 0, 500, True)]
+        orders = [tuple(o) for o, _ in _trials(inst.pre(), 0.2, 9, 0, 500, True)]
         stored = list(dict.fromkeys(orders))[:cap]  # the first distinct orders
         assert len(calls) == sum(o not in stored for o in orders) + len(stored)
         assert len(calls) < len(orders)  # repeated orders were not walked again
@@ -764,18 +765,19 @@ class TestVerifyReport:
 
 
 def _dominance(inst, trials):
-    """``_Dominance`` driven over (in_s, order, refs) trials, its four
+    """``_Dominance`` driven over (order, refs) trials, its four
     outcomes in the order ``dominance_by_scan`` returns them."""
     pre = inst.pre()
     dominance = experiments._Dominance(pre)
-    for t_idx, (_, order, refs) in enumerate(trials):
+    for t_idx, (order, refs) in enumerate(trials):
         dominance.step(t_idx, order, refs)
     return (dominance.weak_witness, dominance.member_witness,
             dominance.strict_violations, dominance.strict_example)
 
 
 def _scan(inst, trials):
-    return dominance_by_scan(inst, [(in_s, refs) for in_s, _, refs in trials])
+    n = inst.pre().n_real
+    return dominance_by_scan(inst, [(_flags(n, order), refs) for order, refs in trials])
 
 
 def _swap_in_heavier(refs, b, e, h):
@@ -812,7 +814,7 @@ class TestDominance:
         inst = family_instance(family, n, seed)
         pre = inst.pre()
         drawn = list(_trials(pre, p, seed, 0, trials, True))
-        _, order, refs = drawn[data.draw(st.integers(0, trials - 1))]
+        order, refs = drawn[data.draw(st.integers(0, trials - 1))]
         if kind == "swap":
             choices = [(b, e, h) for b in range(len(pre.mu)) for e in refs[b] if e < pre.n_real
                        for h in pre.members(b) if h < e and h not in refs[b]]
@@ -834,12 +836,12 @@ class TestDominance:
         pre = inst.pre()
         assert _global_optima(pre) == ((0, 2, 3), (0,))
         # rank 1 arrives, and the root's entry 3 is swapped for it
-        swapped = [(_flags(4, [1]), [1], [[0, 2, 3], [0]])]
-        _swap_in_heavier(swapped[0][2], 0, 3, 1)
+        swapped = [([1], [[0, 2, 3], [0]])]
+        _swap_in_heavier(swapped[0][1], 0, 3, 1)
         # rank 2 (in OPT) arrives, and the root's lighter entries go
-        dropped = [(_flags(4, [2]), [2], [[0, 3, pre.virtual_rank_base[0]], [0]])]
-        _drop_lighter(pre, dropped[0][2], 0, 2)
-        assert dropped[0][2][0] == [0, 1, pre.virtual_rank_base[0]]
+        dropped = [([2], [[0, 3, pre.virtual_rank_base[0]], [0]])]
+        _drop_lighter(pre, dropped[0][1], 0, 2)
+        assert dropped[0][1][0] == [0, 1, pre.virtual_rank_base[0]]
         for trials in (swapped, dropped, swapped + dropped):
             assert _dominance(inst, trials) == _scan(inst, trials)
         assert _dominance(inst, swapped)[:2] == ("trial 0, element 1, node 0: 1 < 2", "")
@@ -851,7 +853,7 @@ class TestDominance:
         # also holds 3 is no lighter than OPT anywhere, but one entry longer
         inst = tree("long", [(0, 4, None), (1, 1, 0)], {0: 1, 1: 0, 2: 0, 3: 1},
                     [4.0, 3.0, 2.0, 1.0])
-        trials = [(_flags(4, [3]), [3], [[0, 1, 2, 3], [0]])]
+        trials = [([3], [[0, 1, 2, 3], [0]])]
         assert _dominance(inst, trials) == _scan(inst, trials)
         assert _dominance(inst, trials)[0] == "trial 0, element 3, node 0: 0 < 1"
 
@@ -877,7 +879,7 @@ class TestWorkCounts:
     def test_dominance_step_reads_only_the_arrivals(self, monkeypatch):
         inst = generate(GenSpec("partition", 2000, 5, parts=40, part_capacity=3))
         pre = inst.pre()
-        _, order, refs = next(_trials(pre, 0.08, 11, 0, 1, True))
+        order, refs = next(_trials(pre, 0.08, 11, 0, 1, True))
         dominance = experiments._Dominance(pre)
         calls = 0
         bisect_right = experiments.bisect_right

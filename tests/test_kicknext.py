@@ -46,6 +46,7 @@ from helpers import (
     replay_events,
     sample_ranks_by_prefix,
     stream_by_prefix,
+    trials_by_prefix,
     tree,
 )
 
@@ -178,27 +179,39 @@ class TestTrialStream:
         _within_4se(seen, law, trials // 2)
 
     def test_longer_read_matches_one_long_prefix(self):
-        # p = 0.45, n = 200: the 188 words of the first read often run out
-        # before the sort keys do; the draw must not depend on that read
+        # p = 0.45, n = 200: the first read holds 231 words, and a draw with
+        # 116 or more arrivals runs past it in its keys (a one-draw read
+        # holds the gap words of over twice the mean arrivals, so its gaps
+        # do not run out); of these 300 seeds, derive_seed(22, 13) does.  The draw must
+        # not depend on that read
         pre = rank1(range(1, 201)).pre()
         p = 0.45
-        first = 2 * int(200 * p) + 8
+        first = _first_read(200, p)
         longer = 0
         for t in range(300):
-            seed = derive_seed(11, t)
+            seed = derive_seed(22, t)
             expect = sample_ranks_by_prefix(200, p, seed)
             assert _sample_ids(pre, p, seed) == expect
-            longer += 2 * len(expect[1]) + 1 > first  # gap words + key words
+            arrivals = len(expect[1])
+            assert arrivals + 1 <= first  # the gap words fit the read
+            longer += 2 * arrivals + 1 > first  # gap words + key words
         assert longer > 0
 
     def test_gap_read_runs_out(self):
-        # a seed with 11 arrivals: the 11th gap word lies past the 10 words
-        # of the first read
-        pre = rank1(range(1, 1001)).pre()
-        p, seed = 0.001999, 3632313942651877774
-        expect = sample_ranks_by_prefix(1000, p, seed)
-        assert len(expect[1]) == 11 > 2 * int(1000 * p) + 8
-        assert _sample_ids(pre, p, seed) == expect
+        # n = 1000, p = 0.002: trials 640 to 703 of master seed 5 are the 64
+        # draws of one stream, whose first read holds 378 words; draw 62
+        # (trial 702) starts at word 372 and has 7 arrivals, so its 7th and
+        # 8th gap words lie past the read.  A range that starts inside the block
+        # reads past it too
+        n, p, master_seed = 1000, 0.002, 5
+        pre = _rank1_pre(n)
+        size = _block_size(n, p)
+        first = _first_read(n, p, size)
+        expect = [order for _, order in trials_by_prefix(n, p, master_seed, 640, size)]
+        used = sum(2 * len(order) + 1 for order in expect[:62])
+        assert 640 // size == 10 and used <= first < used + len(expect[62]) + 1
+        assert list(_arrival_orders(pre, p, master_seed, 640, size)) == expect
+        assert list(_arrival_orders(pre, p, master_seed, 650, size - 10)) == expect[10:]
 
 
 @lru_cache(maxsize=None)
@@ -215,12 +228,14 @@ class TestOrders:
     @given(st.integers(1, 300), st.floats(1e-3, 0.6), st.integers(0, 2**64 - 1),
            st.integers(1, 40), st.data())
     def test_matches_one_long_prefix(self, n, p, seed, draws, data):
+        # a block of fewer draws reads less at first, and draws the same
+        # leading draws
         pre = _rank1_pre(n)
-        start = data.draw(st.integers(0, draws - 1))
+        short = data.draw(st.integers(1, draws))
         seeds = [derive_seed(seed, i) for i in range(3)]
         expect = [stream_by_prefix(n, p, s, draws) for s in seeds]
-        blocks = [(seeds[0], 0, 1), (seeds[1], start, draws), (seeds[2], 0, draws)]
-        want = ([expect[0][0][1]] + [order for _, order in expect[1][start:]]
+        blocks = [(seeds[0], 1), (seeds[1], short), (seeds[2], draws)]
+        want = ([expect[0][0][1]] + [order for _, order in expect[1][:short]]
                 + [order for _, order in expect[2]])
         assert list(_orders(pre, p, blocks)) == want
         assert [_sample_ids(pre, p, s) for s in seeds] == [e[0] for e in expect]
@@ -232,7 +247,7 @@ class TestOrders:
         seed = 15558682702953987295
         expect = sample_ranks_by_prefix(2000, 0.08, seed)
         assert 2 * len(expect[1]) + 1 > _first_read(2000, 0.08) == 399
-        assert next(_orders(pre, 0.08, [(seed, 0, 1)])) == expect[1]
+        assert next(_orders(pre, 0.08, [(seed, 1)])) == expect[1]
         assert _sample_ids(pre, 0.08, seed) == expect
 
     @pytest.mark.parametrize("n,p,block,past", [(200, 0.45, 926, "keys"),
@@ -254,21 +269,27 @@ class TestOrders:
                 assert past == ("gaps" if first < used + len(order) + 1 else "keys")
             used += 2 * len(order) + 1
         assert used > first
-        assert list(_orders(pre, p, [(seed, 0, size)])) == expect
-        assert list(_orders(pre, p, [(seed, 10, size)])) == expect[10:]
+        assert list(_orders(pre, p, [(seed, size)])) == expect
+        start = block * size + 10
+        want = [order for _, order in trials_by_prefix(n, p, 11, start, size - 10)]
+        assert list(_arrival_orders(pre, p, 11, start, size - 10)) == want == expect[10:]
 
     @pytest.mark.parametrize("n,p", [(1, 0.5), (7, 0.3), (60, 0.08), (300, 0.2)])
     def test_one_word_first_read(self, monkeypatch, n, p):
-        # a one-word first read makes the gaps run out, then the keys, in
-        # the middle of a block as at its start
-        monkeypatch.setattr(kicknext, "_first_read", lambda n, p, draws=1: 1)
+        # a first read of one, two or 21 words makes the gaps run out, then
+        # the keys, at several offsets, in the middle of a block as at its
+        # start
         pre = _rank1_pre(n)
         seeds = [derive_seed(n, i) for i in range(10)]
         expect = [stream_by_prefix(n, p, s, 5) for s in seeds]
-        assert (list(_orders(pre, p, [(s, 0, 5) for s in seeds]))
-                == [order for draws in expect for _, order in draws])
-        assert (list(_orders(pre, p, [(s, 3, 5) for s in seeds]))
-                == [order for draws in expect for _, order in draws[3:]])
+        # trials 3 on of master seed n, through the middle of its third block
+        count = 2 * _block_size(n, p)
+        trials = [order for _, order in trials_by_prefix(n, p, n, 3, count)]
+        for first in (1, 2, 21):
+            monkeypatch.setattr(kicknext, "_first_read", lambda n, p, draws=1: first)
+            assert (list(_orders(pre, p, [(s, 5) for s in seeds]))
+                    == [order for draws in expect for _, order in draws])
+            assert list(_arrival_orders(pre, p, n, 3, count)) == trials
 
     def test_first_read_is_whole_blocks(self):
         for n, p in [(1, 0.001), (6, 0.08), (200, 0.2), (2000, 0.08), (10**6, 0.5)]:
@@ -294,7 +315,7 @@ class TestOrders:
         n, p = 2000, 0.08
         pre = _rank1_pre(n)
         size = _block_size(n, p)
-        blocks = [(derive_seed(5, b), 0, size) for b in range(50)]
+        blocks = [(derive_seed(5, b), size) for b in range(50)]
         next(_orders(pre, p, blocks[:1]))
         tracemalloc.start()
         try:
