@@ -53,10 +53,8 @@ come; then each node has a field of n + ``_Pre.slots`` bits, a
 real rank r at bit r and the j-th virtual slot at bit n + j, so that the
 KickNext step is a mask, a lowest-set-bit and a clear (``_enum_states``).
 The state fixes the value whatever split reached it, so one memo serves
-every split of a call; at n = 8 it holds 973 to 5233 states, against 6305
-to 6928 when each split starts afresh, and the sum of C(n, t) * t! (split,
-order) leaves is 109600.  No field is wider than 2n bits, so capacity does
-not drive the cost.
+every split of a call (its measured sizes are at ``EXACT_ENUM_LIMIT``).
+No field is wider than 2n bits, so capacity does not drive the cost.
 
 Estimators that condition on an event (an element landing in the selection
 phase) do so by rejection: trials violating the condition are discarded,
@@ -71,7 +69,7 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import islice
 from multiprocessing import Pool
 from operator import gt
 
@@ -103,10 +101,11 @@ from .theory import (
 # ``exact_expectation`` enumerates 2^n sample splits and shares one memo of
 # (arrivals to come, reference lists) states across them, so the memo lives
 # for the whole call.  At n = 8 it ends with 973 to 5233 states, fewer than
-# the 6305 to 6928 that fresh memos per split add up to; at n = 10, 7322 to
-# 42060 states.  A call takes 3 to 18 ms and at most 0.5 MiB under
-# tracemalloc at n = 8, and 23 to 225 ms and at most 3.8 MiB at n = 10 (the
-# four families at p = 0.08, padding on and off; Python 3.11, 2 cores).
+# the 6305 to 6928 that fresh memos per split add up to, and than the 109600
+# (split, order) leaves, the sum of C(n, t) * t!; at n = 10, 7322 to 42060
+# states.  A call takes 3 to 18 ms and at most 0.5 MiB under tracemalloc at
+# n = 8, and 23 to 225 ms and at most 3.8 MiB at n = 10 (the four families
+# at p = 0.08, padding on and off; Python 3.11, 2 cores).
 EXACT_ENUM_LIMIT = 8
 RNG_VERSION = 3
 # up to this many elements, ``_trial_weights_chunk`` memoizes each arrival
@@ -456,8 +455,7 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     arrivals still to come and every node's reference list (see
     ``_enum_states``).  The state fixes the value, so one memo serves every
     split of the call (see ``EXACT_ENUM_LIMIT`` for its measured size),
-    instead of walking all C(n, t) * t! arrival orders (109600 leaves at
-    n = 8).  A state's value is computed the same way whichever split
+    instead of walking all C(n, t) * t! arrival orders.  A state's value is computed the same way whichever split
     reaches it first, so sharing changes no bit of the result.  A node's
     field is at most 2n bits wide whatever its capacity, as its padded
     list holds at most n slots, so neither time nor memory grows with
@@ -537,7 +535,7 @@ class _EvictionFailures:
         for r in reversed(opt[pre.root_idx]):  # lightest first
             ncond = self.seen[r]
             for b in pre.chain_by_rank[r]:
-                d = len(opt[b]) - bisect_right(opt[b], r)  # unpadded (see ``AllKickedRow``)
+                d = _padded_brank(opt[b], r)  # unpadded (see ``AllKickedRow``)
                 freq = self.hits[r, b] / ncond if ncond else 0.0
                 se = math.sqrt(freq * (1.0 - freq) / ncond) if ncond else 0.0
                 rows.append(AllKickedRow(pre.ids_by_rank[r], pre.node_ids[b], d, ncond, freq,
@@ -586,7 +584,7 @@ def _qualifying_counts(pre, b: int, members, in_s: list[bool]) -> list[int]:
         if in_s[r]:
             continue
         if all(refs[x][-1] > r for x in up):
-            got[len(R) - bisect_right(R, r) - 1] += 1  # qualifying implies >= 1
+            got[_padded_brank(R, r) - 1] += 1  # qualifying implies >= 1
     return got
 
 
@@ -649,12 +647,11 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     if use_exact:
         _check_enumerable(n)
         acc = []
-        for flags in product((False, True), repeat=n - 1):  # sample flags of the other ranks
-            in_s = [*flags[:skip], False, *flags[skip:]]
-            k = sum(flags)
-            prob = (1.0 - p) ** k * p ** (n - 1 - k)
-            if _qualifying_counts(pre, b, members, in_s) == tail:
-                acc.append(prob)
+        for mask in range(1 << n):  # the splits of ``_enum_states``: set bit r, r arrives
+            in_s = [not mask >> r & 1 for r in range(n)]
+            if not in_s[skip] and _qualifying_counts(pre, b, members, in_s) == tail:
+                t = mask.bit_count()  # ``exact_expectation``'s law, given skip arrives
+                acc.append((1.0 - p) ** (n - t) * p ** (t - 1))
         return QualifyingProbability(math.fsum(acc), bound, True)
 
     hits = 0
@@ -686,10 +683,8 @@ def _exact_lemma_checks(inst: LaminarInstance, c: float) -> list[LemmaCheck]:
     opt = _global_optima(pre)
     checks = []
     witness = ""  # the first failure; empty while every check holds
-    scanned = 0
-    pairs = ((b, nid, m) for b, nid in enumerate(pre.node_ids) for m in range(len(opt[b]) + 1))
+    pairs = [(b, nid, m) for b, nid in enumerate(pre.node_ids) for m in range(len(opt[b]) + 1)]
     for b, nid, m in pairs:
-        scanned += 1
         g = g_exact(inst, m, nid, c)
         refined = g_refined_bound(m, pre.mu[b], c)
         weak = g_weak_bound(m, c)
@@ -699,7 +694,7 @@ def _exact_lemma_checks(inst: LaminarInstance, c: float) -> list[LemmaCheck]:
             break
     checks.append(LemmaCheck(
         "g-chain-decay", not witness,
-        witness or f"{scanned} (node, m) pairs: exact <= refined <= weak"))
+        witness or f"{len(pairs)} (node, m) pairs: exact <= refined <= weak"))
 
     pen = weighted_penalty(inst, c)
     cap_bound = g_weak_bound(1, c) * sum(pre.w_by_rank[r] for r in opt[pre.root_idx])
@@ -773,14 +768,19 @@ class _Dominance:
                         strict = (b, r)
         self.strict_violations += violations
         if member is not None:
-            b, r = member
-            bs, bu = _global_brank(pre, refs, b, r), _global_brank(pre, self.opt, b, r)
-            self.member_witness = (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
-                                   f"node {pre.node_ids[b]}: {bs} < {bu}+1")
+            self.member_witness = self._witness(t_idx, *member, refs) + "+1"
         if strict is not None:
-            b, r = strict
-            self.strict_example = (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
-                                   f"node {pre.node_ids[b]}")
+            self.strict_example = self._witness(t_idx, *strict)
+
+    def _witness(self, t_idx: int, b: int, r: int, refs=None) -> str:
+        """Where rank ``r`` fails at node index ``b`` in trial ``t_idx``; given
+        the trial's ``refs``, then ``bs < bu``: its padded ranks, trial, OPT."""
+        pre = self.pre
+        text = f"trial {t_idx}, element {pre.ids_by_rank[r]}, node {pre.node_ids[b]}"
+        if refs is None:
+            return text
+        bs, bu = _global_brank(pre, refs, b, r), _global_brank(pre, self.opt, b, r)
+        return f"{text}: {bs} < {bu}"
 
     def _weak_witness(self, t_idx: int, refs: list[list[int]]) -> str:
         """The trial's first weak violation, or ``""``: the first failing
@@ -790,10 +790,7 @@ class _Dominance:
             if bisect_left(R, pre.n_real) > len(O) or any(map(gt, O, R)):
                 for r in pre.members(b):
                     if bisect_right(R, r) > bisect_right(O, r):
-                        bs = _global_brank(pre, refs, b, r)
-                        bu = _global_brank(pre, self.opt, b, r)
-                        return (f"trial {t_idx}, element {pre.ids_by_rank[r]}, "
-                                f"node {pre.node_ids[b]}: {bs} < {bu}")
+                        return self._witness(t_idx, b, r, refs)
         return ""
 
     def checks(self, trials: int) -> list[LemmaCheck]:

@@ -26,12 +26,13 @@ word.  The arrivals are the ranks hit by geometric gaps with success
 probability p, one word per gap, and their order sorts them on one further
 word each (ties, with chance below n^2/2^65, go to the lower rank).  A
 stream serves up to ``_block_size(n, p)`` draws (64 on small instances),
-so one hash call sets up a block of trials.  ``_stream`` yields a stream's
-words without end: a first read sized by ``_first_read``, about
-``BLOCK_WORDS`` words (32 KiB) at most unless one draw alone needs more,
-then the new words of each doubled read.  ``_orders`` draws a whole call's
-blocks, so its per-call constants are set up once; ``_sample_ids`` is the
-first draw of one seed's stream, with the sample flags.
+so one hash call sets up a block of trials.  ``_stream`` is the one
+SHAKE-128 reader: one hash object per stream, yielding its words without
+end, a first read sized by ``_first_read``, about ``BLOCK_WORDS`` words
+(32 KiB) at most unless one draw alone needs more, then the new words of
+each doubled read.  ``_orders`` draws a whole call's blocks, so its
+per-call constants are set up once; ``_sample_ids`` is the first draw of
+one seed's stream, with the sample flags.
 """
 
 from __future__ import annotations
@@ -131,24 +132,20 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
 
 
-def _words(seed: int, stop: int, start: int = 0) -> array:
-    """Words ``start`` to ``stop - 1`` of the stream of ``seed``: the
-    little-endian 64-bit words of SHAKE-128 of the seed."""
-    words = array("Q", shake_128(seed.to_bytes(8, "little")).digest(8 * stop)[8 * start:])
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words
-
-
 def _stream(seed: int, count: int):
-    """The stream of ``seed`` without end, as arrays of words: the first
-    ``count``, then the new words of each doubled read.  SHAKE-128 is an
-    extendable-output function, so a longer read starts with the same
+    """The stream of ``seed`` without end: the little-endian 64-bit words
+    of SHAKE-128 of the seed, as arrays, the first ``count``, then the new
+    words of each doubled read.  SHAKE-128 is an extendable-output
+    function, so a longer read of the one hash object starts with the same
     words, and a read here holds only its own new words."""
-    yield _words(seed, count)
+    xof = shake_128(seed.to_bytes(8, "little"))
+    start = 0
     while True:
-        count *= 2
-        yield _words(seed, count, count // 2)
+        words = array("Q", xof.digest(8 * count)[8 * start:])
+        if _BIG_ENDIAN:
+            words.byteswap()
+        yield words
+        start, count = count, 2 * count
 
 
 def _block_size(n: int, p: float) -> int:
@@ -306,7 +303,8 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, *, padding: bool = True) -
                                      pre.id_of(x), x >= pre.n_real))
         if len(evicted) < len(ch):
             b = ch[len(evicted)]
-            breaks[eid] = BreakRecord(pre.node_ids[b], step, sum(1 for x in initial[b] if x > r))
+            below = len(initial[b]) - bisect_right(initial[b], r)
+            breaks[eid] = BreakRecord(pre.node_ids[b], step, below)
             events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
 
     return RunResult(

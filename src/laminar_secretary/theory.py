@@ -88,11 +88,11 @@ def geometric_sum(c: float, i: int) -> float:
 
 
 def _padded_brank(R: list[int], r: int) -> int:
-    """The entries of the ascending rank list ``R`` lighter than rank ``r``,
-    virtual entries included; 0 means no lighter entry is left.  It reads
-    no capacity, so against a list padded to its node's ``_Pre.slots`` it
-    leaves out the virtual slots up to capacity: the capacity-padded
-    backward rank is ``_global_brank``."""
+    """The list's own lighter entries: those of the ascending rank list
+    ``R`` lighter than rank ``r``, virtual entries included, 0 when none is
+    left.  Whatever the name says, it reads no capacity; the capacity-padded
+    backward rank is ``_global_brank``.  ``experiments._EvictionFailures``
+    (walk and rows) and ``experiments._qualifying_counts`` read it."""
     return len(R) - bisect_right(R, r)
 
 
@@ -199,10 +199,11 @@ def _theory_csv(grid) -> str:
 def p_grid(step: float, p_min: float | None = None, p_max: float | None = None) -> list[float]:
     """Grid of p values: the multiples ``k * step`` (k >= 1) below 1/2, or,
     given ``p_min``, the points ``p_min + k * step`` (k >= 0) up to ``p_max``
-    (default ``p_min``).  Raises ``ValueError`` before building any point
-    when ``step`` is not positive and finite, ``p_max < p_min``, a point
-    would fall outside (0, 1/2), or the grid would hold more than
-    ``MAX_GRID_POINTS`` points."""
+    (default ``p_min``) plus their rounding, under 4 ulps and a quarter step.
+    Raises ``ValueError`` before building any point when ``step`` is not
+    positive and finite, ``p_max < p_min``, a point would fall outside
+    (0, 1/2), the grid would exceed ``MAX_GRID_POINTS`` points, or points
+    could coincide (a step of 2 ulps of the end or less)."""
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     if p_min is None:
@@ -213,15 +214,18 @@ def p_grid(step: float, p_min: float | None = None, p_max: float | None = None) 
         hi = p_min if p_max is None else p_max
         if not -math.inf < p_min <= hi < math.inf:
             raise ValueError(f"need finite p_min <= p_max, got {p_min!r} and {hi!r}")
-        start, first, end = p_min, 0, hi + 1e-12
+        start, first, end = p_min, 0, hi + min(4 * math.ulp(hi), step / 4)
     if (end - start) / step > MAX_GRID_POINTS:
         raise ValueError(f"step {step!r} gives more than {MAX_GRID_POINTS} grid points")
     # the last index first, so that every check runs before a point is built
     last = int((end - start) / step)
-    while start + (last + 1) * step <= end:
-        last += 1
-    while not start + last * step <= end:
-        last -= 1
+    if step > 2 * math.ulp(end):  # then p_min + k * step increases with k
+        while start + (last + 1) * step <= end:
+            last += 1
+        while not start + last * step <= end:
+            last -= 1
+    elif last > first:
+        raise ValueError(f"step {step!r} is too small to give distinct grid points")
     if last < first:
         raise ValueError(f"step {step!r} leaves no grid point below 1/2")
     for q in (start + first * step, start + last * step):

@@ -510,11 +510,14 @@ def replay_events(inst, result):
 
     Asserts, at every accept, that the evicted element was the heaviest
     reference element strictly lighter than the arrival, and at every break
-    that no lighter reference element remained.  Returns the reconstructed
-    final reference sets.
+    that no lighter reference element remained.  ``result.breaks`` must
+    hold one record per break event, at its node and step, counting the
+    node's initial reference elements lighter than the arrival.  Returns
+    the reconstructed final reference sets.
     """
     assert result.events is not None, "replay needs a traced run"
     refs = {nid: list(ids) for nid, ids in result.initial_refsets.items()}
+    breaks = {}
     for ev in result.events:
         key = inst.key(ev.element)
         below = [x for x in refs[ev.node] if inst.key(x) > key]
@@ -526,6 +529,10 @@ def replay_events(inst, result):
         else:
             assert ev.action == "break"
             assert not below, "broke while a lighter reference element remained"
+            initial = result.initial_refsets[ev.node]
+            breaks[ev.element] = (ev.node, ev.step,
+                                  sum(1 for x in initial if inst.key(x) > key))
+    assert {e: (b.node, b.step, b.initial_below) for e, b in result.breaks.items()} == breaks
     for nid, ids in result.final_refsets.items():
         assert sorted(refs[nid]) == sorted(ids)
     return refs

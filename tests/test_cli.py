@@ -52,6 +52,13 @@ def test_theory_default_step(capsys):
     assert [float(r.split(",")[0]) for r in rows] == pytest.approx([0.05, 0.06, 0.07])
 
 
+def test_theory_one_point_sweep_is_one_row(capsys):
+    # the end's slack stays below a quarter step, so no point but 0.1 fits
+    assert main(["theory", "--p-min", "0.1", "--p-max", "0.1", "--step", "1e-13"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0.1"]
+
+
 def test_theory_domain_error(capsys):
     assert main(["theory", "--p", "0.6"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -559,3 +566,24 @@ def test_cli_builds_no_element(tmp_path, capsys, monkeypatch, command, text):
     monkeypatch.setattr(model, "Element", refuse)
     assert main(argv) == 0
     assert capsys.readouterr().out == want
+
+
+def readme_cli_examples():
+    """The ``laminar-secretary`` command lines of README's CLI block, each
+    as its argument list, with backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in commands if line.strip().startswith("laminar-secretary ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    examples = readme_cli_examples()
+    assert len(examples) == 11
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        assert main(argv) == 0, argv
+        for flag in ("-o", "--csv"):
+            if flag in argv:
+                assert (tmp_path / argv[argv.index(flag) + 1]).stat().st_size > 0, argv
+    capsys.readouterr()

@@ -284,6 +284,34 @@ class TestPGrid:
         with pytest.raises(ValueError, match="no grid point"):
             p_grid(0.5)
 
+    def test_one_point_range_for_any_step(self):
+        # a slack of 1e-12 on the end would let ten more points past 0.1
+        assert p_grid(1e-13, 0.1, 0.1) == [0.1]
+        assert p_grid(1e-300, 0.1, 0.1) == [0.1]
+        assert p_grid(5e-324, 0.1, 0.1) == [0.1]
+
+    def test_step_too_small_for_distinct_points(self):
+        with pytest.raises(ValueError, match="too small to give distinct"):
+            p_grid(1e-20, 0.1, 0.1 + 1e-16)
+
+    @given(st.floats(1e-9, 0.49), st.floats(0.0, 0.1), st.floats(5e-324, 0.2),
+           st.none() | st.floats(0.1, 40.0))
+    def test_grid_points_stay_within_rounding(self, p_min, width, step, ulps):
+        if ulps is not None:  # a step of a few ulps: points may coincide
+            step = math.ulp(p_min) * ulps
+        p_max = min(p_min + width, 0.49)
+        try:
+            grid = p_grid(step, p_min, p_max)
+        except ValueError as exc:
+            assert "more than" in str(exc) or "too small" in str(exc)
+            assert "too small" not in str(exc) or step <= 2 * math.ulp(p_max + 4 * math.ulp(p_max))
+            return
+        assert grid == [p_min + k * step for k in range(len(grid))]
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        assert grid[-1] <= p_max + 4 * math.ulp(p_max)
+        if p_min == p_max:
+            assert grid == [p_min]
+
     def test_point_cap(self):
         assert len(p_grid(0.5 / MAX_GRID_POINTS)) == MAX_GRID_POINTS - 1
         with pytest.raises(ValueError, match="more than"):
