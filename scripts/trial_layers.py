@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Time the layers of one Monte Carlo trial, as ``_trial_weights_chunk``
+runs them above ``SMALL_N`` elements.
+
+Usage: python scripts/trial_layers.py [--family F] [--n N] [--p P]
+           [--seed S] [--parts K] [--trials T] [--rounds R] [--no-padding]
+
+The instance is ``generate(GenSpec(family, n, seed, parts=K))``.  Each
+round draws trials 0..T-1 of master seed S and times, per trial:
+
+- ``draw``: the arrivals and their sort keys (``_arrival_draws``);
+- ``refs``: the reference lists, rebuilding only the nodes whose OPT holds
+  an arrival (``matroid._trial_rank_lists``);
+- ``live``: keeping the live arrivals and sorting them on their keys
+  (``experiments._live_order``);
+- ``walk``: walking the live arrivals (``kicknext._run_weight``);
+
+and, for comparison, two layers the trial no longer runs: ``full_refs``,
+one full bottom-up pass over the sample flags (``_ref_rank_lists``), and
+``sort_all``, sorting every arrival on its key, as ``kicknext._orders``
+does.  The layers run one after another within each round, the rounds
+repeat them, and the report gives the median over rounds of each layer's
+time per trial, with the lowest and highest round, plus the mean arrivals
+and live arrivals per trial.  Stdlib only and seeded: every count and
+share depends on the flags alone, the times on the host too.  The
+ROADMAP table of where a trial's time goes comes from runs such as
+``--family partition --n 2000 --parts 40``.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from laminar_secretary import GenSpec, generate
+from laminar_secretary.experiments import SMALL_N, _arrival_draws, _check_run, _live_order
+from laminar_secretary.generators import FAMILIES
+from laminar_secretary.kicknext import _run_weight
+from laminar_secretary.matroid import _flags, _ref_rank_lists, _trial_rank_lists
+
+LAYERS = ("draw", "refs", "live", "walk", "full_refs", "sort_all")
+
+
+def _round(pre, p, seed, trials, padding):
+    """One round: seconds per layer, and the arrival and live counts."""
+    n = pre.n_real
+    home = [ch[0] for ch in pre.chain_by_rank]
+    spent = {}
+    t0 = time.perf_counter()
+    draws = list(_arrival_draws(pre, p, seed, 0, trials))
+    t1 = time.perf_counter()
+    refs = [_trial_rank_lists(pre, arrivals, padding) for arrivals, _ in draws]
+    t2 = time.perf_counter()
+    live = [_live_order(home, R, arrivals, key) for R, (arrivals, key) in zip(refs, draws)]
+    t3 = time.perf_counter()
+    for R, order in zip(refs, live):
+        _run_weight(pre, R, order)
+    t4 = time.perf_counter()
+    for arrivals, _ in draws:
+        _ref_rank_lists(pre, _flags(n, arrivals), padding)
+    t5 = time.perf_counter()
+    for arrivals, key in draws:
+        if key is not None:  # fewer than two arrivals need no sort
+            sorted(arrivals, key=key.__getitem__)
+    t6 = time.perf_counter()
+    spent.update(draw=t1 - t0, refs=t2 - t1, live=t3 - t2, walk=t4 - t3,
+                 full_refs=t5 - t4, sort_all=t6 - t5)
+    arrived = sum(len(arrivals) for arrivals, _ in draws)
+    return spent, arrived, sum(map(len, live))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--family", choices=FAMILIES, default="partition")
+    ap.add_argument("--n", type=int, default=2000)
+    ap.add_argument("--p", type=float, default=0.08)
+    ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--parts", type=int, default=None)
+    ap.add_argument("--trials", type=int, default=400)
+    ap.add_argument("--rounds", type=int, default=7)
+    ap.add_argument("--no-padding", dest="padding", action="store_false")
+    args = ap.parse_args()
+    try:
+        _check_run(args.p, args.trials, args.seed)
+        if not 1 <= args.rounds <= 1000:
+            raise ValueError(f"rounds must be in 1..1000, got {args.rounds}")
+        inst = generate(GenSpec(args.family, args.n, args.seed, parts=args.parts))
+    except ValueError as exc:
+        ap.exit(2, f"error: {exc}\n")
+    pre = inst.pre()
+    if pre.n_real <= SMALL_N:
+        print(f"# note: n <= {SMALL_N}; Monte Carlo memoizes weights there and "
+              f"walks every arrival")
+    times = {k: [] for k in LAYERS}
+    for _ in range(args.rounds):
+        spent, arrived, live = _round(pre, args.p, args.seed, args.trials, args.padding)
+        for k in LAYERS:
+            times[k].append(spent[k] / args.trials * 1e6)
+    print(f"{inst.name}: {len(pre.mu)} nodes, p = {args.p}, {args.trials} trials x "
+          f"{args.rounds} rounds, padding {'on' if args.padding else 'off'}")
+    print(f"arrivals per trial {arrived / args.trials:.2f}, live {live / args.trials:.2f} "
+          f"(share {live / arrived if arrived else 0.0:.3f})")
+    print(f"{'layer':>10} {'median us':>10} {'min':>8} {'max':>8}")
+    for k in LAYERS:
+        xs = times[k]
+        print(f"{k:>10} {statistics.median(xs):10.2f} {min(xs):8.2f} {max(xs):8.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,18 +5,24 @@ B = ``kicknext._block_size(n, p)``, and trial ``i`` of a run with master
 seed ``s`` is draw ``i % B`` of the stream of ``derive_seed(s, i // B)``,
 a pure function of the pair, so serial and parallel execution produce
 identical statistics.  ``_arrival_orders`` is the one map from (master
-seed, first trial, count) to arrival orders; a range that starts inside a
-block draws the block's earlier draws and drops them.  ``RNG_VERSION``
-names that trial stream, and every summary prints it, so that a printed
-estimate says which draws it rests on.  Aggregation goes through
-``math.fsum`` (exact summation), which keeps results independent of
-chunking.
+seed, first trial, count) to arrival orders, and ``_arrival_draws`` the
+same map to the unsorted draws, each arrival with its sort key; a range
+that starts inside a block draws the block's earlier draws and drops
+them.  ``RNG_VERSION`` names that trial stream, and every summary prints
+it, so that a printed estimate says which draws it rests on.  Aggregation
+goes through ``math.fsum`` (exact summation), which keeps results
+independent of chunking.
 
-The Monte Carlo ratio and the checks take trials from ``_trials``, as
-arrival ranks and fresh reference lists (ascending rank lists, padded to
-the ``_Pre.slots`` a walk can reach); arrivals walk them by
-``kicknext._arrive``.  An eviction-failure event is a zero
-``theory._padded_brank``.  Every slot a list leaves out up to capacity is
+Each reader orders only what it needs.  The checks take trials from
+``_trials``, as full arrival orders and fresh reference lists (ascending
+rank lists, padded to the ``_Pre.slots`` a walk can reach), which
+``matroid._trial_rank_lists`` builds by rebuilding only the nodes whose
+OPT holds an arrival; arrivals walk them by ``kicknext._arrive``.  Above
+``SMALL_N`` elements the Monte Carlo ratio sorts and walks only the live
+arrivals (``_live_order``), those with a lighter entry at their minimal
+node when the phase starts, as a dead arrival never evicts or gains; and
+the qualifying law reads unsorted arrival sets.  An eviction-failure
+event is a zero ``theory._padded_brank``.  Every slot a list leaves out up to capacity is
 virtual and lighter than every real rank, so a dominance check compares
 the counts of entries up to a rank, trial list against OPT, in which
 capacity cancels, and a qualifying count is indexed by the padded list's
@@ -26,10 +32,10 @@ to ``SMALL_N`` elements, draws repeat often, and the Monte Carlo ratio
 memoizes each arrival order's weight, which the order fixes.  The
 reference lists and the whole ground set's optima OPT, which the ratio
 denominators and the checks measure against, come from ``matroid``
-(``_ref_rank_lists``, and ``_global_optima``, built once per instance and
-read by each check itself).
-Every sampling entry point checks its trial count, p and master seed
-through ``_check_run``.
+(``_trial_rank_lists``, and ``_global_optima``, built once per instance
+and read by each check itself).
+Every sampling entry point checks its trial count (at most
+``MAX_TRIALS``), p and master seed through ``_check_run``.
 
 CLI ``verify`` reads ``verify_report``, which draws each trial once: the
 backward-rank dominance reads a trial's fresh reference lists, and one walk
@@ -74,14 +80,14 @@ from multiprocessing import Pool
 from operator import gt
 
 from .model import LaminarInstance
-from .matroid import _global_optima, _ref_rank_lists
+from .matroid import _global_optima, _ref_rank_lists, _trial_rank_lists
 from .kicknext import (
     _MASK64,
     _arrive,
     _block_size,
     _check_p,
     _check_seed,
-    _flags,
+    _draws,
     _orders,
     _run_weight,
 )
@@ -108,6 +114,9 @@ from .theory import (
 # at p = 0.08, padding on and off; Python 3.11, 2 cores).
 EXACT_ENUM_LIMIT = 8
 RNG_VERSION = 3
+# every sampling entry point refuses more trials than this, as a Monte Carlo
+# run keeps one float per trial (about 32 bytes each above ``SMALL_N``)
+MAX_TRIALS = 10_000_000
 # up to this many elements, ``_trial_weights_chunk`` memoizes each arrival
 # order's weight, as draws repeat often
 SMALL_N = 16
@@ -248,38 +257,75 @@ class ExperimentReport:
 
 
 def _check_run(p: float, trials: int, master_seed: int) -> None:
-    """Refuse a sampling run with fewer than one trial, a bad p or a master
-    seed outside 0..2^64-1, checked in that order."""
+    """Refuse a sampling run with fewer than one trial or more than
+    ``MAX_TRIALS``, a bad p or a master seed outside 0..2^64-1, checked in
+    that order."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials limited to {MAX_TRIALS}, got {trials}")
     _check_p(p)
     _check_seed(master_seed)
 
 
-def _arrival_orders(pre, p: float, master_seed: int, start: int, count: int):
-    """The arrival orders of trials ``start`` to ``start + count - 1``:
+def _blocks(n: int, p: float, master_seed: int, start: int, count: int):
+    """The ``(seed, draws)`` blocks that hold trials ``start`` to
+    ``start + count - 1``, and how many leading draws of the first to drop:
     trial i is draw ``i % B`` of the stream of ``derive_seed(master_seed,
     i // B)``, with B = ``kicknext._block_size(n, p)``.  A range that
     starts inside a block draws the block's earlier draws, at most B - 1
     of them, and drops them."""
-    size = _block_size(pre.n_real, p)
+    size = _block_size(n, p)
     first, skip = divmod(start, size)
     end = start + count
     blocks = ((derive_seed(master_seed, b), min(end - b * size, size))
               for b in range(first, -(-end // size)))
+    return blocks, skip
+
+
+def _arrival_draws(pre, p: float, master_seed: int, start: int, count: int):
+    """Trials ``start`` to ``start + count - 1`` as ``kicknext._draws``
+    yields them: ``(arrivals, key)``, the arrivals ascending and their
+    sort keys, for readers that order only some arrivals, or none."""
+    blocks, skip = _blocks(pre.n_real, p, master_seed, start, count)
+    return islice(_draws(pre, p, blocks), skip, None)
+
+
+def _arrival_orders(pre, p: float, master_seed: int, start: int, count: int):
+    """The arrival orders of trials ``start`` to ``start + count - 1``
+    (``kicknext._orders``), trial for trial the draws of
+    ``_arrival_draws``."""
+    blocks, skip = _blocks(pre.n_real, p, master_seed, start, count)
     return islice(_orders(pre, p, blocks), skip, None)
 
 
 def _trials(pre, p, master_seed, start, count, padding):
     """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
     ``(order, refs)``, fresh reference lists for the caller to consume."""
-    n = pre.n_real
     for order in _arrival_orders(pre, p, master_seed, start, count):
-        yield order, _ref_rank_lists(pre, _flags(n, order), padding)
+        yield order, _trial_rank_lists(pre, order, padding)
+
+
+def _live_order(home: list[int], refs: list[list[int]], arrivals: list[int], key) -> list[int]:
+    """The live ones of the ascending ``arrivals`` in arrival order, sorted
+    on ``key`` as ``kicknext._orders`` sorts: those heavier than the
+    lightest entry of their minimal node's list in ``refs``, ``home``
+    giving each rank's minimal node.  Any other arrival is dead: it finds
+    no lighter entry there when the phase starts, and lists only lose
+    entries, so whenever it comes it breaks there, evicting and gaining
+    nothing."""
+    live = [r for r in arrivals if (R := refs[home[r]]) and r < R[-1]]
+    if len(live) > 1:
+        live.sort(key=key.__getitem__)
+    return live
 
 
 def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
     """Root weight of each of trials ``start`` to ``start + count - 1``.
+
+    Above ``SMALL_N`` elements only the live arrivals are ordered and
+    walked (``_live_order``).  A dead arrival evicts and gains nothing, so
+    the walk of the live ones adds the same weights in the same order.
 
     Up to ``SMALL_N`` elements the weight is memoized on the arrival order,
     which fixes it: the arrivals fix the sample, so the reference lists,
@@ -288,19 +334,24 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
     whatever the trial count it holds at most 2^14 keys of up to 16 small
     ints each: about 3.6 MiB, 228 bytes an entry on 64-bit CPython 3.11."""
     pre = inst.pre()
-    n = pre.n_real
-    if n > SMALL_N:
-        return [_run_weight(pre, refs, order)
-                for order, refs in _trials(pre, p, master_seed, start, count, padding)]
+    if pre.n_real > SMALL_N:
+        home = [ch[0] for ch in pre.chain_by_rank]  # each rank's minimal node
+        out = []
+        for arrivals, key in _arrival_draws(pre, p, master_seed, start, count):
+            refs = _trial_rank_lists(pre, arrivals, padding)
+            out.append(_run_weight(pre, refs, _live_order(home, refs, arrivals, key)))
+        return out
     memo: dict[tuple[int, ...], float] = {}
     out = []
-    for order in _arrival_orders(pre, p, master_seed, start, count):
-        key = tuple(order)
-        w = memo.get(key)
+    for arrivals, key in _arrival_draws(pre, p, master_seed, start, count):
+        if key is not None:
+            arrivals.sort(key=key.__getitem__)  # the order, as ``kicknext._orders`` sorts
+        order = tuple(arrivals)
+        w = memo.get(order)
         if w is None:
-            w = _run_weight(pre, _ref_rank_lists(pre, _flags(n, order), padding), order)
+            w = _run_weight(pre, _trial_rank_lists(pre, order, padding), order)
             if len(memo) < _WEIGHT_MEMO_CAP:
-                memo[key] = w
+                memo[order] = w
         out.append(w)
     return out
 
@@ -568,22 +619,21 @@ def _qualifying_members(pre, b: int, skip: int) -> list[tuple[int, tuple[int, ..
     return [(r, pre.upto(r, b)) for r in pre.members(b) if r != skip]
 
 
-def _qualifying_counts(pre, b: int, members, in_s: list[bool]) -> list[int]:
+def _qualifying_counts(pre, b: int, members, arrived: set[int]) -> list[int]:
     """Counts per entry of node index ``b``'s padded reference list
-    (``slots[b]`` of them, lightest first) of the selection-phase ranks of
-    ``members`` (from ``_qualifying_members``) that qualify for the node:
+    (``slots[b]`` of them, lightest first) of the ranks of ``members``
+    (from ``_qualifying_members``) that arrive, in the set ``arrived``, and
+    qualify for the node:
     each outweighs the lightest reference entry at every node of its chain
     up to ``b``, and is counted at the heaviest entry lighter than it, at
     the list's own lighter-entry count less one.  The capacity-long counts
     put ``mu[b] - slots[b]`` zeros in front: a member's capacity-padded
     backward rank exceeds this count by the slots the list leaves out."""
-    refs = _ref_rank_lists(pre, in_s, True)
+    refs = _trial_rank_lists(pre, arrived, True)
     R = refs[b]
     got = [0] * len(R)
     for r, up in members:
-        if in_s[r]:
-            continue
-        if all(refs[x][-1] > r for x in up):
+        if r in arrived and all(refs[x][-1] > r for x in up):
             got[_padded_brank(R, r) - 1] += 1  # qualifying implies >= 1
     return got
 
@@ -648,19 +698,20 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
         _check_enumerable(n)
         acc = []
         for mask in range(1 << n):  # the splits of ``_enum_states``: set bit r, r arrives
-            in_s = [not mask >> r & 1 for r in range(n)]
-            if not in_s[skip] and _qualifying_counts(pre, b, members, in_s) == tail:
-                t = mask.bit_count()  # ``exact_expectation``'s law, given skip arrives
-                acc.append((1.0 - p) ** (n - t) * p ** (t - 1))
+            if mask >> skip & 1:
+                arrived = {r for r in range(n) if mask >> r & 1}
+                if _qualifying_counts(pre, b, members, arrived) == tail:
+                    t = mask.bit_count()  # ``exact_expectation``'s law, given skip arrives
+                    acc.append((1.0 - p) ** (n - t) * p ** (t - 1))
         return QualifyingProbability(math.fsum(acc), bound, True)
 
     hits = 0
     ncond = 0
-    for order in _arrival_orders(pre, p, master_seed, 0, trials):
-        if skip not in order:
+    for arrivals, _ in _arrival_draws(pre, p, master_seed, 0, trials):
+        if skip not in arrivals:
             continue  # rejection sampling for the conditional law
         ncond += 1
-        if _qualifying_counts(pre, b, members, _flags(n, order)) == tail:
+        if _qualifying_counts(pre, b, members, set(arrivals)) == tail:
             hits += 1
     if ncond == 0:
         raise ValueError("no trial satisfied the conditioning event; raise trials")

@@ -20,19 +20,22 @@ Acceptances at inner nodes are kept even when an outer node rejects — the
 walk never rolls back.  The run's output is the root's accepted list.
 
 A 64-bit seed names a stream, the SHAKE-128 output of the seed read as
-64-bit words, and a stream holds consecutive draws: ``_orders`` reads a
+64-bit words, and a stream holds consecutive draws: ``_draws`` reads a
 draw's words in rank space, and the next draw starts at the next unread
 word.  The arrivals are the ranks hit by geometric gaps with success
-probability p, one word per gap, and their order sorts them on one further
-word each (ties, with chance below n^2/2^65, go to the lower rank).  A
-stream serves up to ``_block_size(n, p)`` draws (64 on small instances),
-so one hash call sets up a block of trials.  ``_stream`` is the one
-SHAKE-128 reader: one hash object per stream, yielding its words without
-end, a first read sized by ``_first_read``, about ``BLOCK_WORDS`` words
-(32 KiB) at most unless one draw alone needs more, then the new words of
-each doubled read.  ``_orders`` draws a whole call's blocks, so its
-per-call constants are set up once; ``_sample_ids`` is the first draw of
-one seed's stream, with the sample flags.
+probability p, one word per gap, and a draw yields them ascending with one
+further word each, its sort key.  ``_orders`` sorts each draw's arrivals
+on their keys (ties, with chance below n^2/2^65, go to the lower rank); a
+reader that needs only some arrivals in order, or none, reads ``_draws``
+and sorts what it needs.  A stream serves up to ``_block_size(n, p)``
+draws (64 on small instances), so one hash call sets up a block of
+trials.  ``_stream`` is the one SHAKE-128 reader: one hash object per
+stream, yielding its words without end, a first read sized by
+``_first_read``, about ``BLOCK_WORDS`` words (32 KiB) at most unless one
+draw alone needs more, then the new words of each doubled read.
+``_draws`` draws a whole call's blocks, so its per-call constants are set
+up once; ``_sample_ids`` is the first draw of one seed's stream, with the
+sample flags.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from math import isfinite, log, log1p, sqrt
 from typing import Mapping, Sequence
 
 from .model import InstanceError, LaminarInstance
-from .matroid import _rank_flags, _ref_rank_lists
+from .matroid import _flags, _rank_flags, _ref_rank_lists
 
 _MASK64 = (1 << 64) - 1
 # a stream serves up to MAX_BLOCK draws, fewer where that many would read
@@ -172,15 +175,19 @@ def _first_read(n: int, p: float, draws: int = 1) -> int:
     return -(-(2 * int(t) + draws) // 21) * 21
 
 
-def _orders(pre, p: float, blocks):
-    """Arrival orders in rank space, drawn from ``blocks``, an iterable of
+def _draws(pre, p: float, blocks):
+    """Trials in rank space, drawn from ``blocks``, an iterable of
     ``(seed, draws)``: the first ``draws`` draws of the stream of each
-    seed.  In a draw each rank arrives independently with probability p;
-    the words are read as geometric gaps between arrivals, then as one sort
-    key per arrival.  A draw with t arrivals reads t + 1 gap words and then
-    t keys, and the next draw of the stream starts at the next unread word.
-    Each block reads its words through one iterator over ``_stream``, which
-    reads ``_first_read`` words at first and more on demand."""
+    seed, each as ``(arrivals, key)``.  In a draw each rank arrives
+    independently with probability p; the words are read as geometric gaps
+    between arrivals, giving ``arrivals`` ascending, then as one sort key
+    per arrival, ``key[r]`` for arrival r.  ``key`` is ``None`` when fewer
+    than two arrive, as no order then depends on a key: the common draw at
+    small n * p then builds no dict.  A draw with t arrivals reads t + 1
+    gap words and then t keys, and the next draw of the stream starts at
+    the next unread word.  Each block reads its words through one iterator
+    over ``_stream``, which reads ``_first_read`` words at first and more
+    on demand."""
     n = pre.n_real
     lq = log1p(-p)
     for seed, draws in blocks:
@@ -193,24 +200,24 @@ def _orders(pre, p: float, blocks):
                 if r >= n:
                     break
                 arrivals.append(r)
-            if len(arrivals) < 2:
-                if arrivals:
-                    next(words)
-                yield arrivals
+            if len(arrivals) > 1:
+                # ``zip`` stops at the last arrival, so it reads exactly t keys
+                yield arrivals, dict(zip(arrivals, words))
             else:
-                # ``zip`` stops at the last arrival, so it reads exactly t
-                # keys; ``sorted`` is stable over ascending ranks, so tied
-                # keys go to the lower rank
-                key = dict(zip(arrivals, words))
-                yield sorted(arrivals, key=key.__getitem__)
+                if arrivals:
+                    next(words)  # a lone arrival's key orders nothing
+                yield arrivals, None
 
 
-def _flags(n: int, order) -> list[bool]:
-    """Sample flag of every rank: True unless the rank arrives."""
-    in_s = [True] * n
-    for r in order:
-        in_s[r] = False
-    return in_s
+def _orders(pre, p: float, blocks):
+    """The arrival orders of ``_draws(pre, p, blocks)``: each draw's
+    arrivals sorted in place on their keys.  The sort is stable over
+    ascending ranks, so tied keys (chance below n^2/2^65) go to the lower
+    rank; every reader that orders arrivals sorts them so."""
+    for arrivals, key in _draws(pre, p, blocks):
+        if key is not None:
+            arrivals.sort(key=key.__getitem__)
+        yield arrivals
 
 
 def _sample_ids(pre, p: float, seed: int):

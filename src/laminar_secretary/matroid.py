@@ -14,10 +14,14 @@ optimum from the node's first capacity-many flagged own ranks and its
 children's optima, sorted and cut to capacity.  The per-element filtering,
 merging and sorting run in C builtins, so a pass costs a few interpreted
 steps per node rather than per element.  This module is the one place that
-builds optima: the reference lists of a trial (``_ref_rank_lists``), the
-whole ground set's optima OPT, built once per instance and cached unpadded
-(``_global_optima``), and ``greedy_opt`` and ``brank``, which read OPT or,
-given a subset, index one pass over it.
+builds optima: the whole ground set's optima OPT, built once per instance
+and cached unpadded (``_global_optima``); the reference lists of a sample
+(``_ref_rank_lists``, one full pass over its flags); the reference lists
+of a sampled trial (``_trial_rank_lists``), which rebuild only the nodes
+whose OPT holds an arrival and copy OPT's cached, padded lists everywhere
+else, as a node's optimum is OPT's wherever the sample holds OPT; and
+``greedy_opt`` and ``brank``, which read OPT or, given a subset, index
+one pass over it.
 ``brute_force_opt`` re-derives an optimum by exhaustive search and exists
 purely as a cross-check oracle for small inputs.
 """
@@ -61,6 +65,14 @@ def is_independent(inst: LaminarInstance, element_ids: Iterable[int]) -> bool:
     return all(u <= cap for u, cap in zip(usage, pre.mu))
 
 
+def _flags(n: int, arrivals) -> list[bool]:
+    """Sample flag of every rank: True unless the rank arrives."""
+    in_s = [True] * n
+    for r in arrivals:
+        in_s[r] = False
+    return in_s
+
+
 def _rank_flags(pre, subset) -> list[bool]:
     if subset is None:
         return [True] * pre.n_real
@@ -70,20 +82,24 @@ def _rank_flags(pre, subset) -> list[bool]:
     return flags
 
 
-def _greedy_ranks(pre, in_v: list[bool]) -> list[list[int]]:
+def _greedy_ranks(pre, in_v: list[bool], nodes=None, opt=None) -> list[list[int]]:
     """Every node's optimum of the flagged ranks, in one bottom-up pass.
 
     The nodes are visited children first (``pre.bottom_up``); node ``x``
     takes its first ``mu[x]`` flagged own ranks, merges in its children's
     optima and keeps the ``mu[x]`` heaviest, so entry ``x`` of the result is
-    the optimum of node ``x``'s subtree.  Each list holds ranks heaviest
-    first and is a fresh object that callers may mutate."""
+    the optimum of node ``x``'s subtree.  Given ``nodes`` (children first)
+    and ``opt``, a list of every node's optimum so far, only ``nodes`` are
+    rebuilt, in place in ``opt``, from what ``opt`` holds for their
+    children.  Each list built holds ranks heaviest first and is a fresh
+    object that callers may mutate."""
     mu = pre.mu
     own_ranks = pre.own_ranks
     children_idx = pre.children_idx
     flagged = in_v.__getitem__
-    opt: list = [None] * len(mu)  # ``bottom_up`` sets every entry
-    for x in pre.bottom_up:
+    if opt is None:
+        opt = [None] * len(mu)  # ``bottom_up`` sets every entry
+    for x in pre.bottom_up if nodes is None else nodes:
         cap = mu[x]
         chosen = list(islice(filter(flagged, own_ranks[x]), cap))
         kids = children_idx[x]
@@ -96,16 +112,65 @@ def _greedy_ranks(pre, in_v: list[bool]) -> list[list[int]]:
     return opt
 
 
+def _pad(pre, lists: list[list[int]], nodes) -> None:
+    """Extend the list of each node index b in ``nodes`` in place by
+    virtual ranks up to ``pre.slots[b]``, the slots a walk can reach, not
+    up to capacity (see ``model._Pre``), so no list grows with capacity."""
+    base, slots = pre.virtual_rank_base, pre.slots
+    for b in nodes:
+        chosen = lists[b]
+        chosen.extend(range(base[b] + len(chosen), base[b] + slots[b]))
+
+
 def _ref_rank_lists(pre, in_s, padding: bool) -> list[list[int]]:
     """Reference sets per node index as ascending rank lists (heaviest
-    first).  When padding, virtual ranks fill node b's tail up to
-    ``pre.slots[b]``, the slots a walk can reach, not up to capacity (see
-    ``model._Pre``), so no list grows with capacity."""
+    first), from one full pass over the sample flags ``in_s``; when
+    padding, each is ``_pad``-ded."""
     refs = _greedy_ranks(pre, in_s)
     if padding:
-        for b, chosen in enumerate(refs):
-            base = pre.virtual_rank_base[b]
-            chosen.extend(range(base + len(chosen), base + pre.slots[b]))
+        _pad(pre, refs, range(len(refs)))
+    return refs
+
+
+def _trial_rank_lists(pre, arrivals, padding: bool) -> list[list[int]]:
+    """The lists that ``_ref_rank_lists`` builds for the trial whose
+    arrivals (its unsampled ranks) are ``arrivals``, rebuilding only the
+    nodes whose OPT holds an arrival.  At any other node b the sample
+    optimum is OPT_b itself: greedy keeps every element of a set's optimum
+    that a subset still holds, and OPT_b is a basis, so a sample that holds
+    OPT_b has it for its optimum.  Such a node gets a fresh copy of OPT_b,
+    padded as ``_ref_rank_lists`` pads.  The nodes to rebuild are the
+    union of the arrivals' ``opt_masks`` (``_opt_tables``), read lowest
+    bit first, so children first, and one ``_greedy_ranks`` pass
+    restricted to them rebuilds them: a trial with no arrival in OPT
+    builds nothing, and one that reaches every node copies nothing."""
+    if pre.opt_masks is None:
+        _opt_tables(pre)
+    masks = pre.opt_masks
+    touched = 0
+    for r in arrivals:
+        touched |= masks[r]
+    opt = pre.global_optima
+    if not touched:
+        return list(map(list, pre.padded_optima if padding else opt))
+    bottom_up = pre.bottom_up
+    whole = touched == (1 << len(opt)) - 1
+    if whole:
+        nodes = bottom_up
+    else:
+        nodes = []
+        while touched:
+            low = touched & -touched
+            nodes.append(bottom_up[low.bit_length() - 1])
+            touched ^= low
+    rebuilt = _greedy_ranks(pre, _flags(pre.n_real, arrivals), nodes, None if whole else list(opt))
+    if padding:
+        _pad(pre, rebuilt, nodes)
+    if whole:
+        return rebuilt
+    refs = list(map(list, pre.padded_optima if padding else opt))
+    for b in nodes:
+        refs[b] = rebuilt[b]
     return refs
 
 
@@ -116,6 +181,24 @@ def _global_optima(pre) -> tuple[tuple[int, ...], ...]:
     if pre.global_optima is None:
         pre.global_optima = tuple(map(tuple, _greedy_ranks(pre, [True] * pre.n_real)))
     return pre.global_optima
+
+
+def _opt_tables(pre) -> None:
+    """Fill the two tables that ``_trial_rank_lists`` reads, once per
+    instance, on first use: OPT padded by ``_pad`` (``pre.padded_optima``,
+    O(sum of slots)), and per rank the nodes whose OPT holds it
+    (``pre.opt_masks``), as a mask with bit i for node ``bottom_up[i]``, 0
+    for a rank in no OPT.  Those nodes are a prefix of the rank's chain,
+    as an element that misses a node's optimum misses every ancestor's."""
+    opt = _global_optima(pre)
+    padded = list(map(list, opt))
+    _pad(pre, padded, range(len(padded)))
+    pre.padded_optima = tuple(map(tuple, padded))
+    masks = [0] * pre.n_real
+    for i, b in enumerate(pre.bottom_up):
+        for r in opt[b]:
+            masks[r] |= 1 << i
+    pre.opt_masks = masks
 
 
 def _optimum_ranks(pre, subset, b: int):

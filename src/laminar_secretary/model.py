@@ -93,7 +93,8 @@ class _Pre:
     itself first), ``children_idx`` and ``bottom_up``, every node once with
     each child before its parent.  ``chain_by_rank[r]`` is the chain of rank
     r's minimal node.  ``global_optima`` is filled on first use by
-    ``matroid._global_optima``.
+    ``matroid._global_optima``, and ``padded_optima`` and ``opt_masks`` by
+    ``matroid._opt_tables``.
 
     Subtree membership is decided here and nowhere else: node b lies on a
     chain exactly at ``depth[b]`` places from its root end, so ``upto``
@@ -123,7 +124,7 @@ class _Pre:
         "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
         "node_ids", "node_index", "mu", "slots", "depth", "node_chain",
         "own_ranks", "chain_by_rank", "children_idx", "bottom_up",
-        "root_idx", "virtual_rank_base", "global_optima",
+        "root_idx", "virtual_rank_base", "global_optima", "padded_optima", "opt_masks",
     )
 
     def __init__(self, inst: "LaminarInstance"):
@@ -183,7 +184,7 @@ class _Pre:
             base.append(acc)
             acc += cap
         self.virtual_rank_base = base
-        self.global_optima = None
+        self.global_optima = self.padded_optima = self.opt_masks = None
 
     def upto(self, r: int, b: int) -> tuple[int, ...] | None:
         """Rank ``r``'s chain from its minimal node up to node index ``b``,

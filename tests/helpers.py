@@ -251,6 +251,21 @@ def trials_by_prefix(n, p, master_seed, start, count):
     return out
 
 
+def trial_weights_by_full_walk(inst, p, start, count, master_seed, padding):
+    """Reference for ``experiments._trial_weights_chunk``: each trial's
+    full arrival order (``_arrival_orders``) walked, every arrival, through
+    the lists of one full pass over its sample flags (``_ref_rank_lists``)."""
+    from laminar_secretary.experiments import _arrival_orders
+
+    pre = inst.pre()
+    weights = []
+    for order in _arrival_orders(pre, p, master_seed, start, count):
+        arrived = set(order)
+        in_s = [r not in arrived for r in range(pre.n_real)]
+        weights.append(_run_weight(pre, _ref_rank_lists(pre, in_s, padding), order))
+    return weights
+
+
 def per_node_greedy_ranks(pre, in_v, b):
     """Reference greedy scan for one node: walk the node's members in weight
     order and keep each flagged rank whose chain up to ``b`` still has room

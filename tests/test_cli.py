@@ -259,10 +259,14 @@ def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tree.json"
     path.write_text(dump_instance(inst))
     trials, seed = 150, 1
-    # a trial with no arrival builds its lists from all-True flags, as the
-    # whole set's optima are built
-    empty = sum(not order for order in
-                experiments._arrival_orders(inst.pre(), 0.08, seed, 0, trials))
+    # a trial rebuilds, in one pass, exactly the nodes whose OPT (the whole
+    # set's optimum there) holds one of its arrivals; a trial with none
+    # builds nothing
+    opt = matroid._global_optima(inst.pre())
+    rebuilds = [{b for b, O in enumerate(opt) if any(r in O for r in order)}
+                for order in experiments._arrival_orders(inst.pre(), 0.08, seed, 0, trials)]
+    rebuilds = [nodes for nodes in rebuilds if nodes]
+    assert 0 < len(rebuilds) < trials
     seeds, builds = [], []
     derive, greedy = experiments.derive_seed, matroid._greedy_ranks
 
@@ -270,9 +274,9 @@ def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
         seeds.append(index)
         return derive(master_seed, index)
 
-    def counted_greedy(pre, in_v):
-        builds.append(all(in_v))
-        return greedy(pre, in_v)
+    def counted_greedy(pre, in_v, *rest):
+        builds.append((all(in_v), set(rest[0]) if rest else None))
+        return greedy(pre, in_v, *rest)
 
     monkeypatch.setattr(experiments, "derive_seed", counted_seed)
     monkeypatch.setattr(matroid, "_greedy_ranks", counted_greedy)
@@ -281,9 +285,26 @@ def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
     # one stream per block of 64 trials, each seeded once
     assert _block_size(60, 0.08) == 64
     assert seeds == [0, 1, 2]
-    # one build per trial, and one of the whole set's optima
-    assert len(builds) == trials + 1
-    assert sum(builds) == 1 + empty
+    # one build per trial with a node to rebuild, and one of the whole
+    # set's optima, the one build from all-True flags and of every node
+    assert len(builds) == len(rebuilds) + 1
+    assert builds[0] == (True, None)
+    assert [nodes for _, nodes in builds[1:]] == rebuilds
+    assert sum(full for full, _ in builds) == 1
+
+
+@pytest.mark.parametrize("command", ["montecarlo", "verify"])
+def test_trial_count_above_the_limit_is_refused(four_file, capsys, monkeypatch, command):
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "_orders", no_draw)
+    monkeypatch.setattr(experiments, "_draws", no_draw)
+    for trials in (experiments.MAX_TRIALS + 1, 10 ** 10):
+        assert main([command, four_file, "--trials", str(trials)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: trials limited to 10000000, got {trials}\n"
 
 
 def test_verify_skips_out_of_hypothesis_lemmas(four_file, capsys):

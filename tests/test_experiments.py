@@ -55,6 +55,7 @@ from helpers import (
     padded_brank_by_ids,
     qualifying_counts_by_ids,
     rank1,
+    trial_weights_by_full_walk,
     trials_by_prefix,
     tree,
 )
@@ -321,24 +322,35 @@ class TestGlobalOptima:
         calls = []
         real = matroid._greedy_ranks
 
-        def counted(pre, in_v):
+        def counted(pre, in_v, *rest):
             calls.append(all(in_v))
-            return real(pre, in_v)
+            return real(pre, in_v, *rest)
 
         # the one binding: reference lists and optima are both built in matroid
         assert not hasattr(kicknext, "_greedy_ranks")
-        monkeypatch.setattr(matroid, "_greedy_ranks", counted)
         inst = generate(GenSpec("random_tree", 8, 3))
         p, trials, seed = 0.14, 10, 30
+        orders = list(experiments._arrival_orders(inst.pre(), p, seed, 0, trials))
         # no draw of these trials is empty, so no trial builds from all-True flags
-        assert all(experiments._arrival_orders(inst.pre(), p, seed, 0, trials))
+        assert all(orders)
+        # a trial builds only when an arrival is in some node's OPT (built
+        # here on a copy, before the count starts)
+        opt = _global_optima(generate(GenSpec("random_tree", 8, 3)).pre())
+        rebuilds = [any(r in O for O in opt for r in order) for order in orders]
+        assert 0 < sum(rebuilds) < trials
+        monkeypatch.setattr(matroid, "_greedy_ranks", counted)
         monte_carlo_ratio(inst, p, trials, seed)
+        # n <= SMALL_N: a repeated order reads the weight memo and builds nothing
+        memo_misses = {tuple(o): rb for o, rb in zip(orders, rebuilds)}
+        assert len(calls) == 1 + sum(memo_misses.values())  # and one OPT build
         checks = verify_lemmas(inst, p, trials=trials, master_seed=seed)
         assert checks[0].passed  # c < 1/2: the chain-decay sums ran
         allkicked_frequency(inst, p, trials, seed)
         exact_ratio(inst, p)
         assert sum(calls) == 1
-        assert len(calls) > 1  # the trials were counted too
+        # each of the two trial loops rebuilds its trials' lists, and exact
+        # enumeration builds every split with an arrival in one full pass
+        assert len(calls) == 1 + sum(memo_misses.values()) + 2 * sum(rebuilds) + 2 ** 8 - 1
 
     def test_whole_set_optima_read_the_cache(self, monkeypatch):
         inst = generate(GenSpec("random_tree", 12, 5))
@@ -412,6 +424,79 @@ class TestWeightMemo:
         stored = list(dict.fromkeys(orders))[:cap]  # the first distinct orders
         assert len(calls) == sum(o not in stored for o in orders) + len(stored)
         assert len(calls) < len(orders)  # repeated orders were not walked again
+
+
+class TestLiveWalk:
+    """Above ``SMALL_N`` elements a trial orders and walks only its live
+    arrivals, through lists that rebuild only the nodes an arrival can
+    change; the weights must be those of the full order walked through the
+    full pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(FAMILIES, st.integers(17, 80), st.integers(0, 10_000),
+           st.sampled_from((0.05, 0.2, 0.45)), st.booleans(), st.integers(0, 100),
+           st.integers(1, 150))
+    def test_matches_the_full_walk(self, family, n, seed, p, padding, start, count):
+        inst = family_instance(family, n, seed)
+        assert inst.n > experiments.SMALL_N
+        got = _trial_weights_chunk(inst, p, start, count, seed, padding)
+        assert got == trial_weights_by_full_walk(inst, p, start, count, seed, padding)
+
+    def test_dead_arrivals_are_left_out(self):
+        # on a 2000-element partition at p = 0.08 only a few arrivals of
+        # each trial can evict anything, and only they are walked
+        inst = generate(GenSpec("partition", 2000, 5, parts=40, part_capacity=1))
+        pre = inst.pre()
+        walked = []
+
+        def counted(pre, refs, order):
+            walked.append(len(order))
+            return _run_weight(pre, refs, order)
+
+        draws = list(experiments._arrival_draws(pre, 0.08, 3, 0, 20))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_run_weight", counted)
+            got = _trial_weights_chunk(inst, 0.08, 0, 20, 3, True)
+        assert got == trial_weights_by_full_walk(inst, 0.08, 0, 20, 3, True)
+        assert len(walked) == 20
+        assert sum(walked) * 10 < sum(len(arrivals) for arrivals, _ in draws)
+
+
+class TestTrialLimit:
+    """Every sampling entry point refuses more than ``MAX_TRIALS`` trials
+    before it draws one, as a run keeps one weight per trial."""
+
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(experiments, "_orders", no_draw)
+        monkeypatch.setattr(experiments, "_draws", no_draw)
+
+    @pytest.mark.parametrize("call", [
+        lambda inst, t: monte_carlo_ratio(inst, 0.08, t, 1),
+        lambda inst, t: verify_report(inst, 0.08, t, 1),
+        lambda inst, t: allkicked_frequency(inst, 0.08, t, 1),
+        lambda inst, t: verify_lemmas(inst, 0.08, trials=t, master_seed=1),
+        lambda inst, t: qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2,
+                                                     trials=t, method="mc"),
+        lambda inst, t: qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2,
+                                                     trials=t, method="exact"),
+    ])
+    def test_refused_before_any_draw(self, call):
+        assert experiments.MAX_TRIALS == 10_000_000
+        with pytest.raises(ValueError, match="trials limited to 10000000, got 10000001"):
+            call(four_element(), experiments.MAX_TRIALS + 1)
+        with pytest.raises(ValueError, match="trials limited"):
+            call(four_element(), 10 ** 10)
+
+    def test_the_limit_itself_is_accepted(self, monkeypatch):
+        monkeypatch.undo()  # draws allowed
+        monkeypatch.setattr(experiments, "MAX_TRIALS", 30)
+        assert monte_carlo_ratio(four_element(), 0.08, 30, 1).ratio.trials == 30
+        with pytest.raises(ValueError, match="trials limited to 30, got 31"):
+            monte_carlo_ratio(four_element(), 0.08, 31, 1)
 
 
 class TestTinyP:
@@ -560,7 +645,7 @@ class TestRankSpaceHarness:
         pre = inst.pre()
         for t_idx in range(4):
             sample = make_trial(inst, p, derive_seed(seed, t_idx)).sample_set
-            in_s = [eid in sample for eid in pre.ids_by_rank]
+            arrived = {r for r, eid in enumerate(pre.ids_by_rank) if eid not in sample}
             for b, nid in enumerate(pre.node_ids):
                 for eid in inst.members(nid):
                     members = _qualifying_members(pre, b, pre.rank_by_id[eid])
@@ -568,7 +653,7 @@ class TestRankSpaceHarness:
                     # one count per padded-list entry: the capacity-long
                     # counts past the lightest mu - slots, which are zero
                     head = pre.mu[b] - pre.slots[b]
-                    assert _qualifying_counts(pre, b, members, in_s) == want[head:]
+                    assert _qualifying_counts(pre, b, members, arrived) == want[head:]
                     assert want[:head] == [0] * head
 
     @settings(max_examples=80, deadline=None)

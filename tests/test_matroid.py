@@ -16,7 +16,13 @@ from laminar_secretary import (
     make_instance,
     reference_sets,
 )
-from laminar_secretary.matroid import _greedy_ranks
+from laminar_secretary.matroid import (
+    _global_optima,
+    _greedy_ranks,
+    _opt_tables,
+    _ref_rank_lists,
+    _trial_rank_lists,
+)
 
 from helpers import (
     four_element,
@@ -102,6 +108,68 @@ class TestOnePassOptima:
         for b, nid in enumerate(pre.node_ids):
             assert (greedy_opt(inst, subset, nid).elements
                     == tuple(pre.ids_by_rank[r] for r in reversed(reference[b])))
+
+
+def _spec(family, n, seed):
+    """A generated instance spec that varies weights and shape with the seed."""
+    return GenSpec(family, n, seed, ("uniform", "exponential", "near_ties", "power_law")[seed % 4],
+                   rank=max(1, n // 3) if family == "uniform" else None,
+                   parts=1 + seed % 4 if family == "partition" else None,
+                   part_capacity=1 + seed % 3,
+                   depth=2 + seed % 3 if family == "chain" else None)
+
+
+class TestTrialRankLists:
+    """A trial's reference lists rebuild only the nodes whose OPT holds an
+    arrival, and equal those of the full pass over the trial's flags."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(("uniform", "partition", "chain", "random_tree")),
+           st.integers(1, 60), st.integers(0, 10_000),
+           st.sampled_from(("empty", "all", "opt", "random")), st.booleans(), st.data())
+    def test_matches_the_full_pass(self, family, n, seed, kind, padding, data):
+        pre = generate(_spec(family, n, seed)).pre()
+        opt = _global_optima(pre)
+        everything = list(range(pre.n_real))
+        if kind == "empty":
+            arrivals = []
+        elif kind == "all":
+            arrivals = everything
+        else:
+            pool = sorted({r for O in opt for r in O}) if kind == "opt" else everything
+            arrivals = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        arrived = set(arrivals)
+        in_s = [r not in arrived for r in everything]
+        want = _ref_rank_lists(pre, in_s, padding) if padding else _greedy_ranks(pre, in_s)
+        got = _trial_rank_lists(pre, arrivals, padding)
+        assert got == want
+        # the walk pops these lists in place: fresh objects, which leave the
+        # cached optima and the next trial's lists as they were
+        assert len({id(R) for R in got}) == len(got)
+        for R in got:
+            R.clear()
+        assert _trial_rank_lists(pre, arrivals[::-1], padding) == want
+        assert _global_optima(pre) == opt
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(("uniform", "partition", "chain", "random_tree")),
+           st.integers(1, 60), st.integers(0, 10_000), st.floats(0.0, 1.0))
+    def test_nodes_holding_a_rank_are_a_prefix_of_its_chain(self, family, n, seed, keep):
+        pre = generate(_spec(family, n, seed)).pre()
+        rnd = random.Random(seed)
+        subset = [rnd.random() < keep for _ in range(pre.n_real)]
+        for optima in (_greedy_ranks(pre, subset), _global_optima(pre)):
+            for r, ch in enumerate(pre.chain_by_rank):
+                holding = tuple(b for b in ch if r in optima[b])
+                assert holding == ch[:len(holding)]
+        # the per-rank table: bit i for node bottom_up[i] when its OPT holds r
+        _opt_tables(pre)
+        opt = _global_optima(pre)
+        for r, ch in enumerate(pre.chain_by_rank):
+            mask = pre.opt_masks[r]
+            named = {b for i, b in enumerate(pre.bottom_up) if mask >> i & 1}
+            assert named == {b for b in ch if r in opt[b]}
+            assert mask < 1 << len(pre.mu)
 
 
 class TestReferenceSets:
