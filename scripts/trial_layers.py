@@ -21,7 +21,9 @@ one full bottom-up pass over the sample flags (``_ref_rank_lists``), and
 does.  The layers run one after another within each round, the rounds
 repeat them, and the report gives the median over rounds of each layer's
 time per trial, with the lowest and highest round, plus the mean arrivals
-and live arrivals per trial.  Stdlib only and seeded: every count and
+and live arrivals per trial, and the share of ``_gap_table(p)``'s buckets
+that are mixed: the expected share of gap words whose gap the draw
+computes rather than looks up.  Stdlib only and seeded: every count and
 share depends on the flags alone, the times on the host too.  The
 ROADMAP table of where a trial's time goes comes from runs such as
 ``--family partition --n 2000 --parts 40``.
@@ -38,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from laminar_secretary import GenSpec, generate
 from laminar_secretary.experiments import SMALL_N, _arrival_draws, _check_run, _live_order
 from laminar_secretary.generators import FAMILIES
-from laminar_secretary.kicknext import _run_weight
+from laminar_secretary.kicknext import GAP_BITS, _gap_table, _run_weight
 from laminar_secretary.matroid import _flags, _ref_rank_lists, _trial_rank_lists
 
 LAYERS = ("draw", "refs", "live", "walk", "full_refs", "sort_all")
@@ -102,8 +104,10 @@ def main():
             times[k].append(spent[k] / args.trials * 1e6)
     print(f"{inst.name}: {len(pre.mu)} nodes, p = {args.p}, {args.trials} trials x "
           f"{args.rounds} rounds, padding {'on' if args.padding else 'off'}")
+    mixed = _gap_table(args.p).count(0) / 2**GAP_BITS
     print(f"arrivals per trial {arrived / args.trials:.2f}, live {live / args.trials:.2f} "
-          f"(share {live / arrived if arrived else 0.0:.3f})")
+          f"(share {live / arrived if arrived else 0.0:.3f}), "
+          f"mixed gap buckets {mixed:.3f}")
     print(f"{'layer':>10} {'median us':>10} {'min':>8} {'max':>8}")
     for k in LAYERS:
         xs = times[k]

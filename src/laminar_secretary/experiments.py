@@ -22,18 +22,18 @@ OPT holds an arrival; arrivals walk them by ``kicknext._arrive``.  Above
 arrivals (``_live_order``), those with a lighter entry at their minimal
 node when the phase starts, as a dead arrival never evicts or gains; and
 the qualifying law reads unsorted arrival sets.  An eviction-failure
-event is a zero ``theory._padded_brank``.  Every slot a list leaves out up to capacity is
-virtual and lighter than every real rank, so a dominance check compares
-the counts of entries up to a rank, trial list against OPT, in which
-capacity cancels, and a qualifying count is indexed by the padded list's
-own lighter entries.  The capacity-padded backward ranks that a witness
-prints come from the one function ``theory._global_brank``.  Up
-to ``SMALL_N`` elements, draws repeat often, and the Monte Carlo ratio
-memoizes each arrival order's weight, which the order fixes.  The
-reference lists and the whole ground set's optima OPT, which the ratio
-denominators and the checks measure against, come from ``matroid``
-(``_trial_rank_lists``, and ``_global_optima``, built once per instance
-and read by each check itself).
+event is a zero ``theory._padded_brank``.  Every slot a list leaves out
+up to capacity is virtual and lighter than every real rank, so a
+dominance check compares the counts of entries up to a rank, trial list
+against OPT, in which capacity cancels, and a qualifying count is indexed
+by the padded list's own lighter entries.  The capacity-padded backward
+ranks that a witness prints come from the one function
+``theory._global_brank``.  Up to ``SMALL_N`` elements, draws repeat
+often, and the Monte Carlo ratio memoizes each arrival order's weight,
+which the order fixes.  The reference lists and the whole ground set's
+optima OPT, which the ratio denominators and the checks measure against,
+come from ``matroid`` (``_trial_rank_lists``, and ``_global_optima``,
+built once per instance and read by each check itself).
 Every sampling entry point checks its trial count (at most
 ``MAX_TRIALS``), p and master seed through ``_check_run``.
 
@@ -506,11 +506,11 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     arrivals still to come and every node's reference list (see
     ``_enum_states``).  The state fixes the value, so one memo serves every
     split of the call (see ``EXACT_ENUM_LIMIT`` for its measured size),
-    instead of walking all C(n, t) * t! arrival orders.  A state's value is computed the same way whichever split
-    reaches it first, so sharing changes no bit of the result.  A node's
-    field is at most 2n bits wide whatever its capacity, as its padded
-    list holds at most n slots, so neither time nor memory grows with
-    capacity."""
+    instead of walking all C(n, t) * t! arrival orders.  A state's value
+    is computed the same way whichever split reaches it first, so sharing
+    changes no bit of the result.  A node's field is at most 2n bits wide
+    whatever its capacity, as its padded list holds at most n slots, so
+    neither time nor memory grows with capacity."""
     _check_p(p)
     pre = inst.pre()
     n = pre.n_real

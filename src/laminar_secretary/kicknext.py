@@ -23,19 +23,22 @@ A 64-bit seed names a stream, the SHAKE-128 output of the seed read as
 64-bit words, and a stream holds consecutive draws: ``_draws`` reads a
 draw's words in rank space, and the next draw starts at the next unread
 word.  The arrivals are the ranks hit by geometric gaps with success
-probability p, one word per gap, and a draw yields them ascending with one
-further word each, its sort key.  ``_orders`` sorts each draw's arrivals
-on their keys (ties, with chance below n^2/2^65, go to the lower rank); a
-reader that needs only some arrivals in order, or none, reads ``_draws``
-and sorts what it needs.  A stream serves up to ``_block_size(n, p)``
-draws (64 on small instances), so one hash call sets up a block of
-trials.  ``_stream`` is the one SHAKE-128 reader: one hash object per
-stream, yielding its words without end, a first read sized by
-``_first_read``, about ``BLOCK_WORDS`` words (32 KiB) at most unless one
-draw alone needs more, then the new words of each doubled read.
-``_draws`` draws a whole call's blocks, so its per-call constants are set
-up once; ``_sample_ids`` is the first draw of one seed's stream, with the
-sample flags.
+probability p, one word per gap, ``floor(log U / log(1-p))`` for the word
+read as U in (0, 1]; ``_gap_table(p)`` holds that gap for each bucket of
+words (their top ``GAP_BITS`` bits) in which every word has the same one,
+so most words need no ``log``.  A draw yields the arrivals ascending with
+one further word each, its sort key.  ``_orders`` sorts each draw's
+arrivals on their keys (ties, with chance below n^2/2^65, go to the lower
+rank); a reader that needs only some arrivals in order, or none, reads
+``_draws`` and sorts what it needs.  A stream serves up to
+``_block_size(n, p)`` draws (64 on small instances), so one hash call
+sets up a block of trials.  ``_stream`` is the one SHAKE-128 reader: one
+hash object per stream, yielding its words without end, a first read
+sized by ``_first_read``, about ``BLOCK_WORDS`` words (32 KiB) at most
+unless one draw alone needs more, then the new words of each doubled
+read.  ``_draws`` draws a whole call's blocks, so its per-call constants
+are set up once; ``_sample_ids`` is the first draw of one seed's stream,
+with the sample flags.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import shake_128
 from itertools import chain
 from math import isfinite, log, log1p, sqrt
@@ -57,6 +61,8 @@ _MASK64 = (1 << 64) - 1
 # more than BLOCK_WORDS words on average; see ``_block_size``
 MAX_BLOCK = 64
 BLOCK_WORDS = 4096
+# a gap word's top GAP_BITS bits index its bucket in ``_gap_table``
+GAP_BITS = 8
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -121,7 +127,7 @@ def make_trial(inst: LaminarInstance, p: float, seed: int) -> Trial:
 
 def _check_p(p: float) -> None:
     """Refuse a selection probability outside (0, 1), or one so small that
-    the longest geometric gap of ``_sample_ids`` is not a finite float."""
+    the longest geometric gap of ``_draws`` is not a finite float."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     if not isfinite(log(2**-53) / log1p(-p)):
@@ -175,6 +181,30 @@ def _first_read(n: int, p: float, draws: int = 1) -> int:
     return -(-(2 * int(t) + draws) // 21) * 21
 
 
+@lru_cache(maxsize=16)
+def _gap_table(p: float) -> tuple[int, ...]:
+    """The gaps of whole buckets of gap words: entry j is ``1 + gap`` when
+    every word u with ``u >> (64 - GAP_BITS) == j`` has the same gap under
+    ``_draws``' formula ``int(log(U) / lq)``, U = ((u >> 11) + 1) * 2^-53
+    and lq = log1p(-p), and 0 when its words have several gaps (bucket 0
+    always).  Bucket j holds U in (j, j + 1] * 2^-GAP_BITS, so its gaps lie
+    between the formula at its two edges, a = log(j * 2^-GAP_BITS) / lq
+    and b, the same at j + 1: the true quotient is monotone in U, and
+    libm's ``log`` (error below 1 ulp) and the correctly rounded division
+    keep each computed gap, edges included, within about 1e-15 of it,
+    relative.  So a bucket whose edges floor alike with a 1e-9 margin,
+    ``int(a * (1 + 1e-9)) == int(b * (1 - 1e-9))``, floors every word
+    alike.  One table per p, memoized (16 values of p at most), as a build
+    costs about 100-150 µs, a few hundred gap words' worth."""
+    lq = log1p(-p)
+    edges = [log(j * 2.0**-GAP_BITS) / lq for j in range(1, 2**GAP_BITS + 1)]
+    table = [0]
+    for a, b in zip(edges, edges[1:]):
+        gap = int(b * (1 - 1e-9))
+        table.append(1 + gap if int(a * (1 + 1e-9)) == gap else 0)
+    return tuple(table)
+
+
 def _draws(pre, p: float, blocks):
     """Trials in rank space, drawn from ``blocks``, an iterable of
     ``(seed, draws)``: the first ``draws`` draws of the stream of each
@@ -187,16 +217,22 @@ def _draws(pre, p: float, blocks):
     gap words and then t keys, and the next draw of the stream starts at
     the next unread word.  Each block reads its words through one iterator
     over ``_stream``, which reads ``_first_read`` words at first and more
-    on demand."""
+    on demand.  A gap word u's gap is ``floor(log U / log(1 - p))``, U =
+    ((u >> 11) + 1) * 2^-53, read from ``_gap_table(p)`` by u's top
+    ``GAP_BITS`` bits where that bucket has one gap, and computed where it
+    has several (0.19 of the words at p = 0.08): the same value either
+    way."""
     n = pre.n_real
     lq = log1p(-p)
+    gaps = _gap_table(p)
+    shift = 64 - GAP_BITS
     for seed, draws in blocks:
         words = chain.from_iterable(_stream(seed, _first_read(n, p, draws)))
         for _ in range(draws):
             arrivals: list[int] = []
             r = -1
             for u in words:
-                r += 1 + int(log(((u >> 11) + 1) * 2**-53) / lq)
+                r += gaps[u >> shift] or 1 + int(log(((u >> 11) + 1) * 2**-53) / lq)
                 if r >= n:
                     break
                 arrivals.append(r)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -23,12 +24,14 @@ from laminar_secretary import (
 import laminar_secretary.kicknext as kicknext
 from laminar_secretary.experiments import _arrival_orders
 from laminar_secretary.kicknext import (
+    GAP_BITS,
     MAX_BLOCK,
     _arrive,
     _block_size,
     _check_p,
     _first_read,
     _flags,
+    _gap_table,
     _orders,
     _ref_rank_lists,
     _run_weight,
@@ -325,6 +328,88 @@ class TestOrders:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024, peak
+
+
+def _formula_gap(u, p):
+    """The gap of word u as ``_draws`` computes it where a bucket is mixed."""
+    return int(math.log(((u >> 11) + 1) * 2**-53) / math.log1p(-p))
+
+
+def _p_with_edge_below(j, k):
+    """A p whose bucket edge ``log(j * 2^-GAP_BITS) / log1p(-p)`` is just
+    below the integer k, closer than the table's 1e-9 margin: bucket j - 1
+    then holds words of gap k - 1 (its highest word, on the edge) and of gap
+    k (the rest)."""
+    p = 1 - (j * 2.0**-GAP_BITS) ** (1 / k)
+    for _ in range(1000):
+        edge = math.log(j * 2.0**-GAP_BITS) / math.log1p(-p)
+        if k * (1 - 1e-9) < edge < k:
+            return p
+        p = math.nextafter(p, 1.0 if edge >= k else 0.0)
+    raise AssertionError(f"no p puts edge {j} just below {k}")
+
+
+class TestGapTable:
+    """``_gap_table(p)`` holds ``1 + gap`` for each bucket of gap words whose
+    words all have one gap under the formula, and 0 for a mixed bucket, so
+    ``_draws`` gives the formula's value either way."""
+
+    @staticmethod
+    def _check(p, rng):
+        table = _gap_table(p)
+        shift = 64 - GAP_BITS
+        assert len(table) == 2**GAP_BITS and table[0] == 0
+        for j, entry in enumerate(table):
+            if entry:
+                low, high = j << shift, ((j + 1) << shift) - 1
+                words = [low, high] + [rng.randrange(low, high + 1) for _ in range(200)]
+                assert {_formula_gap(u, p) for u in words} == {entry - 1}, (p, j)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-3, 0.05, 0.08, 0.2, 0.5, 0.9, 1 - 2**-53])
+    def test_every_uniform_bucket_has_the_formula_gap(self, p):
+        self._check(p, random.Random(repr(p)))
+
+    @pytest.mark.parametrize("j,k", [(200, 1), (250, 2), (128, 3), (64, 5)])
+    def test_an_edge_just_below_an_integer_makes_a_mixed_bucket(self, j, k):
+        # the bucket's highest word sits on the edge and floors to k - 1,
+        # its lowest word to k; the margin leaves the bucket to the formula
+        p = _p_with_edge_below(j, k)
+        shift = 64 - GAP_BITS
+        assert _formula_gap((j << shift) - 1, p) == k - 1
+        assert _formula_gap((j - 1) << shift, p) == k
+        assert _gap_table(p)[j - 1] == 0
+        self._check(p, random.Random(j))
+
+    @pytest.mark.parametrize("p,share", [(0.05, 0.27), (0.08, 0.19), (0.2, 0.09)])
+    def test_mixed_share(self, p, share):
+        # the expected share of gap words whose gap is computed
+        assert round(_gap_table(p).count(0) / 2**GAP_BITS, 2) == share
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300),
+           st.one_of(st.floats(1e-300, 1 - 2**-53), st.floats(1e-300, 1e-6),
+                     st.floats(1 - 1e-6, 1 - 2**-53)),
+           st.integers(0, 2**64 - 1), st.integers(1, 8))
+    def test_draws_match_one_long_prefix(self, n, p, seed, draws):
+        # p over (0, 1), near 0 too, where every bucket is mixed and the
+        # formula computes every gap, and near 1, where nearly every bucket
+        # holds gap 0
+        expect = [order for _, order in stream_by_prefix(n, p, seed, draws)]
+        assert list(_orders(_rank1_pre(n), p, [(seed, draws)])) == expect
+
+    def test_memo_is_bounded(self):
+        pre = _rank1_pre(20)
+        for i in range(1000):
+            next(_orders(pre, (i + 1) / 1001, [(i, 1)]))
+        info = _gap_table.cache_info()
+        assert info.currsize <= info.maxsize == 16
+
+    def test_one_build_per_p(self):
+        inst = rank1(range(1, 21))
+        _gap_table.cache_clear()
+        for seed in range(1000):
+            make_trial(inst, 0.08, seed)
+        assert _gap_table.cache_info().misses == 1
 
 
 FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))
