@@ -58,9 +58,12 @@ memoized on that pair, held as one int.  Its low n bits are the arrivals to
 come; then each node has a field of n + ``_Pre.slots`` bits, a
 real rank r at bit r and the j-th virtual slot at bit n + j, so that the
 KickNext step is a mask, a lowest-set-bit and a clear (``_enum_states``).
-The state fixes the value whatever split reached it, so one memo serves
-every split of a call (its measured sizes are at ``EXACT_ENUM_LIMIT``).
-No field is wider than 2n bits, so capacity does not drive the cost.
+Each split's start state comes from one bottom-up greedy pass on ints
+(``matroid._greedy_bits``), so enumeration builds no list, and the
+recursion reads a state's arrivals from a table of set bits.  The state
+fixes the value whatever split reached it, so one memo serves every split
+of a call (its measured sizes are at ``EXACT_ENUM_LIMIT``).  No field is
+wider than 2n bits, so capacity does not drive the cost.
 
 Estimators that condition on an event (an element landing in the selection
 phase) do so by rejection: trials violating the condition are discarded,
@@ -77,10 +80,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from multiprocessing import Pool
-from operator import gt
+from operator import gt, or_
 
 from .model import LaminarInstance
-from .matroid import _global_optima, _ref_rank_lists, _trial_rank_lists
+from .matroid import _global_optima, _greedy_bits, _trial_rank_lists
 from .kicknext import (
     _MASK64,
     _arrive,
@@ -92,10 +95,11 @@ from .kicknext import (
     _run_weight,
 )
 from .theory import (
+    _decay_sum,
+    _decay_terms,
     _global_brank,
     _padded_brank,
     allkicked_bound,
-    g_exact,
     g_refined_bound,
     g_weak_bound,
     ratio_lower_bound,
@@ -106,12 +110,12 @@ from .theory import (
 
 # ``exact_expectation`` enumerates 2^n sample splits and shares one memo of
 # (arrivals to come, reference lists) states across them, so the memo lives
-# for the whole call.  At n = 8 it ends with 973 to 5233 states, fewer than
-# the 6305 to 6928 that fresh memos per split add up to, and than the 109600
-# (split, order) leaves, the sum of C(n, t) * t!; at n = 10, 7322 to 42060
-# states.  A call takes 3 to 18 ms and at most 0.5 MiB under tracemalloc at
-# n = 8, and 23 to 225 ms and at most 3.8 MiB at n = 10 (the four families
-# at p = 0.08, padding on and off; Python 3.11, 2 cores).
+# for the whole call.  On ``generate(GenSpec(family, n, 7))`` of the four
+# families at p = 0.08, padding on and off (Python 3.11, 2 shared cores): at
+# n = 8 it ends with 1033 to 4927 states, far fewer than the 109600 (split,
+# order) leaves, the sum of C(n, t) * t!, and a call takes 1.5 to 8.1 ms
+# and at most 0.4 MiB under tracemalloc; at n = 10, 5349 to 31467 states,
+# 9 to 74 ms and at most 3.1 MiB.
 EXACT_ENUM_LIMIT = 8
 RNG_VERSION = 3
 # every sampling entry point refuses more trials than this, as a Monte Carlo
@@ -428,10 +432,11 @@ def _enum_states(pre, padding: bool) -> tuple[list[tuple[int, ...]], list[int]]:
     Bits 0..n-1 hold the ranks still to arrive.  Node b's field follows,
     ``n + pre.slots[b]`` bits wide: real rank r at bit r of the field and
     virtual slot j at bit n + j, so the field's bit order is the padded
-    list's rank order, and the field holds the slots that
-    ``_ref_rank_lists`` pads to (``model._Pre`` shows a walk never needs
-    more).  A split fills slots k.. of the field, where k is the node's
-    number of real entries: the unpadded lists of ``_ref_rank_lists`` plus
+    list's rank order, and the field holds the slots that a padded
+    reference list reaches (``model._Pre`` shows a walk never needs more).
+    A split's field holds the node's optimum of the sampled ranks, from
+    one ``matroid._greedy_bits`` pass on ints per split, and when padding,
+    slots k.. of the field, where k is the node's number of real entries:
     one precomputed fill per (node, k)."""
     n = pre.n_real
     slots = pre.slots
@@ -444,34 +449,49 @@ def _enum_states(pre, padding: bool) -> tuple[list[tuple[int, ...]], list[int]]:
             for v, o in zip(slots, offset)]
     lighter = [tuple(((1 << n + slots[b]) - (2 << r)) << offset[b] for b in ch)
                for r, ch in enumerate(pre.chain_by_rank)]
-    starts = [0]  # the split with no arrival has nothing to recurse on
-    for mask in range(1, 1 << n):  # set bit r: rank r arrives in the selection phase
-        state = mask
-        refs = _ref_rank_lists(pre, [not ((mask >> r) & 1) for r in range(n)], False)
-        for R, o, f in zip(refs, offset, fill):
-            for r in R:
-                state |= 1 << (o + r)
-            state |= f[len(R)]
-        starts.append(state)
-    return lighter, starts
+    splits = range(1, 1 << n)  # set bit r: rank r arrives in the selection phase
+    full = (1 << n) - 1
+    fields = _greedy_bits(pre, (full ^ mask for mask in splits), offset, fill)
+    # the split with no arrival has nothing to recurse on
+    return lighter, [0, *map(or_, splits, fields)]
+
+
+# per state of the ranks still to arrive, its set bits lowest first as
+# (r, 1 << r) pairs, for ``_expected_rest``: one index per state costs less
+# than splitting off each lowest bit.  ``_set_bits`` builds it for every
+# state up to 2^EXACT_ENUM_LIMIT at import (256 entries, about 17 KiB) and
+# extends it when a call enumerates more ranks; its entries depend on the
+# state alone, so growing it changes no result
+_SET_BITS: list[tuple[tuple[int, int], ...]] = [()]
+
+
+def _set_bits(n: int) -> None:
+    """Extend ``_SET_BITS`` in place to cover the states of n ranks."""
+    table = _SET_BITS
+    if len(table) < 1 << n:
+        pairs = [(r, 1 << r) for r in range(n)]
+        for state in range(len(table), 1 << n):
+            low = state & -state
+            table.append((pairs[low.bit_length() - 1],) + table[state ^ low])
+
+
+_set_bits(EXACT_ENUM_LIMIT)
 
 
 def _expected_rest(state: int, lighter, w, memo: dict) -> float:
     """Expected root weight that the ranks still to arrive in ``state``
     (bits 0..n-1, n = ``len(w)``) add, each of them arriving next with
-    equal chance; see ``_enum_states`` for the layout.  An arrival r takes
-    the step of ``kicknext._arrive`` on bits: at each node of its chain the
-    lowest set bit of ``state & lighter[r][i]`` is the heaviest lighter
-    reference, which the step clears, and an empty field breaks the walk.
-    It gains its weight only when it passes every node.  KickNext's future
-    depends on nothing else, so the value is memoized on the state; callers
-    look it up before calling."""
-    remaining = bits = state & ((1 << len(w)) - 1)
+    equal chance; see ``_enum_states`` for the layout.  The ranks still to
+    arrive are read from ``_SET_BITS``.  An arrival r takes the step of
+    ``kicknext._arrive`` on bits: at each node of its chain the lowest set
+    bit of ``state & lighter[r][i]`` is the heaviest lighter reference,
+    which the step clears, and an empty field breaks the walk.  It gains
+    its weight only when it passes every node.  KickNext's future depends
+    on nothing else, so the value is memoized on the state; callers look
+    it up before calling."""
+    remaining = state & ((1 << len(w)) - 1)
     acc = []
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        r = low.bit_length() - 1
+    for r, low in _SET_BITS[remaining]:
         after = state ^ low
         for m in lighter[r]:
             x = after & m
@@ -504,7 +524,9 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     Each split's expectation is ``_expected_rest`` of all its arrivals: a
     recursion over the next arrival, memoized on one int that holds the
     arrivals still to come and every node's reference list (see
-    ``_enum_states``).  The state fixes the value, so one memo serves every
+    ``_enum_states``, which builds every split's start state on ints, with
+    no reference list).  A split's probability depends only on its
+    number of arrivals t, so it is computed once per t.  The state fixes the value, so one memo serves every
     split of the call (see ``EXACT_ENUM_LIMIT`` for its measured size),
     instead of walking all C(n, t) * t! arrival orders.  A state's value
     is computed the same way whichever split reaches it first, so sharing
@@ -515,14 +537,16 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
     pre = inst.pre()
     n = pre.n_real
     _check_enumerable(n)
+    _set_bits(n)  # a no-op unless the limit was raised at run time
     lighter, starts = _enum_states(pre, padding)
     w = pre.w_by_rank
+    law = [(1.0 - p) ** (n - t) * p ** t for t in range(n + 1)]  # a split of t arrivals
     contribs: list[float] = []
     probs: list[float] = []
     memo: dict = {}
     for mask, state in enumerate(starts):
         t = mask.bit_count()
-        prob = (1.0 - p) ** (n - t) * p ** t
+        prob = law[t]
         probs.append(prob)
         if t == 0:
             continue
@@ -734,18 +758,22 @@ def _exact_lemma_checks(inst: LaminarInstance, c: float) -> list[LemmaCheck]:
     opt = _global_optima(pre)
     checks = []
     witness = ""  # the first failure; empty while every check holds
-    pairs = [(b, nid, m) for b, nid in enumerate(pre.node_ids) for m in range(len(opt[b]) + 1)]
-    for b, nid, m in pairs:
-        g = g_exact(inst, m, nid, c)
-        refined = g_refined_bound(m, pre.mu[b], c)
-        weak = g_weak_bound(m, c)
-        if g > refined + _TOL or refined > weak + _TOL:
-            witness = (f"node {nid}, m={m}: g={g!r}, refined={refined!r}, "
-                       f"weak={weak!r}")
+    pairs = sum(len(O) + 1 for O in opt)
+    for b, nid in enumerate(pre.node_ids):
+        terms, starts = _decay_terms(pre, b, c)  # each m's ``g_exact``, from one list
+        for m, start in enumerate(starts):
+            g = _decay_sum(terms, start)
+            refined = g_refined_bound(m, pre.mu[b], c)
+            weak = g_weak_bound(m, c)
+            if g > refined + _TOL or refined > weak + _TOL:
+                witness = (f"node {nid}, m={m}: g={g!r}, refined={refined!r}, "
+                           f"weak={weak!r}")
+                break
+        if witness:
             break
     checks.append(LemmaCheck(
         "g-chain-decay", not witness,
-        witness or f"{len(pairs)} (node, m) pairs: exact <= refined <= weak"))
+        witness or f"{pairs} (node, m) pairs: exact <= refined <= weak"))
 
     pen = weighted_penalty(inst, c)
     cap_bound = g_weak_bound(1, c) * sum(pre.w_by_rank[r] for r in opt[pre.root_idx])

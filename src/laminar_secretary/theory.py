@@ -28,8 +28,9 @@ capacity-padded backward rank: at node b, against any per-node table of
 ascending rank lists (OPT from ``matroid._global_optima``, or a trial's
 reference lists, padded only to the slots a walk can reach, see
 ``model._Pre``), it is ``mu[b]`` less the list's entries up to the rank.
-The chain-decay sums read it, and so do the printed witnesses of the
-checks; the checks themselves compare the counts of entries up to a rank,
+The chain-decay sums read it, each node's from one list of its terms
+(``_decay_terms``) added left to right, and so do the printed witnesses of
+the checks; the checks themselves compare the counts of entries up to a rank,
 in which capacity cancels.  ``_padded_brank`` counts a list's own entries
 lighter than a rank and reads no capacity.  ``p_grid`` is the one grid of p
 values; it raises ``ValueError`` on a bad step or range.  ``_theory_csv`` is the one table of
@@ -41,6 +42,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
+from operator import add
 
 from .matroid import _global_optima
 from .model import LaminarInstance
@@ -106,10 +110,34 @@ def _global_brank(pre, lists, x: int, r: int) -> int:
     return pre.mu[x] - bisect_right(lists[x], r)
 
 
+def _decay_terms(pre, b: int, c: float) -> tuple[list[float], list[int]]:
+    """The chain-decay terms of node index ``b``'s optimum OPT_b, built once
+    for every m: c^(1 + backward rank) per element of OPT_b and node of
+    its chain up to ``b``, lightest element first, and per m the index at
+    which the terms of the m heaviest elements start.  ``_decay_sum`` of
+    that suffix is ``g_exact`` for m."""
+    opt = _global_optima(pre)
+    terms: list[float] = []
+    starts = []
+    for r in reversed(opt[b]):  # lightest first
+        starts.append(len(terms))
+        for x in pre.upto(r, b):
+            terms.append(c ** (1 + _global_brank(pre, opt, x, r)))
+    starts.append(len(terms))
+    starts.reverse()  # starts[m]: the m heaviest are the last m elements
+    return terms, starts
+
+
+def _decay_sum(terms: list[float], start: int) -> float:
+    """``terms[start:]`` added left to right, one float at a time; ``sum``
+    would round differently, as it compensates from Python 3.12 on."""
+    return reduce(add, islice(terms, start, None), 0.0)
+
+
 def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
     """Exact chain-decay sum for the m heaviest optimum elements of a node:
     each contributes c^(1 + backward rank) at every node of its chain up to
-    ``node_id``."""
+    ``node_id``, added lightest element first."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
     pre = inst.pre()
@@ -117,11 +145,8 @@ def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
     opt = _global_optima(pre)
     if not 0 <= m <= len(opt[b]):
         raise ValueError(f"m must be within 0..{len(opt[b])}, got {m}")
-    total = 0.0
-    for r in reversed(opt[b][:m]):  # the m heaviest, lightest of them first
-        for x in pre.upto(r, b):
-            total += c ** (1 + _global_brank(pre, opt, x, r))
-    return total
+    terms, starts = _decay_terms(pre, b, c)
+    return _decay_sum(terms, starts[m])
 
 
 def g_refined_bound(m: int, k: int, c: float) -> float:
@@ -172,10 +197,11 @@ def weighted_penalty_telescoped(inst: LaminarInstance, c: float) -> float:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
     pre = inst.pre()
     ws = [pre.w_by_rank[r] for r in _global_optima(pre)[pre.root_idx]]  # heaviest first
+    terms, starts = _decay_terms(pre, pre.root_idx, c)  # g_exact of each prefix
     total = 0.0
     for l in range(1, len(ws) + 1):
         nxt = ws[l] if l < len(ws) else 0.0
-        total += (ws[l - 1] - nxt) * g_exact(inst, l, inst.root_id, c)
+        total += (ws[l - 1] - nxt) * _decay_sum(terms, starts[l])
     return total
 
 

@@ -143,10 +143,11 @@ def family_instance(family, n, seed):
 
 
 @st.composite
-def shaped_trees(draw):
+def shaped_trees(draw, max_elements=30, max_capacity=4):
     """A hand-built instance: a deep chain, a wide star or a random tree of
     up to 40 nodes, node ids shuffled so that the id order is not the tree
-    order, and up to 30 elements spread over the nodes."""
+    order, capacities 1..``max_capacity``, and up to ``max_elements``
+    elements spread over the nodes."""
     size = draw(st.integers(1, 40))
     shape = draw(st.sampled_from(("deep", "wide", "random")))
     parents = [None] + [
@@ -154,9 +155,9 @@ def shaped_trees(draw):
         for i in range(1, size)
     ]
     ids = draw(st.permutations(range(size)))
-    nodes = [FamilyNode(ids[i], draw(st.integers(1, 4)), None if q is None else ids[q])
+    nodes = [FamilyNode(ids[i], draw(st.integers(1, max_capacity)), None if q is None else ids[q])
              for i, q in enumerate(parents)]
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(1, max_elements))
     elements = [Element(e, draw(st.floats(0.5, 100.0))) for e in range(n)]
     membership = {e: ids[draw(st.integers(0, size - 1))] for e in range(n)}
     return make_instance("shaped", elements, nodes, membership)
@@ -470,6 +471,34 @@ def _expected_rest_by_tuples(pre, remaining, refs, memo):
     value = math.fsum(acc) / remaining.bit_count()
     memo[key] = value
     return value
+
+
+def enum_states_by_lists(pre, padding):
+    """Reference for ``experiments._enum_states``: the same masks and start
+    states, each start state ORed together one bit per entry of the
+    split's reference lists from one full list pass (``_ref_rank_lists``,
+    unpadded), plus the fill of the slots after the node's real entries."""
+    n = pre.n_real
+    slots = pre.slots
+    offset = []
+    top = n
+    for v in slots:
+        offset.append(top)
+        top += n + v
+    fill = [[((1 << v) - (1 << k)) << (o + n) if padding else 0 for k in range(v + 1)]
+            for v, o in zip(slots, offset)]
+    lighter = [tuple(((1 << n + slots[b]) - (2 << r)) << offset[b] for b in ch)
+               for r, ch in enumerate(pre.chain_by_rank)]
+    starts = [0]  # the split with no arrival has nothing to recurse on
+    for mask in range(1, 1 << n):  # set bit r: rank r arrives in the selection phase
+        state = mask
+        refs = _ref_rank_lists(pre, [not ((mask >> r) & 1) for r in range(n)], False)
+        for R, o, f in zip(refs, offset, fill):
+            for r in R:
+                state |= 1 << (o + r)
+            state |= f[len(R)]
+        starts.append(state)
+    return lighter, starts
 
 
 def exact_expectation_by_tuples(inst, p, *, padding=True):

@@ -125,6 +125,34 @@ def test_ratio_experiment_script_rejects_bad_run_before_output(flags, message):
     assert res.stdout == "" and res.stderr.startswith("error: ") and message in res.stderr
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--n", "17"], "n must be in 1..16"),
+    (["--n", "0"], "n must be in 1..16"),
+    (["--rounds", "0"], "rounds must be in 1..1000"),
+    (["--rounds", "1001"], "rounds must be in 1..1000"),
+    (["--p", "0"], "p must be"),
+    (["--p", "nan"], "p must be"),
+])
+def test_exact_layers_script_rejects_bad_flags_before_work(flags, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "exact_layers.py"
+    res = subprocess.run([sys.executable, str(script), *flags],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "" and res.stderr.startswith("error: ") and message in res.stderr
+
+
+def test_exact_layers_script_reports_the_exact_expectation():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "exact_layers.py"
+    res = subprocess.run([sys.executable, str(script), "--family", "chain", "--n", "6",
+                          "--seed", "3", "--rounds", "2"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stderr == ""
+    expected, _ = experiments.exact_expectation(generate(GenSpec("chain", 6, 3)), 0.08)
+    lines = res.stdout.splitlines()
+    assert lines[1].startswith(f"expected weight {expected!r}, memo states ")
+    assert [line.split()[0] for line in lines[3:]] == ["starts", "recursion"]
+
+
 def test_gen_opt_run_pipeline(tmp_path, capsys):
     out = tmp_path / "u.json"
     assert main(["gen", "--family", "uniform", "--n", "5", "--k", "2",

@@ -41,12 +41,13 @@ from laminar_secretary.experiments import (
 import laminar_secretary.kicknext as kicknext
 import laminar_secretary.matroid as matroid
 from laminar_secretary.kicknext import _block_size, _flags, _run_weight, _sample_ids
-from laminar_secretary.matroid import _global_optima, _ref_rank_lists
+from laminar_secretary.matroid import _global_optima, _greedy_ranks, _ref_rank_lists
 from laminar_secretary.theory import _global_brank, _padded_brank
 
 from helpers import (
     allkicked_frequency_by_trace,
     dominance_by_scan,
+    enum_states_by_lists,
     exact_expectation_by_permutations,
     exact_expectation_by_tuples,
     family_instance,
@@ -55,6 +56,7 @@ from helpers import (
     padded_brank_by_ids,
     qualifying_counts_by_ids,
     rank1,
+    shaped_trees,
     trial_weights_by_full_walk,
     trials_by_prefix,
     tree,
@@ -173,6 +175,55 @@ class TestExactBitStates:
         inst = family_instance(family, 8, seed)
         got = _exact_and_memo_size(monkeypatch, inst, 0.08, padding)
         assert got == exact_expectation_by_tuples(inst, 0.08, padding=padding)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.builds(family_instance, FAMILIES, st.integers(1, 10),
+                               st.integers(0, 10_000)),
+                     shaped_trees(max_elements=10, max_capacity=12)),
+           st.booleans())
+    def test_start_states_equal_the_list_builds(self, inst, padding):
+        # shaped trees hold redundant nodes (a child whose capacity is not
+        # below its parent's) and capacities above the member count
+        pre = inst.pre()
+        assert experiments._enum_states(pre, padding) == enum_states_by_lists(pre, padding)
+
+    @pytest.mark.parametrize("padding", [True, False])
+    def test_start_states_on_a_redundant_chain(self, padding):
+        # node 1 repeats the root's capacity, node 2 exceeds it, and nodes
+        # 1-3 hold fewer members than their capacity, so slots < mu
+        inst = tree("redundant", [(0, 5, None), (1, 5, 0), (2, 7, 1), (3, 9, 0)],
+                    {0: 2, 1: 2, 2: 1, 3: 0, 4: 3, 5: 2}, [4.0, 9.0, 1.0, 7.0, 3.0, 5.0])
+        pre = inst.pre()
+        assert pre.slots != pre.mu
+        assert experiments._enum_states(pre, padding) == enum_states_by_lists(pre, padding)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.builds(family_instance, FAMILIES, st.integers(1, 60),
+                               st.integers(0, 10_000)), shaped_trees()),
+           st.lists(st.integers(0, 2 ** 60 - 1), min_size=1, max_size=5))
+    def test_bit_greedy_equals_the_list_greedy(self, inst, draws):
+        # one field of n bits per node, no fill; several flag sets per call,
+        # as an enumeration passes them
+        pre = inst.pre()
+        n, nodes = pre.n_real, len(pre.mu)
+        keeps = [d & ((1 << n) - 1) for d in draws]
+        fills = [[0] * (v + 1) for v in pre.slots]
+        packed = list(matroid._greedy_bits(pre, keeps, [n * x for x in range(nodes)], fills))
+        assert len(packed) == len(keeps)
+        for keep, got in zip(keeps, packed):
+            want = _greedy_ranks(pre, [bool(keep >> r & 1) for r in range(n)])
+            for x in range(nodes):
+                field = got >> n * x & ((1 << n) - 1)
+                assert field == sum(1 << r for r in want[x])
+
+    def test_set_bit_table_covers_every_state(self):
+        # every state up to the limit is in the table, so no enumeration
+        # within the limit indexes past it
+        table = experiments._SET_BITS
+        assert len(table) >= 1 << experiments.EXACT_ENUM_LIMIT
+        for state in range(1 << experiments.EXACT_ENUM_LIMIT):
+            assert table[state] == tuple((r, 1 << r) for r in range(state.bit_length())
+                                         if state >> r & 1)
 
     @pytest.mark.parametrize("padding", [True, False])
     def test_capacity_does_not_drive_the_cost(self, padding):
@@ -346,11 +397,13 @@ class TestGlobalOptima:
         checks = verify_lemmas(inst, p, trials=trials, master_seed=seed)
         assert checks[0].passed  # c < 1/2: the chain-decay sums ran
         allkicked_frequency(inst, p, trials, seed)
+        before = len(calls)
         exact_ratio(inst, p)
+        # exact enumeration builds its start states on ints, with no list
+        assert len(calls) == before
         assert sum(calls) == 1
-        # each of the two trial loops rebuilds its trials' lists, and exact
-        # enumeration builds every split with an arrival in one full pass
-        assert len(calls) == 1 + sum(memo_misses.values()) + 2 * sum(rebuilds) + 2 ** 8 - 1
+        # each of the two trial loops rebuilds its trials' lists
+        assert len(calls) == 1 + sum(memo_misses.values()) + 2 * sum(rebuilds)
 
     def test_whole_set_optima_read_the_cache(self, monkeypatch):
         inst = generate(GenSpec("random_tree", 12, 5))
