@@ -8,11 +8,11 @@ Usage: python scripts/exact_layers.py [--family F] [--n N] [--p P]
 The instance is ``generate(GenSpec(family, n, seed))``.  Each round times:
 
 - ``starts``: the bit layout and every sample split's start state
-  (``experiments._enum_states``, one ``matroid._greedy_bits`` pass per
-  split);
-- ``recursion``: ``experiments._expected_rest`` from every split's start
-  state with one fresh memo, and the splits' probabilities and
-  contributions summed as ``exact_expectation`` sums them.
+  (``exact._enum_states``, one ``exact._greedy_bits`` pass per split);
+- ``recursion``: ``exact._expected_splits``, the split loop of
+  ``exact_expectation``: ``exact._expected_rest`` from every split's
+  start state with one fresh memo, and the splits' probabilities and
+  contributions summed.
 
 The script calls these internals directly, so it is not held to
 ``EXACT_ENUM_LIMIT`` (8); it refuses n above ``MAX_N`` = 16, as the memo
@@ -27,7 +27,6 @@ past the limit comes from runs such as ``--family random_tree --n 12``.
 """
 
 import argparse
-import math
 import statistics
 import sys
 import time
@@ -37,7 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from laminar_secretary import GenSpec, generate
-from laminar_secretary.experiments import _enum_states, _expected_rest, _set_bits
+from laminar_secretary.exact import _enum_states, _expected_splits, _set_bits
 from laminar_secretary.generators import FAMILIES
 from laminar_secretary.kicknext import _check_p
 
@@ -45,28 +44,12 @@ MAX_N = 16
 LAYERS = ("starts", "recursion")
 
 
-def _recursion(pre, p, lighter, starts):
-    """``exact_expectation``'s loop: the expected weight and the memo."""
-    n = pre.n_real
-    w = pre.w_by_rank
-    law = [(1.0 - p) ** (n - t) * p ** t for t in range(n + 1)]
-    memo = {}
-    contribs = []
-    for mask, state in enumerate(starts):
-        if mask:
-            value = memo.get(state)
-            if value is None:
-                value = _expected_rest(state, lighter, w, memo)
-            contribs.append(law[mask.bit_count()] * value)
-    return math.fsum(contribs), memo
-
-
 def _round(pre, p, padding):
     """One round: seconds per layer, the expected weight and the memo size."""
     t0 = time.perf_counter()
     lighter, starts = _enum_states(pre, padding)
     t1 = time.perf_counter()
-    expected, memo = _recursion(pre, p, lighter, starts)
+    expected, _, memo = _expected_splits(pre, p, lighter, starts)
     t2 = time.perf_counter()
     return {"starts": t1 - t0, "recursion": t2 - t1}, expected, len(memo)
 

@@ -22,7 +22,8 @@ from laminar_secretary import (
     monte_carlo_ratio,
     ratio_lower_bound,
 )
-from laminar_secretary.experiments import EXACT_ENUM_LIMIT, _check_run
+from laminar_secretary.exact import _enumerable
+from laminar_secretary.experiments import _check_run
 
 SPECS = [
     GenSpec("uniform", 6, 1, "uniform", rank=2),
@@ -54,7 +55,7 @@ def main():
     for spec in SPECS:
         inst = generate(spec)
         rep = monte_carlo_ratio(inst, args.p, args.trials, args.seed)
-        exact = exact_ratio(inst, args.p) if inst.n <= EXACT_ENUM_LIMIT else None
+        exact = exact_ratio(inst, args.p) if _enumerable(inst.n) else None
         exact_str = f"{exact:9.6f}" if exact is not None else "        -"
         margin = rep.ratio.value - bound
         print(f"{inst.name:>24} {inst.n:>3} {len(inst.nodes):>5} "

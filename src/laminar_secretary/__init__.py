@@ -44,6 +44,7 @@ from .theory import (
     weighted_penalty,
     weighted_penalty_telescoped,
 )
+from .exact import exact_expectation
 from .experiments import (
     AllKickedRow,
     ExperimentReport,
@@ -53,7 +54,6 @@ from .experiments import (
     RatioEstimate,
     allkicked_frequency,
     derive_seed,
-    exact_expectation,
     exact_ratio,
     monte_carlo_ratio,
     qualifying_joint_probability,

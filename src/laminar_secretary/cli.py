@@ -17,14 +17,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import (
-    EXACT_ENUM_LIMIT,
-    _opt_weight,
-    exact_expectation,
-    exact_ratio,
-    monte_carlo_ratio,
-    verify_report,
-)
+from .exact import _enumerable, exact_expectation
+from .experiments import _opt_weight, exact_ratio, monte_carlo_ratio, verify_report
 from .generators import FAMILIES, WEIGHTS, GenSpec, generate
 from .kicknext import make_trial, run_kicknext, trace_csv
 from .matroid import greedy_opt
@@ -197,7 +191,7 @@ def _cmd_verify(args) -> int:
     inst = _load(args.file)
     report = verify_report(inst, args.p, args.trials, args.seed)
     sys.stdout.write(report.summary())
-    if inst.n <= EXACT_ENUM_LIMIT:
+    if _enumerable(inst.n):
         unpadded = exact_ratio(inst, args.p, padding=False)
         padded = exact_ratio(inst, args.p, padding=True)
         print(f"exact ratio: padded {padded!r}, unpadded {unpadded!r} (informational)")

@@ -1,0 +1,222 @@
+"""Exact expected weight of KickNext by enumeration.
+
+The exact expectation sums over every sample split, and within a split
+recurses over the next arrival: KickNext's future depends only on the
+arrivals still to come and the current reference lists, so the recursion is
+memoized on that pair, held as one int.  Its low n bits are the arrivals to
+come; then each node has a field of n + ``_Pre.slots`` bits, a
+real rank r at bit r and the j-th virtual slot at bit n + j, so that the
+KickNext step is a mask, a lowest-set-bit and a clear (``_enum_states``).
+Each split's start state comes from one bottom-up greedy pass on ints
+(``_greedy_bits``), ``matroid._greedy_ranks`` on bit sets, so enumeration
+builds no list, and the recursion reads a state's arrivals from a table of
+set bits.  The state fixes the value whatever split reached it, so one memo
+serves every split of a call (its measured sizes are at
+``EXACT_ENUM_LIMIT``).  No field is wider than 2n bits, so capacity does not
+drive the cost.
+
+``EXACT_ENUM_LIMIT`` is the one bound on enumeration, and every gate reads
+it at call time: ``exact_expectation`` through ``_check_enumerable``, and
+the callers that choose whether to enumerate through ``_enumerable``.
+"""
+
+from __future__ import annotations
+
+import math
+from operator import or_
+
+from .kicknext import _check_p
+from .model import LaminarInstance
+
+# ``exact_expectation`` enumerates 2^n sample splits and shares one memo of
+# (arrivals to come, reference lists) states across them, so the memo lives
+# for the whole call.  On ``generate(GenSpec(family, n, 7))`` of the four
+# families at p = 0.08, padding on and off (Python 3.11, 2 shared cores): at
+# n = 8 it ends with 1033 to 4927 states, far fewer than the 109600 (split,
+# order) leaves, the sum of C(n, t) * t!, and a call takes 1.5 to 8.1 ms
+# and at most 0.4 MiB under tracemalloc; at n = 10, 5349 to 31467 states,
+# 9 to 74 ms and at most 3.1 MiB.
+EXACT_ENUM_LIMIT = 8
+
+
+def _enumerable(n: int) -> bool:
+    """True when ``EXACT_ENUM_LIMIT`` allows enumerating n elements."""
+    return n <= EXACT_ENUM_LIMIT
+
+
+def _check_enumerable(n: int) -> None:
+    """Refuse exact enumeration over more than ``EXACT_ENUM_LIMIT`` elements."""
+    if not _enumerable(n):
+        raise ValueError(f"exact enumeration limited to {EXACT_ENUM_LIMIT} elements, got {n}")
+
+
+def _greedy_bits(pre, keeps, offsets, fills):
+    """``matroid._greedy_ranks`` on bit sets, once per flag set in
+    ``keeps``: each ``keep`` has bit r set when rank r is flagged, and for
+    each one this yields one int that packs every node's optimum.  The
+    nodes are visited
+    children first; node ``x``'s optimum is the lowest ``mu[x]`` set bits
+    (the heaviest ranks) of its flagged own ranks and its children's
+    optima, as in ``_greedy_ranks``, and only these real ranks go up to a
+    parent.  It is shifted to bit ``offsets[x]`` of the packed int, where
+    the bits are then ORed with ``fills[x][k]``, one entry per count k of
+    its ranks up to ``pre.slots[x]``.  ``_enum_states`` packs a split's
+    start state this way."""
+    own = [sum(1 << r for r in ranks) for ranks in pre.own_ranks]
+    plan = [(x, own[x], pre.mu[x], pre.children_idx[x], offsets[x], fills[x])
+            for x in pre.bottom_up]
+    bits = [0] * len(own)
+    for keep in keeps:
+        packed = 0
+        for x, mine, cap, kids, offset, fill in plan:
+            chosen = keep & mine
+            for c in kids:
+                chosen |= bits[c]
+            k = chosen.bit_count()
+            if k > cap:  # clear the cap lowest bits from a copy: the rest are cut
+                cut = chosen
+                for _ in range(cap):
+                    cut &= cut - 1
+                chosen ^= cut
+                k = cap
+            bits[x] = chosen
+            packed |= chosen << offset | fill[k]
+        yield packed
+
+
+def _enum_states(pre, padding: bool) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The bit layout of ``_expected_rest``'s states: per rank, one mask per
+    node of its chain, selecting the node's field bits lighter than the
+    rank; and the start state of every sample split, indexed by its mask.
+
+    Bits 0..n-1 hold the ranks still to arrive.  Node b's field follows,
+    ``n + pre.slots[b]`` bits wide: real rank r at bit r of the field and
+    virtual slot j at bit n + j, so the field's bit order is the padded
+    list's rank order, and the field holds the slots that a padded
+    reference list reaches (``model._Pre`` shows a walk never needs more).
+    A split's field holds the node's optimum of the sampled ranks, from
+    one ``_greedy_bits`` pass on ints per split, and when padding,
+    slots k.. of the field, where k is the node's number of real entries:
+    one precomputed fill per (node, k)."""
+    n = pre.n_real
+    slots = pre.slots
+    offset = []
+    top = n
+    for v in slots:
+        offset.append(top)
+        top += n + v
+    fill = [[((1 << v) - (1 << k)) << (o + n) if padding else 0 for k in range(v + 1)]
+            for v, o in zip(slots, offset)]
+    lighter = [tuple(((1 << n + slots[b]) - (2 << r)) << offset[b] for b in ch)
+               for r, ch in enumerate(pre.chain_by_rank)]
+    splits = range(1, 1 << n)  # set bit r: rank r arrives in the selection phase
+    full = (1 << n) - 1
+    fields = _greedy_bits(pre, (full ^ mask for mask in splits), offset, fill)
+    # the split with no arrival has nothing to recurse on
+    return lighter, [0, *map(or_, splits, fields)]
+
+
+# per state of the ranks still to arrive, its set bits lowest first as
+# (r, 1 << r) pairs, for ``_expected_rest``: one index per state costs less
+# than splitting off each lowest bit.  ``_set_bits`` builds it for every
+# state up to 2^EXACT_ENUM_LIMIT at import (256 entries, about 17 KiB) and
+# extends it when a call enumerates more ranks; its entries depend on the
+# state alone, so growing it changes no result
+_SET_BITS: list[tuple[tuple[int, int], ...]] = [()]
+
+
+def _set_bits(n: int) -> None:
+    """Extend ``_SET_BITS`` in place to cover the states of n ranks."""
+    table = _SET_BITS
+    if len(table) < 1 << n:
+        pairs = [(r, 1 << r) for r in range(n)]
+        for state in range(len(table), 1 << n):
+            low = state & -state
+            table.append((pairs[low.bit_length() - 1],) + table[state ^ low])
+
+
+_set_bits(EXACT_ENUM_LIMIT)
+
+
+def _expected_rest(state: int, lighter, w, memo: dict) -> float:
+    """Expected root weight that the ranks still to arrive in ``state``
+    (bits 0..n-1, n = ``len(w)``) add, each of them arriving next with
+    equal chance; see ``_enum_states`` for the layout.  The ranks still to
+    arrive are read from ``_SET_BITS``.  An arrival r takes the step of
+    ``kicknext._arrive`` on bits: at each node of its chain the lowest set
+    bit of ``state & lighter[r][i]`` is the heaviest lighter reference,
+    which the step clears, and an empty field breaks the walk.  It gains
+    its weight only when it passes every node.  KickNext's future depends
+    on nothing else, so the value is memoized on the state; callers look
+    it up before calling."""
+    remaining = state & ((1 << len(w)) - 1)
+    acc = []
+    for r, low in _SET_BITS[remaining]:
+        after = state ^ low
+        for m in lighter[r]:
+            x = after & m
+            if not x:
+                break
+            after ^= x & -x
+        else:
+            acc.append(w[r])
+        if remaining != low:
+            value = memo.get(after)
+            if value is None:
+                value = _expected_rest(after, lighter, w, memo)
+            acc.append(value)
+    value = math.fsum(acc) / remaining.bit_count()
+    memo[state] = value
+    return value
+
+
+def _expected_splits(pre, p: float, lighter, starts) -> tuple[float, float, dict]:
+    """The sum over every sample split of its probability times its
+    expectation, ``_expected_rest`` of its start state in ``starts`` (from
+    ``_enum_states``, with ``lighter``), and the sum of the probabilities.
+    A split's probability depends only on its number of arrivals t, so it
+    is computed once per t.  One memo serves every split: a state's value
+    is computed the same way whichever split reaches it first, so sharing
+    changes no bit of the result.  Returns (expected weight, probability
+    mass, memo)."""
+    n = pre.n_real
+    w = pre.w_by_rank
+    law = [(1.0 - p) ** (n - t) * p ** t for t in range(n + 1)]  # a split of t arrivals
+    contribs: list[float] = []
+    probs: list[float] = []
+    memo: dict = {}
+    for mask, state in enumerate(starts):
+        t = mask.bit_count()
+        prob = law[t]
+        probs.append(prob)
+        if t == 0:
+            continue
+        value = memo.get(state)
+        if value is None:
+            value = _expected_rest(state, lighter, w, memo)
+        contribs.append(prob * value)
+    return math.fsum(contribs), math.fsum(probs), memo
+
+
+def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
+    """Expected solution weight, exact over every sample split and every
+    arrival order.  Returns (expected_weight, total_probability); the latter
+    is a self-check and equals 1 up to float rounding.
+
+    Each split's expectation is ``_expected_rest`` of all its arrivals: a
+    recursion over the next arrival, memoized on one int that holds the
+    arrivals still to come and every node's reference list (see
+    ``_enum_states``, which builds every split's start state on ints, with
+    no reference list).  ``_expected_splits`` sums the splits with one
+    memo for the call (see ``EXACT_ENUM_LIMIT`` for its measured size),
+    instead of walking all C(n, t) * t! arrival orders.  A node's field is
+    at most 2n bits wide whatever its capacity, as its padded list holds at
+    most n slots, so neither time nor memory grows with capacity."""
+    _check_p(p)
+    pre = inst.pre()
+    n = pre.n_real
+    _check_enumerable(n)
+    _set_bits(n)  # a no-op unless the limit was raised at run time
+    lighter, starts = _enum_states(pre, padding)
+    expected, mass, _ = _expected_splits(pre, p, lighter, starts)
+    return expected, mass

@@ -13,20 +13,17 @@ optimum too), so the pass visits the nodes children first and builds each
 optimum from the node's first capacity-many flagged own ranks and its
 children's optima, sorted and cut to capacity.  The per-element filtering,
 merging and sorting run in C builtins, so a pass costs a few interpreted
-steps per node rather than per element.  ``_greedy_bits`` runs the same
-pass on bit sets, one int per node with bit r for rank r: a node keeps the
-lowest capacity-many set bits of its flagged own ranks and its children's
-bits, so a pass is a few int operations per node and builds no list.
-This module is the one place that builds optima: the whole ground set's
-optima OPT, built once per instance and cached unpadded
+steps per node rather than per element.
+This module is the one place that builds optima as rank lists: the whole
+ground set's optima OPT, built once per instance and cached unpadded
 (``_global_optima``); the reference lists of a sample
 (``_ref_rank_lists``, one full pass over its flags); the reference lists
 of a sampled trial (``_trial_rank_lists``), which rebuild only the nodes
 whose OPT holds an arrival and copy OPT's cached, padded lists everywhere
-else, as a node's optimum is OPT's wherever the sample holds OPT; the
-start states of exact enumeration, one bit-set pass per sample split
-(``_greedy_bits``); and ``greedy_opt`` and ``brank``, which read OPT or,
-given a subset, index one pass over it.
+else, as a node's optimum is OPT's wherever the sample holds OPT; and
+``greedy_opt`` and ``brank``, which read OPT or, given a subset, index one
+pass over it.  Exact enumeration runs the same pass on bit sets
+(``exact._greedy_bits``) and builds no list.
 ``brute_force_opt`` re-derives an optimum by exhaustive search and exists
 purely as a cross-check oracle for small inputs.
 """
@@ -115,39 +112,6 @@ def _greedy_ranks(pre, in_v: list[bool], nodes=None, opt=None) -> list[list[int]
             del chosen[cap:]
         opt[x] = chosen
     return opt
-
-
-def _greedy_bits(pre, keeps, offsets, fills):
-    """``_greedy_ranks`` on bit sets, once per flag set in ``keeps``: each
-    ``keep`` has bit r set when rank r is flagged, and for each one this
-    yields one int that packs every node's optimum.  The nodes are visited
-    children first; node ``x``'s optimum is the lowest ``mu[x]`` set bits
-    (the heaviest ranks) of its flagged own ranks and its children's
-    optima, as in ``_greedy_ranks``, and only these real ranks go up to a
-    parent.  It is shifted to bit ``offsets[x]`` of the packed int, where
-    the bits are then ORed with ``fills[x][k]``, one entry per count k of
-    its ranks up to ``pre.slots[x]``.  ``experiments._enum_states`` packs a
-    split's start state this way."""
-    own = [sum(1 << r for r in ranks) for ranks in pre.own_ranks]
-    plan = [(x, own[x], pre.mu[x], pre.children_idx[x], offsets[x], fills[x])
-            for x in pre.bottom_up]
-    bits = [0] * len(own)
-    for keep in keeps:
-        packed = 0
-        for x, mine, cap, kids, offset, fill in plan:
-            chosen = keep & mine
-            for c in kids:
-                chosen |= bits[c]
-            k = chosen.bit_count()
-            if k > cap:  # clear the cap lowest bits from a copy: the rest are cut
-                cut = chosen
-                for _ in range(cap):
-                    cut &= cut - 1
-                chosen ^= cut
-                k = cap
-            bits[x] = chosen
-            packed |= chosen << offset | fill[k]
-        yield packed
 
 
 def _pad(pre, lists: list[list[int]], nodes) -> None:

@@ -89,12 +89,12 @@ class _Pre:
 
     ``own_ranks[x]`` holds the ranks whose minimal node is ``x`` (ascending)
     and ``children_idx[x]`` the child node indices.  One walk down from the
-    root gives ``depth``, ``node_chain`` (each node's path up to the root,
-    itself first), ``children_idx`` and ``bottom_up``, every node once with
-    each child before its parent.  ``chain_by_rank[r]`` is the chain of rank
-    r's minimal node.  ``global_optima`` is filled on first use by
-    ``matroid._global_optima``, and ``padded_optima`` and ``opt_masks`` by
-    ``matroid._opt_tables``.
+    root gives ``depth``, ``children_idx``, ``bottom_up`` (every node once
+    with each child before its parent) and each node's chain, its path up
+    to the root, itself first.  ``chain_by_rank[r]`` is the chain of rank
+    r's minimal node; no table keeps the chains by node.
+    ``global_optima`` is filled on first use by ``matroid._global_optima``,
+    and ``padded_optima`` and ``opt_masks`` by ``matroid._opt_tables``.
 
     Subtree membership is decided here and nowhere else: node b lies on a
     chain exactly at ``depth[b]`` places from its root end, so ``upto``
@@ -122,7 +122,7 @@ class _Pre:
 
     __slots__ = (
         "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
-        "node_ids", "node_index", "mu", "slots", "depth", "node_chain",
+        "node_ids", "node_index", "mu", "slots", "depth",
         "own_ranks", "chain_by_rank", "children_idx", "bottom_up",
         "root_idx", "virtual_rank_base", "global_optima", "padded_optima", "opt_masks",
     )
@@ -162,7 +162,6 @@ class _Pre:
                 depth[c] = len(up)
             top_down += kids
         self.depth = depth
-        self.node_chain = chains
         self.children_idx = children
         self.bottom_up = tuple(reversed(top_down))
 

@@ -417,8 +417,9 @@ def dominance_by_scan(inst, trials):
 
 
 def exact_expectation_by_permutations(inst, p, *, padding=True):
-    """Reference for ``exact_expectation``: every sample split in the same
-    order, and within a split a ``_run_weight`` walk of every arrival order.
+    """Reference for ``exact.exact_expectation``: every sample split in the
+    same order, and within a split a ``_run_weight`` walk of every arrival
+    order.
     Returns (expected_weight, total_probability)."""
     pre = inst.pre()
     n = pre.n_real
@@ -443,9 +444,10 @@ def exact_expectation_by_permutations(inst, p, *, padding=True):
 
 
 def _expected_rest_by_tuples(pre, remaining, refs, memo):
-    """The recursion of ``exact_expectation_by_tuples``: the state is
-    (arrivals still to come, padded reference lists as rank tuples), and
-    the KickNext step slices a new tuple for every node it passes."""
+    """The recursion of ``exact_expectation_by_tuples``, as
+    ``exact._expected_rest`` recurses on bits: the state is (arrivals still
+    to come, padded reference lists as rank tuples), and the KickNext step
+    slices a new tuple for every node it passes."""
     key = (remaining, refs)
     value = memo.get(key)
     if value is not None:
@@ -474,7 +476,7 @@ def _expected_rest_by_tuples(pre, remaining, refs, memo):
 
 
 def enum_states_by_lists(pre, padding):
-    """Reference for ``experiments._enum_states``: the same masks and start
+    """Reference for ``exact._enum_states``: the same masks and start
     states, each start state ORed together one bit per entry of the
     split's reference lists from one full list pass (``_ref_rank_lists``,
     unpadded), plus the fill of the slots after the node's real entries."""
@@ -502,8 +504,9 @@ def enum_states_by_lists(pre, padding):
 
 
 def exact_expectation_by_tuples(inst, p, *, padding=True):
-    """Reference for ``exact_expectation`` with the same splits, the same
-    recursion order and the same sums, on tuple states.  Returns
+    """Reference for ``exact.exact_expectation`` with the same splits, the
+    same recursion order and the same sums (``exact._expected_splits``),
+    on tuple states.  Returns
     (expected_weight, total_probability, memo_size)."""
     pre = inst.pre()
     n = pre.n_real

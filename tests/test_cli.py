@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import laminar_secretary.cli as cli
+import laminar_secretary.exact as exact
 import laminar_secretary.experiments as experiments
 import laminar_secretary.generators as generators
 import laminar_secretary.matroid as matroid
@@ -147,7 +148,7 @@ def test_exact_layers_script_reports_the_exact_expectation():
                           "--seed", "3", "--rounds", "2"],
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0 and res.stderr == ""
-    expected, _ = experiments.exact_expectation(generate(GenSpec("chain", 6, 3)), 0.08)
+    expected, _ = exact.exact_expectation(generate(GenSpec("chain", 6, 3)), 0.08)
     lines = res.stdout.splitlines()
     assert lines[1].startswith(f"expected weight {expected!r}, memo states ")
     assert [line.split()[0] for line in lines[3:]] == ["starts", "recursion"]
@@ -558,8 +559,7 @@ def test_deeply_nested_text_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("limit,n,shown", [(3, 4, False), (9, 9, True)])
 def test_verify_follows_the_exact_enumeration_limit(tmp_path, capsys, monkeypatch,
                                                     limit, n, shown):
-    for module in (cli, experiments):
-        monkeypatch.setattr(module, "EXACT_ENUM_LIMIT", limit)
+    monkeypatch.setattr(exact, "EXACT_ENUM_LIMIT", limit)
     path = tmp_path / "inst.json"
     assert main(["gen", "--family", "random_tree", "--n", str(n), "--seed", "1",
                  "-o", str(path)]) == 0
@@ -574,15 +574,14 @@ def test_ratio_experiment_script_follows_the_exact_enumeration_limit(capsys, mon
     spec = importlib.util.spec_from_file_location("ratio_experiment", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    for owner in (module, experiments):
-        monkeypatch.setattr(owner, "EXACT_ENUM_LIMIT", 6)
+    monkeypatch.setattr(exact, "EXACT_ENUM_LIMIT", 6)
     monkeypatch.setattr(sys, "argv", [str(script), "--trials", "20"])
     module.main()
     rows = capsys.readouterr().out.splitlines()[2:]
     assert len(rows) == len(module.SPECS)
     for row in rows:
-        n, exact = int(row.split()[1]), row.split()[5]
-        assert (exact != "-") == (n <= 6)
+        n, value = int(row.split()[1]), row.split()[5]
+        assert (value != "-") == (n <= 6)
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

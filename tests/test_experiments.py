@@ -29,6 +29,7 @@ from laminar_secretary import (
     verify_lemmas,
     verify_report,
 )
+import laminar_secretary.exact as exact
 import laminar_secretary.experiments as experiments
 from laminar_secretary.experiments import (
     _chunk_plan,
@@ -143,13 +144,13 @@ def _exact_and_memo_size(monkeypatch, inst, p, padding):
     """``exact_expectation`` of the instance, and the size of the one memo
     its recursion filled."""
     memos = []
-    real = experiments._expected_rest
+    real = exact._expected_rest
 
     def spy(state, lighter, w, memo):
         memos.append(memo)
         return real(state, lighter, w, memo)
 
-    monkeypatch.setattr(experiments, "_expected_rest", spy)
+    monkeypatch.setattr(exact, "_expected_rest", spy)
     expected, mass = exact_expectation(inst, p, padding=padding)
     monkeypatch.undo()
     assert all(m is memos[0] for m in memos)
@@ -185,7 +186,7 @@ class TestExactBitStates:
         # shaped trees hold redundant nodes (a child whose capacity is not
         # below its parent's) and capacities above the member count
         pre = inst.pre()
-        assert experiments._enum_states(pre, padding) == enum_states_by_lists(pre, padding)
+        assert exact._enum_states(pre, padding) == enum_states_by_lists(pre, padding)
 
     @pytest.mark.parametrize("padding", [True, False])
     def test_start_states_on_a_redundant_chain(self, padding):
@@ -195,7 +196,7 @@ class TestExactBitStates:
                     {0: 2, 1: 2, 2: 1, 3: 0, 4: 3, 5: 2}, [4.0, 9.0, 1.0, 7.0, 3.0, 5.0])
         pre = inst.pre()
         assert pre.slots != pre.mu
-        assert experiments._enum_states(pre, padding) == enum_states_by_lists(pre, padding)
+        assert exact._enum_states(pre, padding) == enum_states_by_lists(pre, padding)
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.builds(family_instance, FAMILIES, st.integers(1, 60),
@@ -208,7 +209,7 @@ class TestExactBitStates:
         n, nodes = pre.n_real, len(pre.mu)
         keeps = [d & ((1 << n) - 1) for d in draws]
         fills = [[0] * (v + 1) for v in pre.slots]
-        packed = list(matroid._greedy_bits(pre, keeps, [n * x for x in range(nodes)], fills))
+        packed = list(exact._greedy_bits(pre, keeps, [n * x for x in range(nodes)], fills))
         assert len(packed) == len(keeps)
         for keep, got in zip(keeps, packed):
             want = _greedy_ranks(pre, [bool(keep >> r & 1) for r in range(n)])
@@ -219,9 +220,9 @@ class TestExactBitStates:
     def test_set_bit_table_covers_every_state(self):
         # every state up to the limit is in the table, so no enumeration
         # within the limit indexes past it
-        table = experiments._SET_BITS
-        assert len(table) >= 1 << experiments.EXACT_ENUM_LIMIT
-        for state in range(1 << experiments.EXACT_ENUM_LIMIT):
+        table = exact._SET_BITS
+        assert len(table) >= 1 << exact.EXACT_ENUM_LIMIT
+        for state in range(1 << exact.EXACT_ENUM_LIMIT):
             assert table[state] == tuple((r, 1 << r) for r in range(state.bit_length())
                                          if state >> r & 1)
 
@@ -428,7 +429,7 @@ class TestGlobalOptima:
 
 
 def test_one_enumeration_limit(monkeypatch):
-    monkeypatch.setattr(experiments, "EXACT_ENUM_LIMIT", 3)
+    monkeypatch.setattr(exact, "EXACT_ENUM_LIMIT", 3)
     inst = four_element()
     with pytest.raises(ValueError, match="limited to 3 elements, got 4"):
         exact_expectation(inst, 0.08)
@@ -436,6 +437,9 @@ def test_one_enumeration_limit(monkeypatch):
         qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2, method="exact")
     # above the limit, ``auto`` samples instead
     assert not qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2, trials=200).exact
+    # at the limit it enumerates: every gate reads the one binding at call time
+    monkeypatch.setattr(exact, "EXACT_ENUM_LIMIT", 4)
+    assert qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2, trials=200).exact
 
 
 class TestWeightMemo:
@@ -589,8 +593,8 @@ class TestMonteCarlo:
     def test_matches_exact_on_two_elements(self):
         inst = rank1([1.0, 2.0])
         report = monte_carlo_ratio(inst, 0.08, 100_000, master_seed=5)
-        exact = exact_ratio(inst, 0.08)
-        assert abs(report.ratio.value - exact) <= 3 * report.ratio.std_err
+        ratio = exact_ratio(inst, 0.08)
+        assert abs(report.ratio.value - ratio) <= 3 * report.ratio.std_err
 
     def test_single_trial_reproducible(self):
         inst = four_element()
@@ -761,12 +765,12 @@ class TestQualifyingJointProbability:
 
     def test_monte_carlo_agrees_with_exact(self):
         inst = rank1([1.0, 2.0, 3.0])
-        exact = qualifying_joint_probability(inst, 0.08, 0, [1], element_id=2)
+        enumerated = qualifying_joint_probability(inst, 0.08, 0, [1], element_id=2)
         mc = qualifying_joint_probability(
             inst, 0.08, 0, [1], element_id=2, method="mc", trials=30_000, master_seed=9
         )
         assert not mc.exact and mc.conditioned_trials > 0
-        assert abs(mc.probability - exact.probability) <= 4 * mc.std_err
+        assert abs(mc.probability - enumerated.probability) <= 4 * mc.std_err
 
     def test_counts_length_validation(self):
         with pytest.raises(ValueError, match="one entry per reference slot"):
@@ -1036,19 +1040,19 @@ class TestWorkCounts:
         inst = family_instance("random_tree", 8, 38)
         pre = inst.pre()
         calls = 0
-        expected_rest = experiments._expected_rest
+        expected_rest = exact._expected_rest
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return expected_rest(*args)
 
-        monkeypatch.setattr(experiments, "_expected_rest", counted)
+        monkeypatch.setattr(exact, "_expected_rest", counted)
         exact_expectation(inst, 0.08)
         shared, calls = calls, 0
-        lighter, starts = experiments._enum_states(pre, True)
+        lighter, starts = exact._enum_states(pre, True)
         for state in starts[1:]:
-            experiments._expected_rest(state, lighter, pre.w_by_rank, {})
+            exact._expected_rest(state, lighter, pre.w_by_rank, {})
         assert shared < calls
 
 

@@ -42,8 +42,9 @@ def used_names(tree: ast.Module) -> set[str]:
 
 
 def test_modules_found():
-    assert {p.name for p in MODULES} >= {"cli.py", "experiments.py", "kicknext.py"}
-    assert {p.name for p in SCRIPTS} >= {"ratio_experiment.py", "theory_sweep.py"}
+    assert {p.name for p in MODULES} >= {"cli.py", "exact.py", "experiments.py", "kicknext.py"}
+    assert {p.name for p in SCRIPTS} >= {"exact_layers.py", "ratio_experiment.py",
+                                         "theory_sweep.py"}
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS,

@@ -443,15 +443,18 @@ class TestTreeTables:
         parent = [-1 if nd.parent is None else pre.node_index[nd.parent] for nd in inst.nodes]
         assert sorted(pre.bottom_up) == list(range(n_nodes))
         place = {x: i for i, x in enumerate(pre.bottom_up)}
+        paths = []
         for x in range(n_nodes):
             up = [x]
             while parent[up[-1]] >= 0:
                 up.append(parent[up[-1]])
-            assert pre.node_chain[x] == tuple(up)
+            paths.append(tuple(up))
             assert pre.depth[x] == len(up) - 1
             assert pre.children_idx[x] == tuple(c for c in range(n_nodes) if parent[c] == x)
             if parent[x] >= 0:
                 assert place[x] < place[parent[x]]
+        for r, eid in enumerate(pre.ids_by_rank):  # a rank's chain is its minimal node's
+            assert pre.chain_by_rank[r] == paths[pre.node_index[inst.membership[eid]]]
 
     @settings(max_examples=150, deadline=None)
     @given(FAMILY_OR_SHAPED)
@@ -489,12 +492,11 @@ class TestTreeTables:
     @given(FAMILY_OR_SHAPED)
     def test_chain_slots_at_and_over_the_limit(self, inst):
         pre = inst.pre()
-        slots = sum(map(len, pre.node_chain))
-        assert slots == sum(d + 1 for d in pre.depth)
+        slots = sum(d + 1 for d in pre.depth)  # one per (node, node on its chain)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "MAX_CHAIN_SLOTS", slots)
             fresh = make_instance(inst.name, inst.elements, inst.nodes, inst.membership)
-            assert fresh.pre().node_chain == pre.node_chain
+            assert fresh.pre().chain_by_rank == pre.chain_by_rank
             mp.setattr(model, "MAX_CHAIN_SLOTS", slots - 1)
             fresh = make_instance(inst.name, inst.elements, inst.nodes, inst.membership)
             with pytest.raises(InstanceError, match="too deep"):

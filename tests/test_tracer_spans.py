@@ -1,7 +1,10 @@
 """The benchmark's tracer (``perfbench/tracer.py``, imported here, never
 changed) sees each CLI call load its instance once and build its rank
 tables once.  It wraps ``load_instance`` and ``_Pre`` where the package looks
-them up, so both must stay plain module-level calls."""
+them up, so both must stay plain module-level calls.  It wraps
+``exact_expectation`` at every module that binds ``experiments``' binding,
+so each exact expectation a CLI call prints records one span of the name
+the benchmark reads, whichever module defines the function."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +40,20 @@ def test_one_load_and_one_pre_span_per_call(tmp_path, command):
     names = [tracer.names[i] for i in tracer.name]
     assert names.count("model.load") == 3
     assert names.count("model.pre") == 3
+
+
+@pytest.mark.parametrize("command,spans", [(["exact"], 1), (["verify", "--trials", "50"], 2)])
+def test_exact_expectation_spans_per_call(tmp_path, capsys, command, spans):
+    # ``exact`` enumerates once; ``verify`` on n <= 8 prints the exact ratio
+    # padded and unpadded, so it enumerates twice
+    path = tmp_path / "tree.json"
+    path.write_text(dump_instance(generate(GenSpec("random_tree", 7, 3))))
+    tracer = _tracing().Tracer(laminar_secretary)
+    tracer.install()
+    try:
+        assert main([command[0], str(path), *command[1:]]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    names = [tracer.names[i] for i in tracer.name]
+    assert names.count("experiments.exact_expectation") == spans
