@@ -17,15 +17,25 @@ round draws trials 0..T-1 of master seed S and times, per trial:
 
 and, for comparison, two layers the trial no longer runs: ``full_refs``,
 one full bottom-up pass over the sample flags (``_ref_rank_lists``), and
-``sort_all``, sorting every arrival on its key, as ``kicknext._orders``
-does.  The layers run one after another within each round, the rounds
+``sort_all``, ordering every arrival (``kicknext._order`` on a copy).
+The layers run one after another within each round, the rounds
 repeat them, and the report gives the median over rounds of each layer's
 time per trial, with the lowest and highest round, plus the mean arrivals
 and live arrivals per trial, and the share of ``_gap_table(p)``'s buckets
 that are mixed: the expected share of gap words whose gap the draw
 computes rather than looks up.  Stdlib only and seeded: every count and
-share depends on the flags alone, the times on the host too.  The
-ROADMAP table of where a trial's time goes comes from runs such as
+share depends on the flags alone, the times on the host too.
+
+A round holds every trial's draw and reference lists at once: per trial
+up to n arrivals with their keys, one list per node and the lists'
+entries, ``sum(_Pre.slots)`` at most.  These items cost up to about 116
+bytes each (every element arriving, at p = 0.999), so a round of more
+than ``MAX_ROUND`` = 10^6 of them, trials x (elements + nodes + slots),
+is refused with exit 2: on ``--trials`` x ``--n`` before the instance is
+built, and on the whole count before any round.  So are rounds outside
+1..1000 and a bad p, trial count or seed.
+
+The ROADMAP table of where a trial's time goes comes from runs such as
 ``--family partition --n 2000 --parts 40``.
 """
 
@@ -40,10 +50,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from laminar_secretary import GenSpec, generate
 from laminar_secretary.experiments import SMALL_N, _arrival_draws, _check_run, _live_order
 from laminar_secretary.generators import FAMILIES
-from laminar_secretary.kicknext import GAP_BITS, _gap_table, _run_weight
+from laminar_secretary.kicknext import GAP_BITS, _gap_table, _order, _run_weight
 from laminar_secretary.matroid import _flags, _ref_rank_lists, _trial_rank_lists
 
+MAX_ROUND = 10**6
 LAYERS = ("draw", "refs", "live", "walk", "full_refs", "sort_all")
+
+
+def _check_round(trials, items):
+    """Refuse a round of ``trials`` trials of ``items`` items each when it
+    would hold more than ``MAX_ROUND`` items."""
+    if trials * items > MAX_ROUND:
+        raise ValueError(f"a round holds trials x (elements + nodes + slots) items, "
+                         f"limited to {MAX_ROUND}, got {trials} x {items}")
 
 
 def _round(pre, p, seed, trials, padding):
@@ -65,8 +84,7 @@ def _round(pre, p, seed, trials, padding):
         _ref_rank_lists(pre, _flags(n, arrivals), padding)
     t5 = time.perf_counter()
     for arrivals, key in draws:
-        if key is not None:  # fewer than two arrivals need no sort
-            sorted(arrivals, key=key.__getitem__)
+        _order(arrivals[:], key)
     t6 = time.perf_counter()
     spent.update(draw=t1 - t0, refs=t2 - t1, live=t3 - t2, walk=t4 - t3,
                  full_refs=t5 - t4, sort_all=t6 - t5)
@@ -90,10 +108,12 @@ def main():
         _check_run(args.p, args.trials, args.seed)
         if not 1 <= args.rounds <= 1000:
             raise ValueError(f"rounds must be in 1..1000, got {args.rounds}")
+        _check_round(args.trials, args.n)
         inst = generate(GenSpec(args.family, args.n, args.seed, parts=args.parts))
+        pre = inst.pre()
+        _check_round(args.trials, pre.n_real + len(pre.mu) + sum(pre.slots))
     except ValueError as exc:
         ap.exit(2, f"error: {exc}\n")
-    pre = inst.pre()
     if pre.n_real <= SMALL_N:
         print(f"# note: n <= {SMALL_N}; Monte Carlo memoizes weights there and "
               f"walks every arrival")

@@ -1,6 +1,8 @@
 """Online selection under laminar capacity constraints (KickNext rule)
 with exact and Monte Carlo verification of its competitive-ratio analysis."""
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     Element,
     FamilyNode,
@@ -62,4 +64,6 @@ from .experiments import (
 )
 from .generators import GenSpec, generate
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API: every public name bound above except the submodules themselves
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -170,6 +170,12 @@ def _expected_rest(state: int, lighter, w, memo: dict) -> float:
     return value
 
 
+def _split_law(n: int, p: float) -> list[float]:
+    """The probability of one sample split of n elements with t arrivals,
+    for t = 0..n: each element arrives with probability p, independently."""
+    return [(1.0 - p) ** (n - t) * p ** t for t in range(n + 1)]
+
+
 def _expected_splits(pre, p: float, lighter, starts) -> tuple[float, float, dict]:
     """The sum over every sample split of its probability times its
     expectation, ``_expected_rest`` of its start state in ``starts`` (from
@@ -181,7 +187,7 @@ def _expected_splits(pre, p: float, lighter, starts) -> tuple[float, float, dict
     mass, memo)."""
     n = pre.n_real
     w = pre.w_by_rank
-    law = [(1.0 - p) ** (n - t) * p ** t for t in range(n + 1)]  # a split of t arrivals
+    law = _split_law(n, p)
     contribs: list[float] = []
     probs: list[float] = []
     memo: dict = {}

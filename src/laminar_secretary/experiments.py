@@ -4,14 +4,14 @@ Everything here is seeded and reproducible: trials come in blocks of
 B = ``kicknext._block_size(n, p)``, and trial ``i`` of a run with master
 seed ``s`` is draw ``i % B`` of the stream of ``derive_seed(s, i // B)``,
 a pure function of the pair, so serial and parallel execution produce
-identical statistics.  ``_arrival_orders`` is the one map from (master
-seed, first trial, count) to arrival orders, and ``_arrival_draws`` the
-same map to the unsorted draws, each arrival with its sort key; a range
-that starts inside a block draws the block's earlier draws and drops
-them.  ``RNG_VERSION`` names that trial stream, and every summary prints
-it, so that a printed estimate says which draws it rests on.  Aggregation
-goes through ``math.fsum`` (exact summation), which keeps results
-independent of chunking.
+identical statistics.  ``_arrival_draws`` is the one map from (master
+seed, first trial, count) to draws, each arrival with its sort key, and
+``kicknext._order`` the one rule that orders them; a range that starts
+inside a block draws the block's earlier draws and drops them.
+``RNG_VERSION`` names that trial stream, and every summary prints it, so
+that a printed estimate says which draws it rests on.  Aggregation goes
+through ``math.fsum`` (exact summation), which keeps results independent
+of chunking.
 
 Each reader orders only what it needs.  The checks take trials from
 ``_trials``, as full arrival orders and fresh reference lists (ascending
@@ -40,9 +40,11 @@ Every sampling entry point checks its trial count (at most
 CLI ``verify`` reads ``verify_report``, which draws each trial once: the
 backward-rank dominance reads a trial's fresh reference lists, and one walk
 of them gives both its root weight for the ratio and its eviction failures.
-``monte_carlo_ratio``, ``verify_lemmas`` and ``allkicked_frequency`` drive
-the same per-trial steps (``_Dominance``, ``_EvictionFailures``) from their
-own trial loops, so each returns what its part of the report holds.
+``verify_lemmas`` and ``allkicked_frequency`` drive the same per-trial
+steps (``_Dominance``, ``_EvictionFailures``) from their own trial loops,
+so each returns what its part of the report holds; ``monte_carlo_ratio``
+walks the trials by ``_trial_weights_chunk`` instead, whose weights, and
+so whose ratio, equal those of the report.
 
 The backward-rank dominance step costs what a trial changes, not n: the
 weak check compares each node's sample optimum with OPT entry by entry, and
@@ -67,13 +69,13 @@ import os
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, starmap
 from multiprocessing import Pool
 from operator import gt
 
 from .model import LaminarInstance
 from .matroid import _global_optima, _trial_rank_lists
-from .exact import _check_enumerable, _enumerable, exact_expectation
+from .exact import _check_enumerable, _enumerable, _split_law, exact_expectation
 from .kicknext import (
     _MASK64,
     _arrive,
@@ -81,7 +83,7 @@ from .kicknext import (
     _check_p,
     _check_seed,
     _draws,
-    _orders,
+    _order,
     _run_weight,
 )
 from .theory import (
@@ -114,7 +116,7 @@ _TOL = 1e-12
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Seed of the stream of block ``index`` (trials ``index * B`` on, see
-    ``_arrival_orders``): SplitMix64 finalizer applied to
+    ``_arrival_draws``): SplitMix64 finalizer applied to
     ``master_seed + GOLDEN * (index + 1)``.  Stable across platforms."""
     z = (master_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -253,56 +255,37 @@ def _check_run(p: float, trials: int, master_seed: int) -> None:
     _check_seed(master_seed)
 
 
-def _blocks(n: int, p: float, master_seed: int, start: int, count: int):
-    """The ``(seed, draws)`` blocks that hold trials ``start`` to
-    ``start + count - 1``, and how many leading draws of the first to drop:
-    trial i is draw ``i % B`` of the stream of ``derive_seed(master_seed,
-    i // B)``, with B = ``kicknext._block_size(n, p)``.  A range that
-    starts inside a block draws the block's earlier draws, at most B - 1
-    of them, and drops them."""
-    size = _block_size(n, p)
+def _arrival_draws(pre, p: float, master_seed: int, start: int, count: int):
+    """Trials ``start`` to ``start + count - 1`` as ``kicknext._draws``
+    yields them: ``(arrivals, key)``, the arrivals ascending and their
+    sort keys, for the reader to order with ``kicknext._order``, in whole
+    or in part.  Trial i is draw ``i % B`` of the stream of
+    ``derive_seed(master_seed, i // B)``, with B = ``kicknext._block_size(n,
+    p)``.  A range that starts inside a block draws the block's earlier
+    draws, at most B - 1 of them, and drops them."""
+    size = _block_size(pre.n_real, p)
     first, skip = divmod(start, size)
     end = start + count
     blocks = ((derive_seed(master_seed, b), min(end - b * size, size))
               for b in range(first, -(-end // size)))
-    return blocks, skip
-
-
-def _arrival_draws(pre, p: float, master_seed: int, start: int, count: int):
-    """Trials ``start`` to ``start + count - 1`` as ``kicknext._draws``
-    yields them: ``(arrivals, key)``, the arrivals ascending and their
-    sort keys, for readers that order only some arrivals, or none."""
-    blocks, skip = _blocks(pre.n_real, p, master_seed, start, count)
     return islice(_draws(pre, p, blocks), skip, None)
-
-
-def _arrival_orders(pre, p: float, master_seed: int, start: int, count: int):
-    """The arrival orders of trials ``start`` to ``start + count - 1``
-    (``kicknext._orders``), trial for trial the draws of
-    ``_arrival_draws``."""
-    blocks, skip = _blocks(pre.n_real, p, master_seed, start, count)
-    return islice(_orders(pre, p, blocks), skip, None)
 
 
 def _trials(pre, p, master_seed, start, count, padding):
     """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
     ``(order, refs)``, fresh reference lists for the caller to consume."""
-    for order in _arrival_orders(pre, p, master_seed, start, count):
+    for order in starmap(_order, _arrival_draws(pre, p, master_seed, start, count)):
         yield order, _trial_rank_lists(pre, order, padding)
 
 
 def _live_order(home: list[int], refs: list[list[int]], arrivals: list[int], key) -> list[int]:
-    """The live ones of the ascending ``arrivals`` in arrival order, sorted
-    on ``key`` as ``kicknext._orders`` sorts: those heavier than the
-    lightest entry of their minimal node's list in ``refs``, ``home``
-    giving each rank's minimal node.  Any other arrival is dead: it finds
-    no lighter entry there when the phase starts, and lists only lose
-    entries, so whenever it comes it breaks there, evicting and gaining
-    nothing."""
-    live = [r for r in arrivals if (R := refs[home[r]]) and r < R[-1]]
-    if len(live) > 1:
-        live.sort(key=key.__getitem__)
-    return live
+    """The live ones of the ascending ``arrivals`` in arrival order
+    (``kicknext._order``): those heavier than the lightest entry of their
+    minimal node's list in ``refs``, ``home`` giving each rank's minimal
+    node.  Any other arrival is dead: it finds no lighter entry there when
+    the phase starts, and lists only lose entries, so whenever it comes it
+    breaks there, evicting and gaining nothing."""
+    return _order([r for r in arrivals if (R := refs[home[r]]) and r < R[-1]], key)
 
 
 def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
@@ -329,8 +312,11 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
     memo: dict[tuple[int, ...], float] = {}
     out = []
     for arrivals, key in _arrival_draws(pre, p, master_seed, start, count):
+        # ``kicknext._order`` inlined, as this is the small-n hot path: one call
+        # per trial cost mc_small 2% of its trials per second, 382.5k -> 374.8k,
+        # slower in 8 of 8 interleaved pairs (Python 3.11, 2 shared cores)
         if key is not None:
-            arrivals.sort(key=key.__getitem__)  # the order, as ``kicknext._orders`` sorts
+            arrivals.sort(key=key.__getitem__)
         order = tuple(arrivals)
         w = memo.get(order)
         if w is None:
@@ -565,13 +551,13 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
 
     if use_exact:
         _check_enumerable(n)
+        law = _split_law(n - 1, p)  # the other n - 1 elements, given skip arrives
         acc = []
         for mask in range(1 << n):  # the splits of ``exact._enum_states``: set bit r, r arrives
             if mask >> skip & 1:
                 arrived = {r for r in range(n) if mask >> r & 1}
                 if _qualifying_counts(pre, b, members, arrived) == tail:
-                    t = mask.bit_count()  # ``exact_expectation``'s law, given skip arrives
-                    acc.append((1.0 - p) ** (n - t) * p ** (t - 1))
+                    acc.append(law[mask.bit_count() - 1])
         return QualifyingProbability(math.fsum(acc), bound, True)
 
     hits = 0

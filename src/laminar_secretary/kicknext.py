@@ -27,10 +27,10 @@ probability p, one word per gap, ``floor(log U / log(1-p))`` for the word
 read as U in (0, 1]; ``_gap_table(p)`` holds that gap for each bucket of
 words (their top ``GAP_BITS`` bits) in which every word has the same one,
 so most words need no ``log``.  A draw yields the arrivals ascending with
-one further word each, its sort key.  ``_orders`` sorts each draw's
-arrivals on their keys (ties, with chance below n^2/2^65, go to the lower
-rank); a reader that needs only some arrivals in order, or none, reads
-``_draws`` and sorts what it needs.  A stream serves up to
+one further word each, its sort key.  ``_order`` is the one arrival
+order rule: it sorts arrivals on their keys (ties, with chance below
+n^2/2^65, go to the lower rank), so a reader that needs only some
+arrivals in order, or none, orders what it needs.  A stream serves up to
 ``_block_size(n, p)`` draws (64 on small instances), so one hash call
 sets up a block of trials.  ``_stream`` is the one SHAKE-128 reader: one
 hash object per stream, yielding its words without end, a first read
@@ -245,21 +245,23 @@ def _draws(pre, p: float, blocks):
                 yield arrivals, None
 
 
-def _orders(pre, p: float, blocks):
-    """The arrival orders of ``_draws(pre, p, blocks)``: each draw's
-    arrivals sorted in place on their keys.  The sort is stable over
-    ascending ranks, so tied keys (chance below n^2/2^65) go to the lower
-    rank; every reader that orders arrivals sorts them so."""
-    for arrivals, key in _draws(pre, p, blocks):
-        if key is not None:
-            arrivals.sort(key=key.__getitem__)
-        yield arrivals
+def _order(arrivals: list[int], key) -> list[int]:
+    """The arrival order rule: ``arrivals``, ascending ranks of one draw of
+    ``_draws`` or some of them, sorted in place on their words in ``key``
+    and returned.  The sort is stable, so tied keys (chance below
+    n^2/2^65) go to the lower rank.  Nothing is sorted when ``key`` is
+    ``None`` or fewer than two ranks are given, as no order then depends
+    on a key."""
+    if key is not None and len(arrivals) > 1:
+        arrivals.sort(key=key.__getitem__)
+    return arrivals
 
 
 def _sample_ids(pre, p: float, seed: int):
     """One trial in rank space: ``(in_s, order_ranks)``, the sample flag of
-    every rank and the arrival order that ``_orders`` draws from ``seed``."""
-    order = next(_orders(pre, p, ((seed, 1),)))
+    every rank and the arrival order (``_order``) of the first draw of
+    ``seed``'s stream."""
+    order = _order(*next(_draws(pre, p, ((seed, 1),))))
     return _flags(pre.n_real, order), order
 
 

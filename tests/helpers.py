@@ -29,7 +29,7 @@ from laminar_secretary import (
     run_kicknext,
     theory_params,
 )
-from laminar_secretary.kicknext import _block_size, _ref_rank_lists, _run_weight
+from laminar_secretary.kicknext import _block_size, _order, _ref_rank_lists, _run_weight
 from laminar_secretary.matroid import _global_optima
 from laminar_secretary.theory import _global_brank
 
@@ -208,11 +208,12 @@ def rank_tables_by_elements(elements, nodes, membership):
 
 
 def stream_by_prefix(n, p, seed, draws):
-    """Reference for ``kicknext._orders``: the first ``draws`` draws of the
-    stream of ``seed``, from one read of the ``draws * (2n + 1)`` words
-    that they can use at most (n + 1 gaps and n keys each), each word
-    decoded by ``int.from_bytes``, read in order: a draw's gaps, then its
-    keys, then the next draw.  Returns one ``(in_s, order)`` per draw."""
+    """Reference for ``kicknext._draws``, each draw ordered by
+    ``kicknext._order``: the first ``draws`` draws of the stream of
+    ``seed``, from one read of the ``draws * (2n + 1)`` words that they can
+    use at most (n + 1 gaps and n keys each), each word decoded by
+    ``int.from_bytes``, read in order: a draw's gaps, then its keys, then
+    the next draw.  Returns one ``(in_s, order)`` per draw."""
     buf = shake_128(seed.to_bytes(8, "little")).digest(8 * draws * (2 * n + 1))
     words = iter([int.from_bytes(buf[j:j + 8], "little") for j in range(0, len(buf), 8)])
     out = []
@@ -254,13 +255,15 @@ def trials_by_prefix(n, p, master_seed, start, count):
 
 def trial_weights_by_full_walk(inst, p, start, count, master_seed, padding):
     """Reference for ``experiments._trial_weights_chunk``: each trial's
-    full arrival order (``_arrival_orders``) walked, every arrival, through
-    the lists of one full pass over its sample flags (``_ref_rank_lists``)."""
-    from laminar_secretary.experiments import _arrival_orders
+    full arrival order (``_arrival_draws``, ordered by ``_order``) walked,
+    every arrival, through the lists of one full pass over its sample flags
+    (``_ref_rank_lists``)."""
+    from laminar_secretary.experiments import _arrival_draws
 
     pre = inst.pre()
     weights = []
-    for order in _arrival_orders(pre, p, master_seed, start, count):
+    for arrivals, key in _arrival_draws(pre, p, master_seed, start, count):
+        order = _order(arrivals, key)
         arrived = set(order)
         in_s = [r not in arrived for r in range(pre.n_real)]
         weights.append(_run_weight(pre, _ref_rank_lists(pre, in_s, padding), order))

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import laminar_secretary.model as model
 from laminar_secretary import (GenSpec, dump_instance, exact_ratio, generate, greedy_opt,
                                load_instance)
 from laminar_secretary.cli import main
-from laminar_secretary.kicknext import _block_size
+from laminar_secretary.kicknext import _block_size, _order
 
 from helpers import FOUR_ELEMENT_TEXT, corrupt_four_element
 
@@ -154,6 +155,35 @@ def test_exact_layers_script_reports_the_exact_expectation():
     assert [line.split()[0] for line in lines[3:]] == ["starts", "recursion"]
 
 
+@pytest.mark.parametrize("flags,message", [
+    # trials x n alone passes the limit: refused before the instance is built
+    (["--n", "1000000", "--trials", "10000000"], "got 10000000 x 1000000"),
+    (["--n", "2000", "--trials", "501"], "got 501 x 2000"),
+    # 5000 parts: 100 elements, 5001 nodes and 199 slots a trial
+    (["--family", "partition", "--n", "100", "--parts", "5000", "--trials", "200"],
+     "got 200 x 5300"),
+])
+def test_trial_layers_script_refuses_a_round_it_cannot_hold(flags, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "trial_layers.py"
+    res = subprocess.run([sys.executable, str(script), *flags],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == "" and res.stderr.startswith("error: a round holds ")
+    assert "limited to 1000000" in res.stderr and message in res.stderr
+
+
+def test_trial_layers_script_times_every_layer():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "trial_layers.py"
+    res = subprocess.run([sys.executable, str(script), "--family", "chain", "--n", "30",
+                          "--trials", "5", "--rounds", "1"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stderr == ""
+    lines = res.stdout.splitlines()
+    assert lines[0].startswith("chain-n30-s3: ")
+    assert [line.split()[0] for line in lines[3:]] == ["draw", "refs", "live", "walk",
+                                                      "full_refs", "sort_all"]
+
+
 def test_gen_opt_run_pipeline(tmp_path, capsys):
     out = tmp_path / "u.json"
     assert main(["gen", "--family", "uniform", "--n", "5", "--k", "2",
@@ -276,7 +306,7 @@ def test_verify_refuses_p_at_or_above_half_before_any_trial(four_file, capsys, m
     def no_draw(*args):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(experiments, "_orders", no_draw)
+    monkeypatch.setattr(experiments, "_draws", no_draw)
     assert main(["verify", four_file, "--p", "0.6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -293,7 +323,8 @@ def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
     # builds nothing
     opt = matroid._global_optima(inst.pre())
     rebuilds = [{b for b, O in enumerate(opt) if any(r in O for r in order)}
-                for order in experiments._arrival_orders(inst.pre(), 0.08, seed, 0, trials)]
+                for order in starmap(_order, experiments._arrival_draws(inst.pre(), 0.08, seed,
+                                                                        0, trials))]
     rebuilds = [nodes for nodes in rebuilds if nodes]
     assert 0 < len(rebuilds) < trials
     seeds, builds = [], []
@@ -327,7 +358,6 @@ def test_trial_count_above_the_limit_is_refused(four_file, capsys, monkeypatch, 
     def no_draw(*args):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(experiments, "_orders", no_draw)
     monkeypatch.setattr(experiments, "_draws", no_draw)
     for trials in (experiments.MAX_TRIALS + 1, 10 ** 10):
         assert main([command, four_file, "--trials", str(trials)]) == 2

@@ -3,6 +3,7 @@ import os
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,7 @@ from laminar_secretary.experiments import (
 )
 import laminar_secretary.kicknext as kicknext
 import laminar_secretary.matroid as matroid
-from laminar_secretary.kicknext import _block_size, _flags, _run_weight, _sample_ids
+from laminar_secretary.kicknext import _block_size, _flags, _order, _run_weight, _sample_ids
 from laminar_secretary.matroid import _global_optima, _greedy_ranks, _ref_rank_lists
 from laminar_secretary.theory import _global_brank, _padded_brank
 
@@ -316,7 +317,8 @@ class TestTrialBlocks:
     def test_orders_match_the_reference(self, n, p, master_seed, start, count):
         pre = rank1(range(1, n + 1)).pre()
         want = [order for _, order in trials_by_prefix(n, p, master_seed, start, count)]
-        assert list(experiments._arrival_orders(pre, p, master_seed, start, count)) == want
+        draws = experiments._arrival_draws(pre, p, master_seed, start, count)
+        assert list(starmap(_order, draws)) == want
 
     @pytest.mark.parametrize("n", [6, 16, 17, 40])  # the weight memo runs up to 16
     @pytest.mark.parametrize("padding", [True, False])
@@ -382,7 +384,7 @@ class TestGlobalOptima:
         assert not hasattr(kicknext, "_greedy_ranks")
         inst = generate(GenSpec("random_tree", 8, 3))
         p, trials, seed = 0.14, 10, 30
-        orders = list(experiments._arrival_orders(inst.pre(), p, seed, 0, trials))
+        orders = list(starmap(_order, experiments._arrival_draws(inst.pre(), p, seed, 0, trials)))
         # no draw of these trials is empty, so no trial builds from all-True flags
         assert all(orders)
         # a trial builds only when an arrival is in some node's OPT (built
@@ -499,6 +501,22 @@ class TestLiveWalk:
         got = _trial_weights_chunk(inst, p, start, count, seed, padding)
         assert got == trial_weights_by_full_walk(inst, p, start, count, seed, padding)
 
+    @settings(max_examples=60, deadline=None)
+    @given(FAMILIES, st.integers(1, 60), st.integers(0, 10_000),
+           st.sampled_from((0.05, 0.2, 0.45)), st.booleans(), st.integers(0, 100))
+    def test_live_order_is_the_order_of_the_live_arrivals(self, family, n, seed, p,
+                                                          padding, start):
+        # the live arrivals, those lighter than some entry of their minimal
+        # node's list, in the order ``_order`` gives every arrival
+        inst = family_instance(family, n, seed)
+        pre = inst.pre()
+        home = [ch[0] for ch in pre.chain_by_rank]
+        for arrivals, key in experiments._arrival_draws(pre, p, seed, start, 20):
+            refs = matroid._trial_rank_lists(pre, arrivals, padding)
+            order = _order(list(arrivals), key)
+            live = [r for r in order if refs[home[r]] and r < refs[home[r]][-1]]
+            assert experiments._live_order(home, refs, arrivals, key) == live
+
     def test_dead_arrivals_are_left_out(self):
         # on a 2000-element partition at p = 0.08 only a few arrivals of
         # each trial can evict anything, and only they are walked
@@ -528,7 +546,6 @@ class TestTrialLimit:
         def no_draw(*args):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(experiments, "_orders", no_draw)
         monkeypatch.setattr(experiments, "_draws", no_draw)
 
     @pytest.mark.parametrize("call", [
@@ -896,7 +913,7 @@ class TestVerifyReport:
         def no_draw(*args):
             raise AssertionError("a trial was drawn")
 
-        monkeypatch.setattr(experiments, "_orders", no_draw)
+        monkeypatch.setattr(experiments, "_draws", no_draw)
         with pytest.raises(ValueError, match=message):
             verify_report(four_element(), p, trials, seed)
 

@@ -17,6 +17,7 @@ encoder to the pure-Python one.
 import ast
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -44,7 +45,20 @@ def used_names(tree: ast.Module) -> set[str]:
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "exact.py", "experiments.py", "kicknext.py"}
     assert {p.name for p in SCRIPTS} >= {"exact_layers.py", "ratio_experiment.py",
-                                         "theory_sweep.py"}
+                                         "theory_sweep.py", "trial_layers.py"}
+
+
+def test_all_names_the_api():
+    # ``__all__`` holds the public functions, classes and constants, not the
+    # submodules, and every name in it resolves
+    import laminar_secretary
+
+    names = laminar_secretary.__all__
+    assert len(set(names)) == len(names) > 0
+    for name in names:
+        assert not isinstance(getattr(laminar_secretary, name), ModuleType), name
+    assert {p.stem for p in MODULES}.isdisjoint(names)
+    assert {"make_trial", "monte_carlo_ratio", "RNG_VERSION", "GenSpec"} <= set(names)
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS,

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,17 +23,18 @@ from laminar_secretary import (
     trace_csv,
 )
 import laminar_secretary.kicknext as kicknext
-from laminar_secretary.experiments import _arrival_orders
+from laminar_secretary.experiments import _arrival_draws
 from laminar_secretary.kicknext import (
     GAP_BITS,
     MAX_BLOCK,
     _arrive,
     _block_size,
     _check_p,
+    _draws,
     _first_read,
     _flags,
     _gap_table,
-    _orders,
+    _order,
     _ref_rank_lists,
     _run_weight,
     _sample_ids,
@@ -131,7 +133,8 @@ def _within_4se(seen, law, trials):
 class TestTrialStream:
     """A trial is a draw of a SHAKE-128 stream: ``_sample_ids`` draws the
     first draw of a seed's stream, and the trials of a master seed are
-    consecutive draws of one stream per block (``experiments._arrival_orders``)."""
+    consecutive draws of one stream per block (``experiments._arrival_draws``),
+    each ordered by ``kicknext._order``."""
 
     @staticmethod
     def _check_law(n, p, trials, draws):
@@ -158,7 +161,7 @@ class TestTrialStream:
         pre = rank1(range(1, n + 1)).pre()
         p, trials = 0.2, 200_000
         assert _block_size(n, p) == 64
-        orders = _arrival_orders(pre, p, 3, 0, trials)
+        orders = starmap(_order, _arrival_draws(pre, p, 3, 0, trials))
         self._check_law(n, p, trials, ((_flags(n, order), order) for order in orders))
 
     def test_consecutive_draws_are_independent(self):
@@ -175,7 +178,7 @@ class TestTrialStream:
         single = Counter()
         for perm, q in _law(n, p).items():
             single[cls(perm)] += q
-        orders = list(_arrival_orders(pre, p, 3, 0, trials))
+        orders = list(starmap(_order, _arrival_draws(pre, p, 3, 0, trials)))
         seen = Counter((cls(a), cls(b)) for a, b in zip(orders[::2], orders[1::2]))
         law = {(x, y): single[x] * single[y] for x in single for y in single}
         assert min(law.values()) * trials / 2 > 5  # every cell is expected a few times
@@ -213,8 +216,9 @@ class TestTrialStream:
         expect = [order for _, order in trials_by_prefix(n, p, master_seed, 640, size)]
         used = sum(2 * len(order) + 1 for order in expect[:62])
         assert 640 // size == 10 and used <= first < used + len(expect[62]) + 1
-        assert list(_arrival_orders(pre, p, master_seed, 640, size)) == expect
-        assert list(_arrival_orders(pre, p, master_seed, 650, size - 10)) == expect[10:]
+        assert list(starmap(_order, _arrival_draws(pre, p, master_seed, 640, size))) == expect
+        tail = starmap(_order, _arrival_draws(pre, p, master_seed, 650, size - 10))
+        assert list(tail) == expect[10:]
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +226,39 @@ def _rank1_pre(n):
     return rank1(range(1, n + 1)).pre()
 
 
+class TestOrder:
+    """``_order`` is the one arrival-order rule: it sorts ranks in place on
+    their keys, ties to the lower rank, and sorts nothing without a key or
+    with fewer than two ranks."""
+
+    def test_ties_go_to_the_lower_rank(self):
+        assert _order([1, 3, 5], {1: 7, 3: 7, 5: 2}) == [5, 1, 3]
+        assert _order([0, 2, 4, 6], {0: 9, 2: 1, 4: 9, 6: 1}) == [2, 6, 0, 4]
+
+    def test_sorts_in_place(self):
+        arrivals = [2, 4, 8]
+        assert _order(arrivals, {2: 30, 4: 10, 8: 20}) is arrivals
+        assert arrivals == [4, 8, 2]
+
+    @pytest.mark.parametrize("arrivals", [[], [4], [9, 3]])
+    def test_no_key_sorts_nothing(self, arrivals):
+        # the draws give no key below two arrivals; a reader's subset may
+        # keep fewer ranks than its draw, and is then left as it is
+        before = arrivals[:]
+        got = _order(arrivals, None)
+        assert got is arrivals and got == before
+
+    def test_one_rank_with_a_key_is_not_read(self):
+        # a lone rank is not sorted, so its key is never looked up
+        assert _order([7], {}) == [7]
+        assert _order([], {}) == []
+
+
 class TestOrders:
-    """``_orders`` draws consecutive draws of each seed's stream, and the
-    one-seed wrapper ``_sample_ids`` its first draw; both equal one read of
-    the longest prefix the draws can use, read in order."""
+    """``_draws`` draws consecutive draws of each seed's stream, and the
+    one-seed wrapper ``_sample_ids`` its first draw; ordered by ``_order``,
+    both equal one read of the longest prefix the draws can use, read in
+    order."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 300), st.floats(1e-3, 0.6), st.integers(0, 2**64 - 1),
@@ -240,7 +273,7 @@ class TestOrders:
         blocks = [(seeds[0], 1), (seeds[1], short), (seeds[2], draws)]
         want = ([expect[0][0][1]] + [order for _, order in expect[1][:short]]
                 + [order for _, order in expect[2]])
-        assert list(_orders(pre, p, blocks)) == want
+        assert list(starmap(_order, _draws(pre, p, blocks))) == want
         assert [_sample_ids(pre, p, s) for s in seeds] == [e[0] for e in expect]
 
     def test_sort_keys_run_past_the_first_read(self):
@@ -250,7 +283,7 @@ class TestOrders:
         seed = 15558682702953987295
         expect = sample_ranks_by_prefix(2000, 0.08, seed)
         assert 2 * len(expect[1]) + 1 > _first_read(2000, 0.08) == 399
-        assert next(_orders(pre, 0.08, [(seed, 1)])) == expect[1]
+        assert next(starmap(_order, _draws(pre, 0.08, [(seed, 1)]))) == expect[1]
         assert _sample_ids(pre, 0.08, seed) == expect
 
     @pytest.mark.parametrize("n,p,block,past", [(200, 0.45, 926, "keys"),
@@ -272,10 +305,11 @@ class TestOrders:
                 assert past == ("gaps" if first < used + len(order) + 1 else "keys")
             used += 2 * len(order) + 1
         assert used > first
-        assert list(_orders(pre, p, [(seed, size)])) == expect
+        assert list(starmap(_order, _draws(pre, p, [(seed, size)]))) == expect
         start = block * size + 10
         want = [order for _, order in trials_by_prefix(n, p, 11, start, size - 10)]
-        assert list(_arrival_orders(pre, p, 11, start, size - 10)) == want == expect[10:]
+        tail = starmap(_order, _arrival_draws(pre, p, 11, start, size - 10))
+        assert list(tail) == want == expect[10:]
 
     @pytest.mark.parametrize("n,p", [(1, 0.5), (7, 0.3), (60, 0.08), (300, 0.2)])
     def test_one_word_first_read(self, monkeypatch, n, p):
@@ -290,9 +324,9 @@ class TestOrders:
         trials = [order for _, order in trials_by_prefix(n, p, n, 3, count)]
         for first in (1, 2, 21):
             monkeypatch.setattr(kicknext, "_first_read", lambda n, p, draws=1: first)
-            assert (list(_orders(pre, p, [(s, 5) for s in seeds]))
+            assert (list(starmap(_order, _draws(pre, p, [(s, 5) for s in seeds])))
                     == [order for draws in expect for _, order in draws])
-            assert list(_arrival_orders(pre, p, n, 3, count)) == trials
+            assert list(starmap(_order, _arrival_draws(pre, p, n, 3, count))) == trials
 
     def test_first_read_is_whole_blocks(self):
         for n, p in [(1, 0.001), (6, 0.08), (200, 0.2), (2000, 0.08), (10**6, 0.5)]:
@@ -319,10 +353,10 @@ class TestOrders:
         pre = _rank1_pre(n)
         size = _block_size(n, p)
         blocks = [(derive_seed(5, b), size) for b in range(50)]
-        next(_orders(pre, p, blocks[:1]))
+        next(starmap(_order, _draws(pre, p, blocks[:1])))
         tracemalloc.start()
         try:
-            for _ in _orders(pre, p, blocks):
+            for _ in starmap(_order, _draws(pre, p, blocks)):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -395,12 +429,12 @@ class TestGapTable:
         # formula computes every gap, and near 1, where nearly every bucket
         # holds gap 0
         expect = [order for _, order in stream_by_prefix(n, p, seed, draws)]
-        assert list(_orders(_rank1_pre(n), p, [(seed, draws)])) == expect
+        assert list(starmap(_order, _draws(_rank1_pre(n), p, [(seed, draws)]))) == expect
 
     def test_memo_is_bounded(self):
         pre = _rank1_pre(20)
         for i in range(1000):
-            next(_orders(pre, (i + 1) / 1001, [(i, 1)]))
+            next(starmap(_order, _draws(pre, (i + 1) / 1001, [(i, 1)])))
         info = _gap_table.cache_info()
         assert info.currsize <= info.maxsize == 16
 
