@@ -10,13 +10,14 @@ round draws trials 0..T-1 of master seed S and times, per trial:
 
 - ``draw``: the arrivals and their sort keys (``_arrival_draws``);
 - ``refs``: the reference lists, rebuilding only the nodes whose OPT holds
-  an arrival (``matroid._trial_rank_lists``);
+  an arrival (``matroid._ref_rank_lists``);
 - ``live``: keeping the live arrivals and sorting them on their keys
   (``experiments._live_order``);
 - ``walk``: walking the live arrivals (``kicknext._run_weight``);
 
 and, for comparison, two layers the trial no longer runs: ``full_refs``,
-one full bottom-up pass over the sample flags (``_ref_rank_lists``), and
+one full bottom-up pass over the sample flags, padded on every node
+(``matroid._greedy_ranks``, then ``matroid._pad``), and
 ``sort_all``, ordering every arrival (``kicknext._order`` on a copy).
 The layers run one after another within each round, the rounds
 repeat them, and the report gives the median over rounds of each layer's
@@ -33,7 +34,8 @@ bytes each (every element arriving, at p = 0.999), so a round of more
 than ``MAX_ROUND`` = 10^6 of them, trials x (elements + nodes + slots),
 is refused with exit 2: on ``--trials`` x ``--n`` before the instance is
 built, and on the whole count before any round.  So are rounds outside
-1..1000 and a bad p, trial count or seed.
+1..1000, a bad p, trial count or seed, and ``--parts`` off the partition
+family (``generators.FAMILY_FIELDS``), which ``generate`` would ignore.
 
 The ROADMAP table of where a trial's time goes comes from runs such as
 ``--family partition --n 2000 --parts 40``.
@@ -49,9 +51,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from laminar_secretary import GenSpec, generate
 from laminar_secretary.experiments import SMALL_N, _arrival_draws, _check_run, _live_order
-from laminar_secretary.generators import FAMILIES
+from laminar_secretary.generators import FAMILIES, FAMILY_FIELDS
 from laminar_secretary.kicknext import GAP_BITS, _gap_table, _order, _run_weight
-from laminar_secretary.matroid import _flags, _ref_rank_lists, _trial_rank_lists
+from laminar_secretary.matroid import _flags, _greedy_ranks, _pad, _ref_rank_lists
 
 MAX_ROUND = 10**6
 LAYERS = ("draw", "refs", "live", "walk", "full_refs", "sort_all")
@@ -73,7 +75,7 @@ def _round(pre, p, seed, trials, padding):
     t0 = time.perf_counter()
     draws = list(_arrival_draws(pre, p, seed, 0, trials))
     t1 = time.perf_counter()
-    refs = [_trial_rank_lists(pre, arrivals, padding) for arrivals, _ in draws]
+    refs = [_ref_rank_lists(pre, arrivals, padding) for arrivals, _ in draws]
     t2 = time.perf_counter()
     live = [_live_order(home, R, arrivals, key) for R, (arrivals, key) in zip(refs, draws)]
     t3 = time.perf_counter()
@@ -81,7 +83,9 @@ def _round(pre, p, seed, trials, padding):
         _run_weight(pre, R, order)
     t4 = time.perf_counter()
     for arrivals, _ in draws:
-        _ref_rank_lists(pre, _flags(n, arrivals), padding)
+        full = _greedy_ranks(pre, _flags(n, arrivals))
+        if padding:
+            _pad(pre, full, range(len(full)))
     t5 = time.perf_counter()
     for arrivals, key in draws:
         _order(arrivals[:], key)
@@ -108,6 +112,8 @@ def main():
         _check_run(args.p, args.trials, args.seed)
         if not 1 <= args.rounds <= 1000:
             raise ValueError(f"rounds must be in 1..1000, got {args.rounds}")
+        if args.parts is not None and "parts" not in FAMILY_FIELDS[args.family]:
+            raise ValueError(f"--parts does not apply to the {args.family} family")
         _check_round(args.trials, args.n)
         inst = generate(GenSpec(args.family, args.n, args.seed, parts=args.parts))
         pre = inst.pre()

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .exact import _enumerable, exact_expectation
 from .experiments import _opt_weight, exact_ratio, monte_carlo_ratio, verify_report
-from .generators import FAMILIES, WEIGHTS, GenSpec, generate
+from .generators import FAMILIES, FAMILY_FIELDS, WEIGHTS, GenSpec, generate
 from .kicknext import make_trial, run_kicknext, trace_csv
 from .matroid import greedy_opt
 from .model import InstanceError, dump_instance, load_instance
@@ -35,11 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--weights", default="uniform", choices=WEIGHTS)
-    g.add_argument("--k", type=int, default=None, help="capacity for the uniform family")
+    g.add_argument("--k", dest="rank", metavar="K", type=int, help="capacity for the uniform family")
     g.add_argument("--parts", type=int, default=None)
-    g.add_argument("--part-capacity", type=int, default=1)
+    g.add_argument("--part-capacity", type=int, default=None)
     g.add_argument("--depth", type=int, default=None)
-    g.add_argument("--max-branching", type=int, default=3)
+    g.add_argument("--max-branching", type=int, default=None)
     g.add_argument("--power-exponent", type=float, default=2.0)
     g.add_argument("-o", "--output", default=None)
 
@@ -106,13 +106,18 @@ def _emit(text: str, output: str | None) -> None:
         _write(output, text)
 
 
+# gen's shape flags by the ``GenSpec`` field each sets (unset: its default)
+_SHAPE_FLAGS = {"rank": "--k", "parts": "--parts", "part_capacity": "--part-capacity",
+                "depth": "--depth", "max_branching": "--max-branching"}
+
+
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        family=args.family, n=args.n, seed=args.seed, weights=args.weights,
-        rank=args.k, parts=args.parts, part_capacity=args.part_capacity,
-        depth=args.depth, max_branching=args.max_branching,
-        power_exponent=args.power_exponent,
-    )
+    shape = {f: getattr(args, f) for f in _SHAPE_FLAGS if getattr(args, f) is not None}
+    foreign = [_SHAPE_FLAGS[f] for f in shape if f not in FAMILY_FIELDS[args.family]]
+    if foreign:
+        raise ValueError(f"{foreign[0]} does not apply to the {args.family} family")
+    spec = GenSpec(args.family, args.n, args.seed, args.weights,
+                   power_exponent=args.power_exponent, **shape)
     _emit(dump_instance(generate(spec)) + "\n", args.output)
     return 0
 

@@ -15,9 +15,9 @@ of chunking.
 
 Each reader orders only what it needs.  The checks take trials from
 ``_trials``, as full arrival orders and fresh reference lists (ascending
-rank lists, padded to the ``_Pre.slots`` a walk can reach), which
-``matroid._trial_rank_lists`` builds by rebuilding only the nodes whose
-OPT holds an arrival; arrivals walk them by ``kicknext._arrive``.  Above
+rank lists, padded to the ``_Pre.slots`` a walk can reach) from
+``matroid._ref_rank_lists``, the one builder of a sample's lists, as for
+``run_kicknext``; arrivals walk them by ``kicknext._arrive``.  Above
 ``SMALL_N`` elements the Monte Carlo ratio sorts and walks only the live
 arrivals (``_live_order``), those with a lighter entry at their minimal
 node when the phase starts, as a dead arrival never evicts or gains; and
@@ -32,7 +32,7 @@ ranks that a witness prints come from the one function
 often, and the Monte Carlo ratio memoizes each arrival order's weight,
 which the order fixes.  The reference lists and the whole ground set's
 optima OPT, which the ratio denominators and the checks measure against,
-come from ``matroid`` (``_trial_rank_lists``, and ``_global_optima``,
+come from ``matroid`` (``_ref_rank_lists``, and ``_global_optima``,
 built once per instance and read by each check itself).
 Every sampling entry point checks its trial count (at most
 ``MAX_TRIALS``), p and master seed through ``_check_run``.
@@ -74,7 +74,7 @@ from multiprocessing import Pool
 from operator import gt
 
 from .model import LaminarInstance
-from .matroid import _global_optima, _trial_rank_lists
+from .matroid import _global_optima, _ref_rank_lists
 from .exact import _check_enumerable, _enumerable, _split_law, exact_expectation
 from .kicknext import (
     _MASK64,
@@ -275,7 +275,7 @@ def _trials(pre, p, master_seed, start, count, padding):
     """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
     ``(order, refs)``, fresh reference lists for the caller to consume."""
     for order in starmap(_order, _arrival_draws(pre, p, master_seed, start, count)):
-        yield order, _trial_rank_lists(pre, order, padding)
+        yield order, _ref_rank_lists(pre, order, padding)
 
 
 def _live_order(home: list[int], refs: list[list[int]], arrivals: list[int], key) -> list[int]:
@@ -306,7 +306,7 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
         home = [ch[0] for ch in pre.chain_by_rank]  # each rank's minimal node
         out = []
         for arrivals, key in _arrival_draws(pre, p, master_seed, start, count):
-            refs = _trial_rank_lists(pre, arrivals, padding)
+            refs = _ref_rank_lists(pre, arrivals, padding)
             out.append(_run_weight(pre, refs, _live_order(home, refs, arrivals, key)))
         return out
     memo: dict[tuple[int, ...], float] = {}
@@ -320,7 +320,7 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
         order = tuple(arrivals)
         w = memo.get(order)
         if w is None:
-            w = _run_weight(pre, _trial_rank_lists(pre, order, padding), order)
+            w = _run_weight(pre, _ref_rank_lists(pre, order, padding), order)
             if len(memo) < _WEIGHT_MEMO_CAP:
                 memo[order] = w
         out.append(w)
@@ -484,7 +484,7 @@ def _qualifying_counts(pre, b: int, members, arrived: set[int]) -> list[int]:
     the list's own lighter-entry count less one.  The capacity-long counts
     put ``mu[b] - slots[b]`` zeros in front: a member's capacity-padded
     backward rank exceeds this count by the slots the list leaves out."""
-    refs = _trial_rank_lists(pre, arrived, True)
+    refs = _ref_rank_lists(pre, arrived, True)
     R = refs[b]
     got = [0] * len(R)
     for r, up in members:

@@ -20,6 +20,10 @@ WEIGHTS = ("uniform", "exponential", "power_law", "near_ties")
 # ``generate`` builds lists of n elements, of parts and of chain nodes, so a
 # larger n, ``parts`` or ``depth`` is refused before anything is allocated
 MAX_GEN_SIZE = 10**6
+# the ``GenSpec`` shape fields that each family reads; ``generate`` ignores
+# the others, so a front end refuses a flag that sets one of them
+FAMILY_FIELDS = {"uniform": ("rank",), "partition": ("parts", "part_capacity"),
+                 "chain": ("depth",), "random_tree": ("max_branching",)}
 
 
 @dataclass(frozen=True)

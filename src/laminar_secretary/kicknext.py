@@ -9,11 +9,11 @@ of the rest are ever observed.)
 
 From the sample, every family node gets a reference set: the sample optimum
 restricted to that node, optionally padded with zero-weight virtual elements
-up to the node's capacity (``matroid._ref_rank_lists`` builds them all in
-one pass, holding only the ``_Pre.slots`` that a walk can reach).  An
-arriving element is then pushed through the chain of nodes from its
-minimal set to the root.  At each node it is accepted
-iff the reference set still holds some lighter element, in which case the
+up to the node's capacity (``matroid._ref_rank_lists`` builds them from the
+ranks outside the sample, holding only the ``_Pre.slots`` that a walk can
+reach).  An arriving element is then pushed through the chain of nodes
+from its minimal set to the root.  At each node it is accepted iff the
+reference set still holds some lighter element, in which case the
 *heaviest* reference element lighter than the arrival is evicted; otherwise
 the chain walk stops and the element is rejected from the overall solution.
 Acceptances at inner nodes are kept even when an outer node rejects — the
@@ -271,7 +271,8 @@ def reference_sets(inst: LaminarInstance, sample, padding: bool = True) -> dict[
     set holds ``min(capacity, elements inside the node)`` ids, the slots a
     run can reach; the virtual ids past that are left out."""
     pre = inst.pre()
-    return _id_lists(pre, _ref_rank_lists(pre, _rank_flags(pre, sample), padding), list)
+    arrivals = [r for r, s in enumerate(_rank_flags(pre, sample)) if not s]
+    return _id_lists(pre, _ref_rank_lists(pre, arrivals, padding), list)
 
 
 def _id_lists(pre, refs, kind) -> dict:
@@ -332,7 +333,7 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, *, padding: bool = True) -
         raise InstanceError(f"element {pre.ids_by_rank[seen.index(False)]} is neither "
                             f"sampled nor arriving")
 
-    refs = _ref_rank_lists(pre, in_s, padding)
+    refs = _ref_rank_lists(pre, order_ranks, padding)
     initial = [tuple(x) for x in refs]
     sol: list[list[int]] = [[] for _ in pre.mu]
     breaks: dict[int, BreakRecord] = {}

@@ -16,11 +16,11 @@ merging and sorting run in C builtins, so a pass costs a few interpreted
 steps per node rather than per element.
 This module is the one place that builds optima as rank lists: the whole
 ground set's optima OPT, built once per instance and cached unpadded
-(``_global_optima``); the reference lists of a sample
-(``_ref_rank_lists``, one full pass over its flags); the reference lists
-of a sampled trial (``_trial_rank_lists``), which rebuild only the nodes
-whose OPT holds an arrival and copy OPT's cached, padded lists everywhere
-else, as a node's optimum is OPT's wherever the sample holds OPT; and
+(``_global_optima``); the reference lists of a sample, given by its
+arrivals (``_ref_rank_lists``, the one builder, for sampled trials and
+single runs alike), which rebuild only the nodes whose OPT holds an
+arrival and copy OPT's cached, padded lists everywhere else, as a node's
+optimum is OPT's wherever the sample holds OPT; and
 ``greedy_opt`` and ``brank``, which read OPT or, given a subset, index one
 pass over it.  Exact enumeration runs the same pass on bit sets
 (``exact._greedy_bits``) and builds no list.
@@ -124,28 +124,17 @@ def _pad(pre, lists: list[list[int]], nodes) -> None:
         chosen.extend(range(base[b] + len(chosen), base[b] + slots[b]))
 
 
-def _ref_rank_lists(pre, in_s, padding: bool) -> list[list[int]]:
-    """Reference sets per node index as ascending rank lists (heaviest
-    first), from one full pass over the sample flags ``in_s``; when
-    padding, each is ``_pad``-ded."""
-    refs = _greedy_ranks(pre, in_s)
-    if padding:
-        _pad(pre, refs, range(len(refs)))
-    return refs
-
-
-def _trial_rank_lists(pre, arrivals, padding: bool) -> list[list[int]]:
-    """The lists that ``_ref_rank_lists`` builds for the trial whose
-    arrivals (its unsampled ranks) are ``arrivals``, rebuilding only the
-    nodes whose OPT holds an arrival.  At any other node b the sample
-    optimum is OPT_b itself: greedy keeps every element of a set's optimum
-    that a subset still holds, and OPT_b is a basis, so a sample that holds
-    OPT_b has it for its optimum.  Such a node gets a fresh copy of OPT_b,
-    padded as ``_ref_rank_lists`` pads.  The nodes to rebuild are the
-    union of the arrivals' ``opt_masks`` (``_opt_tables``), read lowest
-    bit first, so children first, and one ``_greedy_ranks`` pass
-    restricted to them rebuilds them: a trial with no arrival in OPT
-    builds nothing, and one that reaches every node copies nothing."""
+def _ref_rank_lists(pre, arrivals, padding: bool) -> list[list[int]]:
+    """The reference lists of the sample that leaves out ``arrivals``
+    (unsampled ranks, any order): per node index b, b's optimum of the
+    sample as an ascending rank list (heaviest first), ``_pad``-ded when
+    padding, each a fresh list for the caller to consume.  A node whose
+    OPT holds no arrival gets a copy of OPT_b, padded from the cached
+    ``pre.padded_optima``: the sample holds OPT_b, and greedy keeps a set's
+    optimum in any subset that holds it.  The others, the union of the
+    arrivals' ``opt_masks`` (``_opt_tables``) read lowest bit first, so
+    children first, are rebuilt by one ``_greedy_ranks`` pass over the
+    sample flags restricted to them."""
     if pre.opt_masks is None:
         _opt_tables(pre)
     masks = pre.opt_masks
@@ -186,7 +175,7 @@ def _global_optima(pre) -> tuple[tuple[int, ...], ...]:
 
 
 def _opt_tables(pre) -> None:
-    """Fill the two tables that ``_trial_rank_lists`` reads, once per
+    """Fill the two tables that ``_ref_rank_lists`` reads, once per
     instance, on first use: OPT padded by ``_pad`` (``pre.padded_optima``,
     O(sum of slots)), and per rank the nodes whose OPT holds it
     (``pre.opt_masks``), as a mask with bit i for node ``bottom_up[i]``, 0

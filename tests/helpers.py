@@ -29,8 +29,8 @@ from laminar_secretary import (
     run_kicknext,
     theory_params,
 )
-from laminar_secretary.kicknext import _block_size, _order, _ref_rank_lists, _run_weight
-from laminar_secretary.matroid import _global_optima
+from laminar_secretary.kicknext import _block_size, _order, _run_weight
+from laminar_secretary.matroid import _global_optima, _greedy_ranks, _pad
 from laminar_secretary.theory import _global_brank
 
 # The documented four-element example: two heavy elements share a unit-capacity
@@ -257,7 +257,7 @@ def trial_weights_by_full_walk(inst, p, start, count, master_seed, padding):
     """Reference for ``experiments._trial_weights_chunk``: each trial's
     full arrival order (``_arrival_draws``, ordered by ``_order``) walked,
     every arrival, through the lists of one full pass over its sample flags
-    (``_ref_rank_lists``)."""
+    (``ref_lists_by_full_pass``)."""
     from laminar_secretary.experiments import _arrival_draws
 
     pre = inst.pre()
@@ -266,8 +266,19 @@ def trial_weights_by_full_walk(inst, p, start, count, master_seed, padding):
         order = _order(arrivals, key)
         arrived = set(order)
         in_s = [r not in arrived for r in range(pre.n_real)]
-        weights.append(_run_weight(pre, _ref_rank_lists(pre, in_s, padding), order))
+        weights.append(_run_weight(pre, ref_lists_by_full_pass(pre, in_s, padding), order))
     return weights
+
+
+def ref_lists_by_full_pass(pre, in_s, padding):
+    """Reference for ``matroid._ref_rank_lists``, given the sample flags
+    ``in_s`` rather than the arrivals: one full bottom-up pass over the
+    flags (``_greedy_ranks``), then every node's list ``_pad``-ded when
+    padding."""
+    refs = _greedy_ranks(pre, in_s)
+    if padding:
+        _pad(pre, refs, range(len(refs)))
+    return refs
 
 
 def per_node_greedy_ranks(pre, in_v, b):
@@ -436,7 +447,7 @@ def exact_expectation_by_permutations(inst, p, *, padding=True):
         if t == 0:
             continue
         in_s = [not ((mask >> r) & 1) for r in range(n)]
-        template = _ref_rank_lists(pre, in_s, padding)
+        template = ref_lists_by_full_pass(pre, in_s, padding)
         share = prob / math.factorial(t)
         acc = [
             _run_weight(pre, [list(x) for x in template], perm)
@@ -481,8 +492,9 @@ def _expected_rest_by_tuples(pre, remaining, refs, memo):
 def enum_states_by_lists(pre, padding):
     """Reference for ``exact._enum_states``: the same masks and start
     states, each start state ORed together one bit per entry of the
-    split's reference lists from one full list pass (``_ref_rank_lists``,
-    unpadded), plus the fill of the slots after the node's real entries."""
+    split's reference lists from one full list pass
+    (``ref_lists_by_full_pass``, unpadded), plus the fill of the slots after
+    the node's real entries."""
     n = pre.n_real
     slots = pre.slots
     offset = []
@@ -497,7 +509,7 @@ def enum_states_by_lists(pre, padding):
     starts = [0]  # the split with no arrival has nothing to recurse on
     for mask in range(1, 1 << n):  # set bit r: rank r arrives in the selection phase
         state = mask
-        refs = _ref_rank_lists(pre, [not ((mask >> r) & 1) for r in range(n)], False)
+        refs = ref_lists_by_full_pass(pre, [not ((mask >> r) & 1) for r in range(n)], False)
         for R, o, f in zip(refs, offset, fill):
             for r in R:
                 state |= 1 << (o + r)
@@ -523,7 +535,7 @@ def exact_expectation_by_tuples(inst, p, *, padding=True):
         if t == 0:
             continue
         in_s = [not ((mask >> r) & 1) for r in range(n)]
-        refs = tuple(map(tuple, _ref_rank_lists(pre, in_s, padding)))
+        refs = tuple(map(tuple, ref_lists_by_full_pass(pre, in_s, padding)))
         contribs.append(prob * _expected_rest_by_tuples(pre, mask, refs, memo))
     return math.fsum(contribs), math.fsum(probs), len(memo)
 

@@ -516,6 +516,57 @@ def test_gen_negative_seed_exit_2(capsys):
     assert captured.out == "" and "seed must be non-negative" in captured.err
 
 
+# each shape flag of ``gen``, its family, and a value of it that differs
+# from the ``GenSpec`` default
+SHAPE_FLAGS = [("--k", "uniform", "rank", 2), ("--parts", "partition", "parts", 4),
+               ("--part-capacity", "partition", "part_capacity", 2),
+               ("--depth", "chain", "depth", 2),
+               ("--max-branching", "random_tree", "max_branching", 1)]
+
+
+@pytest.mark.parametrize("flag,family", [
+    (flag, family) for flag, own, _, _ in SHAPE_FLAGS
+    for family in ("uniform", "partition", "chain", "random_tree") if family != own
+])
+@pytest.mark.parametrize("value", ["0", "2"])
+def test_gen_refuses_a_flag_its_family_never_reads(tmp_path, capsys, flag, family, value):
+    argv = ["gen", "--family", family, "--n", "5", "--seed", "1", flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} does not apply to the {family} family\n"
+    out = tmp_path / "x.json"
+    assert main(argv + ["-o", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,family,field,value", SHAPE_FLAGS)
+def test_gen_reads_each_flag_on_its_family(tmp_path, capsys, flag, family, field, value):
+    # seed 5: the value changes the instance on every family
+    argv = ["gen", "--family", family, "--n", "6", "--seed", "5"]
+    assert main(argv + [flag, str(value)]) == 0
+    given = capsys.readouterr().out
+    assert given == dump_instance(generate(GenSpec(family, 6, 5, **{field: value}))) + "\n"
+    assert main(argv) == 0
+    absent = capsys.readouterr().out
+    assert absent == dump_instance(generate(GenSpec(family, 6, 5))) + "\n"
+    assert given != absent
+    # the default, given, writes what no flag writes
+    default = getattr(GenSpec(family, 6, 5), field)
+    if default is not None:
+        assert main(argv + [flag, str(default)]) == 0
+        assert capsys.readouterr().out == absent
+
+
+def test_trial_layers_script_refuses_parts_off_the_partition_family():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "trial_layers.py"
+    res = subprocess.run([sys.executable, str(script), "--family", "chain", "--n", "30",
+                          "--parts", "7", "--trials", "5", "--rounds", "1"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: --parts does not apply to the chain family\n"
+
+
 @pytest.mark.parametrize("command", [["run", "--seed", "1"], ["montecarlo", "--trials", "20"]])
 def test_p_too_small_for_a_trial_gap_exit_2(four_file, capsys, command):
     assert main([command[0], four_file, "--p", "1e-310", *command[1:]]) == 2

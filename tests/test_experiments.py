@@ -43,7 +43,7 @@ from laminar_secretary.experiments import (
 import laminar_secretary.kicknext as kicknext
 import laminar_secretary.matroid as matroid
 from laminar_secretary.kicknext import _block_size, _flags, _order, _run_weight, _sample_ids
-from laminar_secretary.matroid import _global_optima, _greedy_ranks, _ref_rank_lists
+from laminar_secretary.matroid import _global_optima, _greedy_ranks
 from laminar_secretary.theory import _global_brank, _padded_brank
 
 from helpers import (
@@ -58,6 +58,7 @@ from helpers import (
     padded_brank_by_ids,
     qualifying_counts_by_ids,
     rank1,
+    ref_lists_by_full_pass,
     shaped_trees,
     trial_weights_by_full_walk,
     trials_by_prefix,
@@ -283,7 +284,7 @@ class TestTrials:
         got = list(_trials(pre, 0.3, 7, 5, 200, padding))
         assert len(got) == 200
         for trial, (in_s, order) in zip(got, trials_by_prefix(n, 0.3, 7, 5, 200)):
-            assert trial == (order, _ref_rank_lists(pre, in_s, padding))
+            assert trial == (order, ref_lists_by_full_pass(pre, in_s, padding))
             assert _flags(n, trial[0]) == in_s
         # the first draw of a block is the one-seed draw of its seed
         for idx in (64, 128, 192):
@@ -297,7 +298,7 @@ class TestTrials:
         repeats = 0
         for order, refs in _trials(pre, 0.5, 3, 0, 200, True):
             in_s = _flags(4, order)
-            assert refs == _ref_rank_lists(pre, in_s, True)
+            assert refs == ref_lists_by_full_pass(pre, in_s, True)
             repeats += tuple(in_s) in seen
             seen.add(tuple(in_s))
             for R in refs:  # consume every list, as a walk would
@@ -360,11 +361,11 @@ class TestGlobalOptima:
         first = _global_optima(pre)
         assert _global_optima(pre) is first
         every = [True] * pre.n_real
-        assert first == tuple(map(tuple, _ref_rank_lists(pre, every, False)))
+        assert first == tuple(map(tuple, ref_lists_by_full_pass(pre, every, False)))
         # the padded view is the cached optima padded to capacity; the lists
         # hold the slots a walk can reach, and the ones they leave out are
         # virtual, lighter than every member
-        padded = _ref_rank_lists(pre, every, True)
+        padded = ref_lists_by_full_pass(pre, every, True)
         for b, R in enumerate(padded):
             assert len(R) == min(pre.mu[b], len(pre.members(b)))
             for r in pre.members(b):
@@ -512,7 +513,7 @@ class TestLiveWalk:
         pre = inst.pre()
         home = [ch[0] for ch in pre.chain_by_rank]
         for arrivals, key in experiments._arrival_draws(pre, p, seed, start, 20):
-            refs = matroid._trial_rank_lists(pre, arrivals, padding)
+            refs = matroid._ref_rank_lists(pre, arrivals, padding)
             order = _order(list(arrivals), key)
             live = [r for r in order if refs[home[r]] and r < refs[home[r]][-1]]
             assert experiments._live_order(home, refs, arrivals, key) == live
@@ -738,7 +739,7 @@ class TestRankSpaceHarness:
         opt = _global_optima(pre)
         opts = reference_sets(inst, None, padding=False)
         sample = make_trial(inst, p, seed).sample_set
-        refs = _ref_rank_lists(pre, [eid in sample for eid in pre.ids_by_rank], True)
+        refs = ref_lists_by_full_pass(pre, [eid in sample for eid in pre.ids_by_rank], True)
         ref_ids = reference_sets(inst, sample, padding=True)
         for b, nid in enumerate(pre.node_ids):
             for eid in inst.members(nid):

@@ -135,3 +135,23 @@ def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="seed must be non-negative"):
         generate(GenSpec("uniform", n=3, seed=-5))
     generate(GenSpec("uniform", n=3, seed=0))
+
+
+# a value of each shape field that differs from its ``GenSpec`` default
+SHAPE_VALUES = {"rank": 2, "parts": 4, "part_capacity": 2, "depth": 2, "max_branching": 1}
+
+
+def test_family_fields_are_the_fields_each_family_reads():
+    table = generators.FAMILY_FIELDS
+    assert tuple(table) == generators.FAMILIES
+    owned = [field for fields in table.values() for field in fields]
+    assert sorted(owned) == sorted(SHAPE_VALUES)
+    assert set(owned) <= set(GenSpec.__dataclass_fields__)
+    for family, fields in table.items():
+        base = dump_instance(generate(GenSpec(family, 12, 5)))
+        for field, value in SHAPE_VALUES.items():
+            got = dump_instance(generate(GenSpec(family, 12, 5, **{field: value})))
+            # a field of another family changes nothing; at seed 5 each
+            # family's own fields change the instance
+            assert (got != base) == (field in fields), (family, field)
+

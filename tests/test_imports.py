@@ -61,6 +61,14 @@ def test_all_names_the_api():
     assert {"make_trial", "monte_carlo_ratio", "RNG_VERSION", "GenSpec"} <= set(names)
 
 
+def test_one_reference_list_builder():
+    # every module reads the one builder of a sample's lists
+    from laminar_secretary import experiments, kicknext, matroid
+
+    assert kicknext._ref_rank_lists is matroid._ref_rank_lists is experiments._ref_rank_lists
+    assert not hasattr(matroid, "_trial_rank_lists")
+
+
 @pytest.mark.parametrize("path", MODULES + SCRIPTS,
                          ids=lambda p: p.name if p.parent == SRC else f"scripts/{p.name}")
 def test_every_import_is_used(path):

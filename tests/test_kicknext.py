@@ -35,7 +35,6 @@ from laminar_secretary.kicknext import (
     _flags,
     _gap_table,
     _order,
-    _ref_rank_lists,
     _run_weight,
     _sample_ids,
 )
@@ -48,6 +47,7 @@ from helpers import (
     mixed_instances,
     qualifies_by_ids,
     rank1,
+    ref_lists_by_full_pass,
     replay_events,
     sample_ranks_by_prefix,
     stream_by_prefix,
@@ -460,7 +460,7 @@ class TestArrive:
         inst = family_instance(family, n, seed)
         pre = inst.pre()
         in_s, order = _sample_ids(pre, p, derive_seed(seed, 0))
-        refs = _ref_rank_lists(pre, in_s, padding)
+        refs = ref_lists_by_full_pass(pre, in_s, padding)
         kept = []
         for r in order:
             ch = pre.chain_by_rank[r]
@@ -470,7 +470,7 @@ class TestArrive:
             if len(evicted) == len(ch):
                 kept.append(r)
         expected = sum(pre.w_by_rank[r] for r in kept)
-        assert _run_weight(pre, _ref_rank_lists(pre, in_s, padding), order) == expected
+        assert _run_weight(pre, ref_lists_by_full_pass(pre, in_s, padding), order) == expected
 
     def test_evicts_the_heaviest_lighter_reference(self):
         # one node holding ranks 2, 4, 6: rank 3 evicts 4, rank 7 finds none
@@ -617,6 +617,44 @@ class TestRunInvariants:
                 res = run_kicknext(inst, trial, padding=False)
                 check_run_invariants(inst, res)
                 replay_events(inst, res)
+
+
+class TestReferenceSets:
+    """``reference_sets`` is the id-space view of a sample's reference
+    lists, and a run starts from it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(FAMILY_OR_SHAPED, st.sampled_from(("none", "empty", "all", "random")),
+           st.booleans(), st.data())
+    def test_is_the_id_view_of_the_full_pass(self, inst, kind, padding, data):
+        pre = inst.pre()
+        ids = sorted(inst.element_ids())
+        if kind == "none":
+            sample = None  # the whole ground set
+        elif kind == "empty":
+            sample = set()
+        elif kind == "all":
+            sample = set(ids)
+        else:
+            sample = data.draw(st.sets(st.sampled_from(ids)))
+        flags = [sample is None or eid in sample for eid in pre.ids_by_rank]
+        want = ref_lists_by_full_pass(pre, flags, padding)
+        got = reference_sets(inst, sample, padding)
+        assert list(got) == list(pre.node_ids)
+        n, top = pre.n_real, max(ids)
+        for nid, R in zip(pre.node_ids, want):
+            # lightest first; virtual ranks take fresh ids above every real id
+            assert got[nid] == [pre.ids_by_rank[r] if r < n else top + 1 + r - n
+                                for r in reversed(R)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(FAMILY_OR_SHAPED, st.sampled_from((0.05, 0.2, 0.5, 0.9)),
+           st.integers(0, 2**64 - 1), st.booleans())
+    def test_a_run_starts_from_the_reference_sets(self, inst, p, seed, padding):
+        trial = make_trial(inst, p, seed)
+        refs = reference_sets(inst, trial.sample_set, padding)
+        initial = run_kicknext(inst, trial, padding=padding).initial_refsets
+        assert initial == {nid: tuple(ids) for nid, ids in refs.items()}
 
 
 class TestQualifies:

@@ -21,7 +21,6 @@ from laminar_secretary.matroid import (
     _greedy_ranks,
     _opt_tables,
     _ref_rank_lists,
-    _trial_rank_lists,
 )
 
 from helpers import (
@@ -30,6 +29,7 @@ from helpers import (
     padded_brank_by_ids,
     per_node_greedy_ranks,
     rank1,
+    ref_lists_by_full_pass,
 )
 
 
@@ -120,8 +120,9 @@ def _spec(family, n, seed):
 
 
 class TestTrialRankLists:
-    """A trial's reference lists rebuild only the nodes whose OPT holds an
-    arrival, and equal those of the full pass over the trial's flags."""
+    """A sample's reference lists (``_ref_rank_lists``) rebuild only the
+    nodes whose OPT holds an arrival, and equal those of the full pass over
+    the sample's flags (``ref_lists_by_full_pass``)."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(("uniform", "partition", "chain", "random_tree")),
@@ -140,15 +141,15 @@ class TestTrialRankLists:
             arrivals = data.draw(st.lists(st.sampled_from(pool), unique=True))
         arrived = set(arrivals)
         in_s = [r not in arrived for r in everything]
-        want = _ref_rank_lists(pre, in_s, padding) if padding else _greedy_ranks(pre, in_s)
-        got = _trial_rank_lists(pre, arrivals, padding)
+        want = ref_lists_by_full_pass(pre, in_s, padding)
+        got = _ref_rank_lists(pre, arrivals, padding)
         assert got == want
         # the walk pops these lists in place: fresh objects, which leave the
         # cached optima and the next trial's lists as they were
         assert len({id(R) for R in got}) == len(got)
         for R in got:
             R.clear()
-        assert _trial_rank_lists(pre, arrivals[::-1], padding) == want
+        assert _ref_rank_lists(pre, arrivals[::-1], padding) == want
         assert _global_optima(pre) == opt
 
     @settings(max_examples=150, deadline=None)

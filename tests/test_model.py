@@ -23,7 +23,7 @@ from laminar_secretary import (
 )
 
 import laminar_secretary.model as model
-from laminar_secretary.matroid import _global_optima, _ref_rank_lists
+from laminar_secretary.matroid import _global_optima
 from laminar_secretary.theory import _global_brank, _padded_brank
 
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     instance_doc,
     path_up,
     rank_tables_by_elements,
+    ref_lists_by_full_pass,
     tree,
 )
 
@@ -507,7 +508,7 @@ class TestTreeTables:
     def test_global_brank_is_the_padded_one(self, inst):
         pre = inst.pre()
         opt = _global_optima(pre)
-        padded = _ref_rank_lists(pre, [True] * pre.n_real, True)
+        padded = ref_lists_by_full_pass(pre, [True] * pre.n_real, True)
         for b in range(len(pre.mu)):
             # the slots a list leaves out up to capacity are virtual
             assert len(padded[b]) == min(pre.mu[b], len(pre.members(b)))

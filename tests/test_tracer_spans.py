@@ -57,3 +57,19 @@ def test_exact_expectation_spans_per_call(tmp_path, capsys, command, spans):
     capsys.readouterr()
     names = [tracer.names[i] for i in tracer.name]
     assert names.count("experiments.exact_expectation") == spans
+
+
+def test_one_reference_list_span_per_trial(tmp_path, capsys):
+    # above ``SMALL_N`` each Monte Carlo trial builds its lists once, through
+    # ``experiments``' binding of the one builder, which the tracer wraps
+    path = tmp_path / "partition.json"
+    path.write_text(dump_instance(generate(GenSpec("partition", 40, 3, parts=4))))
+    tracer = _tracing().Tracer(laminar_secretary)
+    tracer.install()
+    try:
+        assert main(["montecarlo", str(path), "--trials", "50"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    names = [tracer.names[i] for i in tracer.name]
+    assert names.count("kicknext.refs") == 50
