@@ -9,30 +9,33 @@ The instance is ``generate(GenSpec(family, n, seed, parts=K))``.  Each
 round draws trials 0..T-1 of master seed S and times, per trial:
 
 - ``draw``: the arrivals and their sort keys (``_arrival_draws``);
-- ``refs``: the reference lists, rebuilding only the nodes whose OPT holds
-  an arrival (``matroid._ref_rank_lists``);
-- ``live``: keeping the live arrivals and sorting them on their keys
-  (``experiments._live_order``);
-- ``walk``: walking the live arrivals (``kicknext._run_weight``);
+- ``fields``: the reference sets as one int per node, rebuilding only the
+  nodes whose OPT holds an arrival (``matroid._ref_fields``);
+- ``live``: keeping the live arrivals, those below their minimal node's
+  top bit, and sorting them on their keys (``kicknext._order``);
+- ``walk``: walking the live arrivals through the fields
+  (``kicknext._run_weight``);
 
-and, for comparison, two layers the trial no longer runs: ``full_refs``,
-one full bottom-up pass over the sample flags, padded on every node
-(``matroid._greedy_ranks``, then ``matroid._pad``), and
-``sort_all``, ordering every arrival (``kicknext._order`` on a copy).
-The layers run one after another within each round, the rounds
-repeat them, and the report gives the median over rounds of each layer's
-time per trial, with the lowest and highest round, plus the mean arrivals
-and live arrivals per trial, and the share of ``_gap_table(p)``'s buckets
-that are mixed: the expected share of gap words whose gap the draw
-computes rather than looks up.  Stdlib only and seeded: every count and
-share depends on the flags alone, the times on the host too.
+and, for comparison, the same trial on rank lists: ``refs``, the same
+sets as ascending rank lists (``matroid._ref_rank_lists``, which the
+checks read), and ``list_walk``, the same live arrivals walked through
+them by bisect and pop (``kicknext._arrive``, inlined).
+The draws come first, for the whole round; then the other layers run one
+after another on batches of ``BATCH`` = 64 trials.  The report gives
+the median over rounds of each layer's time per trial, with the lowest
+and highest round, plus the mean arrivals and live arrivals per trial,
+and the share of ``_gap_table(p)``'s buckets that are mixed: the
+expected share of gap words whose gap the draw computes rather than looks
+up.  Stdlib only and seeded: every count and share depends on the flags
+alone, the times on the host too.
 
-A round holds every trial's draw and reference lists at once: per trial
-up to n arrivals with their keys, one list per node and the lists'
-entries, ``sum(_Pre.slots)`` at most.  These items cost up to about 116
-bytes each (every element arriving, at p = 0.999), so a round of more
-than ``MAX_ROUND`` = 10^6 of them, trials x (elements + nodes + slots),
-is refused with exit 2: on ``--trials`` x ``--n`` before the instance is
+A round holds every trial's draw at once, per trial up to n arrivals with
+their keys, and one batch's sets: per trial one list per node, with the
+lists' entries, ``sum(_Pre.slots)`` at most, and one int of up to
+n + ``slots`` bits per node.  The draws and lists cost up to about 116
+bytes an item (every element arriving, at p = 0.999), so a round of more
+than ``MAX_ROUND`` = 10^6 items, trials x (elements + nodes + slots), is
+refused with exit 2: on ``--trials`` x ``--n`` before the instance is
 built, and on the whole count before any round.  So are rounds outside
 1..1000, a bad p, trial count or seed, and ``--parts`` off the partition
 family (``generators.FAMILY_FIELDS``), which ``generate`` would ignore.
@@ -45,18 +48,20 @@ import argparse
 import statistics
 import sys
 import time
+from bisect import bisect_right
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from laminar_secretary import GenSpec, generate
-from laminar_secretary.experiments import SMALL_N, _arrival_draws, _check_run, _live_order
+from laminar_secretary.experiments import SMALL_N, _arrival_draws, _check_run
 from laminar_secretary.generators import FAMILIES, FAMILY_FIELDS
 from laminar_secretary.kicknext import GAP_BITS, _gap_table, _order, _run_weight
-from laminar_secretary.matroid import _flags, _greedy_ranks, _pad, _ref_rank_lists
+from laminar_secretary.matroid import _ref_fields, _ref_rank_lists
 
 MAX_ROUND = 10**6
-LAYERS = ("draw", "refs", "live", "walk", "full_refs", "sort_all")
+BATCH = 64
+LAYERS = ("draw", "fields", "live", "walk", "refs", "list_walk")
 
 
 def _check_round(trials, items):
@@ -67,33 +72,51 @@ def _check_round(trials, items):
                          f"limited to {MAX_ROUND}, got {trials} x {items}")
 
 
+def _list_walk(pre, refs, order):
+    """Walk ``order`` through the rank lists ``refs``: at each node of a
+    rank's chain pop the heaviest entry lighter than it, and stop at the
+    first node with none (``kicknext._arrive`` inlined)."""
+    chains = pre.chain_by_rank
+    for r in order:
+        for b in chains[r]:
+            R = refs[b]
+            i = bisect_right(R, r)
+            if i == len(R):
+                break
+            R.pop(i)
+
+
 def _round(pre, p, seed, trials, padding):
     """One round: seconds per layer, and the arrival and live counts."""
-    n = pre.n_real
     home = [ch[0] for ch in pre.chain_by_rank]
-    spent = {}
-    t0 = time.perf_counter()
+    clock = time.perf_counter
+    spent = dict.fromkeys(LAYERS, 0.0)
+    t0 = clock()
     draws = list(_arrival_draws(pre, p, seed, 0, trials))
-    t1 = time.perf_counter()
-    refs = [_ref_rank_lists(pre, arrivals, padding) for arrivals, _ in draws]
-    t2 = time.perf_counter()
-    live = [_live_order(home, R, arrivals, key) for R, (arrivals, key) in zip(refs, draws)]
-    t3 = time.perf_counter()
-    for R, order in zip(refs, live):
-        _run_weight(pre, R, order)
-    t4 = time.perf_counter()
-    for arrivals, _ in draws:
-        full = _greedy_ranks(pre, _flags(n, arrivals))
-        if padding:
-            _pad(pre, full, range(len(full)))
-    t5 = time.perf_counter()
-    for arrivals, key in draws:
-        _order(arrivals[:], key)
-    t6 = time.perf_counter()
-    spent.update(draw=t1 - t0, refs=t2 - t1, live=t3 - t2, walk=t4 - t3,
-                 full_refs=t5 - t4, sort_all=t6 - t5)
-    arrived = sum(len(arrivals) for arrivals, _ in draws)
-    return spent, arrived, sum(map(len, live))
+    spent["draw"] = clock() - t0
+    live = 0
+    for i in range(0, trials, BATCH):
+        batch = draws[i:i + BATCH]
+        t0 = clock()
+        fields = [_ref_fields(pre, arrivals, padding) for arrivals, _ in batch]
+        t1 = clock()
+        orders = []
+        for F, (arrivals, key) in zip(fields, batch):
+            top = list(map(int.bit_length, F))
+            orders.append(_order([r for r in arrivals if r + 1 < top[home[r]]], key))
+        t2 = clock()
+        for F, order in zip(fields, orders):
+            _run_weight(pre, F, order)
+        t3 = clock()
+        refs = [_ref_rank_lists(pre, arrivals, padding) for arrivals, _ in batch]
+        t4 = clock()
+        for R, order in zip(refs, orders):
+            _list_walk(pre, R, order)
+        t5 = clock()
+        for k, t in zip(LAYERS[1:], (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+            spent[k] += t
+        live += sum(map(len, orders))
+    return spent, sum(len(arrivals) for arrivals, _ in draws), live
 
 
 def main():

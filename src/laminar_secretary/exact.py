@@ -10,10 +10,12 @@ KickNext step is a mask, a lowest-set-bit and a clear (``_enum_states``).
 Each split's start state comes from one bottom-up greedy pass on ints
 (``_greedy_bits``), ``matroid._greedy_ranks`` on bit sets, so enumeration
 builds no list, and the recursion reads a state's arrivals from a table of
-set bits.  The state fixes the value whatever split reached it, so one memo
-serves every split of a call (its measured sizes are at
-``EXACT_ENUM_LIMIT``).  No field is wider than 2n bits, so capacity does not
-drive the cost.
+set bits.  A field is laid out as a Monte Carlo trial's
+(``matroid._ref_fields``), shifted to its offset in the state, and both
+cut a node's candidates to its capacity by ``matroid._lowest_bits``.  The
+state fixes the value whatever split reached it, so one memo serves every
+split of a call (its measured sizes are at ``EXACT_ENUM_LIMIT``).  No
+field is wider than 2n bits, so capacity does not drive the cost.
 
 ``EXACT_ENUM_LIMIT`` is the one bound on enumeration, and every gate reads
 it at call time: ``exact_expectation`` through ``_check_enumerable``, and
@@ -26,6 +28,7 @@ import math
 from operator import or_
 
 from .kicknext import _check_p
+from .matroid import _lowest_bits
 from .model import LaminarInstance
 
 # ``exact_expectation`` enumerates 2^n sample splits and shares one memo of
@@ -54,11 +57,11 @@ def _greedy_bits(pre, keeps, offsets, fills):
     """``matroid._greedy_ranks`` on bit sets, once per flag set in
     ``keeps``: each ``keep`` has bit r set when rank r is flagged, and for
     each one this yields one int that packs every node's optimum.  The
-    nodes are visited
-    children first; node ``x``'s optimum is the lowest ``mu[x]`` set bits
-    (the heaviest ranks) of its flagged own ranks and its children's
-    optima, as in ``_greedy_ranks``, and only these real ranks go up to a
-    parent.  It is shifted to bit ``offsets[x]`` of the packed int, where
+    nodes are visited children first; node ``x``'s optimum is the lowest
+    ``mu[x]`` set bits (the heaviest ranks, by ``matroid._lowest_bits``)
+    of its flagged own ranks and its children's optima, as in
+    ``_greedy_ranks``, and only these real ranks go up to a parent.  It
+    is shifted to bit ``offsets[x]`` of the packed int, where
     the bits are then ORed with ``fills[x][k]``, one entry per count k of
     its ranks up to ``pre.slots[x]``.  ``_enum_states`` packs a split's
     start state this way."""
@@ -73,11 +76,8 @@ def _greedy_bits(pre, keeps, offsets, fills):
             for c in kids:
                 chosen |= bits[c]
             k = chosen.bit_count()
-            if k > cap:  # clear the cap lowest bits from a copy: the rest are cut
-                cut = chosen
-                for _ in range(cap):
-                    cut &= cut - 1
-                chosen ^= cut
+            if k > cap:
+                chosen = _lowest_bits(chosen, k, cap)
                 k = cap
             bits[x] = chosen
             packed |= chosen << offset | fill[k]

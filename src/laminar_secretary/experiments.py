@@ -17,11 +17,14 @@ Each reader orders only what it needs.  The checks take trials from
 ``_trials``, as full arrival orders and fresh reference lists (ascending
 rank lists, padded to the ``_Pre.slots`` a walk can reach) from
 ``matroid._ref_rank_lists``, the one builder of a sample's lists, as for
-``run_kicknext``; arrivals walk them by ``kicknext._arrive``.  Above
-``SMALL_N`` elements the Monte Carlo ratio sorts and walks only the live
-arrivals (``_live_order``), those with a lighter entry at their minimal
-node when the phase starts, as a dead arrival never evicts or gains; and
-the qualifying law reads unsorted arrival sets.  An eviction-failure
+``run_kicknext``; arrivals walk them by ``kicknext._arrive``.  The Monte
+Carlo ratio builds no list: each trial's reference sets are one int per
+node from ``matroid._ref_fields``, walked by ``kicknext._run_weight``, a
+mask, a lowest set bit and a clear per node.  Above ``SMALL_N`` elements
+it sorts and walks only the live arrivals, those below the top bit of
+their minimal node's field when the phase starts, as a dead arrival
+never evicts or gains; and the qualifying law reads unsorted arrival
+sets.  An eviction-failure
 event is a zero ``theory._padded_brank``.  Every slot a list leaves out
 up to capacity is virtual and lighter than every real rank, so a
 dominance check compares the counts of entries up to a rank, trial list
@@ -30,10 +33,11 @@ by the padded list's own lighter entries.  The capacity-padded backward
 ranks that a witness prints come from the one function
 ``theory._global_brank``.  Up to ``SMALL_N`` elements, draws repeat
 often, and the Monte Carlo ratio memoizes each arrival order's weight,
-which the order fixes.  The reference lists and the whole ground set's
+which the order fixes.  The reference sets and the whole ground set's
 optima OPT, which the ratio denominators and the checks measure against,
-come from ``matroid`` (``_ref_rank_lists``, and ``_global_optima``,
-built once per instance and read by each check itself).
+come from ``matroid`` (``_ref_rank_lists``, ``_ref_fields``, and
+``_global_optima``, built once per instance and read by each check
+itself).
 Every sampling entry point checks its trial count (at most
 ``MAX_TRIALS``), p and master seed through ``_check_run``.
 
@@ -74,7 +78,7 @@ from multiprocessing import Pool
 from operator import gt
 
 from .model import LaminarInstance
-from .matroid import _global_optima, _ref_rank_lists
+from .matroid import _global_optima, _ref_fields, _ref_rank_lists
 from .exact import _check_enumerable, _enumerable, _split_law, exact_expectation
 from .kicknext import (
     _MASK64,
@@ -278,25 +282,21 @@ def _trials(pre, p, master_seed, start, count, padding):
         yield order, _ref_rank_lists(pre, order, padding)
 
 
-def _live_order(home: list[int], refs: list[list[int]], arrivals: list[int], key) -> list[int]:
-    """The live ones of the ascending ``arrivals`` in arrival order
-    (``kicknext._order``): those heavier than the lightest entry of their
-    minimal node's list in ``refs``, ``home`` giving each rank's minimal
-    node.  Any other arrival is dead: it finds no lighter entry there when
-    the phase starts, and lists only lose entries, so whenever it comes it
-    breaks there, evicting and gaining nothing."""
-    return _order([r for r in arrivals if (R := refs[home[r]]) and r < R[-1]], key)
-
-
 def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
-    """Root weight of each of trials ``start`` to ``start + count - 1``.
+    """Root weight of each of trials ``start`` to ``start + count - 1``,
+    each walked by ``kicknext._run_weight`` through the trial's reference
+    sets as bits (``matroid._ref_fields``).
 
     Above ``SMALL_N`` elements only the live arrivals are ordered and
-    walked (``_live_order``).  A dead arrival evicts and gains nothing, so
-    the walk of the live ones adds the same weights in the same order.
+    walked: those heavier than the lightest entry of their minimal node's
+    set, rank r below the field's top bit, ``bit_length() - 1``.  Any other
+    arrival is dead: it finds no lighter entry there when the phase starts,
+    and sets only lose entries, so whenever it comes it breaks there,
+    evicting and gaining nothing, and the walk of the live ones adds the
+    same weights in the same order.
 
     Up to ``SMALL_N`` elements the weight is memoized on the arrival order,
-    which fixes it: the arrivals fix the sample, so the reference lists,
+    which fixes it: the arrivals fix the sample, so the reference sets,
     and the walk is deterministic.  The memo lives for one call (one
     ``--jobs`` chunk) and stops inserting at ``_WEIGHT_MEMO_CAP`` entries, so
     whatever the trial count it holds at most 2^14 keys of up to 16 small
@@ -306,8 +306,10 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
         home = [ch[0] for ch in pre.chain_by_rank]  # each rank's minimal node
         out = []
         for arrivals, key in _arrival_draws(pre, p, master_seed, start, count):
-            refs = _ref_rank_lists(pre, arrivals, padding)
-            out.append(_run_weight(pre, refs, _live_order(home, refs, arrivals, key)))
+            fields = _ref_fields(pre, arrivals, padding)
+            top = list(map(int.bit_length, fields))
+            live = [r for r in arrivals if r + 1 < top[home[r]]]
+            out.append(_run_weight(pre, fields, _order(live, key)))
         return out
     memo: dict[tuple[int, ...], float] = {}
     out = []
@@ -320,7 +322,7 @@ def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
         order = tuple(arrivals)
         w = memo.get(order)
         if w is None:
-            w = _run_weight(pre, _ref_rank_lists(pre, order, padding), order)
+            w = _run_weight(pre, _ref_fields(pre, order, padding), order)
             if len(memo) < _WEIGHT_MEMO_CAP:
                 memo[order] = w
         out.append(w)

@@ -14,16 +14,19 @@ optimum from the node's first capacity-many flagged own ranks and its
 children's optima, sorted and cut to capacity.  The per-element filtering,
 merging and sorting run in C builtins, so a pass costs a few interpreted
 steps per node rather than per element.
-This module is the one place that builds optima as rank lists: the whole
-ground set's optima OPT, built once per instance and cached unpadded
-(``_global_optima``); the reference lists of a sample, given by its
-arrivals (``_ref_rank_lists``, the one builder, for sampled trials and
-single runs alike), which rebuild only the nodes whose OPT holds an
-arrival and copy OPT's cached, padded lists everywhere else, as a node's
-optimum is OPT's wherever the sample holds OPT; and
-``greedy_opt`` and ``brank``, which read OPT or, given a subset, index one
-pass over it.  Exact enumeration runs the same pass on bit sets
-(``exact._greedy_bits``) and builds no list.
+This module is the one place that builds optima and a sample's
+reference sets: the whole ground set's optima OPT, built once per
+instance and cached unpadded (``_global_optima``); the reference sets of
+a sample, given by its arrivals, as rank lists (``_ref_rank_lists``, the
+one builder of lists, for the checks' trials and single runs) or as one
+int per node, bit r for rank r (``_ref_fields``, for Monte Carlo
+trials), both of which rebuild only the nodes whose OPT holds an arrival
+and take OPT's cached, padded sets everywhere else, as a node's optimum
+is OPT's wherever the sample holds OPT; and ``greedy_opt`` and
+``brank``, which read OPT or, given a subset, index one pass over it.
+On bits a node keeps the lowest capacity-many set bits of its
+candidates, by ``_lowest_bits``, which exact enumeration's pass
+(``exact._greedy_bits``) shares, so neither builds a list.
 ``brute_force_opt`` re-derives an optimum by exhaustive search and exists
 purely as a cross-check oracle for small inputs.
 """
@@ -165,6 +168,90 @@ def _ref_rank_lists(pre, arrivals, padding: bool) -> list[list[int]]:
     return refs
 
 
+def _lowest_bits(bits: int, k: int, cap: int) -> int:
+    """The ``cap`` lowest set bits of ``bits``, which has ``k`` > ``cap``
+    set bits: on a rank set, its ``cap`` heaviest ranks.  Where one of the
+    two counts is at most 16 it clears bits one at a time, the fewer way:
+    the ``k - cap`` highest, by ``bit_length``, or the ``cap`` lowest from
+    a copy, whose bits left are then the ones to clear.  Otherwise it
+    bisects on the cut, the least bit position with ``cap`` set bits below
+    it, by the popcount of the masked prefix: about log2 of the width
+    operations, where one bit at a time would take hundreds at n = 2000
+    (uniform, rank 667, ran 2x slower per trial that way)."""
+    drop = k - cap
+    if drop <= cap:
+        if drop <= 16:
+            for _ in range(drop):
+                bits ^= 1 << bits.bit_length() - 1
+            return bits
+    elif cap <= 16:
+        cut = bits
+        for _ in range(cap):
+            cut &= cut - 1
+        return bits ^ cut
+    lo, hi = cap, bits.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (bits & (1 << mid) - 1).bit_count() < cap:
+            lo = mid + 1
+        else:
+            hi = mid
+    return bits & (1 << lo) - 1
+
+
+def _ref_fields(pre, arrivals, padding: bool) -> list[int]:
+    """The reference sets of the sample that leaves out ``arrivals``
+    (unsampled ranks, any order), one int per node index b, the sets of
+    ``_ref_rank_lists`` in bits: bit r for real rank r and bit n + j for
+    virtual slot j (rank ``virtual_rank_base[b] + j``), n = ``n_real``,
+    so bit order is the list's rank order.  A node whose OPT holds no
+    arrival gets OPT's field, from ``pre.opt_fields``; ints are immutable,
+    so the shallow copy of that tuple is the whole start.  The others, the
+    union of the arrivals' ``opt_masks`` read lowest bit first, so children
+    first, are rebuilt as ``_greedy_ranks`` builds them: a node's sampled
+    own ranks, ``own_bits`` less the arrivals, with its children's real
+    bits (rebuilt or OPT's), cut to the ``mu`` lowest by ``_lowest_bits``;
+    padded, the field then holds slots k.. of the node's ``slots``, k its
+    count of real bits.  The sampled ranks come as one int parsed from a
+    string of binary digits, set per arrival, rather than ORed from
+    ``1 << r`` per arrival, each an int up to n bits wide: at n = 2000 and
+    p = 0.08 this builder took 19 µs in place of 24 on a 40-part
+    partition and 15 in place of 19 on a rank-667 uniform matroid, and
+    0.3 µs more on the 60- and 200-element random trees.  A fresh list
+    for the caller to consume."""
+    if pre.opt_masks is None:
+        _opt_tables(pre)
+    masks = pre.opt_masks
+    n = pre.n_real
+    touched = 0
+    digits = bytearray(b"1") * n  # digit r: rank r is sampled
+    for r in arrivals:
+        touched |= masks[r]
+        digits[r] = 48  # b"0"
+    fields = list(pre.opt_fields[padding])
+    if not touched:
+        return fields
+    keep = int(digits[::-1], 2)
+    real = list(pre.opt_fields[False]) if padding else fields  # unpadded: one list
+    mu, slots, own = pre.mu, pre.slots, pre.own_bits
+    bottom_up, children_idx = pre.bottom_up, pre.children_idx
+    while touched:
+        low = touched & -touched
+        touched ^= low
+        x = bottom_up[low.bit_length() - 1]
+        chosen = own[x] & keep
+        for c in children_idx[x]:
+            chosen |= real[c]
+        k = chosen.bit_count()
+        if k > mu[x]:
+            chosen = _lowest_bits(chosen, k, mu[x])
+            k = mu[x]
+        real[x] = chosen
+        if padding:
+            fields[x] = chosen | ((1 << slots[x]) - (1 << k)) << n
+    return fields
+
+
 def _global_optima(pre) -> tuple[tuple[int, ...], ...]:
     """Every node's optimum of the whole ground set (OPT) as an ascending
     rank tuple, unpadded.  Built once per instance and kept on ``pre``;
@@ -175,12 +262,17 @@ def _global_optima(pre) -> tuple[tuple[int, ...], ...]:
 
 
 def _opt_tables(pre) -> None:
-    """Fill the two tables that ``_ref_rank_lists`` reads, once per
-    instance, on first use: OPT padded by ``_pad`` (``pre.padded_optima``,
-    O(sum of slots)), and per rank the nodes whose OPT holds it
-    (``pre.opt_masks``), as a mask with bit i for node ``bottom_up[i]``, 0
-    for a rank in no OPT.  Those nodes are a prefix of the rank's chain,
-    as an element that misses a node's optimum misses every ancestor's."""
+    """Fill the tables that the two builders of a sample's reference sets
+    read, once per instance, on first use: per rank the nodes whose OPT
+    holds it (``pre.opt_masks``), as a mask with bit i for node
+    ``bottom_up[i]``, 0 for a rank in no OPT (those nodes are a prefix of
+    the rank's chain, as an element that misses a node's optimum misses
+    every ancestor's); for ``_ref_rank_lists``, OPT padded by ``_pad``
+    (``pre.padded_optima``, O(sum of slots)); for ``_ref_fields``, OPT's
+    fields unpadded and padded (``pre.opt_fields``, indexed by the padding
+    flag) and each node's own ranks as bits (``pre.own_bits``).  The bit
+    tables hold one int per node, each at most n + ``slots`` bits wide; no
+    table is kept per rank or per count of a node's entries."""
     opt = _global_optima(pre)
     padded = list(map(list, opt))
     _pad(pre, padded, range(len(padded)))
@@ -190,6 +282,11 @@ def _opt_tables(pre) -> None:
         for r in opt[b]:
             masks[r] |= 1 << i
     pre.opt_masks = masks
+    n = pre.n_real
+    real = tuple(sum(1 << r for r in ranks) for ranks in opt)
+    pre.opt_fields = (real, tuple(bits | ((1 << v) - (1 << len(ranks))) << n
+                                  for bits, v, ranks in zip(real, pre.slots, opt)))
+    pre.own_bits = tuple(sum(1 << r for r in ranks) for ranks in pre.own_ranks)
 
 
 def _optimum_ranks(pre, subset, b: int):

@@ -29,7 +29,7 @@ from laminar_secretary import (
     run_kicknext,
     theory_params,
 )
-from laminar_secretary.kicknext import _block_size, _order, _run_weight
+from laminar_secretary.kicknext import _block_size, _order
 from laminar_secretary.matroid import _global_optima, _greedy_ranks, _pad
 from laminar_secretary.theory import _global_brank
 
@@ -266,8 +266,39 @@ def trial_weights_by_full_walk(inst, p, start, count, master_seed, padding):
         order = _order(arrivals, key)
         arrived = set(order)
         in_s = [r not in arrived for r in range(pre.n_real)]
-        weights.append(_run_weight(pre, ref_lists_by_full_pass(pre, in_s, padding), order))
+        weights.append(run_weight_by_lists(pre, ref_lists_by_full_pass(pre, in_s, padding), order))
     return weights
+
+
+def run_weight_by_lists(pre, refs, order_ranks):
+    """Reference for ``kicknext._run_weight``, the walk on lists: total
+    weight accepted at the root when ``order_ranks`` arrive against the
+    ascending rank lists ``refs``, which the walk consumes.  At each node of
+    r's chain it pops the heaviest entry lighter than r, found by
+    ``bisect_right``, and stops at the first node with none; r gains its
+    weight only when it passes every node, added in arrival order."""
+    w = pre.w_by_rank
+    total = 0.0
+    for r in order_ranks:
+        for b in pre.chain_by_rank[r]:
+            R = refs[b]
+            i = bisect_right(R, r)
+            if i == len(R):
+                break
+            R.pop(i)
+        else:
+            total += w[r]
+    return total
+
+
+def decode_fields(pre, fields):
+    """The ascending rank lists that the reference fields of
+    ``matroid._ref_fields`` stand for: bit r is real rank r and bit n + j
+    is node b's virtual rank ``virtual_rank_base[b] + j``."""
+    n = pre.n_real
+    return [[i if i < n else pre.virtual_rank_base[b] + i - n
+             for i in range(f.bit_length()) if f >> i & 1]
+            for b, f in enumerate(fields)]
 
 
 def ref_lists_by_full_pass(pre, in_s, padding):
@@ -432,8 +463,8 @@ def dominance_by_scan(inst, trials):
 
 def exact_expectation_by_permutations(inst, p, *, padding=True):
     """Reference for ``exact.exact_expectation``: every sample split in the
-    same order, and within a split a ``_run_weight`` walk of every arrival
-    order.
+    same order, and within a split a ``run_weight_by_lists`` walk of every
+    arrival order.
     Returns (expected_weight, total_probability)."""
     pre = inst.pre()
     n = pre.n_real
@@ -450,7 +481,7 @@ def exact_expectation_by_permutations(inst, p, *, padding=True):
         template = ref_lists_by_full_pass(pre, in_s, padding)
         share = prob / math.factorial(t)
         acc = [
-            _run_weight(pre, [list(x) for x in template], perm)
+            run_weight_by_lists(pre, [list(x) for x in template], perm)
             for perm in permutations(t_ranks)
         ]
         contribs.append(share * math.fsum(acc))

@@ -180,8 +180,8 @@ def test_trial_layers_script_times_every_layer():
     assert res.returncode == 0 and res.stderr == ""
     lines = res.stdout.splitlines()
     assert lines[0].startswith("chain-n30-s3: ")
-    assert [line.split()[0] for line in lines[3:]] == ["draw", "refs", "live", "walk",
-                                                      "full_refs", "sort_all"]
+    assert [line.split()[0] for line in lines[3:]] == ["draw", "fields", "live", "walk",
+                                                      "refs", "list_walk"]
 
 
 def test_gen_opt_run_pipeline(tmp_path, capsys):

@@ -59,6 +59,7 @@ from helpers import (
     qualifying_counts_by_ids,
     rank1,
     ref_lists_by_full_pass,
+    run_weight_by_lists,
     shaped_trees,
     trial_weights_by_full_walk,
     trials_by_prefix,
@@ -394,10 +395,20 @@ class TestGlobalOptima:
         rebuilds = [any(r in O for O in opt for r in order) for order in orders]
         assert 0 < sum(rebuilds) < trials
         monkeypatch.setattr(matroid, "_greedy_ranks", counted)
+        fields = []
+        real_fields = experiments._ref_fields
+
+        def counted_fields(pre, arrivals, padding):
+            fields.append(tuple(arrivals))
+            return real_fields(pre, arrivals, padding)
+
+        monkeypatch.setattr(experiments, "_ref_fields", counted_fields)
         monte_carlo_ratio(inst, p, trials, seed)
-        # n <= SMALL_N: a repeated order reads the weight memo and builds nothing
-        memo_misses = {tuple(o): rb for o, rb in zip(orders, rebuilds)}
-        assert len(calls) == 1 + sum(memo_misses.values())  # and one OPT build
+        # n <= SMALL_N: a repeated order reads the weight memo and builds
+        # nothing; a new order builds its sets once, on bits, so the only
+        # list pass is the one OPT build
+        assert fields == list(dict.fromkeys(map(tuple, orders)))
+        assert len(calls) == 1
         checks = verify_lemmas(inst, p, trials=trials, master_seed=seed)
         assert checks[0].passed  # c < 1/2: the chain-decay sums ran
         allkicked_frequency(inst, p, trials, seed)
@@ -407,7 +418,7 @@ class TestGlobalOptima:
         assert len(calls) == before
         assert sum(calls) == 1
         # each of the two trial loops rebuilds its trials' lists
-        assert len(calls) == 1 + sum(memo_misses.values()) + 2 * sum(rebuilds)
+        assert len(calls) == 1 + 2 * sum(rebuilds)
 
     def test_whole_set_optima_read_the_cache(self, monkeypatch):
         inst = generate(GenSpec("random_tree", 12, 5))
@@ -452,7 +463,7 @@ class TestWeightMemo:
 
     @staticmethod
     def _walked(pre, p, start, count, padding):
-        return [_run_weight(pre, refs, order)
+        return [run_weight_by_lists(pre, refs, order)
                 for order, refs in _trials(pre, p, 7, start, count, padding)]
 
     @pytest.mark.parametrize("n", [1, 6, 16, 17])
@@ -473,9 +484,9 @@ class TestWeightMemo:
             monkeypatch.setattr(experiments, "_WEIGHT_MEMO_CAP", cap)
         calls = []
 
-        def counted(pre, refs, order):
+        def counted(pre, fields, order):
             calls.append(tuple(order))
-            return _run_weight(pre, refs, order)
+            return _run_weight(pre, fields, order)
 
         monkeypatch.setattr(experiments, "_run_weight", counted)
         inst = generate(GenSpec("chain", 6, 2))
@@ -488,9 +499,9 @@ class TestWeightMemo:
 
 class TestLiveWalk:
     """Above ``SMALL_N`` elements a trial orders and walks only its live
-    arrivals, through lists that rebuild only the nodes an arrival can
+    arrivals, through fields that rebuild only the nodes an arrival can
     change; the weights must be those of the full order walked through the
-    full pass."""
+    lists of the full pass."""
 
     @settings(max_examples=60, deadline=None)
     @given(FAMILIES, st.integers(17, 80), st.integers(0, 10_000),
@@ -503,20 +514,30 @@ class TestLiveWalk:
         assert got == trial_weights_by_full_walk(inst, p, start, count, seed, padding)
 
     @settings(max_examples=60, deadline=None)
-    @given(FAMILIES, st.integers(1, 60), st.integers(0, 10_000),
+    @given(FAMILIES, st.integers(17, 60), st.integers(0, 10_000),
            st.sampled_from((0.05, 0.2, 0.45)), st.booleans(), st.integers(0, 100))
     def test_live_order_is_the_order_of_the_live_arrivals(self, family, n, seed, p,
                                                           padding, start):
-        # the live arrivals, those lighter than some entry of their minimal
-        # node's list, in the order ``_order`` gives every arrival
+        # the walk takes the live arrivals, those lighter than some entry of
+        # their minimal node's list, in the order ``_order`` gives every arrival
         inst = family_instance(family, n, seed)
         pre = inst.pre()
         home = [ch[0] for ch in pre.chain_by_rank]
+        expected = []
         for arrivals, key in experiments._arrival_draws(pre, p, seed, start, 20):
             refs = matroid._ref_rank_lists(pre, arrivals, padding)
             order = _order(list(arrivals), key)
-            live = [r for r in order if refs[home[r]] and r < refs[home[r]][-1]]
-            assert experiments._live_order(home, refs, arrivals, key) == live
+            expected.append([r for r in order if refs[home[r]] and r < refs[home[r]][-1]])
+        walked = []
+
+        def recorded(pre, fields, order):
+            walked.append(list(order))
+            return _run_weight(pre, fields, order)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_run_weight", recorded)
+            _trial_weights_chunk(inst, p, start, 20, seed, padding)
+        assert walked == expected
 
     def test_dead_arrivals_are_left_out(self):
         # on a 2000-element partition at p = 0.08 only a few arrivals of
@@ -525,9 +546,9 @@ class TestLiveWalk:
         pre = inst.pre()
         walked = []
 
-        def counted(pre, refs, order):
+        def counted(pre, fields, order):
             walked.append(len(order))
-            return _run_weight(pre, refs, order)
+            return _run_weight(pre, fields, order)
 
         draws = list(experiments._arrival_draws(pre, 0.08, 3, 0, 20))
         with pytest.MonkeyPatch.context() as mp:

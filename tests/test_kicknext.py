@@ -38,10 +38,12 @@ from laminar_secretary.kicknext import (
     _run_weight,
     _sample_ids,
 )
+from laminar_secretary.matroid import _ref_fields, _ref_rank_lists
 
 from helpers import (
     FAMILY_OR_SHAPED,
     check_run_invariants,
+    decode_fields,
     family_instance,
     four_element,
     mixed_instances,
@@ -49,7 +51,9 @@ from helpers import (
     rank1,
     ref_lists_by_full_pass,
     replay_events,
+    run_weight_by_lists,
     sample_ranks_by_prefix,
+    shaped_trees,
     stream_by_prefix,
     trials_by_prefix,
     tree,
@@ -450,8 +454,8 @@ FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))
 
 
 class TestArrive:
-    """``_arrive`` is the one statement of the eviction step; the Monte
-    Carlo walk ``_run_weight`` inlines it."""
+    """``_arrive`` is the one statement of the eviction step on lists; the
+    Monte Carlo walk ``_run_weight`` takes the same step on bits."""
 
     @settings(max_examples=80, deadline=None)
     @given(FAMILIES, st.integers(1, 30), st.integers(0, 10_000),
@@ -470,7 +474,9 @@ class TestArrive:
             if len(evicted) == len(ch):
                 kept.append(r)
         expected = sum(pre.w_by_rank[r] for r in kept)
-        assert _run_weight(pre, ref_lists_by_full_pass(pre, in_s, padding), order) == expected
+        fields = _ref_fields(pre, order, padding)
+        assert _run_weight(pre, fields, order) == expected
+        assert decode_fields(pre, fields) == refs  # and it evicts the same entries
 
     def test_evicts_the_heaviest_lighter_reference(self):
         # one node holding ranks 2, 4, 6: rank 3 evicts 4, rank 7 finds none
@@ -484,6 +490,36 @@ class TestArrive:
         refs = [[5], [1], [9]]
         assert _arrive(refs, (0, 1, 2), 3) == [5]
         assert refs == [[], [1], [9]]
+
+
+class TestBitWalk:
+    """The Monte Carlo walk ``_run_weight`` on the fields of ``_ref_fields``
+    is the list walk (``run_weight_by_lists``) on the lists of
+    ``_ref_rank_lists``, draw by draw."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(st.builds(family_instance, FAMILIES, st.integers(1, 60),
+                               st.integers(0, 10_000)),
+                     shaped_trees(max_elements=40)),
+           st.integers(0, 10_000), st.sampled_from((0.05, 0.2, 0.5, 0.9)), st.booleans())
+    def test_matches_the_list_walk_on_every_draw(self, inst, seed, p, padding):
+        # n on both sides of ``experiments.SMALL_N`` (16): both trial paths
+        pre = inst.pre()
+        for arrivals, key in _arrival_draws(pre, p, seed, 0, 12):
+            order = _order(arrivals, key)
+            fields = _ref_fields(pre, order, padding)
+            refs = _ref_rank_lists(pre, order, padding)
+            assert _run_weight(pre, fields, order) == run_weight_by_lists(pre, refs, order)
+            assert decode_fields(pre, fields) == refs  # the same entries evicted
+
+    def test_evicts_the_heaviest_lighter_entry(self):
+        # one node holding ranks 2 and 4 of n = 8 and one virtual slot
+        # (bit 8): rank 3 evicts 4, rank 7 the virtual slot, and rank 5
+        # finds none and gains nothing; every weight is 1
+        inst = rank1([1.0] * 8, capacity=3)
+        fields = [1 << 2 | 1 << 4 | 1 << 8]
+        assert _run_weight(inst.pre(), fields, [3, 7, 5]) == 2.0
+        assert fields == [1 << 2]
 
 
 class TestRunExample:

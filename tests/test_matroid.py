@@ -19,17 +19,22 @@ from laminar_secretary import (
 from laminar_secretary.matroid import (
     _global_optima,
     _greedy_ranks,
+    _lowest_bits,
     _opt_tables,
+    _ref_fields,
     _ref_rank_lists,
 )
 
 from helpers import (
+    decode_fields,
+    family_instance,
     four_element,
     mixed_instances,
     padded_brank_by_ids,
     per_node_greedy_ranks,
     rank1,
     ref_lists_by_full_pass,
+    shaped_trees,
 )
 
 
@@ -119,6 +124,18 @@ def _spec(family, n, seed):
                    depth=2 + seed % 3 if family == "chain" else None)
 
 
+def _draw_arrivals(pre, kind, data):
+    """A sample's arrivals of one kind: none, every rank, some ranks of
+    the nodes' OPT, or any ranks."""
+    everything = list(range(pre.n_real))
+    if kind == "empty":
+        return []
+    if kind == "all":
+        return everything
+    pool = sorted({r for O in _global_optima(pre) for r in O}) if kind == "opt" else everything
+    return data.draw(st.lists(st.sampled_from(pool), unique=True))
+
+
 class TestTrialRankLists:
     """A sample's reference lists (``_ref_rank_lists``) rebuild only the
     nodes whose OPT holds an arrival, and equal those of the full pass over
@@ -132,13 +149,7 @@ class TestTrialRankLists:
         pre = generate(_spec(family, n, seed)).pre()
         opt = _global_optima(pre)
         everything = list(range(pre.n_real))
-        if kind == "empty":
-            arrivals = []
-        elif kind == "all":
-            arrivals = everything
-        else:
-            pool = sorted({r for O in opt for r in O}) if kind == "opt" else everything
-            arrivals = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        arrivals = _draw_arrivals(pre, kind, data)
         arrived = set(arrivals)
         in_s = [r not in arrived for r in everything]
         want = ref_lists_by_full_pass(pre, in_s, padding)
@@ -171,6 +182,56 @@ class TestTrialRankLists:
             named = {b for i, b in enumerate(pre.bottom_up) if mask >> i & 1}
             assert named == {b for b in ch if r in opt[b]}
             assert mask < 1 << len(pre.mu)
+
+
+class TestTrialFields:
+    """A sample's reference fields (``_ref_fields``) are its reference lists
+    (``_ref_rank_lists``) in bits, one int per node."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.builds(family_instance,
+                               st.sampled_from(("uniform", "partition", "chain", "random_tree")),
+                               st.integers(1, 60), st.integers(0, 10_000)),
+                     shaped_trees(max_elements=40)),
+           st.sampled_from(("empty", "all", "opt", "random")), st.booleans(), st.data())
+    def test_decode_to_the_lists(self, inst, kind, padding, data):
+        # n on both sides of ``experiments.SMALL_N`` (16), as the Monte Carlo
+        # trials build fields on both its paths
+        pre = inst.pre()
+        arrivals = _draw_arrivals(pre, kind, data)
+        want = _ref_rank_lists(pre, arrivals, padding)
+        got = _ref_fields(pre, arrivals, padding)
+        assert decode_fields(pre, got) == want
+        # the walk writes the list in place: a fresh one, which leaves the
+        # cached tables and the next trial's fields as they were
+        got[:] = [0] * len(got)
+        assert decode_fields(pre, _ref_fields(pre, arrivals[::-1], padding)) == want
+        assert decode_fields(pre, pre.opt_fields[padding]) == _ref_rank_lists(pre, [], padding)
+        assert pre.own_bits == tuple(sum(1 << r for r in rs) for rs in pre.own_ranks)
+
+
+class TestLowestBits:
+    """``_lowest_bits`` keeps the ``cap`` lowest set bits, by each of its
+    three ways."""
+
+    @pytest.mark.parametrize("width,k,cap", [
+        (40, 12, 7),      # drop 5 <= cap 7, at most 16: clears the top bits
+        (40, 32, 16),     # drop 16 <= cap 16: clears the top bits
+        (40, 30, 5),      # drop 25 > cap 5 <= 16: clears the low bits of a copy
+        (40, 3, 0),       # cap 0: nothing kept
+        (200, 150, 16),   # cap 16 < drop: clears the low bits of a copy
+        (3000, 700, 667), # drop 33 <= cap, both above 16: bisects
+        (3000, 900, 40),  # cap 40 < drop, both above 16: bisects
+        (3000, 34, 17),   # drop 17 = cap 17: bisects
+        (64, 64, 30),     # every bit set
+    ])
+    def test_every_branch_keeps_the_lowest_bits(self, width, k, cap):
+        rnd = random.Random(width * 7 + k * 3 + cap)
+        for _ in range(20):
+            positions = rnd.sample(range(width), k)
+            bits = sum(1 << i for i in positions)
+            want = sum(1 << i for i in sorted(positions)[:cap])
+            assert _lowest_bits(bits, k, cap) == want
 
 
 class TestReferenceSets:

@@ -59,9 +59,10 @@ def test_exact_expectation_spans_per_call(tmp_path, capsys, command, spans):
     assert names.count("experiments.exact_expectation") == spans
 
 
-def test_one_reference_list_span_per_trial(tmp_path, capsys):
-    # above ``SMALL_N`` each Monte Carlo trial builds its lists once, through
-    # ``experiments``' binding of the one builder, which the tracer wraps
+def test_one_walk_span_per_trial(tmp_path, capsys):
+    # above ``SMALL_N`` each Monte Carlo trial walks its reference sets once,
+    # through ``experiments``' binding of ``kicknext._run_weight``, which the
+    # tracer wraps; the sets are bits, so no trial builds a list
     path = tmp_path / "partition.json"
     path.write_text(dump_instance(generate(GenSpec("partition", 40, 3, parts=4))))
     tracer = _tracing().Tracer(laminar_secretary)
@@ -72,4 +73,5 @@ def test_one_reference_list_span_per_trial(tmp_path, capsys):
         tracer.restore()
     capsys.readouterr()
     names = [tracer.names[i] for i in tracer.name]
-    assert names.count("kicknext.refs") == 50
+    assert names.count("kicknext.walk") == 50
+    assert names.count("kicknext.refs") == 0
