@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the layers of one Monte Carlo trial, as ``_trial_weights_chunk``
-runs them above ``SMALL_N`` elements.
+runs them above ``SMALL_N`` elements, and the two per-trial check layers
+of CLI ``verify`` on the same trial.
 
 Usage: python scripts/trial_layers.py [--family F] [--n N] [--p P]
            [--seed S] [--parts K] [--trials T] [--rounds R] [--no-padding]
@@ -16,12 +17,22 @@ round draws trials 0..T-1 of master seed S and times, per trial:
 - ``walk``: walking the live arrivals through the fields
   (``kicknext._run_weight``);
 
-and, for comparison, the same trial on rank lists: ``refs``, the same
-sets as ascending rank lists (``matroid._ref_rank_lists``, which the
-checks read), and ``list_walk``, the same live arrivals walked through
-them by bisect and pop (``kicknext._arrive``, inlined).
+for comparison, the same trial on rank lists: ``refs``, the same sets as
+ascending rank lists (``matroid._ref_rank_lists``, which only
+``run_kicknext`` and ``reference_sets`` still build), and ``list_walk``,
+the same live arrivals walked through them by bisect and pop
+(``kicknext._arrive``, inlined); and the checks, which read the trial's
+fields and its full arrival order, as ``verify_report`` runs them:
+
+- ``dominance``: the backward-rank dominance step
+  (``experiments._Dominance.step``);
+- ``failures``: the eviction-failure walk of every arrival, which also
+  gives the trial's root weight (``experiments._EvictionFailures.walk``).
+
 The draws come first, for the whole round; then the other layers run one
-after another on batches of ``BATCH`` = 64 trials.  The report gives
+after another on batches of ``BATCH`` = 64 trials.  The checks read a
+copy of the batch's fields taken before the walk consumes them, and the
+full orders, sorted outside the timed layers.  The report gives
 the median over rounds of each layer's time per trial, with the lowest
 and highest round, plus the mean arrivals and live arrivals per trial,
 and the share of ``_gap_table(p)``'s buckets that are mixed: the
@@ -31,9 +42,10 @@ alone, the times on the host too.
 
 A round holds every trial's draw at once, per trial up to n arrivals with
 their keys, and one batch's sets: per trial one list per node, with the
-lists' entries, ``sum(_Pre.slots)`` at most, and one int of up to
-n + ``slots`` bits per node.  The draws and lists cost up to about 116
-bytes an item (every element arriving, at p = 0.999), so a round of more
+lists' entries, ``sum(_Pre.slots)`` at most, and two lists of one int of
+up to n + ``slots`` bits per node, the fields and the checks' copy.  The
+draws and lists cost up to about 116 bytes an item (every element
+arriving, at p = 0.999), so a round of more
 than ``MAX_ROUND`` = 10^6 items, trials x (elements + nodes + slots), is
 refused with exit 2: on ``--trials`` x ``--n`` before the instance is
 built, and on the whole count before any round.  So are rounds outside
@@ -54,14 +66,20 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from laminar_secretary import GenSpec, generate
-from laminar_secretary.experiments import SMALL_N, _arrival_draws, _check_run
+from laminar_secretary.experiments import (
+    SMALL_N,
+    _arrival_draws,
+    _check_run,
+    _Dominance,
+    _EvictionFailures,
+)
 from laminar_secretary.generators import FAMILIES, FAMILY_FIELDS
 from laminar_secretary.kicknext import GAP_BITS, _gap_table, _order, _run_weight
 from laminar_secretary.matroid import _ref_fields, _ref_rank_lists
 
 MAX_ROUND = 10**6
 BATCH = 64
-LAYERS = ("draw", "fields", "live", "walk", "refs", "list_walk")
+LAYERS = ("draw", "fields", "live", "walk", "refs", "list_walk", "dominance", "failures")
 
 
 def _check_round(trials, items):
@@ -91,15 +109,20 @@ def _round(pre, p, seed, trials, padding):
     home = [ch[0] for ch in pre.chain_by_rank]
     clock = time.perf_counter
     spent = dict.fromkeys(LAYERS, 0.0)
+    dominance = _Dominance(pre)
+    failures = _EvictionFailures(pre)
     t0 = clock()
     draws = list(_arrival_draws(pre, p, seed, 0, trials))
     spent["draw"] = clock() - t0
     live = 0
     for i in range(0, trials, BATCH):
         batch = draws[i:i + BATCH]
+        full = [_order(list(arrivals), key) for arrivals, key in batch]
         t0 = clock()
         fields = [_ref_fields(pre, arrivals, padding) for arrivals, _ in batch]
         t1 = clock()
+        kept = [F[:] for F in fields]
+        t1b = clock()  # the copy is in no layer
         orders = []
         for F, (arrivals, key) in zip(fields, batch):
             top = list(map(int.bit_length, F))
@@ -113,7 +136,14 @@ def _round(pre, p, seed, trials, padding):
         for R, order in zip(refs, orders):
             _list_walk(pre, R, order)
         t5 = clock()
-        for k, t in zip(LAYERS[1:], (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+        for j, (F, order) in enumerate(zip(kept, full), i):
+            dominance.step(j, order, F)
+        t6 = clock()
+        for F, order in zip(kept, full):
+            failures.walk(F, order)
+        t7 = clock()
+        for k, t in zip(LAYERS[1:], (t1 - t0, t2 - t1b, t3 - t2, t4 - t3, t5 - t4, t6 - t5,
+                                     t7 - t6)):
             spent[k] += t
         live += sum(map(len, orders))
     return spent, sum(len(arrivals) for arrivals, _ in draws), live

@@ -13,37 +13,37 @@ that a printed estimate says which draws it rests on.  Aggregation goes
 through ``math.fsum`` (exact summation), which keeps results independent
 of chunking.
 
-Each reader orders only what it needs.  The checks take trials from
-``_trials``, as full arrival orders and fresh reference lists (ascending
-rank lists, padded to the ``_Pre.slots`` a walk can reach) from
-``matroid._ref_rank_lists``, the one builder of a sample's lists, as for
-``run_kicknext``; arrivals walk them by ``kicknext._arrive``.  The Monte
-Carlo ratio builds no list: each trial's reference sets are one int per
-node from ``matroid._ref_fields``, walked by ``kicknext._run_weight``, a
-mask, a lowest set bit and a clear per node.  Above ``SMALL_N`` elements
-it sorts and walks only the live arrivals, those below the top bit of
-their minimal node's field when the phase starts, as a dead arrival
-never evicts or gains; and the qualifying law reads unsorted arrival
-sets.  An eviction-failure
-event is a zero ``theory._padded_brank``.  Every slot a list leaves out
-up to capacity is virtual and lighter than every real rank, so a
-dominance check compares the counts of entries up to a rank, trial list
-against OPT, in which capacity cancels, and a qualifying count is indexed
-by the padded list's own lighter entries.  The capacity-padded backward
-ranks that a witness prints come from the one function
-``theory._global_brank``.  Up to ``SMALL_N`` elements, draws repeat
-often, and the Monte Carlo ratio memoizes each arrival order's weight,
-which the order fixes.  The reference sets and the whole ground set's
-optima OPT, which the ratio denominators and the checks measure against,
-come from ``matroid`` (``_ref_rank_lists``, ``_ref_fields``, and
-``_global_optima``, built once per instance and read by each check
-itself).
+Each reader orders only what it needs.  Every sampled trial, Monte Carlo
+or check, holds its reference sets as one int per node from
+``matroid._ref_fields``: bit r for real rank r and bit n + j for virtual
+slot j, so bit order is rank order and the entries up to a rank are the
+set bits of a masked prefix.  The checks take trials from ``_trials``, as
+full arrival orders and fresh fields.  The Monte Carlo ratio walks each
+trial by ``kicknext._run_weight``, a mask, a lowest set bit and a clear
+per node.  Above ``SMALL_N`` elements it sorts and walks only the live
+arrivals, those below the top bit of their minimal node's field when the
+phase starts, as a dead arrival never evicts or gains; and the
+qualifying law reads unsorted arrivals.  An eviction-failure event is a
+node of an arrival's chain whose field holds no bit above the arrival's
+rank.  Every slot a set leaves out up to capacity is virtual and lighter
+than every real rank, so a dominance check compares the counts of
+entries up to a rank, trial set against OPT, in which capacity cancels,
+and a qualifying count is indexed by the padded set's own lighter
+entries.  The capacity-padded backward ranks that a witness prints are
+``mu`` less those counts, as ``theory._global_brank`` counts them on
+OPT.  Up to ``SMALL_N`` elements, draws repeat often, and the Monte Carlo
+ratio memoizes each arrival order's weight, which the order fixes.  The
+reference sets and the whole ground set's optima OPT, which the ratio
+denominators and the checks measure against, come from ``matroid``
+(``_ref_fields``, ``_global_optima`` and OPT's bits ``_opt_bits``, built
+once per instance and read by each check itself); no reader here builds
+a rank list.
 Every sampling entry point checks its trial count (at most
 ``MAX_TRIALS``), p and master seed through ``_check_run``.
 
 CLI ``verify`` reads ``verify_report``, which draws each trial once: the
-backward-rank dominance reads a trial's fresh reference lists, and one walk
-of them gives both its root weight for the ratio and its eviction failures.
+backward-rank dominance reads a trial's fresh fields, and one walk of
+them gives both its root weight for the ratio and its eviction failures.
 ``verify_lemmas`` and ``allkicked_frequency`` drive the same per-trial
 steps (``_Dominance``, ``_EvictionFailures``) from their own trial loops,
 so each returns what its part of the report holds; ``monte_carlo_ratio``
@@ -51,11 +51,12 @@ walks the trials by ``_trial_weights_chunk`` instead, whose weights, and
 so whose ratio, equal those of the report.
 
 The backward-rank dominance step costs what a trial changes, not n: the
-weak check compares each node's sample optimum with OPT entry by entry, and
-the optimum and strict checks read only the trial's arrivals along their
-chains (see ``_Dominance``).  Ids appear only in the printed witnesses,
-each the least example by (trial, node index, rank), so relabelling the ids
-without changing the weight order changes no more than the ids printed.
+weak check tests only the bits a node's field holds and OPT's does not,
+and the optimum and strict checks read only the trial's arrivals along
+their chains (see ``_Dominance``).  Ids appear only in the printed
+witnesses, each the least example by (trial, node index, rank), so
+relabelling the ids without changing the weight order changes no more
+than the ids printed.
 
 The exact expectation by enumeration lives in ``exact``; ``exact_ratio``
 divides it by the optimum's weight, as the Monte Carlo ratio does.
@@ -70,19 +71,16 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice, starmap
 from multiprocessing import Pool
-from operator import gt
 
-from .model import LaminarInstance
-from .matroid import _global_optima, _ref_fields, _ref_rank_lists
+from .model import InstanceError, LaminarInstance
+from .matroid import _global_optima, _opt_bits, _ref_fields
 from .exact import _check_enumerable, _enumerable, _split_law, exact_expectation
 from .kicknext import (
     _MASK64,
-    _arrive,
     _block_size,
     _check_p,
     _check_seed,
@@ -277,9 +275,11 @@ def _arrival_draws(pre, p: float, master_seed: int, start: int, count: int):
 
 def _trials(pre, p, master_seed, start, count, padding):
     """Trials ``start`` to ``start + count - 1`` of ``master_seed`` as
-    ``(order, refs)``, fresh reference lists for the caller to consume."""
+    ``(order, fields)``: the full arrival order and the reference sets as
+    one int per node (``matroid._ref_fields``), a fresh list for the
+    caller to consume."""
     for order in starmap(_order, _arrival_draws(pre, p, master_seed, start, count)):
-        yield order, _ref_rank_lists(pre, order, padding)
+        yield order, _ref_fields(pre, order, padding)
 
 
 def _trial_weights_chunk(inst, p, start, count, master_seed, padding):
@@ -403,7 +403,8 @@ def _ratio_estimate(weights: list[float], w_opt: float, p: float,
 class _EvictionFailures:
     """Eviction-failure counts in three steps: set up once per instance,
     ``walk`` once per trial, ``rows`` at the end.  An event is an optimum
-    element arriving at a chain node that holds no lighter reference."""
+    element arriving at a chain node that holds no lighter reference: on
+    a field, no set bit above the element's rank."""
 
     def __init__(self, pre):
         self.pre = pre
@@ -411,26 +412,35 @@ class _EvictionFailures:
         self.seen = dict.fromkeys(opt[pre.root_idx], 0)  # arrivals per optimum element
         self.hits: dict[tuple[int, int], int] = defaultdict(int)
 
-    def walk(self, refs: list[list[int]], order) -> float:
-        """Walk one trial's arrivals through ``refs``, which the walk
-        consumes, counting the events; returns the weight accepted at the
-        root, added in arrival order as ``kicknext._run_weight`` adds it."""
+    def walk(self, fields: list[int], order) -> float:
+        """Walk one trial's arrivals through ``fields``, one int per node
+        (``matroid._ref_fields``), which the walk consumes, counting the
+        events; returns the weight accepted at the root.  The step is
+        ``kicknext._run_weight``'s, and the weights are added in the same
+        order, so the two walks return the same float."""
         chains = self.pre.chain_by_rank
         w = self.pre.w_by_rank
         seen = self.seen
         hits = self.hits
         total = 0.0
         for r in order:
+            m = -(2 << r)  # the bits of ranks lighter than r, virtual ones included
             ch = chains[r]
-            k = len(_arrive(refs, ch, r))
-            if k == len(ch):
+            k = 0  # nodes passed
+            for b in ch:
+                x = fields[b] & m
+                if not x:
+                    break
+                fields[b] ^= x & -x
+                k += 1
+            else:
                 total += w[r]
             if r in seen:
                 seen[r] += 1
                 # every node the walk passed held a lighter reference, and
                 # the walk left the rest of the chain as it found it
                 for b in ch[k:]:
-                    if _padded_brank(refs[b], r) == 0:
+                    if not fields[b] & m:
                         hits[r, b] += 1
         return total
 
@@ -461,37 +471,39 @@ def allkicked_frequency(inst: LaminarInstance, p: float, trials: int, master_see
     params = theory_params(p)  # the bound needs p < 1/2
     pre = inst.pre()
     failures = _EvictionFailures(pre)
-    for order, refs in _trials(pre, p, master_seed, 0, trials, padding):
-        failures.walk(refs, order)
+    for order, fields in _trials(pre, p, master_seed, 0, trials, padding):
+        failures.walk(fields, order)
     return failures.rows(params)
 
 
 # -- qualifying-count joint probabilities --------------------------------------
 
 
-def _qualifying_members(pre, b: int, skip: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The ranks inside node index ``b`` other than ``skip``, each with its
-    chain up to ``b``: what ``_qualifying_counts`` scans, built once per
-    call rather than once per trial."""
-    return [(r, pre.upto(r, b)) for r in pre.members(b) if r != skip]
+def _qualifying_members(pre, b: int, skip: int) -> dict[int, tuple[int, ...]]:
+    """The ranks inside node index ``b`` other than ``skip``, each mapped to
+    its chain up to ``b``: what ``_qualifying_counts`` looks a trial's
+    arrivals up in, built once per call rather than once per trial."""
+    return {r: pre.upto(r, b) for r in pre.members(b) if r != skip}
 
 
-def _qualifying_counts(pre, b: int, members, arrived: set[int]) -> list[int]:
-    """Counts per entry of node index ``b``'s padded reference list
-    (``slots[b]`` of them, lightest first) of the ranks of ``members``
-    (from ``_qualifying_members``) that arrive, in the set ``arrived``, and
-    qualify for the node:
-    each outweighs the lightest reference entry at every node of its chain
-    up to ``b``, and is counted at the heaviest entry lighter than it, at
-    the list's own lighter-entry count less one.  The capacity-long counts
-    put ``mu[b] - slots[b]`` zeros in front: a member's capacity-padded
-    backward rank exceeds this count by the slots the list leaves out."""
-    refs = _ref_rank_lists(pre, arrived, True)
-    R = refs[b]
-    got = [0] * len(R)
-    for r, up in members:
-        if r in arrived and all(refs[x][-1] > r for x in up):
-            got[_padded_brank(R, r) - 1] += 1  # qualifying implies >= 1
+def _qualifying_counts(fields: list[int], b: int, members, arrivals) -> list[int]:
+    """Counts per entry of node index ``b``'s padded reference set
+    (``slots[b]`` of them, its set bits, lightest first) of the ranks in
+    ``arrivals`` that are keys of ``members`` (from
+    ``_qualifying_members``) and qualify for the node, given ``fields``,
+    the padded reference sets (``matroid._ref_fields``) of the sample that
+    leaves out ``arrivals``: each outweighs the lightest reference entry
+    at every node of its chain up to ``b``, a set bit above its rank, and
+    is counted at the heaviest entry lighter than it, at the set's own
+    lighter-entry count less one.  The capacity-long counts put
+    ``mu[b] - slots[b]`` zeros in front: a member's capacity-padded
+    backward rank exceeds this count by the slots the set leaves out."""
+    F = fields[b]
+    got = [0] * F.bit_count()
+    for r in arrivals:
+        up = members.get(r)
+        if up is not None and all(fields[x] >> (r + 1) for x in up):
+            got[(F >> (r + 1)).bit_count() - 1] += 1  # qualifying implies >= 1
     return got
 
 
@@ -515,7 +527,9 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     ``counts`` exactly — together with the product bound p^(sum of counts).
 
     Exact by enumeration when the instance is small enough, Monte Carlo
-    otherwise (``method`` forces either).
+    otherwise (``method`` forces either).  An element outside the node is
+    refused with ``InstanceError``, as ``brank`` refuses it, before any
+    draw or enumeration.
     """
     _check_run(p, trials, master_seed)
     pre = inst.pre()
@@ -544,6 +558,8 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
     if nonzero_head:
         tail = None
     skip = pre.rank_of(element_id)
+    if pre.upto(skip, b) is None:
+        raise InstanceError(f"element {element_id} is not contained in node {node_id}")
     bound = p ** total
     n = inst.n
     if method not in ("auto", "exact", "mc"):
@@ -557,8 +573,9 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
         acc = []
         for mask in range(1 << n):  # the splits of ``exact._enum_states``: set bit r, r arrives
             if mask >> skip & 1:
-                arrived = {r for r in range(n) if mask >> r & 1}
-                if _qualifying_counts(pre, b, members, arrived) == tail:
+                arrivals = [r for r in range(n) if mask >> r & 1]
+                if _qualifying_counts(_ref_fields(pre, arrivals, True), b, members,
+                                      arrivals) == tail:
                     acc.append(law[mask.bit_count() - 1])
         return QualifyingProbability(math.fsum(acc), bound, True)
 
@@ -568,7 +585,7 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
         if skip not in arrivals:
             continue  # rejection sampling for the conditional law
         ncond += 1
-        if _qualifying_counts(pre, b, members, set(arrivals)) == tail:
+        if _qualifying_counts(_ref_fields(pre, arrivals, True), b, members, arrivals) == tail:
             hits += 1
     if ncond == 0:
         raise ValueError("no trial satisfied the conditioning event; raise trials")
@@ -625,53 +642,60 @@ def _exact_lemma_checks(inst: LaminarInstance, c: float) -> list[LemmaCheck]:
 class _Dominance:
     """Backward-rank dominance of sample optima, in the padded view, in three
     steps: set up once per instance, ``step`` once per trial on its fresh
-    reference lists and its arrivals, ``checks`` at the end.  The first
-    example reported is the least by (trial, node index, rank), so it
-    depends on the weight order alone, not on how ids are chosen or how a
-    set of them iterates.
+    fields (``matroid._ref_fields``, padded) and its arrivals, ``checks``
+    at the end.  The first example reported is the least by (trial, node
+    index, rank), so it depends on the weight order alone, not on how ids
+    are chosen or how a set of them iterates.
 
     The capacity-padded backward rank of a member r of node b is ``mu[b]``
-    less the entries up to r of the list it is taken against, as every slot
-    up to capacity that a list leaves out is virtual (``theory._global_brank``).
-    So ``mu[b]`` cancels: r's rank against the sample's list R is smaller
+    less the entries up to r of the set it is taken against, as every slot
+    up to capacity that a set leaves out is virtual (``theory._global_brank``).
+    So ``mu[b]`` cancels: r's rank against the sample's set R is smaller
     than against OPT exactly when R holds more entries up to r than OPT
-    does, and the checks compare those counts, with no capacity read.  The
-    padded ranks a witness prints are computed only when it is recorded.
-    The weak check compares the sample optimum with OPT entry by entry:
-    the excess of R's count peaks at R's real entries, which are members of
-    b, so it occurs iff R has more real entries than OPT has entries or
-    some OPT entry is lighter than R's entry at the same place.  Only a
-    node that fails is scanned member by member, for the witness.  The
-    optimum and strict checks concern arriving ranks only, so they read the
-    trial's arrivals along their chains.  A trial costs O(nodes + OPT's
-    entries + the arrivals' chain lengths), not O(n)."""
+    does, and the checks compare those counts, with no capacity read.  On
+    a field, R's count up to r is the popcount of the field masked to
+    bits 0..r, as virtual bits lie above every real one.  The padded ranks
+    a witness prints are computed only when it is recorded.
+    The weak check tests, per node, only the real bits of R that OPT does
+    not hold: R's count excess over OPT rises only at such a bit, so its
+    first positive value, if any, is at one of them, lowest first, which
+    also covers R holding more real entries than OPT.  A node the trial
+    left as OPT's has none, and the witness is the least such bit with an
+    excess, as R's real entries are members of b.  The optimum and strict
+    checks concern arriving ranks only, so they read the trial's arrivals
+    along their chains.  A trial costs O(nodes + R's entries outside OPT +
+    the arrivals' chain lengths) popcounts and masks, not O(n)."""
 
     def __init__(self, pre):
         self.pre = pre
-        self.opt = opt = _global_optima(pre)
-        # per rank, per node of its chain: OPT's entries up to the rank,
-        # which no trial changes
-        self.opt_upto = [tuple(bisect_right(opt[b], r) for b in ch)
-                         for r, ch in enumerate(pre.chain_by_rank)]
-        self.in_opt = [set(rs) for rs in opt]
+        self.opt = _global_optima(pre)
+        self.opt_bits = opt_bits = _opt_bits(pre)
+        real = (1 << pre.n_real) - 1
+        self.outside = [real & ~O for O in opt_bits]  # per node, the real ranks outside OPT
+        # per rank, per node of its chain: the node, OPT's entries up to the
+        # rank and whether OPT holds it, which no trial changes
+        self.chain_opt = [tuple((b, (opt_bits[b] & (2 << r) - 1).bit_count(),
+                                 opt_bits[b] >> r & 1) for b in ch)
+                          for r, ch in enumerate(pre.chain_by_rank)]
         self.weak_witness = ""  # first failures, as in ``_exact_lemma_checks``
         self.member_witness = ""
         self.strict_violations = 0
         self.strict_example = ""
 
-    def step(self, t_idx: int, order, refs: list[list[int]]) -> None:
-        pre = self.pre
+    def step(self, t_idx: int, order, fields: list[int]) -> None:
         if not self.weak_witness:
-            self.weak_witness = self._weak_witness(t_idx, refs)
+            self.weak_witness = self._weak_witness(t_idx, fields)
         want_member = not self.member_witness
         want_strict = not self.strict_example
         member = strict = None  # this trial's least (node, rank)
         violations = 0
+        chain_opt = self.chain_opt
         for r in order:
-            for b, k in zip(pre.chain_by_rank[r], self.opt_upto[r]):
-                if bisect_right(refs[b], r) < k:  # a larger padded rank than OPT's
+            upto = (2 << r) - 1
+            for b, k, in_opt in chain_opt[r]:
+                if (fields[b] & upto).bit_count() < k:  # a larger padded rank than OPT's
                     continue
-                if r in self.in_opt[b]:
+                if in_opt:
                     if want_member and (member is None or (b, r) < member):
                         member = (b, r)
                 else:
@@ -680,29 +704,31 @@ class _Dominance:
                         strict = (b, r)
         self.strict_violations += violations
         if member is not None:
-            self.member_witness = self._witness(t_idx, *member, refs) + "+1"
+            self.member_witness = self._witness(t_idx, *member, fields) + "+1"
         if strict is not None:
             self.strict_example = self._witness(t_idx, *strict)
 
-    def _witness(self, t_idx: int, b: int, r: int, refs=None) -> str:
+    def _witness(self, t_idx: int, b: int, r: int, fields=None) -> str:
         """Where rank ``r`` fails at node index ``b`` in trial ``t_idx``; given
-        the trial's ``refs``, then ``bs < bu``: its padded ranks, trial, OPT."""
+        the trial's ``fields``, then ``bs < bu``: its padded ranks, trial, OPT."""
         pre = self.pre
         text = f"trial {t_idx}, element {pre.ids_by_rank[r]}, node {pre.node_ids[b]}"
-        if refs is None:
+        if fields is None:
             return text
-        bs, bu = _global_brank(pre, refs, b, r), _global_brank(pre, self.opt, b, r)
-        return f"{text}: {bs} < {bu}"
+        bs = pre.mu[b] - (fields[b] & (2 << r) - 1).bit_count()
+        return f"{text}: {bs} < {_global_brank(pre, self.opt, b, r)}"
 
-    def _weak_witness(self, t_idx: int, refs: list[list[int]]) -> str:
+    def _weak_witness(self, t_idx: int, fields: list[int]) -> str:
         """The trial's first weak violation, or ``""``: the first failing
-        node, scanned heaviest member first."""
-        pre = self.pre
-        for b, (O, R) in enumerate(zip(self.opt, refs)):
-            if bisect_left(R, pre.n_real) > len(O) or any(map(gt, O, R)):
-                for r in pre.members(b):
-                    if bisect_right(R, r) > bisect_right(O, r):
-                        return self._witness(t_idx, b, r, refs)
+        node, at its heaviest member with a count excess."""
+        for b, (F, out, O) in enumerate(zip(fields, self.outside, self.opt_bits)):
+            x = F & out  # R's real entries outside OPT
+            while x:
+                low = x & -x
+                x ^= low
+                upto = (low << 1) - 1
+                if (F & upto).bit_count() > (O & upto).bit_count():
+                    return self._witness(t_idx, b, low.bit_length() - 1, fields)
         return ""
 
     def checks(self, trials: int) -> list[LemmaCheck]:
@@ -729,8 +755,8 @@ def verify_lemmas(inst: LaminarInstance, p: float, *, trials: int = 200,
     pre = inst.pre()
     checks = _exact_lemma_checks(inst, params.c)
     dominance = _Dominance(pre)
-    for t_idx, (order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
-        dominance.step(t_idx, order, refs)
+    for t_idx, (order, fields) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
+        dominance.step(t_idx, order, fields)
     return checks + dominance.checks(trials)
 
 
@@ -741,9 +767,9 @@ def verify_report(inst: LaminarInstance, p: float, trials: int,
                   master_seed: int) -> ExperimentReport:
     """The report of CLI ``verify``: the padded Monte Carlo ratio, the lemma
     checks and the eviction-failure rows, from one pass that draws each
-    trial once.  The backward-rank dominance reads the fresh reference lists
-    of the first ``min(trials, LEMMA_TRIALS)`` trials; then one walk of the
-    lists gives both the trial's root weight and its eviction failures.
+    trial once.  The backward-rank dominance reads the fresh fields of the
+    first ``min(trials, LEMMA_TRIALS)`` trials; then one walk of the
+    fields gives both the trial's root weight and its eviction failures.
     Each part equals what ``monte_carlo_ratio``, ``verify_lemmas`` (on the
     capped trial count) and ``allkicked_frequency`` return on their own.
     Checked before any trial is drawn, in this order: the run, a zero
@@ -756,10 +782,10 @@ def verify_report(inst: LaminarInstance, p: float, trials: int,
     dominance = _Dominance(pre)
     failures = _EvictionFailures(pre)
     weights = []
-    for t_idx, (order, refs) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
+    for t_idx, (order, fields) in enumerate(_trials(pre, p, master_seed, 0, trials, True)):
         if t_idx < lemma_trials:
-            dominance.step(t_idx, order, refs)
-        weights.append(failures.walk(refs, order))
+            dominance.step(t_idx, order, fields)
+        weights.append(failures.walk(fields, order))
     report = ExperimentReport(inst.name, p, trials, master_seed)
     report.ratio = _ratio_estimate(weights, w_opt, p, True)
     report.lemma_checks = (_exact_lemma_checks(inst, params.c)

@@ -18,10 +18,11 @@ reference set still holds some lighter element, in which case the
 the chain walk stops and the element is rejected from the overall solution.
 Acceptances at inner nodes are kept even when an outer node rejects — the
 walk never rolls back.  The run's output is the root's accepted list.
-``_arrive`` takes that step on a trial's lists, for ``run_kicknext`` and
-the checks; ``_run_weight``, the Monte Carlo walk, takes it on the same
+``_arrive`` takes that step on a run's lists, for ``run_kicknext``, whose
+ids come out; ``_run_weight``, the Monte Carlo walk, takes it on the same
 sets held as one int per node (``matroid._ref_fields``), where the
-heaviest lighter entry is the lowest set bit above the arrival's rank.
+heaviest lighter entry is the lowest set bit above the arrival's rank, as
+the checks' walk (``experiments._EvictionFailures.walk``) does.
 
 A 64-bit seed names a stream, the SHAKE-128 output of the seed read as
 64-bit words, and a stream holds consecutive draws: ``_draws`` reads a

@@ -18,12 +18,14 @@ This module is the one place that builds optima and a sample's
 reference sets: the whole ground set's optima OPT, built once per
 instance and cached unpadded (``_global_optima``); the reference sets of
 a sample, given by its arrivals, as rank lists (``_ref_rank_lists``, the
-one builder of lists, for the checks' trials and single runs) or as one
-int per node, bit r for rank r (``_ref_fields``, for Monte Carlo
-trials), both of which rebuild only the nodes whose OPT holds an arrival
-and take OPT's cached, padded sets everywhere else, as a node's optimum
-is OPT's wherever the sample holds OPT; and ``greedy_opt`` and
-``brank``, which read OPT or, given a subset, index one pass over it.
+one builder of lists, for the single runs whose ids come out:
+``kicknext.run_kicknext`` and ``kicknext.reference_sets``) or as one int
+per node, bit r for rank r (``_ref_fields``, for every sampled trial:
+Monte Carlo and the checks), both of which rebuild only the nodes whose
+OPT holds an arrival and take OPT's cached, padded sets everywhere else,
+as a node's optimum is OPT's wherever the sample holds OPT; and
+``greedy_opt`` and ``brank``, which read OPT or, given a subset, index
+one pass over it.
 On bits a node keeps the lowest capacity-many set bits of its
 candidates, by ``_lowest_bits``, which exact enumeration's pass
 (``exact._greedy_bits``) shares, so neither builds a list.
@@ -261,6 +263,15 @@ def _global_optima(pre) -> tuple[tuple[int, ...], ...]:
     return pre.global_optima
 
 
+def _opt_bits(pre) -> tuple[int, ...]:
+    """OPT's real bits per node index: bit r for each rank r of OPT_b, the
+    unpadded field of ``_ref_fields`` wherever the sample holds OPT_b,
+    from the tables that ``_opt_tables`` fills on first use."""
+    if pre.opt_masks is None:
+        _opt_tables(pre)
+    return pre.opt_fields[False]
+
+
 def _opt_tables(pre) -> None:
     """Fill the tables that the two builders of a sample's reference sets
     read, once per instance, on first use: per rank the nodes whose OPT
@@ -270,7 +281,8 @@ def _opt_tables(pre) -> None:
     every ancestor's); for ``_ref_rank_lists``, OPT padded by ``_pad``
     (``pre.padded_optima``, O(sum of slots)); for ``_ref_fields``, OPT's
     fields unpadded and padded (``pre.opt_fields``, indexed by the padding
-    flag) and each node's own ranks as bits (``pre.own_bits``).  The bit
+    flag; the checks read the unpadded ones through ``_opt_bits``) and
+    each node's own ranks as bits (``pre.own_bits``).  The bit
     tables hold one int per node, each at most n + ``slots`` bits wide; no
     table is kept per rank or per count of a node's entries."""
     opt = _global_optima(pre)

@@ -30,10 +30,12 @@ reference lists, padded only to the slots a walk can reach, see
 ``model._Pre``), it is ``mu[b]`` less the list's entries up to the rank.
 The chain-decay sums read it, each node's from one list of its terms
 (``_decay_terms``) added left to right, and so do the printed witnesses of
-the checks; the checks themselves compare the counts of entries up to a rank,
-in which capacity cancels.  ``_padded_brank`` counts a list's own entries
-lighter than a rank and reads no capacity.  ``p_grid`` is the one grid of p
-values; it raises ``ValueError`` on a bad step or range.  ``_theory_csv`` is the one table of
+the checks, for OPT.  The checks hold a trial's sets as one int per node
+(``matroid._ref_fields``) and compare the counts of entries up to a rank,
+popcounts of masked prefixes, in which capacity cancels; a witness's
+trial rank is ``mu[b]`` less such a count.  ``_padded_brank`` counts a
+list's own entries lighter than a rank and reads no capacity.  ``p_grid``
+is the one grid of p values; it raises ``ValueError`` on a bad step or range.  ``_theory_csv`` is the one table of
 the guarantee over a grid, for CLI ``theory`` and ``scripts/theory_sweep.py``.
 """
 
@@ -95,8 +97,8 @@ def _padded_brank(R: list[int], r: int) -> int:
     """The list's own lighter entries: those of the ascending rank list
     ``R`` lighter than rank ``r``, virtual entries included, 0 when none is
     left.  Whatever the name says, it reads no capacity; the capacity-padded
-    backward rank is ``_global_brank``.  ``experiments._EvictionFailures``
-    (walk and rows) and ``experiments._qualifying_counts`` read it."""
+    backward rank is ``_global_brank``.  ``experiments._EvictionFailures.rows``
+    reads it, on OPT's lists."""
     return len(R) - bisect_right(R, r)
 
 

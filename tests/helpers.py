@@ -3,10 +3,11 @@ implementations for the test suite."""
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from hashlib import shake_128
 from itertools import permutations
+from operator import gt
 
 from hypothesis import strategies as st
 
@@ -29,9 +30,9 @@ from laminar_secretary import (
     run_kicknext,
     theory_params,
 )
-from laminar_secretary.kicknext import _block_size, _order
-from laminar_secretary.matroid import _global_optima, _greedy_ranks, _pad
-from laminar_secretary.theory import _global_brank
+from laminar_secretary.kicknext import _arrive, _block_size, _order
+from laminar_secretary.matroid import _global_optima, _greedy_ranks, _pad, _ref_rank_lists
+from laminar_secretary.theory import _global_brank, _padded_brank
 
 # The documented four-element example: two heavy elements share a unit-capacity
 # inner node, two lighter ones sit directly under the root.
@@ -299,6 +300,118 @@ def decode_fields(pre, fields):
     return [[i if i < n else pre.virtual_rank_base[b] + i - n
              for i in range(f.bit_length()) if f >> i & 1]
             for b, f in enumerate(fields)]
+
+
+def encode_fields(pre, refs):
+    """The reference fields that the ascending rank lists ``refs`` stand
+    for, the inverse of ``decode_fields``: bit r for real rank r and bit
+    n + j for node b's virtual rank ``virtual_rank_base[b] + j``."""
+    n = pre.n_real
+    return [sum(1 << (r if r < n else n + r - base) for r in R)
+            for R, base in zip(refs, pre.virtual_rank_base)]
+
+
+def dominance_by_lists(pre, trials):
+    """Reference for ``experiments._Dominance`` on rank lists: its checks
+    as they ran before they moved to fields.  ``trials`` holds
+    (order, refs) pairs, refs ascending rank lists.  A rank's count of
+    entries up to it is a ``bisect_right``; the weak check flags a node
+    whose list holds more real entries than OPT's or, entry by entry, a
+    heavier one, and scans that node's members, heaviest first, for the
+    witness.  Returns (weak_witness, member_witness, strict_violations,
+    strict_example)."""
+    opt = _global_optima(pre)
+    opt_upto = [tuple(bisect_right(opt[b], r) for b in ch)
+                for r, ch in enumerate(pre.chain_by_rank)]
+    in_opt = [set(rs) for rs in opt]
+
+    def witness(t_idx, b, r, refs=None):
+        text = f"trial {t_idx}, element {pre.ids_by_rank[r]}, node {pre.node_ids[b]}"
+        if refs is None:
+            return text
+        return f"{text}: {_global_brank(pre, refs, b, r)} < {_global_brank(pre, opt, b, r)}"
+
+    weak_witness = member_witness = strict_example = ""
+    strict_violations = 0
+    for t_idx, (order, refs) in enumerate(trials):
+        for b, (O, R) in enumerate(zip(opt, refs)):
+            if weak_witness:
+                break
+            if bisect_left(R, pre.n_real) > len(O) or any(map(gt, O, R)):
+                for r in pre.members(b):
+                    if bisect_right(R, r) > bisect_right(O, r):
+                        weak_witness = witness(t_idx, b, r, refs)
+                        break
+        member = strict = None  # this trial's least (node, rank)
+        for r in order:
+            for b, k in zip(pre.chain_by_rank[r], opt_upto[r]):
+                if bisect_right(refs[b], r) < k:
+                    continue
+                if r in in_opt[b]:
+                    if not member_witness and (member is None or (b, r) < member):
+                        member = (b, r)
+                else:
+                    strict_violations += 1
+                    if not strict_example and (strict is None or (b, r) < strict):
+                        strict = (b, r)
+        if member is not None:
+            member_witness = witness(t_idx, *member, refs) + "+1"
+        if strict is not None:
+            strict_example = witness(t_idx, *strict)
+    return weak_witness, member_witness, strict_violations, strict_example
+
+
+def failures_by_lists(pre, trials, params):
+    """Reference for ``experiments._EvictionFailures`` on rank lists: each
+    trial's arrivals walked through its lists by ``kicknext._arrive``,
+    which the walk consumes, an event counted at every node from the
+    break on whose list holds no entry lighter than the arrival.
+    ``trials`` holds (order, refs) pairs.  Returns the root weight of each
+    trial and the rows, lightest optimum element first."""
+    opt = _global_optima(pre)
+    w = pre.w_by_rank
+    seen = dict.fromkeys(opt[pre.root_idx], 0)
+    hits = defaultdict(int)
+    weights = []
+    for order, refs in trials:
+        total = 0.0
+        for r in order:
+            ch = pre.chain_by_rank[r]
+            k = len(_arrive(refs, ch, r))
+            if k == len(ch):
+                total += w[r]
+            if r in seen:
+                seen[r] += 1
+                for b in ch[k:]:
+                    if _padded_brank(refs[b], r) == 0:
+                        hits[r, b] += 1
+        weights.append(total)
+    rows = []
+    for r in reversed(opt[pre.root_idx]):
+        ncond = seen[r]
+        for b in pre.chain_by_rank[r]:
+            d = _padded_brank(opt[b], r)
+            freq = hits[r, b] / ncond if ncond else 0.0
+            se = math.sqrt(freq * (1.0 - freq) / ncond) if ncond else 0.0
+            rows.append(AllKickedRow(pre.ids_by_rank[r], pre.node_ids[b], d, ncond, freq,
+                                     se, allkicked_bound(params, d)))
+    return weights, rows
+
+
+def qualifying_counts_by_lists(pre, b, members, arrived):
+    """Reference for ``experiments._qualifying_counts`` on rank lists: the
+    padded lists of the sample that leaves out the set ``arrived``
+    (``matroid._ref_rank_lists``), and per entry of node index ``b``'s
+    list the members (rank -> chain up to ``b``) that arrive and outweigh
+    the lightest (last) entry of every list of their chain up to ``b``,
+    each counted at its own lighter-entry count in ``b``'s list less one."""
+    refs = _ref_rank_lists(pre, arrived, True)
+    R = refs[b]
+    got = [0] * len(R)
+    for r, up in members.items():
+        if r in arrived and all(refs[x][-1] > r for x in up):
+            got[_padded_brank(R, r) - 1] += 1
+    return got
 
 
 def ref_lists_by_full_pass(pre, in_s, padding):

@@ -181,7 +181,8 @@ def test_trial_layers_script_times_every_layer():
     lines = res.stdout.splitlines()
     assert lines[0].startswith("chain-n30-s3: ")
     assert [line.split()[0] for line in lines[3:]] == ["draw", "fields", "live", "walk",
-                                                      "refs", "list_walk"]
+                                                      "refs", "list_walk", "dominance",
+                                                      "failures"]
 
 
 def test_gen_opt_run_pipeline(tmp_path, capsys):
@@ -318,17 +319,16 @@ def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tree.json"
     path.write_text(dump_instance(inst))
     trials, seed = 150, 1
-    # a trial rebuilds, in one pass, exactly the nodes whose OPT (the whole
+    # a trial rebuilds, on bits, exactly the nodes whose OPT (the whole
     # set's optimum there) holds one of its arrivals; a trial with none
-    # builds nothing
+    # keeps every field OPT's
     opt = matroid._global_optima(inst.pre())
-    rebuilds = [{b for b, O in enumerate(opt) if any(r in O for r in order)}
-                for order in starmap(_order, experiments._arrival_draws(inst.pre(), 0.08, seed,
-                                                                        0, trials))]
-    rebuilds = [nodes for nodes in rebuilds if nodes]
-    assert 0 < len(rebuilds) < trials
-    seeds, builds = [], []
+    orders = list(starmap(_order, experiments._arrival_draws(inst.pre(), 0.08, seed, 0, trials)))
+    rebuilds = [{b for b, O in enumerate(opt) if any(r in O for r in order)} for order in orders]
+    assert 0 < len([nodes for nodes in rebuilds if nodes]) < trials
+    seeds, builds, fields = [], [], []
     derive, greedy = experiments.derive_seed, matroid._greedy_ranks
+    ref_fields = experiments._ref_fields
 
     def counted_seed(master_seed, index):
         seeds.append(index)
@@ -338,19 +338,25 @@ def test_verify_draws_each_trial_once(tmp_path, capsys, monkeypatch):
         builds.append((all(in_v), set(rest[0]) if rest else None))
         return greedy(pre, in_v, *rest)
 
+    def counted_fields(pre, arrivals, padding):
+        got = ref_fields(pre, arrivals, padding)
+        changed = {b for b, (F, O) in enumerate(zip(got, pre.opt_fields[padding])) if F != O}
+        fields.append((list(arrivals), padding, changed))
+        return got
+
     monkeypatch.setattr(experiments, "derive_seed", counted_seed)
     monkeypatch.setattr(matroid, "_greedy_ranks", counted_greedy)
+    monkeypatch.setattr(experiments, "_ref_fields", counted_fields)
     assert main(["verify", str(path), "--trials", str(trials), "--seed", str(seed)]) == 0
     assert "verify: PASS" in capsys.readouterr().out
     # one stream per block of 64 trials, each seeded once
     assert _block_size(60, 0.08) == 64
     assert seeds == [0, 1, 2]
-    # one build per trial with a node to rebuild, and one of the whole
-    # set's optima, the one build from all-True flags and of every node
-    assert len(builds) == len(rebuilds) + 1
-    assert builds[0] == (True, None)
-    assert [nodes for _, nodes in builds[1:]] == rebuilds
-    assert sum(full for full, _ in builds) == 1
+    # one padded build per trial, on bits, each changing exactly the nodes
+    # to rebuild; the one list build is the whole set's optima, from
+    # all-True flags and of every node
+    assert fields == [(order, True, nodes) for order, nodes in zip(orders, rebuilds)]
+    assert builds == [(True, None)]
 
 
 @pytest.mark.parametrize("command", ["montecarlo", "verify"])

@@ -12,6 +12,7 @@ from laminar_secretary import (
     Element,
     FamilyNode,
     GenSpec,
+    InstanceError,
     allkicked_bound,
     allkicked_frequency,
     brank,
@@ -47,16 +48,22 @@ from laminar_secretary.matroid import _global_optima, _greedy_ranks
 from laminar_secretary.theory import _global_brank, _padded_brank
 
 from helpers import (
+    FAMILY_OR_SHAPED,
     allkicked_frequency_by_trace,
+    decode_fields,
+    dominance_by_lists,
     dominance_by_scan,
+    encode_fields,
     enum_states_by_lists,
     exact_expectation_by_permutations,
     exact_expectation_by_tuples,
+    failures_by_lists,
     family_instance,
     four_element,
     mixed_instances,
     padded_brank_by_ids,
     qualifying_counts_by_ids,
+    qualifying_counts_by_lists,
     rank1,
     ref_lists_by_full_pass,
     run_weight_by_lists,
@@ -285,7 +292,7 @@ class TestTrials:
         got = list(_trials(pre, 0.3, 7, 5, 200, padding))
         assert len(got) == 200
         for trial, (in_s, order) in zip(got, trials_by_prefix(n, 0.3, 7, 5, 200)):
-            assert trial == (order, ref_lists_by_full_pass(pre, in_s, padding))
+            assert trial == (order, encode_fields(pre, ref_lists_by_full_pass(pre, in_s, padding)))
             assert _flags(n, trial[0]) == in_s
         # the first draw of a block is the one-seed draw of its seed
         for idx in (64, 128, 192):
@@ -293,17 +300,16 @@ class TestTrials:
             assert got[idx - 5][0] == order
 
     def test_yields_fresh_lists(self):
-        # n = 4: sample sets repeat, and each must still get lists of its own
+        # n = 4: sample sets repeat, and each must still get fields of its own
         pre = generate(GenSpec("chain", 4, 2)).pre()
         seen = set()
         repeats = 0
-        for order, refs in _trials(pre, 0.5, 3, 0, 200, True):
+        for order, fields in _trials(pre, 0.5, 3, 0, 200, True):
             in_s = _flags(4, order)
-            assert refs == ref_lists_by_full_pass(pre, in_s, True)
+            assert fields == encode_fields(pre, ref_lists_by_full_pass(pre, in_s, True))
             repeats += tuple(in_s) in seen
             seen.add(tuple(in_s))
-            for R in refs:  # consume every list, as a walk would
-                R.clear()
+            fields[:] = [0] * len(fields)  # consume every field, as a walk would
             order.clear()
         assert repeats > 100
 
@@ -407,7 +413,8 @@ class TestGlobalOptima:
         # n <= SMALL_N: a repeated order reads the weight memo and builds
         # nothing; a new order builds its sets once, on bits, so the only
         # list pass is the one OPT build
-        assert fields == list(dict.fromkeys(map(tuple, orders)))
+        built = list(dict.fromkeys(map(tuple, orders)))
+        assert fields == built
         assert len(calls) == 1
         checks = verify_lemmas(inst, p, trials=trials, master_seed=seed)
         assert checks[0].passed  # c < 1/2: the chain-decay sums ran
@@ -417,8 +424,10 @@ class TestGlobalOptima:
         # exact enumeration builds its start states on ints, with no list
         assert len(calls) == before
         assert sum(calls) == 1
-        # each of the two trial loops rebuilds its trials' lists
-        assert len(calls) == 1 + 2 * sum(rebuilds)
+        # each of the two trial loops builds every trial's sets once, on
+        # bits too, so the one list pass is still OPT's
+        assert len(calls) == 1
+        assert fields == built + 2 * list(map(tuple, orders))
 
     def test_whole_set_optima_read_the_cache(self, monkeypatch):
         inst = generate(GenSpec("random_tree", 12, 5))
@@ -448,12 +457,12 @@ def test_one_enumeration_limit(monkeypatch):
     with pytest.raises(ValueError, match="limited to 3 elements, got 4"):
         exact_expectation(inst, 0.08)
     with pytest.raises(ValueError, match="limited to 3 elements, got 4"):
-        qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2, method="exact")
+        qualifying_joint_probability(inst, 0.08, 1, [1], element_id=1, method="exact")
     # above the limit, ``auto`` samples instead
-    assert not qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2, trials=200).exact
+    assert not qualifying_joint_probability(inst, 0.08, 1, [1], element_id=1, trials=200).exact
     # at the limit it enumerates: every gate reads the one binding at call time
     monkeypatch.setattr(exact, "EXACT_ENUM_LIMIT", 4)
-    assert qualifying_joint_probability(inst, 0.08, 1, [1], element_id=2, trials=200).exact
+    assert qualifying_joint_probability(inst, 0.08, 1, [1], element_id=1, trials=200).exact
 
 
 class TestWeightMemo:
@@ -463,8 +472,8 @@ class TestWeightMemo:
 
     @staticmethod
     def _walked(pre, p, start, count, padding):
-        return [run_weight_by_lists(pre, refs, order)
-                for order, refs in _trials(pre, p, 7, start, count, padding)]
+        return [run_weight_by_lists(pre, decode_fields(pre, fields), order)
+                for order, fields in _trials(pre, p, 7, start, count, padding)]
 
     @pytest.mark.parametrize("n", [1, 6, 16, 17])
     @pytest.mark.parametrize("padding", [True, False])
@@ -741,15 +750,17 @@ class TestRankSpaceHarness:
         pre = inst.pre()
         for t_idx in range(4):
             sample = make_trial(inst, p, derive_seed(seed, t_idx)).sample_set
-            arrived = {r for r, eid in enumerate(pre.ids_by_rank) if eid not in sample}
+            in_s = [eid in sample for eid in pre.ids_by_rank]
+            arrived = [r for r, s in enumerate(in_s) if not s]
+            fields = encode_fields(pre, ref_lists_by_full_pass(pre, in_s, True))
             for b, nid in enumerate(pre.node_ids):
                 for eid in inst.members(nid):
                     members = _qualifying_members(pre, b, pre.rank_by_id[eid])
                     want = qualifying_counts_by_ids(inst, nid, eid, sample)
-                    # one count per padded-list entry: the capacity-long
+                    # one count per padded-set entry: the capacity-long
                     # counts past the lightest mu - slots, which are zero
                     head = pre.mu[b] - pre.slots[b]
-                    assert _qualifying_counts(pre, b, members, arrived) == want[head:]
+                    assert _qualifying_counts(fields, b, members, arrived) == want[head:]
                     assert want[:head] == [0] * head
 
     @settings(max_examples=80, deadline=None)
@@ -771,7 +782,71 @@ class TestRankSpaceHarness:
                 assert _padded_brank(refs[b], r) == sum(1 for x in ref_ids[nid] if inst.key(x) > key)
 
 
+class TestChecksOnBits:
+    """The checks on fields against their list forms, kept in ``helpers``,
+    trial for trial."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(FAMILY_OR_SHAPED, st.sampled_from((0.05, 0.08, 0.2, 0.3, 0.45)),
+           st.integers(0, 10_000), st.integers(1, 40), st.booleans())
+    def test_equal_the_list_checks(self, inst, p, seed, trials, padding):
+        pre = inst.pre()
+        drawn = list(_trials(pre, p, seed, 0, trials, padding))
+        lists = [(order, matroid._ref_rank_lists(pre, order, padding)) for order, _ in drawn]
+        for fields, (order, refs) in zip((f for _, f in drawn), lists):
+            assert fields == encode_fields(pre, refs)
+
+        dominance = experiments._Dominance(pre)
+        for t_idx, (order, fields) in enumerate(drawn):
+            dominance.step(t_idx, order, list(fields))
+        assert ((dominance.weak_witness, dominance.member_witness,
+                 dominance.strict_violations, dominance.strict_example)
+                == dominance_by_lists(pre, lists))
+
+        params = theory_params(p)
+        failures = experiments._EvictionFailures(pre)
+        weights = [failures.walk(fields, order) for order, fields in drawn]
+        assert (weights, failures.rows(params)) == failures_by_lists(pre, lists, params)
+        # the walk is the Monte Carlo walk, weight for weight
+        assert weights == [_run_weight(pre, matroid._ref_fields(pre, order, padding), order)
+                           for order, _ in drawn]
+
+        for order, _ in drawn:
+            fields = matroid._ref_fields(pre, order, True)
+            skip = order[0] if order else -1  # the conditioning element, if any
+            for b in range(len(pre.mu)):
+                members = _qualifying_members(pre, b, skip)
+                assert (_qualifying_counts(fields, b, members, order)
+                        == qualifying_counts_by_lists(pre, b, members, set(order)))
+
+
 class TestQualifyingJointProbability:
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_an_element_outside_the_node_is_refused(self, monkeypatch, method):
+        inst = generate(GenSpec("random_tree", 7, 3))
+        assert inst.membership[1] == 0 and 1 not in inst.members(1)
+
+        def refused(*args):
+            raise AssertionError("drawn or enumerated")
+
+        monkeypatch.setattr(experiments, "_arrival_draws", refused)
+        monkeypatch.setattr(experiments, "_split_law", refused)
+        with pytest.raises(InstanceError, match="^element 1 is not contained in node 1$"):
+            qualifying_joint_probability(inst, 0.08, 1, [0, 0, 0], 1, method=method)
+
+    @pytest.mark.parametrize("method,counts,want", [
+        ("exact", [0, 0, 0], "0x1.47ae147ae147dp-1"),
+        ("exact", [0, 1, 0], "0x1.47ae147ae147dp-3"),
+        ("mc", [0, 0, 0], "0x1.3a41a41a41a42p-1"),
+        ("mc", [0, 1, 0], "0x1.65be5be5be5bep-3"),
+    ])
+    def test_a_contained_element_keeps_its_law(self, method, counts, want):
+        inst = generate(GenSpec("random_tree", 7, 3))
+        q = qualifying_joint_probability(inst, 0.2, 1, counts, 3, master_seed=5, trials=3000,
+                                         method=method)
+        assert q.probability.hex() == want
+        assert q.conditioned_trials == (None if method == "exact" else 624)
+
     def test_three_element_exact_law(self):
         inst = rank1([1.0, 2.0, 3.0])
         p = 0.08
@@ -791,7 +866,7 @@ class TestQualifyingJointProbability:
             assert r.probability <= r.bound + 1e-12
 
     def test_zero_counts_trivial_bound(self):
-        r = qualifying_joint_probability(four_element(), 0.08, 1, [0], element_id=2)
+        r = qualifying_joint_probability(four_element(), 0.08, 1, [0], element_id=1)
         assert r.bound == 1.0
         assert r.probability <= 1.0
 
@@ -826,8 +901,8 @@ class TestQualifyingJointProbability:
             qualifying_joint_probability(four_element(), 0.08, 1, [count], element_id=2)
 
     def test_integral_float_counts_accepted(self):
-        assert (qualifying_joint_probability(four_element(), 0.08, 1, [1.0], element_id=2)
-                == qualifying_joint_probability(four_element(), 0.08, 1, [1], element_id=2))
+        assert (qualifying_joint_probability(four_element(), 0.08, 1, [1.0], element_id=1)
+                == qualifying_joint_probability(four_element(), 0.08, 1, [1], element_id=1))
 
     @pytest.mark.parametrize("n,method,p", [(8, "exact", 0.3), (20, "mc", 0.08)])
     def test_capacity_pads_the_law_with_zero_counts(self, n, method, p):
@@ -946,14 +1021,38 @@ class TestVerifyReport:
 
 
 def _dominance(inst, trials):
-    """``_Dominance`` driven over (order, refs) trials, its four
+    """``_Dominance`` driven over (order, refs) trials, each trial's lists
+    fed as the fields they stand for (``encode_fields``), its four
     outcomes in the order ``dominance_by_scan`` returns them."""
     pre = inst.pre()
     dominance = experiments._Dominance(pre)
     for t_idx, (order, refs) in enumerate(trials):
-        dominance.step(t_idx, order, refs)
+        dominance.step(t_idx, order, encode_fields(pre, refs))
     return (dominance.weak_witness, dominance.member_witness,
             dominance.strict_violations, dominance.strict_example)
+
+
+def _list_trials(pre, p, seed, trials):
+    """The first ``trials`` trials of ``_trials`` (padded), each with its
+    fields decoded into the rank lists they stand for."""
+    return [(order, decode_fields(pre, fields))
+            for order, fields in _trials(pre, p, seed, 0, trials, True)]
+
+
+def _counting(fields):
+    """``fields`` as ints that count the popcounts taken of them masked,
+    with the count, a one-item list."""
+    taken = [0]
+
+    class Counted(int):
+        def __and__(self, other):
+            return Counted(int(self) & other)
+
+        def bit_count(self):
+            taken[0] += 1
+            return int.bit_count(self)
+
+    return [Counted(f) for f in fields], taken
 
 
 def _scan(inst, trials):
@@ -983,7 +1082,7 @@ class TestDominance:
            st.sampled_from((0.05, 0.08, 0.2, 0.3)), st.integers(1, 600))
     def test_equals_the_member_scan(self, family, n, seed, p, trials):
         inst = family_instance(family, n, seed)
-        drawn = list(_trials(inst.pre(), p, seed, 0, trials, True))
+        drawn = _list_trials(inst.pre(), p, seed, trials)
         assert _dominance(inst, drawn) == _scan(inst, drawn)
 
     @settings(max_examples=80, deadline=None)
@@ -994,7 +1093,7 @@ class TestDominance:
                                                        kind, data):
         inst = family_instance(family, n, seed)
         pre = inst.pre()
-        drawn = list(_trials(pre, p, seed, 0, trials, True))
+        drawn = _list_trials(pre, p, seed, trials)
         order, refs = drawn[data.draw(st.integers(0, trials - 1))]
         if kind == "swap":
             choices = [(b, e, h) for b in range(len(pre.mu)) for e in refs[b] if e < pre.n_real
@@ -1057,23 +1156,38 @@ class TestDominance:
 
 
 class TestWorkCounts:
-    def test_dominance_step_reads_only_the_arrivals(self, monkeypatch):
+    def test_dominance_step_reads_only_the_arrivals(self):
+        # one popcount per arrival and node of its chain, and one per bit
+        # that a field holds outside OPT's, whatever n is
         inst = generate(GenSpec("partition", 2000, 5, parts=40, part_capacity=3))
         pre = inst.pre()
-        order, refs = next(_trials(pre, 0.08, 11, 0, 1, True))
+        order, fields = next(_trials(pre, 0.08, 11, 0, 1, True))
         dominance = experiments._Dominance(pre)
-        calls = 0
-        bisect_right = experiments.bisect_right
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return bisect_right(*args)
-
-        monkeypatch.setattr(experiments, "bisect_right", counted)
-        dominance.step(0, order, refs)
+        real = (1 << pre.n_real) - 1
+        outside = sum((F & real & ~O).bit_count() for F, O in zip(fields, pre.opt_fields[False]))
+        fields, taken = _counting(fields)
+        dominance.step(0, order, fields)
         chains = sum(len(pre.chain_by_rank[r]) for r in order)
-        assert 0 < calls <= chains < pre.n_real
+        assert 0 < outside
+        assert 0 < taken[0] <= chains + outside < pre.n_real
+
+    def test_weak_check_scans_no_member_of_an_untouched_trial(self, monkeypatch):
+        # a trial whose arrivals are in no OPT leaves every field OPT's, so
+        # the weak check takes no popcount and lists no node's members
+        inst = generate(GenSpec("partition", 200, 5, parts=4))
+        pre = inst.pre()
+        dominance = experiments._Dominance(pre)
+        untouched = next(fields for order, fields in _trials(pre, 0.08, 11, 0, 50, True)
+                         if not any(map(pre.opt_masks.__getitem__, order)))
+        assert untouched == list(pre.opt_fields[True])
+
+        def members(self, b):
+            raise AssertionError("a member scan")
+
+        monkeypatch.setattr(type(pre), "members", members)
+        fields, taken = _counting(untouched)
+        assert dominance._weak_witness(0, fields) == ""
+        assert taken[0] == 0
 
     def test_exact_shares_one_memo_across_splits(self, monkeypatch):
         inst = family_instance("random_tree", 8, 38)

@@ -62,10 +62,13 @@ def test_all_names_the_api():
 
 
 def test_one_reference_list_builder():
-    # every module reads the one builder of a sample's lists
+    # the one builder of a sample's lists is read by kicknext's single runs
+    # alone; every sampled trial of experiments, checks included, is on bits
     from laminar_secretary import experiments, kicknext, matroid
 
-    assert kicknext._ref_rank_lists is matroid._ref_rank_lists is experiments._ref_rank_lists
+    assert kicknext._ref_rank_lists is matroid._ref_rank_lists
+    assert experiments._ref_fields is matroid._ref_fields
+    assert not hasattr(experiments, "_ref_rank_lists") and not hasattr(experiments, "_arrive")
     assert not hasattr(matroid, "_trial_rank_lists")
 
 
