@@ -17,12 +17,8 @@ round draws trials 0..T-1 of master seed S and times, per trial:
 - ``walk``: walking the live arrivals through the fields
   (``kicknext._run_weight``);
 
-for comparison, the same trial on rank lists: ``refs``, the same sets as
-ascending rank lists (``matroid._ref_rank_lists``, which only
-``run_kicknext`` and ``reference_sets`` still build), and ``list_walk``,
-the same live arrivals walked through them by bisect and pop
-(``kicknext._arrive``, inlined); and the checks, which read the trial's
-fields and its full arrival order, as ``verify_report`` runs them:
+and the checks, which read the trial's fields and its full arrival order,
+as ``verify_report`` runs them:
 
 - ``dominance``: the backward-rank dominance step
   (``experiments._Dominance.step``);
@@ -41,11 +37,10 @@ up.  Stdlib only and seeded: every count and share depends on the flags
 alone, the times on the host too.
 
 A round holds every trial's draw at once, per trial up to n arrivals with
-their keys, and one batch's sets: per trial one list per node, with the
-lists' entries, ``sum(_Pre.slots)`` at most, and two lists of one int of
-up to n + ``slots`` bits per node, the fields and the checks' copy.  The
-draws and lists cost up to about 116 bytes an item (every element
-arriving, at p = 0.999), so a round of more
+their keys, and one batch's sets: per trial two lists of one int of up to
+n + ``slots`` bits per node, the fields and the checks' copy.  The draws
+and sets cost at most about 116 bytes an item (every element arriving, at
+p = 0.999), so a round of more
 than ``MAX_ROUND`` = 10^6 items, trials x (elements + nodes + slots), is
 refused with exit 2: on ``--trials`` x ``--n`` before the instance is
 built, and on the whole count before any round.  So are rounds outside
@@ -60,7 +55,6 @@ import argparse
 import statistics
 import sys
 import time
-from bisect import bisect_right
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -75,11 +69,11 @@ from laminar_secretary.experiments import (
 )
 from laminar_secretary.generators import FAMILIES, FAMILY_FIELDS
 from laminar_secretary.kicknext import GAP_BITS, _gap_table, _order, _run_weight
-from laminar_secretary.matroid import _ref_fields, _ref_rank_lists
+from laminar_secretary.matroid import _ref_fields
 
 MAX_ROUND = 10**6
 BATCH = 64
-LAYERS = ("draw", "fields", "live", "walk", "refs", "list_walk", "dominance", "failures")
+LAYERS = ("draw", "fields", "live", "walk", "dominance", "failures")
 
 
 def _check_round(trials, items):
@@ -88,20 +82,6 @@ def _check_round(trials, items):
     if trials * items > MAX_ROUND:
         raise ValueError(f"a round holds trials x (elements + nodes + slots) items, "
                          f"limited to {MAX_ROUND}, got {trials} x {items}")
-
-
-def _list_walk(pre, refs, order):
-    """Walk ``order`` through the rank lists ``refs``: at each node of a
-    rank's chain pop the heaviest entry lighter than it, and stop at the
-    first node with none (``kicknext._arrive`` inlined)."""
-    chains = pre.chain_by_rank
-    for r in order:
-        for b in chains[r]:
-            R = refs[b]
-            i = bisect_right(R, r)
-            if i == len(R):
-                break
-            R.pop(i)
 
 
 def _round(pre, p, seed, trials, padding):
@@ -131,19 +111,13 @@ def _round(pre, p, seed, trials, padding):
         for F, order in zip(fields, orders):
             _run_weight(pre, F, order)
         t3 = clock()
-        refs = [_ref_rank_lists(pre, arrivals, padding) for arrivals, _ in batch]
-        t4 = clock()
-        for R, order in zip(refs, orders):
-            _list_walk(pre, R, order)
-        t5 = clock()
         for j, (F, order) in enumerate(zip(kept, full), i):
             dominance.step(j, order, F)
-        t6 = clock()
+        t4 = clock()
         for F, order in zip(kept, full):
             failures.walk(F, order)
-        t7 = clock()
-        for k, t in zip(LAYERS[1:], (t1 - t0, t2 - t1b, t3 - t2, t4 - t3, t5 - t4, t6 - t5,
-                                     t7 - t6)):
+        t5 = clock()
+        for k, t in zip(LAYERS[1:], (t1 - t0, t2 - t1b, t3 - t2, t4 - t3, t5 - t4)):
             spent[k] += t
         live += sum(map(len, orders))
     return spent, sum(len(arrivals) for arrivals, _ in draws), live

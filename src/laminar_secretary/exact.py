@@ -143,10 +143,10 @@ def _expected_rest(state: int, lighter, w, memo: dict) -> float:
     (bits 0..n-1, n = ``len(w)``) add, each of them arriving next with
     equal chance; see ``_enum_states`` for the layout.  The ranks still to
     arrive are read from ``_SET_BITS``.  An arrival r takes the step of
-    ``kicknext._arrive`` on bits: at each node of its chain the lowest set
-    bit of ``state & lighter[r][i]`` is the heaviest lighter reference,
-    which the step clears, and an empty field breaks the walk.  It gains
-    its weight only when it passes every node.  KickNext's future depends
+    ``kicknext._run_weight`` on the packed state: at each node of its
+    chain the lowest set bit of ``state & lighter[r][i]`` is the heaviest
+    lighter reference, which the step clears, and an empty field breaks
+    the walk.  It gains its weight only when it passes every node.  KickNext's future depends
     on nothing else, so the value is memoized on the state; callers look
     it up before calling."""
     remaining = state & ((1 << len(w)) - 1)

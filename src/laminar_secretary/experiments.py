@@ -246,9 +246,12 @@ class ExperimentReport:
 
 
 def _check_run(p: float, trials: int, master_seed: int) -> None:
-    """Refuse a sampling run with fewer than one trial or more than
-    ``MAX_TRIALS``, a bad p or a master seed outside 0..2^64-1, checked in
+    """Refuse a sampling run with a trial count that is not a plain int
+    (bool included), fewer than one trial or more than ``MAX_TRIALS``, a
+    bad p or a master seed that is not an int in 0..2^64-1, checked in
     that order."""
+    if type(trials) is not int:  # not bool, which subclasses int
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if trials > MAX_TRIALS:
@@ -364,9 +367,11 @@ def exact_ratio(inst: LaminarInstance, p: float, *, padding: bool = True) -> flo
 def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed: int,
                       *, padding: bool = True, jobs: int = 1) -> ExperimentReport:
     """Estimate the expected solution-to-optimum weight ratio over ``trials``
-    independent runs.  ``jobs`` (at least 1) only parallelizes; it never
-    changes values."""
+    independent runs.  ``jobs`` (an int, at least 1) only parallelizes; it
+    never changes values."""
     _check_run(p, trials, master_seed)
+    if type(jobs) is not int:  # not bool, which subclasses int
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     w_opt = _opt_weight(inst)

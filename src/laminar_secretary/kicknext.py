@@ -9,7 +9,7 @@ of the rest are ever observed.)
 
 From the sample, every family node gets a reference set: the sample optimum
 restricted to that node, optionally padded with zero-weight virtual elements
-up to the node's capacity (``matroid._ref_rank_lists`` builds them from the
+up to the node's capacity (``matroid._ref_fields`` builds them from the
 ranks outside the sample, holding only the ``_Pre.slots`` that a walk can
 reach).  An arriving element is then pushed through the chain of nodes
 from its minimal set to the root.  At each node it is accepted iff the
@@ -18,11 +18,13 @@ reference set still holds some lighter element, in which case the
 the chain walk stops and the element is rejected from the overall solution.
 Acceptances at inner nodes are kept even when an outer node rejects — the
 walk never rolls back.  The run's output is the root's accepted list.
-``_arrive`` takes that step on a run's lists, for ``run_kicknext``, whose
-ids come out; ``_run_weight``, the Monte Carlo walk, takes it on the same
-sets held as one int per node (``matroid._ref_fields``), where the
-heaviest lighter entry is the lowest set bit above the arrival's rank, as
-the checks' walk (``experiments._EvictionFailures.walk``) does.
+Every walk takes that step on the sets held as one int per node
+(``matroid._ref_fields``), bit r for rank r, where the heaviest lighter
+entry is the lowest set bit above the arrival's rank, which the step
+clears: ``run_kicknext``, which records each step, ``_run_weight``, the
+Monte Carlo walk, which adds only the root's weight, and the checks' walk
+(``experiments._EvictionFailures.walk``).  Lists come out only with ids:
+``matroid._ref_rank_lists`` decodes fields for ``_id_lists``.
 
 A 64-bit seed names a stream, the SHAKE-128 output of the seed read as
 64-bit words, and a stream holds consecutive draws: ``_draws`` reads a
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import shake_128
@@ -59,7 +60,7 @@ from math import isfinite, log, log1p, sqrt
 from typing import Mapping, Sequence
 
 from .model import InstanceError, LaminarInstance
-from .matroid import _flags, _rank_flags, _ref_rank_lists
+from .matroid import _rank_flags, _ref_fields, _ref_rank_lists
 
 _MASK64 = (1 << 64) - 1
 # a stream serves up to MAX_BLOCK draws, fewer where that many would read
@@ -140,8 +141,11 @@ def _check_p(p: float) -> None:
 
 
 def _check_seed(seed: int) -> None:
-    """Refuse a seed that the 8-byte stream key cannot hold, rather than
-    wrap it onto another seed's stream."""
+    """Refuse a seed that is not a plain int, bool included, and one that
+    the 8-byte stream key cannot hold, rather than wrap it onto another
+    seed's stream."""
+    if type(seed) is not int:  # not bool, which subclasses int
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
 
@@ -262,6 +266,14 @@ def _order(arrivals: list[int], key) -> list[int]:
     return arrivals
 
 
+def _flags(n: int, arrivals) -> list[bool]:
+    """Sample flag of every rank: True unless the rank arrives."""
+    in_s = [True] * n
+    for r in arrivals:
+        in_s[r] = False
+    return in_s
+
+
 def _sample_ids(pre, p: float, seed: int):
     """One trial in rank space: ``(in_s, order_ranks)``, the sample flag of
     every rank and the arrival order (``_order``) of the first draw of
@@ -277,38 +289,25 @@ def reference_sets(inst: LaminarInstance, sample, padding: bool = True) -> dict[
     run can reach; the virtual ids past that are left out."""
     pre = inst.pre()
     arrivals = [r for r, s in enumerate(_rank_flags(pre, sample)) if not s]
-    return _id_lists(pre, _ref_rank_lists(pre, arrivals, padding), list)
+    return _id_lists(pre, _ref_fields(pre, arrivals, padding), list)
 
 
-def _id_lists(pre, refs, kind) -> dict:
-    """Ascending rank lists per node index as ``kind`` (``list`` or
-    ``tuple``) id sequences per node id, lightest first."""
-    return {nid: kind(map(pre.id_of, reversed(ranks))) for nid, ranks in zip(pre.node_ids, refs)}
-
-
-def _arrive(refs: list[list[int]], chain: Sequence[int], r: int) -> list[int]:
-    """One arrival of rank ``r``: at each node of ``chain``, minimal first,
-    evict the heaviest reference rank lighter than ``r``, and stop at the
-    first node with none.  Returns the evicted ranks, one per accepting node."""
-    evicted = []
-    for b in chain:
-        R = refs[b]
-        i = bisect_right(R, r)
-        if i == len(R):
-            break
-        evicted.append(R.pop(i))
-    return evicted
+def _id_lists(pre, fields, kind) -> dict:
+    """Reference fields per node index (``matroid._ref_fields``) as
+    ``kind`` (``list`` or ``tuple``) id sequences per node id, lightest
+    first."""
+    return {nid: kind(map(pre.id_of, reversed(ranks)))
+            for nid, ranks in zip(pre.node_ids, _ref_rank_lists(pre, fields))}
 
 
 def _run_weight(pre, fields: list[int], order_ranks) -> float:
     """Total weight accepted at the root when ``order_ranks`` arrive against
     the reference sets ``fields``, one int per node (``matroid._ref_fields``),
-    which the walk consumes.  The loop is ``_arrive`` on bits, as this is the
-    Monte Carlo hot path: at each node of r's chain the lowest set bit of
-    ``field & -(2 << r)`` is the heaviest reference entry lighter than r,
-    which the step clears, and none breaks the walk.  r gains its weight
-    only when it passes every node, added in arrival order as the list
-    walk adds it."""
+    which the walk consumes.  At each node of r's chain the lowest set bit
+    of ``field & -(2 << r)`` is the heaviest reference entry lighter than
+    r, which the step clears, and none breaks the walk; ``run_kicknext``
+    takes the same step and records it.  r gains its weight only when it
+    passes every node, added in arrival order."""
     w = pre.w_by_rank
     chains = pre.chain_by_rank
     total = 0.0
@@ -342,31 +341,36 @@ def run_kicknext(inst: LaminarInstance, trial: Trial, *, padding: bool = True) -
         raise InstanceError(f"element {pre.ids_by_rank[seen.index(False)]} is neither "
                             f"sampled nor arriving")
 
-    refs = _ref_rank_lists(pre, order_ranks, padding)
-    initial = [tuple(x) for x in refs]
+    fields = _ref_fields(pre, order_ranks, padding)
+    initial = fields[:]
+    n, base = pre.n_real, pre.virtual_rank_base
     sol: list[list[int]] = [[] for _ in pre.mu]
     breaks: dict[int, BreakRecord] = {}
     events: list[TraceEvent] = []
 
+    # ``_run_weight``'s step: the lowest set bit of ``field & m`` is the
+    # evicted entry, bit i < n real rank i, bit n + j virtual rank base + j
     for step, r in enumerate(order_ranks):
         eid = pre.ids_by_rank[r]
-        ch = pre.chain_by_rank[r]
-        evicted = _arrive(refs, ch, r)
-        for b, x in zip(ch, evicted):
+        m = -(2 << r)
+        for b in pre.chain_by_rank[r]:
+            x = fields[b] & m
+            if not x:
+                breaks[eid] = BreakRecord(pre.node_ids[b], step, (initial[b] & m).bit_count())
+                events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
+                break
+            low = x & -x
+            fields[b] ^= low
             sol[b].append(r)
+            i = low.bit_length() - 1
             events.append(TraceEvent(step, eid, pre.node_ids[b], "accept",
-                                     pre.id_of(x), x >= pre.n_real))
-        if len(evicted) < len(ch):
-            b = ch[len(evicted)]
-            below = len(initial[b]) - bisect_right(initial[b], r)
-            breaks[eid] = BreakRecord(pre.node_ids[b], step, below)
-            events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
+                                     pre.id_of(i if i < n else base[b] + i - n), i >= n))
 
     return RunResult(
         sol_root=tuple(pre.ids_by_rank[r] for r in sol[pre.root_idx]),
         sol_per_node={pre.node_ids[b]: tuple(pre.ids_by_rank[r] for r in sol[b]) for b in range(len(sol))},
         initial_refsets=_id_lists(pre, initial, tuple),
-        final_refsets=_id_lists(pre, refs, tuple),  # the walk keeps each list ascending
+        final_refsets=_id_lists(pre, fields, tuple),
         breaks=breaks,
         events=tuple(events),
     )

@@ -16,19 +16,20 @@ merging and sorting run in C builtins, so a pass costs a few interpreted
 steps per node rather than per element.
 This module is the one place that builds optima and a sample's
 reference sets: the whole ground set's optima OPT, built once per
-instance and cached unpadded (``_global_optima``); the reference sets of
-a sample, given by its arrivals, as rank lists (``_ref_rank_lists``, the
-one builder of lists, for the single runs whose ids come out:
-``kicknext.run_kicknext`` and ``kicknext.reference_sets``) or as one int
-per node, bit r for rank r (``_ref_fields``, for every sampled trial:
-Monte Carlo and the checks), both of which rebuild only the nodes whose
-OPT holds an arrival and take OPT's cached, padded sets everywhere else,
-as a node's optimum is OPT's wherever the sample holds OPT; and
+instance by one list pass and cached unpadded (``_global_optima``); the
+reference sets of a sample, given by its arrivals, as one int per node,
+bit r for rank r (``_ref_fields``, for every run: Monte Carlo, the checks
+and the single runs of ``kicknext``), which rebuilds only the nodes whose
+OPT holds an arrival and takes OPT's cached fields everywhere else, as a
+node's optimum is OPT's wherever the sample holds OPT; and
 ``greedy_opt`` and ``brank``, which read OPT or, given a subset, index
 one pass over it.
 On bits a node keeps the lowest capacity-many set bits of its
 candidates, by ``_lowest_bits``, which exact enumeration's pass
-(``exact._greedy_bits``) shares, so neither builds a list.
+(``exact._greedy_bits``) shares, so neither builds a list.  Lists come
+out only where ids do: ``_ref_rank_lists`` decodes a run's fields to
+ascending rank lists for ``kicknext.run_kicknext`` and
+``kicknext.reference_sets``.
 ``brute_force_opt`` re-derives an optimum by exhaustive search and exists
 purely as a cross-check oracle for small inputs.
 """
@@ -72,14 +73,6 @@ def is_independent(inst: LaminarInstance, element_ids: Iterable[int]) -> bool:
     return all(u <= cap for u, cap in zip(usage, pre.mu))
 
 
-def _flags(n: int, arrivals) -> list[bool]:
-    """Sample flag of every rank: True unless the rank arrives."""
-    in_s = [True] * n
-    for r in arrivals:
-        in_s[r] = False
-    return in_s
-
-
 def _rank_flags(pre, subset) -> list[bool]:
     if subset is None:
         return [True] * pre.n_real
@@ -89,24 +82,20 @@ def _rank_flags(pre, subset) -> list[bool]:
     return flags
 
 
-def _greedy_ranks(pre, in_v: list[bool], nodes=None, opt=None) -> list[list[int]]:
+def _greedy_ranks(pre, in_v: list[bool]) -> list[list[int]]:
     """Every node's optimum of the flagged ranks, in one bottom-up pass.
 
     The nodes are visited children first (``pre.bottom_up``); node ``x``
     takes its first ``mu[x]`` flagged own ranks, merges in its children's
     optima and keeps the ``mu[x]`` heaviest, so entry ``x`` of the result is
-    the optimum of node ``x``'s subtree.  Given ``nodes`` (children first)
-    and ``opt``, a list of every node's optimum so far, only ``nodes`` are
-    rebuilt, in place in ``opt``, from what ``opt`` holds for their
-    children.  Each list built holds ranks heaviest first and is a fresh
-    object that callers may mutate."""
+    the optimum of node ``x``'s subtree.  Each list built holds ranks
+    heaviest first and is a fresh object that callers may mutate."""
     mu = pre.mu
     own_ranks = pre.own_ranks
     children_idx = pre.children_idx
     flagged = in_v.__getitem__
-    if opt is None:
-        opt = [None] * len(mu)  # ``bottom_up`` sets every entry
-    for x in pre.bottom_up if nodes is None else nodes:
+    opt = [None] * len(mu)  # ``bottom_up`` sets every entry
+    for x in pre.bottom_up:
         cap = mu[x]
         chosen = list(islice(filter(flagged, own_ranks[x]), cap))
         kids = children_idx[x]
@@ -119,55 +108,23 @@ def _greedy_ranks(pre, in_v: list[bool], nodes=None, opt=None) -> list[list[int]
     return opt
 
 
-def _pad(pre, lists: list[list[int]], nodes) -> None:
-    """Extend the list of each node index b in ``nodes`` in place by
-    virtual ranks up to ``pre.slots[b]``, the slots a walk can reach, not
-    up to capacity (see ``model._Pre``), so no list grows with capacity."""
-    base, slots = pre.virtual_rank_base, pre.slots
-    for b in nodes:
-        chosen = lists[b]
-        chosen.extend(range(base[b] + len(chosen), base[b] + slots[b]))
-
-
-def _ref_rank_lists(pre, arrivals, padding: bool) -> list[list[int]]:
-    """The reference lists of the sample that leaves out ``arrivals``
-    (unsampled ranks, any order): per node index b, b's optimum of the
-    sample as an ascending rank list (heaviest first), ``_pad``-ded when
-    padding, each a fresh list for the caller to consume.  A node whose
-    OPT holds no arrival gets a copy of OPT_b, padded from the cached
-    ``pre.padded_optima``: the sample holds OPT_b, and greedy keeps a set's
-    optimum in any subset that holds it.  The others, the union of the
-    arrivals' ``opt_masks`` (``_opt_tables``) read lowest bit first, so
-    children first, are rebuilt by one ``_greedy_ranks`` pass over the
-    sample flags restricted to them."""
-    if pre.opt_masks is None:
-        _opt_tables(pre)
-    masks = pre.opt_masks
-    touched = 0
-    for r in arrivals:
-        touched |= masks[r]
-    opt = pre.global_optima
-    if not touched:
-        return list(map(list, pre.padded_optima if padding else opt))
-    bottom_up = pre.bottom_up
-    whole = touched == (1 << len(opt)) - 1
-    if whole:
-        nodes = bottom_up
-    else:
-        nodes = []
-        while touched:
-            low = touched & -touched
-            nodes.append(bottom_up[low.bit_length() - 1])
-            touched ^= low
-    rebuilt = _greedy_ranks(pre, _flags(pre.n_real, arrivals), nodes, None if whole else list(opt))
-    if padding:
-        _pad(pre, rebuilt, nodes)
-    if whole:
-        return rebuilt
-    refs = list(map(list, pre.padded_optima if padding else opt))
-    for b in nodes:
-        refs[b] = rebuilt[b]
-    return refs
+def _ref_rank_lists(pre, fields) -> list[list[int]]:
+    """The ascending rank lists (heaviest first) that reference fields of
+    ``_ref_fields`` stand for, one per node index b: bit r is real rank r
+    and bit n + j is b's virtual rank ``virtual_rank_base[b] + j``,
+    n = ``n_real``.  Each field is read lowest set bit first, one step per
+    entry whatever the field's width."""
+    n = pre.n_real
+    lists = []
+    for f, base in zip(fields, pre.virtual_rank_base):
+        ranks = []
+        while f:
+            low = f & -f
+            f ^= low
+            i = low.bit_length() - 1
+            ranks.append(i if i < n else base + i - n)
+        lists.append(ranks)
+    return lists
 
 
 def _lowest_bits(bits: int, k: int, cap: int) -> int:
@@ -203,10 +160,12 @@ def _lowest_bits(bits: int, k: int, cap: int) -> int:
 
 def _ref_fields(pre, arrivals, padding: bool) -> list[int]:
     """The reference sets of the sample that leaves out ``arrivals``
-    (unsampled ranks, any order), one int per node index b, the sets of
-    ``_ref_rank_lists`` in bits: bit r for real rank r and bit n + j for
-    virtual slot j (rank ``virtual_rank_base[b] + j``), n = ``n_real``,
-    so bit order is the list's rank order.  A node whose OPT holds no
+    (unsampled ranks, any order), one int per node index b: b's optimum
+    of the sample, padded when ``padding`` by virtual entries up to
+    ``pre.slots[b]``, the slots a walk can reach (see ``model._Pre``).
+    Bit r stands for real rank r and bit n + j for virtual slot j (rank
+    ``virtual_rank_base[b] + j``), n = ``n_real``, so bit order is rank
+    order (``_ref_rank_lists`` decodes them).  A node whose OPT holds no
     arrival gets OPT's field, from ``pre.opt_fields``; ints are immutable,
     so the shallow copy of that tuple is the whole start.  The others, the
     union of the arrivals' ``opt_masks`` read lowest bit first, so children
@@ -273,22 +232,17 @@ def _opt_bits(pre) -> tuple[int, ...]:
 
 
 def _opt_tables(pre) -> None:
-    """Fill the tables that the two builders of a sample's reference sets
-    read, once per instance, on first use: per rank the nodes whose OPT
-    holds it (``pre.opt_masks``), as a mask with bit i for node
-    ``bottom_up[i]``, 0 for a rank in no OPT (those nodes are a prefix of
-    the rank's chain, as an element that misses a node's optimum misses
-    every ancestor's); for ``_ref_rank_lists``, OPT padded by ``_pad``
-    (``pre.padded_optima``, O(sum of slots)); for ``_ref_fields``, OPT's
-    fields unpadded and padded (``pre.opt_fields``, indexed by the padding
+    """Fill the tables that ``_ref_fields`` reads, once per instance, on
+    first use: per rank the nodes whose OPT holds it (``pre.opt_masks``),
+    as a mask with bit i for node ``bottom_up[i]``, 0 for a rank in no OPT
+    (those nodes are a prefix of the rank's chain, as an element that
+    misses a node's optimum misses every ancestor's); OPT's fields
+    unpadded and padded (``pre.opt_fields``, indexed by the padding
     flag; the checks read the unpadded ones through ``_opt_bits``) and
     each node's own ranks as bits (``pre.own_bits``).  The bit
     tables hold one int per node, each at most n + ``slots`` bits wide; no
     table is kept per rank or per count of a node's entries."""
     opt = _global_optima(pre)
-    padded = list(map(list, opt))
-    _pad(pre, padded, range(len(padded)))
-    pre.padded_optima = tuple(map(tuple, padded))
     masks = [0] * pre.n_real
     for i, b in enumerate(pre.bottom_up):
         for r in opt[b]:

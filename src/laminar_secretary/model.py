@@ -94,8 +94,8 @@ class _Pre:
     to the root, itself first.  ``chain_by_rank[r]`` is the chain of rank
     r's minimal node; no table keeps the chains by node.
     ``global_optima`` is filled on first use by ``matroid._global_optima``,
-    and ``padded_optima``, ``opt_masks``, ``opt_fields`` and ``own_bits``
-    by ``matroid._opt_tables``.
+    and ``opt_masks``, ``opt_fields`` and ``own_bits`` by
+    ``matroid._opt_tables``.
 
     Subtree membership is decided here and nowhere else: node b lies on a
     chain exactly at ``depth[b]`` places from its root end, so ``upto``
@@ -125,7 +125,7 @@ class _Pre:
         "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
         "node_ids", "node_index", "mu", "slots", "depth",
         "own_ranks", "chain_by_rank", "children_idx", "bottom_up",
-        "root_idx", "virtual_rank_base", "global_optima", "padded_optima", "opt_masks",
+        "root_idx", "virtual_rank_base", "global_optima", "opt_masks",
         "opt_fields", "own_bits",
     )
 
@@ -185,7 +185,7 @@ class _Pre:
             base.append(acc)
             acc += cap
         self.virtual_rank_base = base
-        self.global_optima = self.padded_optima = self.opt_masks = None
+        self.global_optima = self.opt_masks = None
         self.opt_fields = self.own_bits = None
 
     def upto(self, r: int, b: int) -> tuple[int, ...] | None:

@@ -24,9 +24,9 @@ natural.  One reader departs from it on purpose: the eviction-failure rows
 (``experiments.AllKickedRow``) report and bound the unpadded backward rank.
 
 Backward ranks are counted in rank space.  ``_global_brank`` is the one
-capacity-padded backward rank: at node b, against any per-node table of
-ascending rank lists (OPT from ``matroid._global_optima``, or a trial's
-reference lists, padded only to the slots a walk can reach, see
+capacity-padded backward rank: at node b, against a per-node table of
+ascending rank lists (OPT from ``matroid._global_optima``, unpadded, or
+any table padded only to the slots a walk can reach, see
 ``model._Pre``), it is ``mu[b]`` less the list's entries up to the rank.
 The chain-decay sums read it, each node's from one list of its terms
 (``_decay_terms``) added left to right, and so do the printed witnesses of
@@ -105,7 +105,7 @@ def _padded_brank(R: list[int], r: int) -> int:
 def _global_brank(pre, lists, x: int, r: int) -> int:
     """Capacity-padded backward rank of the real rank ``r`` at node index
     ``x`` against ``lists``, a table of ascending rank lists per node
-    index: OPT from ``_global_optima``, or a trial's reference lists.  The
+    index, OPT from ``_global_optima`` wherever the package reads it.  The
     list's entries lighter than ``r`` and the virtual slots up to capacity
     that it leaves out, all lighter than every real rank, are the
     ``mu[x]`` slots less the entries up to ``r``."""

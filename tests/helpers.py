@@ -17,6 +17,7 @@ from laminar_secretary import (
     FamilyNode,
     GenSpec,
     InstanceError,
+    RunResult,
     Trial,
     allkicked_bound,
     brank,
@@ -30,8 +31,8 @@ from laminar_secretary import (
     run_kicknext,
     theory_params,
 )
-from laminar_secretary.kicknext import _arrive, _block_size, _order
-from laminar_secretary.matroid import _global_optima, _greedy_ranks, _pad, _ref_rank_lists
+from laminar_secretary.kicknext import BreakRecord, TraceEvent, _block_size, _order
+from laminar_secretary.matroid import _global_optima, _greedy_ranks
 from laminar_secretary.theory import _global_brank, _padded_brank
 
 # The documented four-element example: two heavy elements share a unit-capacity
@@ -363,7 +364,7 @@ def dominance_by_lists(pre, trials):
 
 def failures_by_lists(pre, trials, params):
     """Reference for ``experiments._EvictionFailures`` on rank lists: each
-    trial's arrivals walked through its lists by ``kicknext._arrive``,
+    trial's arrivals walked through its lists by ``arrive``,
     which the walk consumes, an event counted at every node from the
     break on whose list holds no entry lighter than the arrival.
     ``trials`` holds (order, refs) pairs.  Returns the root weight of each
@@ -377,7 +378,7 @@ def failures_by_lists(pre, trials, params):
         total = 0.0
         for r in order:
             ch = pre.chain_by_rank[r]
-            k = len(_arrive(refs, ch, r))
+            k = len(arrive(refs, ch, r))
             if k == len(ch):
                 total += w[r]
             if r in seen:
@@ -401,11 +402,11 @@ def failures_by_lists(pre, trials, params):
 def qualifying_counts_by_lists(pre, b, members, arrived):
     """Reference for ``experiments._qualifying_counts`` on rank lists: the
     padded lists of the sample that leaves out the set ``arrived``
-    (``matroid._ref_rank_lists``), and per entry of node index ``b``'s
+    (``ref_lists_by_full_pass``), and per entry of node index ``b``'s
     list the members (rank -> chain up to ``b``) that arrive and outweigh
     the lightest (last) entry of every list of their chain up to ``b``,
     each counted at its own lighter-entry count in ``b``'s list less one."""
-    refs = _ref_rank_lists(pre, arrived, True)
+    refs = ref_lists_by_full_pass(pre, [r not in arrived for r in range(pre.n_real)], True)
     R = refs[b]
     got = [0] * len(R)
     for r, up in members.items():
@@ -415,14 +416,81 @@ def qualifying_counts_by_lists(pre, b, members, arrived):
 
 
 def ref_lists_by_full_pass(pre, in_s, padding):
-    """Reference for ``matroid._ref_rank_lists``, given the sample flags
-    ``in_s`` rather than the arrivals: one full bottom-up pass over the
-    flags (``_greedy_ranks``), then every node's list ``_pad``-ded when
-    padding."""
+    """The reference lists of a sample as ascending rank lists (heaviest
+    first), given the sample flags ``in_s``: one full bottom-up pass over
+    the flags (``_greedy_ranks``), then every node's list ``pad``-ded when
+    padding.  ``decode_fields`` of ``matroid._ref_fields`` must equal it."""
     refs = _greedy_ranks(pre, in_s)
     if padding:
-        _pad(pre, refs, range(len(refs)))
+        pad(pre, refs, range(len(refs)))
     return refs
+
+
+def pad(pre, lists, nodes):
+    """Extend the list of each node index b in ``nodes`` in place by
+    virtual ranks up to ``pre.slots[b]``, the slots a walk can reach, not
+    up to capacity (see ``model._Pre``)."""
+    base, slots = pre.virtual_rank_base, pre.slots
+    for b in nodes:
+        chosen = lists[b]
+        chosen.extend(range(base[b] + len(chosen), base[b] + slots[b]))
+
+
+def arrive(refs, chain, r):
+    """The eviction step on lists, the oracle of the step on bits: one
+    arrival of rank ``r``; at each node of ``chain``, minimal first, evict
+    the heaviest reference rank lighter than ``r``, and stop at the first
+    node with none.  Returns the evicted ranks, one per accepting node."""
+    evicted = []
+    for b in chain:
+        R = refs[b]
+        i = bisect_right(R, r)
+        if i == len(R):
+            break
+        evicted.append(R.pop(i))
+    return evicted
+
+
+def run_kicknext_by_lists(inst, trial, *, padding=True):
+    """Reference for ``kicknext.run_kicknext`` on rank lists, for a trial
+    that splits the ground set: the lists of one full pass over the sample
+    flags (``ref_lists_by_full_pass``), each arrival walked through them
+    by ``arrive``, and a break's lighter entries counted by ``bisect_right``
+    on the initial list."""
+    pre = inst.pre()
+    order = [pre.rank_of(eid) for eid in trial.arrival_order]
+    in_s = [pre.ids_by_rank[r] in trial.sample_set for r in range(pre.n_real)]
+    refs = ref_lists_by_full_pass(pre, in_s, padding)
+    initial = [tuple(x) for x in refs]
+    sol = [[] for _ in pre.mu]
+    breaks = {}
+    events = []
+    for step, r in enumerate(order):
+        eid = pre.ids_by_rank[r]
+        ch = pre.chain_by_rank[r]
+        evicted = arrive(refs, ch, r)
+        for b, x in zip(ch, evicted):
+            sol[b].append(r)
+            events.append(TraceEvent(step, eid, pre.node_ids[b], "accept",
+                                     pre.id_of(x), x >= pre.n_real))
+        if len(evicted) < len(ch):
+            b = ch[len(evicted)]
+            below = len(initial[b]) - bisect_right(initial[b], r)
+            breaks[eid] = BreakRecord(pre.node_ids[b], step, below)
+            events.append(TraceEvent(step, eid, pre.node_ids[b], "break", None, False))
+
+    def id_lists(lists):
+        return {nid: tuple(map(pre.id_of, reversed(R))) for nid, R in zip(pre.node_ids, lists)}
+
+    return RunResult(
+        sol_root=tuple(pre.ids_by_rank[r] for r in sol[pre.root_idx]),
+        sol_per_node={nid: tuple(pre.ids_by_rank[r] for r in S)
+                      for nid, S in zip(pre.node_ids, sol)},
+        initial_refsets=id_lists(initial),
+        final_refsets=id_lists(refs),
+        breaks=breaks,
+        events=tuple(events),
+    )
 
 
 def per_node_greedy_ranks(pre, in_v, b):

@@ -181,8 +181,7 @@ def test_trial_layers_script_times_every_layer():
     lines = res.stdout.splitlines()
     assert lines[0].startswith("chain-n30-s3: ")
     assert [line.split()[0] for line in lines[3:]] == ["draw", "fields", "live", "walk",
-                                                      "refs", "list_walk", "dominance",
-                                                      "failures"]
+                                                      "dominance", "failures"]
 
 
 def test_gen_opt_run_pipeline(tmp_path, capsys):

@@ -534,7 +534,7 @@ class TestLiveWalk:
         home = [ch[0] for ch in pre.chain_by_rank]
         expected = []
         for arrivals, key in experiments._arrival_draws(pre, p, seed, start, 20):
-            refs = matroid._ref_rank_lists(pre, arrivals, padding)
+            refs = ref_lists_by_full_pass(pre, _flags(pre.n_real, arrivals), padding)
             order = _order(list(arrivals), key)
             expected.append([r for r in order if refs[home[r]] and r < refs[home[r]][-1]])
         walked = []
@@ -602,6 +602,60 @@ class TestTrialLimit:
         assert monte_carlo_ratio(four_element(), 0.08, 30, 1).ratio.trials == 30
         with pytest.raises(ValueError, match="trials limited to 30, got 31"):
             monte_carlo_ratio(four_element(), 0.08, 31, 1)
+
+
+# an int-valued argument that is not a plain int: a bool, a float (even an
+# integral one), a string or None
+NOT_PLAIN_INTS = [True, False, 2.0, 2.5, "3", None]
+
+SEEDED_CALLS = {
+    "make_trial": lambda seed: make_trial(four_element(), 0.08, seed),
+    "monte_carlo_ratio": lambda seed: monte_carlo_ratio(four_element(), 0.08, 10, seed),
+    "allkicked_frequency": lambda seed: allkicked_frequency(four_element(), 0.08, 10, seed),
+    "verify_lemmas": lambda seed: verify_lemmas(four_element(), 0.08, trials=10,
+                                                master_seed=seed),
+    "verify_report": lambda seed: verify_report(four_element(), 0.08, 10, seed),
+    "qualifying_joint_probability": lambda seed: qualifying_joint_probability(
+        four_element(), 0.08, 1, [1], element_id=1, master_seed=seed, trials=10, method="mc"),
+}
+
+COUNTED_CALLS = {
+    "monte_carlo_ratio": lambda t: monte_carlo_ratio(four_element(), 0.08, t, 1),
+    "allkicked_frequency": lambda t: allkicked_frequency(four_element(), 0.08, t, 1),
+    "verify_lemmas": lambda t: verify_lemmas(four_element(), 0.08, trials=t, master_seed=1),
+    "verify_report": lambda t: verify_report(four_element(), 0.08, t, 1),
+    "qualifying_joint_probability": lambda t: qualifying_joint_probability(
+        four_element(), 0.08, 1, [1], element_id=1, trials=t, method="mc"),
+}
+
+
+@pytest.mark.parametrize("value", NOT_PLAIN_INTS, ids=repr)
+class TestPlainIntArguments:
+    """A seed, trial count or job count that is not a plain int is refused
+    with ``ValueError`` before any draw, never truncated or read as 0 or 1."""
+
+    @pytest.fixture(autouse=True)
+    def _no_draws(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(kicknext, "_draws", no_draw)
+        monkeypatch.setattr(experiments, "_draws", no_draw)
+
+    @pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS)
+    def test_seed(self, value, call):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("call", COUNTED_CALLS.values(), ids=COUNTED_CALLS)
+    def test_trials(self, value, call):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"trials must be an integer, got {value!r}")):
+            call(value)
+
+    def test_jobs(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"jobs must be an integer, got {value!r}")):
+            monte_carlo_ratio(four_element(), 0.08, 10, 1, jobs=value)
 
 
 class TestTinyP:
@@ -792,7 +846,8 @@ class TestChecksOnBits:
     def test_equal_the_list_checks(self, inst, p, seed, trials, padding):
         pre = inst.pre()
         drawn = list(_trials(pre, p, seed, 0, trials, padding))
-        lists = [(order, matroid._ref_rank_lists(pre, order, padding)) for order, _ in drawn]
+        lists = [(order, ref_lists_by_full_pass(pre, _flags(pre.n_real, order), padding))
+                 for order, _ in drawn]
         for fields, (order, refs) in zip((f for _, f in drawn), lists):
             assert fields == encode_fields(pre, refs)
 
@@ -1069,7 +1124,7 @@ def _swap_in_heavier(refs, b, e, h):
 def _drop_lighter(pre, refs, b, r):
     """Node ``b``'s list with every entry lighter than the arriving ``r``
     removed: refilled with the heaviest members of ``b`` above ``r``, then
-    padded to the node's slots as ``_ref_rank_lists`` pads, so ``r``'s
+    padded to the node's slots as ``_ref_fields`` pads, so ``r``'s
     backward rank can fall to OPT's."""
     heavier = [x for x in pre.members(b) if x < r][:pre.mu[b]]
     base = pre.virtual_rank_base[b]

@@ -62,14 +62,29 @@ def test_all_names_the_api():
 
 
 def test_one_reference_list_builder():
-    # the one builder of a sample's lists is read by kicknext's single runs
-    # alone; every sampled trial of experiments, checks included, is on bits
-    from laminar_secretary import experiments, kicknext, matroid
+    # every run builds a sample's sets on bits and takes the eviction step
+    # on bits; the one decoder of fields to lists is read by kicknext's
+    # single runs alone, where ids come out
+    from laminar_secretary import experiments, kicknext, matroid, model
 
     assert kicknext._ref_rank_lists is matroid._ref_rank_lists
-    assert experiments._ref_fields is matroid._ref_fields
+    assert kicknext._ref_fields is experiments._ref_fields is matroid._ref_fields
     assert not hasattr(experiments, "_ref_rank_lists") and not hasattr(experiments, "_arrive")
     assert not hasattr(matroid, "_trial_rank_lists")
+    # the list step and list padding left the package
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        bound = set(imported_names(tree)) | {
+            node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        bound |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name)}
+        assert not {"_arrive", "_pad"} & bound, path.name
+    tree = ast.parse((SRC / "kicknext.py").read_text())
+    assert "bisect" not in {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                            for a in node.names}
+    assert "bisect" not in {node.module for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom)}
+    assert "padded_optima" not in model._Pre.__slots__
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS,

@@ -27,7 +27,6 @@ from laminar_secretary.experiments import _arrival_draws
 from laminar_secretary.kicknext import (
     GAP_BITS,
     MAX_BLOCK,
-    _arrive,
     _block_size,
     _check_p,
     _draws,
@@ -42,6 +41,7 @@ from laminar_secretary.matroid import _ref_fields, _ref_rank_lists
 
 from helpers import (
     FAMILY_OR_SHAPED,
+    arrive,
     check_run_invariants,
     decode_fields,
     family_instance,
@@ -51,6 +51,7 @@ from helpers import (
     rank1,
     ref_lists_by_full_pass,
     replay_events,
+    run_kicknext_by_lists,
     run_weight_by_lists,
     sample_ranks_by_prefix,
     shaped_trees,
@@ -454,8 +455,8 @@ FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))
 
 
 class TestArrive:
-    """``_arrive`` is the one statement of the eviction step on lists; the
-    Monte Carlo walk ``_run_weight`` takes the same step on bits."""
+    """``helpers.arrive`` is the eviction step on lists, the oracle of the
+    step on bits that the Monte Carlo walk ``_run_weight`` takes."""
 
     @settings(max_examples=80, deadline=None)
     @given(FAMILIES, st.integers(1, 30), st.integers(0, 10_000),
@@ -468,7 +469,7 @@ class TestArrive:
         kept = []
         for r in order:
             ch = pre.chain_by_rank[r]
-            evicted = _arrive(refs, ch, r)
+            evicted = arrive(refs, ch, r)
             assert len(evicted) <= len(ch)
             assert all(x > r for x in evicted)  # only lighter ranks are evicted
             if len(evicted) == len(ch):
@@ -481,21 +482,21 @@ class TestArrive:
     def test_evicts_the_heaviest_lighter_reference(self):
         # one node holding ranks 2, 4, 6: rank 3 evicts 4, rank 7 finds none
         refs = [[2, 4, 6]]
-        assert _arrive(refs, (0,), 3) == [4]
+        assert arrive(refs, (0,), 3) == [4]
         assert refs == [[2, 6]]
-        assert _arrive(refs, (0,), 7) == []
+        assert arrive(refs, (0,), 7) == []
         assert refs == [[2, 6]]
 
     def test_stops_at_the_first_node_without_a_lighter_reference(self):
         refs = [[5], [1], [9]]
-        assert _arrive(refs, (0, 1, 2), 3) == [5]
+        assert arrive(refs, (0, 1, 2), 3) == [5]
         assert refs == [[], [1], [9]]
 
 
 class TestBitWalk:
     """The Monte Carlo walk ``_run_weight`` on the fields of ``_ref_fields``
     is the list walk (``run_weight_by_lists``) on the lists of
-    ``_ref_rank_lists``, draw by draw."""
+    ``ref_lists_by_full_pass``, draw by draw."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.one_of(st.builds(family_instance, FAMILIES, st.integers(1, 60),
@@ -508,7 +509,7 @@ class TestBitWalk:
         for arrivals, key in _arrival_draws(pre, p, seed, 0, 12):
             order = _order(arrivals, key)
             fields = _ref_fields(pre, order, padding)
-            refs = _ref_rank_lists(pre, order, padding)
+            refs = ref_lists_by_full_pass(pre, _flags(pre.n_real, order), padding)
             assert _run_weight(pre, fields, order) == run_weight_by_lists(pre, refs, order)
             assert decode_fields(pre, fields) == refs  # the same entries evicted
 
@@ -653,6 +654,29 @@ class TestRunInvariants:
                 res = run_kicknext(inst, trial, padding=False)
                 check_run_invariants(inst, res)
                 replay_events(inst, res)
+
+
+class TestRunOnBits:
+    """``run_kicknext`` walks its fields with ``_run_weight``'s step and
+    returns what the list oracle ``run_kicknext_by_lists`` returns: the
+    same result and trace, starting from the same reference sets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(FAMILY_OR_SHAPED, st.floats(0.001, 0.999), st.integers(0, 2**64 - 1), st.booleans())
+    def test_equals_the_list_oracle(self, inst, p, seed, padding):
+        trial = make_trial(inst, p, seed)
+        got = run_kicknext(inst, trial, padding=padding)
+        want = run_kicknext_by_lists(inst, trial, padding=padding)
+        assert got == want
+        assert trace_csv(got) == trace_csv(want)
+        check_run_invariants(inst, got)
+        replay_events(inst, got)
+        refs = reference_sets(inst, trial.sample_set, padding)
+        assert {nid: tuple(ids) for nid, ids in refs.items()} == want.initial_refsets
+        # the decoder reads the lowest bit first; padded fields hold virtual bits
+        pre = inst.pre()
+        fields = _ref_fields(pre, [pre.rank_of(eid) for eid in trial.arrival_order], True)
+        assert _ref_rank_lists(pre, fields) == decode_fields(pre, fields)
 
 
 class TestReferenceSets:

@@ -137,9 +137,10 @@ def _draw_arrivals(pre, kind, data):
 
 
 class TestTrialRankLists:
-    """A sample's reference lists (``_ref_rank_lists``) rebuild only the
-    nodes whose OPT holds an arrival, and equal those of the full pass over
-    the sample's flags (``ref_lists_by_full_pass``)."""
+    """A sample's reference lists, its fields (``_ref_fields``, which
+    rebuild only the nodes whose OPT holds an arrival) decoded by
+    ``_ref_rank_lists``, equal those of the full pass over the sample's
+    flags (``ref_lists_by_full_pass``)."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(("uniform", "partition", "chain", "random_tree")),
@@ -153,14 +154,14 @@ class TestTrialRankLists:
         arrived = set(arrivals)
         in_s = [r not in arrived for r in everything]
         want = ref_lists_by_full_pass(pre, in_s, padding)
-        got = _ref_rank_lists(pre, arrivals, padding)
+        got = _ref_rank_lists(pre, _ref_fields(pre, arrivals, padding))
         assert got == want
-        # the walk pops these lists in place: fresh objects, which leave the
-        # cached optima and the next trial's lists as they were
+        # fresh objects, which leave the cached optima and the next trial's
+        # lists as they were
         assert len({id(R) for R in got}) == len(got)
         for R in got:
             R.clear()
-        assert _ref_rank_lists(pre, arrivals[::-1], padding) == want
+        assert _ref_rank_lists(pre, _ref_fields(pre, arrivals[::-1], padding)) == want
         assert _global_optima(pre) == opt
 
     @settings(max_examples=150, deadline=None)
@@ -186,7 +187,8 @@ class TestTrialRankLists:
 
 class TestTrialFields:
     """A sample's reference fields (``_ref_fields``) are its reference lists
-    (``_ref_rank_lists``) in bits, one int per node."""
+    (``ref_lists_by_full_pass``) in bits, one int per node, and
+    ``_ref_rank_lists`` decodes them as ``decode_fields`` does."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.builds(family_instance,
@@ -199,14 +201,17 @@ class TestTrialFields:
         # trials build fields on both its paths
         pre = inst.pre()
         arrivals = _draw_arrivals(pre, kind, data)
-        want = _ref_rank_lists(pre, arrivals, padding)
+        arrived = set(arrivals)
+        want = ref_lists_by_full_pass(pre, [r not in arrived for r in range(pre.n_real)], padding)
         got = _ref_fields(pre, arrivals, padding)
         assert decode_fields(pre, got) == want
+        assert _ref_rank_lists(pre, got) == want
         # the walk writes the list in place: a fresh one, which leaves the
         # cached tables and the next trial's fields as they were
         got[:] = [0] * len(got)
         assert decode_fields(pre, _ref_fields(pre, arrivals[::-1], padding)) == want
-        assert decode_fields(pre, pre.opt_fields[padding]) == _ref_rank_lists(pre, [], padding)
+        assert decode_fields(pre, pre.opt_fields[padding]) == ref_lists_by_full_pass(
+            pre, [True] * pre.n_real, padding)
         assert pre.own_bits == tuple(sum(1 << r for r in rs) for rs in pre.own_ranks)
 
 
