@@ -8,7 +8,7 @@ Usage: python scripts/exact_layers.py [--family F] [--n N] [--p P]
 The instance is ``generate(GenSpec(family, n, seed))``.  Each round times:
 
 - ``starts``: the bit layout and every sample split's start state
-  (``exact._enum_states``, one ``exact._greedy_bits`` pass per split);
+  (``exact._enum_states``, one greedy pass on ints per split);
 - ``recursion``: ``exact._expected_splits``, the split loop of
   ``exact_expectation``: ``exact._expected_rest`` from every split's
   start state with one fresh memo, and the splits' probabilities and

@@ -21,7 +21,7 @@ from .exact import _enumerable, exact_expectation
 from .experiments import _opt_weight, exact_ratio, monte_carlo_ratio, verify_report
 from .generators import FAMILIES, FAMILY_FIELDS, WEIGHTS, GenSpec, generate
 from .kicknext import make_trial, run_kicknext, trace_csv
-from .matroid import greedy_opt
+from .matroid import _left_sum, greedy_opt
 from .model import InstanceError, dump_instance, load_instance
 from .theory import _theory_csv, p_grid
 
@@ -143,7 +143,7 @@ def _cmd_run(args) -> int:
         _emit(trace_csv(result), args.output)
         if args.output is None:
             return 0
-    total = sum(inst.weight(eid) for eid in result.sol_root)
+    total = _left_sum(map(inst.weight, result.sol_root))  # as OPT's weight is added
     print(f"sample {len(trial.sample_set)} elements, arrivals {len(trial.arrival_order)}")
     print(f"selected {len(result.sol_root)} elements, weight {total!r}")
     for eid in result.sol_root:

@@ -8,7 +8,7 @@ come; then each node has a field of n + ``_Pre.slots`` bits, a
 real rank r at bit r and the j-th virtual slot at bit n + j, so that the
 KickNext step is a mask, a lowest-set-bit and a clear (``_enum_states``).
 Each split's start state comes from one bottom-up greedy pass on ints
-(``_greedy_bits``), ``matroid._greedy_ranks`` on bit sets, so enumeration
+in ``_enum_states``, ``matroid._greedy_ranks`` on bit sets, so enumeration
 builds no list, and the recursion reads a state's arrivals from a table of
 set bits.  A field is laid out as a Monte Carlo trial's
 (``matroid._ref_fields``), shifted to its offset in the state, and both
@@ -25,7 +25,6 @@ the callers that choose whether to enumerate through ``_enumerable``.
 from __future__ import annotations
 
 import math
-from operator import or_
 
 from .kicknext import _check_p
 from .matroid import _lowest_bits
@@ -53,37 +52,6 @@ def _check_enumerable(n: int) -> None:
         raise ValueError(f"exact enumeration limited to {EXACT_ENUM_LIMIT} elements, got {n}")
 
 
-def _greedy_bits(pre, keeps, offsets, fills):
-    """``matroid._greedy_ranks`` on bit sets, once per flag set in
-    ``keeps``: each ``keep`` has bit r set when rank r is flagged, and for
-    each one this yields one int that packs every node's optimum.  The
-    nodes are visited children first; node ``x``'s optimum is the lowest
-    ``mu[x]`` set bits (the heaviest ranks, by ``matroid._lowest_bits``)
-    of its flagged own ranks and its children's optima, as in
-    ``_greedy_ranks``, and only these real ranks go up to a parent.  It
-    is shifted to bit ``offsets[x]`` of the packed int, where
-    the bits are then ORed with ``fills[x][k]``, one entry per count k of
-    its ranks up to ``pre.slots[x]``.  ``_enum_states`` packs a split's
-    start state this way."""
-    own = [sum(1 << r for r in ranks) for ranks in pre.own_ranks]
-    plan = [(x, own[x], pre.mu[x], pre.children_idx[x], offsets[x], fills[x])
-            for x in pre.bottom_up]
-    bits = [0] * len(own)
-    for keep in keeps:
-        packed = 0
-        for x, mine, cap, kids, offset, fill in plan:
-            chosen = keep & mine
-            for c in kids:
-                chosen |= bits[c]
-            k = chosen.bit_count()
-            if k > cap:
-                chosen = _lowest_bits(chosen, k, cap)
-                k = cap
-            bits[x] = chosen
-            packed |= chosen << offset | fill[k]
-        yield packed
-
-
 def _enum_states(pre, padding: bool) -> tuple[list[tuple[int, ...]], list[int]]:
     """The bit layout of ``_expected_rest``'s states: per rank, one mask per
     node of its chain, selecting the node's field bits lighter than the
@@ -94,10 +62,14 @@ def _enum_states(pre, padding: bool) -> tuple[list[tuple[int, ...]], list[int]]:
     virtual slot j at bit n + j, so the field's bit order is the padded
     list's rank order, and the field holds the slots that a padded
     reference list reaches (``model._Pre`` shows a walk never needs more).
-    A split's field holds the node's optimum of the sampled ranks, from
-    one ``_greedy_bits`` pass on ints per split, and when padding,
-    slots k.. of the field, where k is the node's number of real entries:
-    one precomputed fill per (node, k)."""
+    A split's field holds the node's optimum of the sampled ranks, and
+    when padding, slots k.. of the field, where k is the node's number of
+    real entries: one precomputed fill per (node, k).  One greedy pass on
+    ints per split builds them, ``matroid._greedy_ranks`` on bit sets: the
+    nodes are visited children first, and node x keeps the lowest
+    ``mu[x]`` set bits (the heaviest ranks, by ``matroid._lowest_bits``)
+    of its sampled own ranks and its children's real bits, which alone go
+    up to a parent."""
     n = pre.n_real
     slots = pre.slots
     offset = []
@@ -109,11 +81,26 @@ def _enum_states(pre, padding: bool) -> tuple[list[tuple[int, ...]], list[int]]:
             for v, o in zip(slots, offset)]
     lighter = [tuple(((1 << n + slots[b]) - (2 << r)) << offset[b] for b in ch)
                for r, ch in enumerate(pre.chain_by_rank)]
-    splits = range(1, 1 << n)  # set bit r: rank r arrives in the selection phase
+    plan = [(x, sum(1 << r for r in pre.own_ranks[x]), pre.mu[x], pre.children_idx[x],
+             offset[x], fill[x]) for x in pre.bottom_up]
+    bits = [0] * len(slots)  # per node, its real bits in the current split
     full = (1 << n) - 1
-    fields = _greedy_bits(pre, (full ^ mask for mask in splits), offset, fill)
-    # the split with no arrival has nothing to recurse on
-    return lighter, [0, *map(or_, splits, fields)]
+    starts = [0]  # the split with no arrival has nothing to recurse on
+    for mask in range(1, 1 << n):  # set bit r: rank r arrives in the selection phase
+        keep = full ^ mask
+        state = mask
+        for x, mine, cap, kids, o, f in plan:
+            chosen = keep & mine
+            for c in kids:
+                chosen |= bits[c]
+            k = chosen.bit_count()
+            if k > cap:
+                chosen = _lowest_bits(chosen, k, cap)
+                k = cap
+            bits[x] = chosen
+            state |= chosen << o | f[k]
+        starts.append(state)
+    return lighter, starts
 
 
 # per state of the ranks still to arrive, its set bits lowest first as

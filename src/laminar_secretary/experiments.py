@@ -30,14 +30,13 @@ than every real rank, so a dominance check compares the counts of
 entries up to a rank, trial set against OPT, in which capacity cancels,
 and a qualifying count is indexed by the padded set's own lighter
 entries.  The capacity-padded backward ranks that a witness prints are
-``mu`` less those counts, as ``theory._global_brank`` counts them on
-OPT.  Up to ``SMALL_N`` elements, draws repeat often, and the Monte Carlo
-ratio memoizes each arrival order's weight, which the order fixes.  The
+``mu`` less those counts, the trial's and OPT's.  Up to ``SMALL_N``
+elements, draws repeat often, and the Monte Carlo ratio memoizes each arrival order's weight, which the order fixes.  The
 reference sets and the whole ground set's optima OPT, which the ratio
 denominators and the checks measure against, come from ``matroid``
-(``_ref_fields``, ``_global_optima`` and OPT's bits ``_opt_bits``, built
-once per instance and read by each check itself); no reader here builds
-a rank list.
+(``_ref_fields``, ``_global_optima`` and OPT's bits ``_opt_tables``,
+built once per instance and read by each check itself); no reader here
+builds a rank list.
 Every sampling entry point checks its trial count (at most
 ``MAX_TRIALS``), p and master seed through ``_check_run``.
 
@@ -77,7 +76,7 @@ from itertools import islice, starmap
 from multiprocessing import Pool
 
 from .model import InstanceError, LaminarInstance
-from .matroid import _global_optima, _opt_bits, _ref_fields
+from .matroid import _global_optima, _left_sum, _opt_tables, _ref_fields
 from .exact import _check_enumerable, _enumerable, _split_law, exact_expectation
 from .kicknext import (
     _MASK64,
@@ -91,7 +90,6 @@ from .kicknext import (
 from .theory import (
     _decay_sum,
     _decay_terms,
-    _global_brank,
     _padded_brank,
     allkicked_bound,
     g_refined_bound,
@@ -119,7 +117,11 @@ _TOL = 1e-12
 def derive_seed(master_seed: int, index: int) -> int:
     """Seed of the stream of block ``index`` (trials ``index * B`` on, see
     ``_arrival_draws``): SplitMix64 finalizer applied to
-    ``master_seed + GOLDEN * (index + 1)``.  Stable across platforms."""
+    ``master_seed + GOLDEN * (index + 1)``.  Stable across platforms.
+    A seed outside 0..2^64-1 or a negative index raises ``ValueError``."""
+    _check_seed(master_seed)
+    if type(index) is not int or index < 0:  # not bool, which subclasses int
+        raise ValueError(f"index must be a non-negative integer, got {index!r}")
     z = (master_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -351,7 +353,7 @@ def _opt_weight(inst: LaminarInstance) -> float:
     """The offline optimum's weight, the denominator of every ratio.  A zero
     optimum is refused, as no ratio is defined for it."""
     pre = inst.pre()
-    w_opt = sum(pre.w_by_rank[r] for r in _global_optima(pre)[pre.root_idx])  # heaviest first
+    w_opt = _left_sum(map(pre.w_by_rank.__getitem__, _global_optima(pre)[pre.root_idx]))
     if not w_opt > 0.0:
         raise ValueError("degenerate instance: optimum weight is zero")
     return w_opt
@@ -604,7 +606,8 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
 
 def _exact_lemma_checks(inst: LaminarInstance, c: float) -> list[LemmaCheck]:
     """The chain-decay, weighted-penalty and telescoping checks, exact per
-    instance; skipped unless c < 1/2, the decay bounds' hypothesis."""
+    instance; skipped unless c < 1/2, the decay bounds' hypothesis.  The
+    penalty's bound reads ``_opt_weight``, so a zero optimum is refused."""
     if not c < 0.5:
         reason = f"skipped: hypothesis not met (c={c:.4f} >= 1/2)"
         return [LemmaCheck(name, None, reason)
@@ -631,7 +634,7 @@ def _exact_lemma_checks(inst: LaminarInstance, c: float) -> list[LemmaCheck]:
         witness or f"{pairs} (node, m) pairs: exact <= refined <= weak"))
 
     pen = weighted_penalty(inst, c)
-    cap_bound = g_weak_bound(1, c) * sum(pre.w_by_rank[r] for r in opt[pre.root_idx])
+    cap_bound = g_weak_bound(1, c) * _opt_weight(inst)
     checks.append(LemmaCheck(
         "weighted-penalty", pen <= cap_bound + _TOL,
         f"penalty={pen!r} vs 2c/(1-c)*w(OPT)={cap_bound!r}"))
@@ -659,8 +662,9 @@ class _Dominance:
     than against OPT exactly when R holds more entries up to r than OPT
     does, and the checks compare those counts, with no capacity read.  On
     a field, R's count up to r is the popcount of the field masked to
-    bits 0..r, as virtual bits lie above every real one.  The padded ranks
-    a witness prints are computed only when it is recorded.
+    bits 0..r, as virtual bits lie above every real one, and OPT's count is
+    the same popcount of its bits (``matroid._opt_tables``).  The padded
+    ranks a witness prints are computed only when it is recorded.
     The weak check tests, per node, only the real bits of R that OPT does
     not hold: R's count excess over OPT rises only at such a bit, so its
     first positive value, if any, is at one of them, lowest first, which
@@ -673,8 +677,7 @@ class _Dominance:
 
     def __init__(self, pre):
         self.pre = pre
-        self.opt = _global_optima(pre)
-        self.opt_bits = opt_bits = _opt_bits(pre)
+        self.opt_bits = opt_bits = _opt_tables(pre)
         real = (1 << pre.n_real) - 1
         self.outside = [real & ~O for O in opt_bits]  # per node, the real ranks outside OPT
         # per rank, per node of its chain: the node, OPT's entries up to the
@@ -720,8 +723,9 @@ class _Dominance:
         text = f"trial {t_idx}, element {pre.ids_by_rank[r]}, node {pre.node_ids[b]}"
         if fields is None:
             return text
-        bs = pre.mu[b] - (fields[b] & (2 << r) - 1).bit_count()
-        return f"{text}: {bs} < {_global_brank(pre, self.opt, b, r)}"
+        upto = (2 << r) - 1
+        bs = pre.mu[b] - (fields[b] & upto).bit_count()
+        return f"{text}: {bs} < {pre.mu[b] - (self.opt_bits[b] & upto).bit_count()}"
 
     def _weak_witness(self, t_idx: int, fields: list[int]) -> str:
         """The trial's first weak violation, or ``""``: the first failing

@@ -24,6 +24,8 @@ MAX_GEN_SIZE = 10**6
 # the others, so a front end refuses a flag that sets one of them
 FAMILY_FIELDS = {"uniform": ("rank",), "partition": ("parts", "part_capacity"),
                  "chain": ("depth",), "random_tree": ("max_branching",)}
+# ``GenSpec`` fields that must be plain ints (not bool) when set
+_INT_FIELDS = ("n", "seed", "rank", "parts", "part_capacity", "depth", "max_branching")
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,16 @@ def _draw_weight(rnd: random.Random, kind: str, exponent: float) -> float:
 
 def generate(spec: GenSpec) -> LaminarInstance:
     """Build the instance described by ``spec``; identical specs give
-    structurally identical instances."""
+    structurally identical instances.  A bad spec raises ``ValueError``
+    before any draw."""
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
     if spec.weights not in WEIGHTS:
         raise ValueError(f"unknown weight distribution {spec.weights!r}")
+    for name in _INT_FIELDS:
+        value = getattr(spec, name)
+        if value is not None and type(value) is not int:  # not bool, which subclasses int
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if spec.n < 1:
         raise ValueError(f"need at least one element, got n={spec.n}")
     if spec.n > MAX_GEN_SIZE:

@@ -26,10 +26,12 @@ node's optimum is OPT's wherever the sample holds OPT; and
 one pass over it.
 On bits a node keeps the lowest capacity-many set bits of its
 candidates, by ``_lowest_bits``, which exact enumeration's pass
-(``exact._greedy_bits``) shares, so neither builds a list.  Lists come
+(``exact._enum_states``) shares, so neither builds a list.  Lists come
 out only where ids do: ``_ref_rank_lists`` decodes a run's fields to
 ascending rank lists for ``kicknext.run_kicknext`` and
 ``kicknext.reference_sets``.
+An optimum's weight is one float sum added left to right
+(``_left_sum``), as are the chain-decay sums of ``theory``.
 ``brute_force_opt`` re-derives an optimum by exhaustive search and exists
 purely as a cross-check oracle for small inputs.
 """
@@ -39,7 +41,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
+from operator import add
 from typing import Iterable
 
 from .model import InstanceError, LaminarInstance
@@ -222,26 +226,20 @@ def _global_optima(pre) -> tuple[tuple[int, ...], ...]:
     return pre.global_optima
 
 
-def _opt_bits(pre) -> tuple[int, ...]:
-    """OPT's real bits per node index: bit r for each rank r of OPT_b, the
-    unpadded field of ``_ref_fields`` wherever the sample holds OPT_b,
-    from the tables that ``_opt_tables`` fills on first use."""
-    if pre.opt_masks is None:
-        _opt_tables(pre)
-    return pre.opt_fields[False]
-
-
-def _opt_tables(pre) -> None:
-    """Fill the tables that ``_ref_fields`` reads, once per instance, on
-    first use: per rank the nodes whose OPT holds it (``pre.opt_masks``),
-    as a mask with bit i for node ``bottom_up[i]``, 0 for a rank in no OPT
-    (those nodes are a prefix of the rank's chain, as an element that
-    misses a node's optimum misses every ancestor's); OPT's fields
-    unpadded and padded (``pre.opt_fields``, indexed by the padding
-    flag; the checks read the unpadded ones through ``_opt_bits``) and
-    each node's own ranks as bits (``pre.own_bits``).  The bit
-    tables hold one int per node, each at most n + ``slots`` bits wide; no
-    table is kept per rank or per count of a node's entries."""
+def _opt_tables(pre) -> tuple[int, ...]:
+    """OPT's real bits per node index, bit r for each rank r of OPT_b:
+    the unpadded field of ``_ref_fields`` wherever the sample holds
+    OPT_b.  The first call fills the tables that ``_ref_fields`` reads,
+    once per instance: per rank the nodes whose OPT holds it
+    (``pre.opt_masks``), as a mask with bit i for node ``bottom_up[i]``, 0
+    for a rank in no OPT (those nodes are a prefix of the rank's chain, as
+    an element that misses a node's optimum misses every ancestor's);
+    OPT's fields unpadded and padded (``pre.opt_fields``, indexed by the
+    padding flag) and each node's own ranks as bits (``pre.own_bits``).
+    The bit tables hold one int per node, each at most n + ``slots`` bits
+    wide; no table is kept per rank or per count of a node's entries."""
+    if pre.opt_masks is not None:
+        return pre.opt_fields[False]
     opt = _global_optima(pre)
     masks = [0] * pre.n_real
     for i, b in enumerate(pre.bottom_up):
@@ -253,6 +251,7 @@ def _opt_tables(pre) -> None:
     pre.opt_fields = (real, tuple(bits | ((1 << v) - (1 << len(ranks))) << n
                                   for bits, v, ranks in zip(real, pre.slots, opt)))
     pre.own_bits = tuple(sum(1 << r for r in ranks) for ranks in pre.own_ranks)
+    return real
 
 
 def _optimum_ranks(pre, subset, b: int):
@@ -263,10 +262,18 @@ def _optimum_ranks(pre, subset, b: int):
     return _greedy_ranks(pre, _rank_flags(pre, subset))[b]
 
 
+def _left_sum(values) -> float:
+    """``values`` added left to right, one float at a time, from 0.0: the
+    one float sum of weights and decay terms.  ``sum`` would round
+    differently, as it compensates from Python 3.12 on."""
+    return reduce(add, values, 0.0)
+
+
 def _ranked_optimum(inst: LaminarInstance, node_id: int, ranks_heavy_first) -> RankedOptimum:
     pre = inst.pre()
     ids = tuple(pre.ids_by_rank[r] for r in reversed(ranks_heavy_first))
-    return RankedOptimum(node_id, ids, sum(pre.w_by_rank[r] for r in ranks_heavy_first))
+    weight = _left_sum(map(pre.w_by_rank.__getitem__, ranks_heavy_first))
+    return RankedOptimum(node_id, ids, weight)
 
 
 def greedy_opt(inst: LaminarInstance, subset, node_id: int) -> RankedOptimum:

@@ -29,12 +29,11 @@ ascending rank lists (OPT from ``matroid._global_optima``, unpadded, or
 any table padded only to the slots a walk can reach, see
 ``model._Pre``), it is ``mu[b]`` less the list's entries up to the rank.
 The chain-decay sums read it, each node's from one list of its terms
-(``_decay_terms``) added left to right, and so do the printed witnesses of
-the checks, for OPT.  The checks hold a trial's sets as one int per node
-(``matroid._ref_fields``) and compare the counts of entries up to a rank,
-popcounts of masked prefixes, in which capacity cancels; a witness's
-trial rank is ``mu[b]`` less such a count.  ``_padded_brank`` counts a
-list's own entries lighter than a rank and reads no capacity.  ``p_grid``
+(``_decay_terms``), and every float sum here adds left to right
+(``matroid._left_sum``).  The checks hold a trial's sets and OPT's as one
+int per node and compare popcounts of masked prefixes instead, in which
+capacity cancels.  ``_padded_brank`` counts a list's own entries lighter
+than a rank and reads no capacity.  ``p_grid``
 is the one grid of p values; it raises ``ValueError`` on a bad step or range.  ``_theory_csv`` is the one table of
 the guarantee over a grid, for CLI ``theory`` and ``scripts/theory_sweep.py``.
 """
@@ -44,11 +43,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
-from operator import add
 
-from .matroid import _global_optima
+from .matroid import _global_optima, _left_sum
 from .model import LaminarInstance
 
 MAX_GRID_POINTS = 100_000
@@ -131,9 +128,8 @@ def _decay_terms(pre, b: int, c: float) -> tuple[list[float], list[int]]:
 
 
 def _decay_sum(terms: list[float], start: int) -> float:
-    """``terms[start:]`` added left to right, one float at a time; ``sum``
-    would round differently, as it compensates from Python 3.12 on."""
-    return reduce(add, islice(terms, start, None), 0.0)
+    """``terms[start:]`` added left to right (``matroid._left_sum``)."""
+    return _left_sum(islice(terms, start, None))
 
 
 def g_exact(inst: LaminarInstance, m: int, node_id: int, c: float) -> float:
@@ -160,7 +156,7 @@ def g_refined_bound(m: int, k: int, c: float) -> float:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
     if m == 0:
         return 0.0
-    total = 2.0 * sum(geometric_sum(c, j) for j in range(1, m))
+    total = 2.0 * _left_sum(geometric_sum(c, j) for j in range(1, m))
     cm = geometric_sum(c, m)
     return total + cm + cm * geometric_sum(c, k - m)
 
@@ -176,19 +172,17 @@ def g_weak_bound(m: int, c: float) -> float:
 
 def weighted_penalty(inst: LaminarInstance, c: float) -> float:
     """Weighted chain-decay sum over the global optimum:
-    sum_i w(i) * sum over i's chain of c^(1 + backward rank).  Bounded by
-    2c/(1-c) times the optimum weight whenever c < 1/2."""
+    sum_i w(i) * sum over i's chain of c^(1 + backward rank), i's slice of
+    the root's ``_decay_terms``.  Bounded by 2c/(1-c) times the optimum
+    weight whenever c < 1/2."""
     if not 0.0 < c < 0.5:
         raise ValueError(f"c must be in (0, 1/2), got {c}")
     pre = inst.pre()
-    opt = _global_optima(pre)
-    total = 0.0
-    for r in reversed(opt[pre.root_idx]):  # lightest first
-        decay = 0.0
-        for b in pre.chain_by_rank[r]:
-            decay += c ** (1 + _global_brank(pre, opt, b, r))
-        total += pre.w_by_rank[r] * decay
-    return total
+    terms, starts = _decay_terms(pre, pre.root_idx, c)
+    ends = starts[::-1]  # lightest first: element i's terms are ends[i]:ends[i + 1]
+    lightest_first = reversed(_global_optima(pre)[pre.root_idx])
+    return _left_sum(pre.w_by_rank[r] * _left_sum(terms[a:b])
+                     for r, a, b in zip(lightest_first, ends, ends[1:]))
 
 
 def weighted_penalty_telescoped(inst: LaminarInstance, c: float) -> float:
@@ -200,11 +194,8 @@ def weighted_penalty_telescoped(inst: LaminarInstance, c: float) -> float:
     pre = inst.pre()
     ws = [pre.w_by_rank[r] for r in _global_optima(pre)[pre.root_idx]]  # heaviest first
     terms, starts = _decay_terms(pre, pre.root_idx, c)  # g_exact of each prefix
-    total = 0.0
-    for l in range(1, len(ws) + 1):
-        nxt = ws[l] if l < len(ws) else 0.0
-        total += (ws[l - 1] - nxt) * _decay_sum(terms, starts[l])
-    return total
+    return _left_sum((w - nxt) * _decay_sum(terms, start)
+                     for w, nxt, start in zip(ws, ws[1:] + [0.0], starts[1:]))
 
 
 def ratio_lower_bound(p: float) -> float:

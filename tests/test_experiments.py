@@ -99,6 +99,16 @@ class TestSeedDerivation:
     def test_master_seed_matters(self):
         assert derive_seed(1, 0) != derive_seed(2, 0)
 
+    @pytest.mark.parametrize("master_seed,index", [
+        (-1, 0), (2 ** 64, 0), (True, 0), (2.0, 0), ("1", 0), (None, 0),
+        (1, -1), (1, True), (1, 2.0), (1, "0"), (1, None),
+    ])
+    def test_bad_inputs_are_refused(self, master_seed, index):
+        # -1 would wrap onto the stream of 2^64 - 1, True onto that of 1
+        with pytest.raises(ValueError, match="seed must be|index must be"):
+            derive_seed(master_seed, index)
+        assert derive_seed(2 ** 64 - 1, 0) != derive_seed(0, 0)
+
 
 class TestExactRatio:
     def test_single_element_equals_p(self):
@@ -209,23 +219,24 @@ class TestExactBitStates:
         assert exact._enum_states(pre, padding) == enum_states_by_lists(pre, padding)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(st.builds(family_instance, FAMILIES, st.integers(1, 60),
-                               st.integers(0, 10_000)), shaped_trees()),
-           st.lists(st.integers(0, 2 ** 60 - 1), min_size=1, max_size=5))
-    def test_bit_greedy_equals_the_list_greedy(self, inst, draws):
-        # one field of n bits per node, no fill; several flag sets per call,
-        # as an enumeration passes them
+    @given(st.one_of(st.builds(family_instance, FAMILIES, st.integers(1, 10),
+                               st.integers(0, 10_000)),
+                     shaped_trees(max_elements=10, max_capacity=12)))
+    def test_bit_greedy_equals_the_list_greedy(self, inst):
+        # unpadded, a start state's field at node x holds exactly the bits of
+        # ``_greedy_ranks`` over the split's sampled ranks, in n + slots bits
+        # from the field's offset, and nothing in its virtual bits
         pre = inst.pre()
-        n, nodes = pre.n_real, len(pre.mu)
-        keeps = [d & ((1 << n) - 1) for d in draws]
-        fills = [[0] * (v + 1) for v in pre.slots]
-        packed = list(exact._greedy_bits(pre, keeps, [n * x for x in range(nodes)], fills))
-        assert len(packed) == len(keeps)
-        for keep, got in zip(keeps, packed):
-            want = _greedy_ranks(pre, [bool(keep >> r & 1) for r in range(n)])
-            for x in range(nodes):
-                field = got >> n * x & ((1 << n) - 1)
-                assert field == sum(1 << r for r in want[x])
+        n = pre.n_real
+        _, starts = exact._enum_states(pre, False)
+        assert len(starts) == 1 << n
+        for mask, state in enumerate(starts[1:], 1):
+            assert state & ((1 << n) - 1) == mask
+            want = _greedy_ranks(pre, [not mask >> r & 1 for r in range(n)])
+            offset = n
+            for x, v in enumerate(pre.slots):
+                assert state >> offset & ((1 << n + v) - 1) == sum(1 << r for r in want[x])
+                offset += n + v
 
     def test_set_bit_table_covers_every_state(self):
         # every state up to the limit is in the table, so no enumeration
@@ -1032,6 +1043,15 @@ class TestVerifyLemmas:
     def test_p_domain(self):
         with pytest.raises(ValueError, match="must be in"):
             verify_lemmas(four_element(), 0.6)
+
+    def test_zero_optimum_is_refused(self):
+        # the weighted-penalty bound is 2c/(1-c) times OPT's weight, read
+        # from ``_opt_weight``, as the ratio's denominator is
+        empty = make_instance("empty", [], [FamilyNode(0, 1, None)], {})
+        with pytest.raises(ValueError, match="degenerate"):
+            verify_lemmas(empty, 0.08, trials=3)
+        # with c >= 1/2 the decay checks are skipped, so OPT is not weighed
+        assert all(c.passed is None for c in verify_lemmas(empty, 0.2, trials=3)[:3])
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trial_validation(self, trials):

@@ -130,6 +130,22 @@ def test_sizes_are_bounded_before_allocation(monkeypatch, spec, message):
                      parts=spec.parts and 10, depth=spec.depth and 10))
 
 
+@pytest.mark.parametrize("field", generators._INT_FIELDS)
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+def test_int_fields_must_be_plain_ints(monkeypatch, field, value):
+    # refused before any draw: a float or a bool would otherwise be read
+    # into the instance's name or sizes, or crash inside the build
+    def no_draw(*args):
+        raise AssertionError("generate drew before refusing the spec")
+
+    monkeypatch.setattr(generators.random, "Random", no_draw)
+    family = next((f for f, fields in generators.FAMILY_FIELDS.items() if field in fields),
+                  "uniform")  # n and seed: every family reads them
+    spec = GenSpec(**{"family": family, "n": 4, "seed": 1, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        generate(spec)
+
+
 def test_negative_seed_rejected():
     # random.Random(-5) seeds as random.Random(5): the two instances would match
     with pytest.raises(ValueError, match="seed must be non-negative"):
