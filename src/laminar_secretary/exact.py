@@ -17,6 +17,13 @@ state fixes the value whatever split reached it, so one memo serves every
 split of a call (its measured sizes are at ``EXACT_ENUM_LIMIT``).  No
 field is wider than 2n bits, so capacity does not drive the cost.
 
+The memo is keyed on canonical states, as an arrival only evicts and a
+field only loses bits.  Field bits that no arrival still to come can read
+are cleared (``_readable``, one table per call), and an arrival that finds
+no lighter entry at its minimal node, which stays so, leaves the state
+(``_expected_rest``).  The first rule is bit-identical; the second sums
+other terms and can move a value by one ulp.
+
 ``EXACT_ENUM_LIMIT`` is the one bound on enumeration, and every gate reads
 it at call time: ``exact_expectation`` through ``_check_enumerable``, and
 the callers that choose whether to enumerate through ``_enumerable``.
@@ -31,13 +38,14 @@ from .matroid import _lowest_bits
 from .model import LaminarInstance
 
 # ``exact_expectation`` enumerates 2^n sample splits and shares one memo of
-# (arrivals to come, reference lists) states across them, so the memo lives
-# for the whole call.  On ``generate(GenSpec(family, n, 7))`` of the four
-# families at p = 0.08, padding on and off (Python 3.11, 2 shared cores): at
-# n = 8 it ends with 1033 to 4927 states, far fewer than the 109600 (split,
-# order) leaves, the sum of C(n, t) * t!, and a call takes 1.5 to 8.1 ms
-# and at most 0.4 MiB under tracemalloc; at n = 10, 5349 to 31467 states,
-# 9 to 74 ms and at most 3.1 MiB.
+# canonical (arrivals to come, reference lists) states across them, so the
+# memo lives for the whole call.  On ``generate(GenSpec(family, n, 7))`` of
+# the four families at p = 0.08, padding on and off (Python 3.11, 2 shared
+# cores): at n = 8 it ends with 297 to 3576 entries, canonical states and
+# aliases together, far fewer than the 109600 (split, order) leaves, the
+# sum of C(n, t) * t!, and a call takes 0.5 to 9.7 ms and at most 0.4 MiB
+# under tracemalloc; at n = 10, 1127 to 20464 entries, 2.4 to 50 ms and at
+# most 1.6 MiB.  The chain with padding is the largest at both sizes.
 EXACT_ENUM_LIMIT = 8
 
 
@@ -125,7 +133,31 @@ def _set_bits(n: int) -> None:
 _set_bits(EXACT_ENUM_LIMIT)
 
 
-def _expected_rest(state: int, lighter, w, memo: dict) -> float:
+def _readable(lighter) -> list[int]:
+    """Per set R of ranks still to arrive, indexed by its mask (n =
+    ``len(lighter)`` ranks), the bits of a state that the rest of the
+    enumeration can read: R's own bits and, at each node b, the field
+    positions above q(b, R), the least rank of R whose chain holds b.  An
+    arrival r reads b's field only above r (``lighter[r]``) and a step clears
+    only a bit it read, so the positions up to q(b, R) are never read or
+    changed again, nor any position of a field that no rank of R passes.
+    The set is the union over r in R of r's bit and ``lighter[r]``'s masks,
+    built in one pass by splitting off R's lowest rank.  2^n ints, as
+    ``_SET_BITS``."""
+    reach = []
+    for r, masks in enumerate(lighter):
+        bits = 1 << r
+        for m in masks:
+            bits |= m
+        reach.append(bits)
+    table = [0]
+    for R in range(1, 1 << len(lighter)):
+        r, low = _SET_BITS[R][0]
+        table.append(table[R ^ low] | reach[r])
+    return table
+
+
+def _expected_rest(state: int, lighter, w, readable, memo: dict) -> float:
     """Expected root weight that the ranks still to arrive in ``state``
     (bits 0..n-1, n = ``len(w)``) add, each of them arriving next with
     equal chance; see ``_enum_states`` for the layout.  The ranks still to
@@ -133,12 +165,40 @@ def _expected_rest(state: int, lighter, w, memo: dict) -> float:
     ``kicknext._run_weight`` on the packed state: at each node of its
     chain the lowest set bit of ``state & lighter[r][i]`` is the heaviest
     lighter reference, which the step clears, and an empty field breaks
-    the walk.  It gains its weight only when it passes every node.  KickNext's future depends
-    on nothing else, so the value is memoized on the state; callers look
-    it up before calling."""
+    the walk.  It gains its weight only when it passes every node.
+    KickNext's future depends on nothing else, so the value is memoized on
+    the state; callers look it up before calling.
+
+    The memo holds canonical states, which follow from one fact: an arrival
+    only evicts, so a field only loses bits.  A caller cuts each state by
+    ``readable`` of its ranks still to arrive (``_readable``): the bits it
+    clears are never read again, so every state merged by the cut runs the
+    same steps on the same floats, and the value is bit-identical.  Here a
+    rank r is dead when ``state & lighter[r][0]`` is empty: it breaks at its
+    minimal node and evicts nothing whenever it comes, and it stays dead.
+    The ranks around it arrive in a uniform order among themselves, so the
+    state's value is that of the state without its dead ranks (cut again),
+    or 0.0 when none is live, memoized under both keys.  That value sums
+    other terms than the average over every arrival would, so it can differ
+    from it in the last ulp."""
     remaining = state & ((1 << len(w)) - 1)
+    pairs = _SET_BITS[remaining]
+    dead = 0
+    for r, low in pairs:
+        if not state & lighter[r][0]:
+            dead |= low
+    if dead:
+        live = remaining ^ dead
+        value = 0.0
+        if live:
+            key = state & readable[live]
+            value = memo.get(key)
+            if value is None:
+                value = _expected_rest(key, lighter, w, readable, memo)
+        memo[state] = value
+        return value
     acc = []
-    for r, low in _SET_BITS[remaining]:
+    for r, low in pairs:
         after = state ^ low
         for m in lighter[r]:
             x = after & m
@@ -147,10 +207,12 @@ def _expected_rest(state: int, lighter, w, memo: dict) -> float:
             after ^= x & -x
         else:
             acc.append(w[r])
-        if remaining != low:
+        rest = remaining ^ low
+        if rest:
+            after &= readable[rest]
             value = memo.get(after)
             if value is None:
-                value = _expected_rest(after, lighter, w, memo)
+                value = _expected_rest(after, lighter, w, readable, memo)
             acc.append(value)
     value = math.fsum(acc) / remaining.bit_count()
     memo[state] = value
@@ -170,13 +232,16 @@ def _expected_splits(pre, p: float, lighter, starts) -> tuple[float, float, dict
     A split's probability depends only on its number of arrivals t, so it
     is computed once per t.  One memo serves every split: a state's value
     is computed the same way whichever split reaches it first, so sharing
-    changes no bit of the result.  Returns (expected weight, probability
-    mass, memo)."""
+    changes no bit of the result.  Each start state is cut by
+    ``_readable`` of its arrivals before its lookup, as ``_expected_rest``
+    cuts each child state.  Returns (expected weight, probability mass,
+    memo)."""
     n = pre.n_real
     w = pre.w_by_rank
     law = _split_law(n, p)
     contribs: list[float] = []
     probs: list[float] = []
+    readable = _readable(lighter)
     memo: dict = {}
     for mask, state in enumerate(starts):
         t = mask.bit_count()
@@ -184,9 +249,10 @@ def _expected_splits(pre, p: float, lighter, starts) -> tuple[float, float, dict
         probs.append(prob)
         if t == 0:
             continue
+        state &= readable[mask]
         value = memo.get(state)
         if value is None:
-            value = _expected_rest(state, lighter, w, memo)
+            value = _expected_rest(state, lighter, w, readable, memo)
         contribs.append(prob * value)
     return math.fsum(contribs), math.fsum(probs), memo
 
@@ -198,11 +264,12 @@ def exact_expectation(inst: LaminarInstance, p: float, *, padding: bool = True):
 
     Each split's expectation is ``_expected_rest`` of all its arrivals: a
     recursion over the next arrival, memoized on one int that holds the
-    arrivals still to come and every node's reference list (see
-    ``_enum_states``, which builds every split's start state on ints, with
-    no reference list).  ``_expected_splits`` sums the splits with one
-    memo for the call (see ``EXACT_ENUM_LIMIT`` for its measured size),
-    instead of walking all C(n, t) * t! arrival orders.  A node's field is
+    arrivals still to come and every node's reference list, in a canonical
+    form (see ``_enum_states``, which builds every split's start state on
+    ints, with no reference list, and ``_expected_rest``).
+    ``_expected_splits`` sums the splits with one memo for the call (see
+    ``EXACT_ENUM_LIMIT`` for its measured size), instead of walking all
+    C(n, t) * t! arrival orders.  A node's field is
     at most 2n bits wide whatever its capacity, as its padded list holds at
     most n slots, so neither time nor memory grows with capacity."""
     _check_p(p)

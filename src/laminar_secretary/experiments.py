@@ -576,6 +576,8 @@ def qualifying_joint_probability(inst: LaminarInstance, p: float, node_id: int,
 
     if use_exact:
         _check_enumerable(n)
+        if tail is None:  # a nonzero head count: no split matches
+            return QualifyingProbability(0.0, bound, True)
         law = _split_law(n - 1, p)  # the other n - 1 elements, given skip arrives
         acc = []
         for mask in range(1 << n):  # the splits of ``exact._enum_states``: set bit r, r arrives

@@ -673,10 +673,32 @@ def _expected_rest_by_tuples(pre, remaining, refs, memo):
     """The recursion of ``exact_expectation_by_tuples``, as
     ``exact._expected_rest`` recurses on bits: the state is (arrivals still
     to come, padded reference lists as rank tuples), and the KickNext step
-    slices a new tuple for every node it passes."""
+    slices a new tuple for every node it passes.  The state is first made
+    canonical as the bit recursion's is: each node's list drops its entries
+    up to the least rank still to come whose chain holds the node, or all
+    of them when no such rank passes it; and a rank whose minimal node
+    holds no lighter entry leaves the arrivals, the value then memoized
+    under both keys (0.0 when no rank is left)."""
+    least = [None] * len(refs)
+    for r in reversed(range(pre.n_real)):
+        if remaining >> r & 1:
+            for b in pre.chain_by_rank[r]:
+                least[b] = r
+    refs = tuple(() if q is None else R[bisect_right(R, q):] for R, q in zip(refs, least))
     key = (remaining, refs)
     value = memo.get(key)
     if value is not None:
+        return value
+    dead = 0
+    for r in range(pre.n_real):
+        if remaining >> r & 1:
+            R = refs[pre.chain_by_rank[r][0]]
+            if bisect_right(R, r) == len(R):
+                dead |= 1 << r
+    if dead:
+        live = remaining ^ dead
+        value = _expected_rest_by_tuples(pre, live, refs, memo) if live else 0.0
+        memo[key] = value
         return value
     w = pre.w_by_rank
     acc = []

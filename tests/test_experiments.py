@@ -166,9 +166,9 @@ def _exact_and_memo_size(monkeypatch, inst, p, padding):
     memos = []
     real = exact._expected_rest
 
-    def spy(state, lighter, w, memo):
+    def spy(state, lighter, w, readable, memo):
         memos.append(memo)
-        return real(state, lighter, w, memo)
+        return real(state, lighter, w, readable, memo)
 
     monkeypatch.setattr(exact, "_expected_rest", spy)
     expected, mass = exact_expectation(inst, p, padding=padding)
@@ -259,6 +259,96 @@ class TestExactBitStates:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def _rational_rest(state, lighter, w, memo):
+    """``exact._expected_rest`` with no canonical form, in exact rationals:
+    every arrival still to come averaged, every state memoized as it is."""
+    value = memo.get(state)
+    if value is not None:
+        return value
+    remaining = state & ((1 << len(w)) - 1)
+    total = Fraction(0)
+    for r, low in exact._SET_BITS[remaining]:
+        after = state ^ low
+        for m in lighter[r]:
+            x = after & m
+            if not x:
+                break
+            after ^= x & -x
+        else:
+            total += w[r]
+        if remaining != low:
+            total += _rational_rest(after, lighter, w, memo)
+    value = total / remaining.bit_count()
+    memo[state] = value
+    return value
+
+
+class TestCanonicalStates:
+    """The two rules that make ``exact._expected_rest``'s memo states
+    canonical, checked in exact rationals: field bits that no rank still to
+    come can read are cut (``exact._readable``), and ranks that find no
+    lighter entry at their minimal node leave the arrivals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(FAMILIES, st.integers(1, 5), st.integers(0, 10_000),
+           st.sampled_from((Fraction(1, 20), Fraction(2, 25), Fraction(1, 5), Fraction(9, 20))),
+           st.booleans())
+    def test_every_reachable_state_keeps_its_value(self, family, n, seed, p, padding):
+        inst = family_instance(family, n, seed)
+        pre = inst.pre()
+        w = list(map(Fraction, pre.w_by_rank))
+        lighter, starts = exact._enum_states(pre, padding)
+        readable = exact._readable(lighter)
+        memo = {}
+        expected = Fraction(0)
+        for mask, state in enumerate(starts[1:], 1):
+            t = mask.bit_count()
+            expected += (1 - p) ** (n - t) * p ** t * _rational_rest(state, lighter, w, memo)
+        for state, value in list(memo.items()):
+            remaining = state & ((1 << n) - 1)
+            live = remaining
+            for r, low in exact._SET_BITS[remaining]:
+                if not state & lighter[r][0]:
+                    live ^= low
+            canonical = state & readable[live]
+            assert canonical & ((1 << n) - 1) == live
+            want = _rational_rest(canonical, lighter, w, memo) if live else 0
+            assert value == want, (state, canonical)
+        got, _ = exact_expectation(inst, float(p), padding=padding)
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_readable_is_the_union_of_the_ranks_reads(self):
+        # per rank set R: R's bits and, at each node, the field positions
+        # above the least rank of R whose chain holds the node
+        pre = family_instance("random_tree", 6, 38).pre()
+        lighter, _ = exact._enum_states(pre, True)
+        readable = exact._readable(lighter)
+        assert len(readable) == 1 << 6
+        for R in range(1 << 6):
+            want = R
+            for r in range(6):
+                if R >> r & 1:
+                    for m in lighter[r]:
+                        want |= m
+            assert readable[R] == want
+
+    @pytest.mark.parametrize("padding", [True, False])
+    @pytest.mark.parametrize("family", ["uniform", "partition", "chain", "random_tree"])
+    def test_peak_memory_at_the_limit(self, family, padding):
+        # measured at 46-382 KiB (Python 3.11; chain with padding the
+        # largest): the bound leaves 1.7x headroom over the largest, and a
+        # raise of ``EXACT_ENUM_LIMIT`` must still pass it at n = 8
+        inst = generate(GenSpec(family, 8, 7))
+        exact_expectation(inst, 0.08, padding=padding)  # builds the instance's tables
+        tracemalloc.start()
+        try:
+            exact_expectation(inst, 0.08, padding=padding)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640 * 1024, peak
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -995,6 +1085,24 @@ class TestQualifyingJointProbability:
             assert got.probability == 0.0 and got.bound == p ** (1 + sum(counts))
         assert total > 0.0
 
+    def test_exact_nonzero_head_skips_the_splits(self, monkeypatch):
+        # capacity 5 over 3 members: the first two counts are always zero, so
+        # a nonzero one matches no split and no split's fields are built
+        inst = rank1([3.0, 1.0, 2.0], capacity=5)
+        assert qualifying_joint_probability(inst, 0.2, 0, [0, 0, 0, 0, 1], element_id=1,
+                                            method="exact").probability > 0.0
+
+        def no_fields(*args):
+            raise AssertionError("a split's fields were built")
+
+        monkeypatch.setattr(experiments, "_ref_fields", no_fields)
+        got = qualifying_joint_probability(inst, 0.2, 0, [0, 1, 0, 0, 1], element_id=1,
+                                           method="exact")
+        assert got == experiments.QualifyingProbability(0.0, 0.2 ** 2, True)
+        with pytest.raises(ValueError, match="exact enumeration limited"):
+            qualifying_joint_probability(rank1([1.0] * 9, capacity=12), 0.2, 0, [1] + [0] * 11,
+                                         element_id=1, method="exact")
+
     def test_capacity_long_counts_are_not_copied(self):
         # the counts' validation keeps the slots-long tail, not a copy of
         # the capacity-long vector the caller holds
@@ -1279,8 +1387,9 @@ class TestWorkCounts:
         exact_expectation(inst, 0.08)
         shared, calls = calls, 0
         lighter, starts = exact._enum_states(pre, True)
-        for state in starts[1:]:
-            exact._expected_rest(state, lighter, pre.w_by_rank, {})
+        readable = exact._readable(lighter)
+        for mask, state in enumerate(starts[1:], 1):
+            exact._expected_rest(state & readable[mask], lighter, pre.w_by_rank, readable, {})
         assert shared < calls
 
 

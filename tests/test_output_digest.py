@@ -39,7 +39,7 @@ from helpers import family_instance
 
 DIGEST = "d23846c1715dbfa5871f37edb6c47fec855c427b08b622dae98065c69d82906b"
 VERIFY_DIGEST = "5655d4342b518110e0e1eb3b08fed7bfd0340b48f795ab5c59b34c553e7eec07"
-EXACT_DIGEST = "c050f24d03b56d3e612dba1f16f274a5067e23c52b09a5d5abc5fcff3c78752e"
+EXACT_DIGEST = "e2961e87d95736024f2bd063cb1f4785544428c46bc4b30d882c9f7b70338fe6"
 GEN_DIGEST = "d1aabf01088ad9009d148054ef751827652a189954eaf75af0639e6072b1c322"
 
 FAMILIES = ("uniform", "partition", "chain", "random_tree")
