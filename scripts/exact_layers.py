@@ -20,13 +20,12 @@ then grows past a few hundred MiB on the deeper families.  The report
 gives the median over rounds of each layer in ms, with the lowest and
 highest round, the expected weight, the memo's entries, and the
 tracemalloc peak of one more round that runs both layers under tracemalloc
-(not timed).  The memo holds canonical states, whose value the recursion
-computes, and aliases: states with a dead rank still to arrive (one that
-finds no lighter entry at its minimal node), stored under the value of the
-canonical state without it (``exact._expected_rest``).  Stdlib only and
-seeded: the weight and the memo size depend on the flags alone, the times
-on the host too.  n, rounds outside 1..1000 and
-a bad p exit 2 before any work.  The ROADMAP table of exact enumeration
+(not timed).  The memo holds canonical states only, each computed once:
+no dead rank still to arrive (one that finds no lighter entry at its
+minimal node) and no field bit that no rank still to come can read
+(``exact._expected_rest``).  Stdlib only and seeded: the weight and the
+memo size depend on the flags alone, the times on the host too.  n,
+rounds outside 1..1000 and a bad p exit 2 before any work.  The ROADMAP table of exact enumeration
 past the limit comes from runs such as ``--family random_tree --n 12``.
 """
 
@@ -40,7 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from laminar_secretary import GenSpec, generate
-from laminar_secretary.exact import _SET_BITS, _enum_states, _expected_splits, _set_bits
+from laminar_secretary.exact import _enum_states, _expected_splits, _set_bits
 from laminar_secretary.generators import FAMILIES
 from laminar_secretary.kicknext import _check_p
 
@@ -49,23 +48,14 @@ LAYERS = ("starts", "recursion")
 
 
 def _round(pre, p, padding):
-    """One round: seconds per layer, the expected weight, the lighter
-    masks and the memo."""
+    """One round: seconds per layer, the expected weight and the memo's
+    size."""
     t0 = time.perf_counter()
-    lighter, starts = _enum_states(pre, padding)
+    steps, starts = _enum_states(pre, padding)
     t1 = time.perf_counter()
-    expected, _, memo = _expected_splits(pre, p, lighter, starts)
+    expected, _, memo = _expected_splits(pre, p, steps, starts)
     t2 = time.perf_counter()
-    return {"starts": t1 - t0, "recursion": t2 - t1}, expected, lighter, memo
-
-
-def _aliases(lighter, memo):
-    """The memo's alias entries: states with a dead rank still to arrive (no
-    lighter entry at its minimal node), whose value is that of a canonical
-    state without it."""
-    full = (1 << len(lighter)) - 1
-    return sum(any(not state & lighter[r][0] for r, _ in _SET_BITS[state & full])
-               for state in memo)
+    return {"starts": t1 - t0, "recursion": t2 - t1}, expected, len(memo)
 
 
 def main():
@@ -91,12 +81,9 @@ def main():
     _set_bits(pre.n_real)  # as ``exact_expectation`` does, before the rounds
     times = {k: [] for k in LAYERS}
     for _ in range(args.rounds):
-        spent, expected, lighter, memo = _round(pre, args.p, args.padding)
+        spent, expected, states = _round(pre, args.p, args.padding)
         for k in LAYERS:
             times[k].append(spent[k] * 1e3)
-    aliases = _aliases(lighter, memo)
-    canonical = len(memo) - aliases
-    del memo  # not held while the traced round runs
     tracemalloc.start()
     try:
         _round(pre, args.p, args.padding)
@@ -105,8 +92,8 @@ def main():
         tracemalloc.stop()
     print(f"{inst.name}: n = {pre.n_real}, {len(pre.mu)} nodes, p = {args.p}, "
           f"{args.rounds} rounds, padding {'on' if args.padding else 'off'}")
-    print(f"expected weight {expected!r}, memo states {canonical} canonical + "
-          f"{aliases} aliases, tracemalloc peak {peak / 2**20:.2f} MiB")
+    print(f"expected weight {expected!r}, memo states {states} canonical, "
+          f"tracemalloc peak {peak / 2**20:.2f} MiB")
     print(f"{'layer':>10} {'median ms':>10} {'min':>9} {'max':>9}")
     for k in LAYERS:
         xs = times[k]

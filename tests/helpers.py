@@ -669,36 +669,40 @@ def exact_expectation_by_permutations(inst, p, *, padding=True):
     return math.fsum(contribs), math.fsum(probs)
 
 
-def _expected_rest_by_tuples(pre, remaining, refs, memo):
-    """The recursion of ``exact_expectation_by_tuples``, as
-    ``exact._expected_rest`` recurses on bits: the state is (arrivals still
-    to come, padded reference lists as rank tuples), and the KickNext step
-    slices a new tuple for every node it passes.  The state is first made
-    canonical as the bit recursion's is: each node's list drops its entries
-    up to the least rank still to come whose chain holds the node, or all
-    of them when no such rank passes it; and a rank whose minimal node
-    holds no lighter entry leaves the arrivals, the value then memoized
-    under both keys (0.0 when no rank is left)."""
-    least = [None] * len(refs)
-    for r in reversed(range(pre.n_real)):
-        if remaining >> r & 1:
-            for b in pre.chain_by_rank[r]:
-                least[b] = r
-    refs = tuple(() if q is None else R[bisect_right(R, q):] for R, q in zip(refs, least))
-    key = (remaining, refs)
-    value = memo.get(key)
-    if value is not None:
-        return value
-    dead = 0
+def _canonical_by_tuples(pre, remaining, refs):
+    """The canonical form of a tuple state, as ``exact`` makes each bit
+    state canonical: a rank whose minimal node holds no lighter entry
+    leaves the arrivals, then each node's list drops its entries up to the
+    least rank still to come whose chain holds the node, or all of them
+    when no such rank passes it.  Returns (live ranks, lists)."""
+    live = remaining
     for r in range(pre.n_real):
         if remaining >> r & 1:
             R = refs[pre.chain_by_rank[r][0]]
             if bisect_right(R, r) == len(R):
-                dead |= 1 << r
-    if dead:
-        live = remaining ^ dead
-        value = _expected_rest_by_tuples(pre, live, refs, memo) if live else 0.0
-        memo[key] = value
+                live ^= 1 << r
+    least = [None] * len(refs)
+    for r in reversed(range(pre.n_real)):
+        if live >> r & 1:
+            for b in pre.chain_by_rank[r]:
+                least[b] = r
+    return live, tuple(() if q is None else R[bisect_right(R, q):] for R, q in zip(refs, least))
+
+
+def _expected_rest_by_tuples(pre, remaining, refs, memo):
+    """The recursion of ``exact_expectation_by_tuples``, as
+    ``exact._expected_rest`` recurses on bits: the state is (arrivals still
+    to come, padded reference lists as rank tuples), and the KickNext step
+    slices a new tuple for every node it passes.  Each state is made
+    canonical (``_canonical_by_tuples``) before its lookup, and the memo
+    holds canonical keys only; a state with no live rank is worth 0.0 and
+    is not stored."""
+    key = _canonical_by_tuples(pre, remaining, refs)
+    remaining, refs = key
+    if not remaining:
+        return 0.0
+    value = memo.get(key)
+    if value is not None:
         return value
     w = pre.w_by_rank
     acc = []
@@ -724,8 +728,9 @@ def _expected_rest_by_tuples(pre, remaining, refs, memo):
 
 
 def enum_states_by_lists(pre, padding):
-    """Reference for ``exact._enum_states``: the same masks and start
-    states, each start state ORed together one bit per entry of the
+    """Reference for ``exact._enum_states``: the same steps and start
+    states, a node's homed ranks found by a scan of every rank's minimal
+    node, and each start state ORed together one bit per entry of the
     split's reference lists from one full list pass
     (``ref_lists_by_full_pass``, unpadded), plus the fill of the slots after
     the node's real entries."""
@@ -738,8 +743,10 @@ def enum_states_by_lists(pre, padding):
         top += n + v
     fill = [[((1 << v) - (1 << k)) << (o + n) if padding else 0 for k in range(v + 1)]
             for v, o in zip(slots, offset)]
-    lighter = [tuple(((1 << n + slots[b]) - (2 << r)) << offset[b] for b in ch)
-               for r, ch in enumerate(pre.chain_by_rank)]
+    steps = [tuple((((1 << n + slots[b]) - (2 << r)) << offset[b],
+                    sum(1 << q for q in range(n) if pre.chain_by_rank[q][0] == b),
+                    offset[b], (1 << n + slots[b]) - 1) for b in ch)
+             for r, ch in enumerate(pre.chain_by_rank)]
     starts = [0]  # the split with no arrival has nothing to recurse on
     for mask in range(1, 1 << n):  # set bit r: rank r arrives in the selection phase
         state = mask
@@ -749,7 +756,7 @@ def enum_states_by_lists(pre, padding):
                 state |= 1 << (o + r)
             state |= f[len(R)]
         starts.append(state)
-    return lighter, starts
+    return steps, starts
 
 
 def exact_expectation_by_tuples(inst, p, *, padding=True):

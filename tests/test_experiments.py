@@ -3,7 +3,7 @@ import os
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import starmap
+from itertools import accumulate, starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,9 +166,9 @@ def _exact_and_memo_size(monkeypatch, inst, p, padding):
     memos = []
     real = exact._expected_rest
 
-    def spy(state, lighter, w, readable, memo):
+    def spy(state, steps, w, readable, memo):
         memos.append(memo)
-        return real(state, lighter, w, readable, memo)
+        return real(state, steps, w, readable, memo)
 
     monkeypatch.setattr(exact, "_expected_rest", spy)
     expected, mass = exact_expectation(inst, p, padding=padding)
@@ -261,7 +261,7 @@ class TestExactBitStates:
         assert peak < 2 ** 20
 
 
-def _rational_rest(state, lighter, w, memo):
+def _rational_rest(state, steps, w, memo):
     """``exact._expected_rest`` with no canonical form, in exact rationals:
     every arrival still to come averaged, every state memoized as it is."""
     value = memo.get(state)
@@ -271,7 +271,7 @@ def _rational_rest(state, lighter, w, memo):
     total = Fraction(0)
     for r, low in exact._SET_BITS[remaining]:
         after = state ^ low
-        for m in lighter[r]:
+        for m, _, _, _ in steps[r]:
             x = after & m
             if not x:
                 break
@@ -279,7 +279,7 @@ def _rational_rest(state, lighter, w, memo):
         else:
             total += w[r]
         if remaining != low:
-            total += _rational_rest(after, lighter, w, memo)
+            total += _rational_rest(after, steps, w, memo)
     value = total / remaining.bit_count()
     memo[state] = value
     return value
@@ -299,22 +299,22 @@ class TestCanonicalStates:
         inst = family_instance(family, n, seed)
         pre = inst.pre()
         w = list(map(Fraction, pre.w_by_rank))
-        lighter, starts = exact._enum_states(pre, padding)
-        readable = exact._readable(lighter)
+        steps, starts = exact._enum_states(pre, padding)
+        readable = exact._readable(steps)
         memo = {}
         expected = Fraction(0)
         for mask, state in enumerate(starts[1:], 1):
             t = mask.bit_count()
-            expected += (1 - p) ** (n - t) * p ** t * _rational_rest(state, lighter, w, memo)
+            expected += (1 - p) ** (n - t) * p ** t * _rational_rest(state, steps, w, memo)
         for state, value in list(memo.items()):
             remaining = state & ((1 << n) - 1)
             live = remaining
             for r, low in exact._SET_BITS[remaining]:
-                if not state & lighter[r][0]:
+                if not state & steps[r][0][0]:
                     live ^= low
             canonical = state & readable[live]
             assert canonical & ((1 << n) - 1) == live
-            want = _rational_rest(canonical, lighter, w, memo) if live else 0
+            want = _rational_rest(canonical, steps, w, memo) if live else 0
             assert value == want, (state, canonical)
         got, _ = exact_expectation(inst, float(p), padding=padding)
         assert abs(got - expected) <= 1e-12 * expected
@@ -323,22 +323,57 @@ class TestCanonicalStates:
         # per rank set R: R's bits and, at each node, the field positions
         # above the least rank of R whose chain holds the node
         pre = family_instance("random_tree", 6, 38).pre()
-        lighter, _ = exact._enum_states(pre, True)
-        readable = exact._readable(lighter)
+        steps, _ = exact._enum_states(pre, True)
+        readable = exact._readable(steps)
         assert len(readable) == 1 << 6
         for R in range(1 << 6):
             want = R
             for r in range(6):
                 if R >> r & 1:
-                    for m in lighter[r]:
+                    for m, _, _, _ in steps[r]:
                         want |= m
             assert readable[R] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.builds(family_instance, FAMILIES, st.integers(1, 8),
+                               st.integers(0, 10_000)),
+                     shaped_trees(max_elements=8, max_capacity=10)),
+           st.booleans())
+    def test_every_memo_key_is_canonical(self, inst, padding):
+        # read from the instance's tree, not from ``exact``'s tables: every
+        # rank still to arrive finds a lighter entry at its minimal node, and
+        # the key holds no field bit at or below a node's least such rank,
+        # nor any in a field that no such rank passes
+        pre = inst.pre()
+        n = pre.n_real
+        steps, starts = exact._enum_states(pre, padding)
+        _, _, memo = exact._expected_splits(pre, 0.08, steps, starts)
+        offset = list(accumulate((n + v for v in pre.slots), initial=n))
+        for key in memo:
+            readable = remaining = key & ((1 << n) - 1)
+            for r in range(n):
+                if remaining >> r & 1:
+                    home = pre.chain_by_rank[r][0]
+                    assert key >> offset[home] + r + 1 & (1 << n + pre.slots[home]) - 1, \
+                        f"rank {r} is dead in {key:#x}"
+                    for b in pre.chain_by_rank[r]:
+                        readable |= ((1 << n + pre.slots[b]) - (2 << r)) << offset[b]
+            assert key & readable == key, f"unreadable bits in {key:#x}"
+
+    def test_memo_at_twelve(self):
+        # the memo holds canonical states alone: 75 here, against 4397
+        # entries with each dead-rank state stored beside its canonical one
+        pre = generate(GenSpec("partition", 12, 7)).pre()
+        exact._set_bits(12)
+        steps, starts = exact._enum_states(pre, True)
+        _, _, memo = exact._expected_splits(pre, 0.08, steps, starts)
+        assert len(memo) == 75
 
     @pytest.mark.parametrize("padding", [True, False])
     @pytest.mark.parametrize("family", ["uniform", "partition", "chain", "random_tree"])
     def test_peak_memory_at_the_limit(self, family, padding):
-        # measured at 46-382 KiB (Python 3.11; chain with padding the
-        # largest): the bound leaves 1.7x headroom over the largest, and a
+        # measured at 29-396 KiB (Python 3.11; chain with padding the
+        # largest): the bound leaves 1.6x headroom over the largest, and a
         # raise of ``EXACT_ENUM_LIMIT`` must still pass it at n = 8
         inst = generate(GenSpec(family, 8, 7))
         exact_expectation(inst, 0.08, padding=padding)  # builds the instance's tables
@@ -349,6 +384,25 @@ class TestCanonicalStates:
         finally:
             tracemalloc.stop()
         assert peak < 640 * 1024, peak
+
+    @pytest.mark.parametrize("padding", [True, False])
+    @pytest.mark.parametrize("family", ["uniform", "partition", "chain", "random_tree"])
+    def test_peak_memory_at_ten(self, family, padding):
+        # past the limit, through the internals as ``scripts/exact_layers.py``
+        # calls them: measured at 116-1580 KiB (Python 3.11; chain with
+        # padding the largest); the bound leaves 1.7x headroom over the
+        # largest, and a raise of ``EXACT_ENUM_LIMIT`` to 10 must pass it
+        pre = generate(GenSpec(family, 10, 7)).pre()
+        exact._set_bits(10)
+        exact._enum_states(pre, padding)  # builds the instance's tables
+        tracemalloc.start()
+        try:
+            steps, starts = exact._enum_states(pre, padding)
+            exact._expected_splits(pre, 0.08, steps, starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2700 * 1024, peak
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -1386,10 +1440,15 @@ class TestWorkCounts:
         monkeypatch.setattr(exact, "_expected_rest", counted)
         exact_expectation(inst, 0.08)
         shared, calls = calls, 0
-        lighter, starts = exact._enum_states(pre, True)
-        readable = exact._readable(lighter)
+        steps, starts = exact._enum_states(pre, True)
+        readable = exact._readable(steps)
         for mask, state in enumerate(starts[1:], 1):
-            exact._expected_rest(state & readable[mask], lighter, pre.w_by_rank, readable, {})
+            live = mask
+            for r, low in exact._SET_BITS[mask]:
+                if not state & steps[r][0][0]:
+                    live ^= low
+            if live:
+                exact._expected_rest(state & readable[live], steps, pre.w_by_rank, readable, {})
         assert shared < calls
 
 
