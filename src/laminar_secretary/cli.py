@@ -21,7 +21,7 @@ from .exact import _enumerable, exact_expectation
 from .experiments import _opt_weight, exact_ratio, monte_carlo_ratio, verify_report
 from .generators import FAMILIES, FAMILY_FIELDS, WEIGHTS, GenSpec, generate
 from .kicknext import make_trial, run_kicknext, trace_csv
-from .matroid import _left_sum, greedy_opt
+from .matroid import _global_optima, _left_sum
 from .model import InstanceError, dump_instance, load_instance
 from .theory import _theory_csv, p_grid
 
@@ -124,12 +124,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_opt(args) -> int:
     inst = _load(args.file)
+    pre = inst.pre()
     node = args.node if args.node is not None else inst.root_id
-    opt = greedy_opt(inst, None, node)
-    print(f"instance {inst.name}: node {node} optimum has "
-          f"{len(opt)} elements, weight {opt.weight!r}")
-    for eid in reversed(opt.elements):  # heaviest first
-        print(f"element {eid} weight {inst.weight(eid)!r}")
+    ranks = _global_optima(pre)[pre.node_idx(node)]  # heaviest first
+    ids, w = pre.ids_by_rank, pre.w_by_rank
+    lines = [f"instance {inst.name}: node {node} optimum has {len(ranks)} elements, "
+             f"weight {_left_sum(map(w.__getitem__, ranks))!r}"]
+    lines += [f"element {ids[r]} weight {w[r]!r}" for r in ranks]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -12,11 +12,14 @@ minimal node lies in that node's subtree).
 
 An instance holds its elements as two id-ordered columns, ``ids`` and
 ``weights``.  ``load_instance`` reads them from the JSON with one pass per
-column and ``_Pre`` builds the rank tables from them, so loading and
-running build no ``Element``; ``LaminarInstance.elements`` builds the
-tuple of them on first read.  ``load_instance``, ``make_instance`` and the
-generators share one validator, ``_assemble``, which tests each rule of the
-format on a whole column and scans for the first bad entry only to word the
+column, and the membership by looking each element id up by its decimal
+text, so no key is parsed unless that lookup misses.  ``_Pre`` builds the
+rank tables from the columns, so loading and running build no
+``Element``; ``LaminarInstance.elements`` builds the tuple of them on
+first read, and ``_Pre.rank_by_id`` the id->rank table on the first
+lookup by id.  ``load_instance``, ``make_instance`` and the generators
+share one validator, ``_assemble``, which tests each rule of the format
+on a whole column and scans for the first bad entry only to word the
 error.
 
 Instances are immutable after construction and safe to share across threads.
@@ -95,7 +98,9 @@ class _Pre:
     r's minimal node; no table keeps the chains by node.
     ``global_optima`` is filled on first use by ``matroid._global_optima``,
     and ``opt_masks``, ``opt_fields`` and ``own_bits`` by
-    ``matroid._opt_tables``.
+    ``matroid._opt_tables``.  ``rank_by_id``, the id->rank table, is built
+    on the first lookup by id (``rank_of``, ``LaminarInstance.key``,
+    ``kicknext.qualifies``); the rank-space runs never read it.
 
     Subtree membership is decided here and nowhere else: node b lies on a
     chain exactly at ``depth[b]`` places from its root end, so ``upto``
@@ -122,7 +127,7 @@ class _Pre:
     """
 
     __slots__ = (
-        "ids_by_rank", "rank_by_id", "w_by_rank", "n_real", "max_id",
+        "ids_by_rank", "_rank_by_id", "w_by_rank", "n_real", "max_id",
         "node_ids", "node_index", "mu", "slots", "depth",
         "own_ranks", "chain_by_rank", "children_idx", "bottom_up",
         "root_idx", "virtual_rank_base", "global_optima", "opt_masks",
@@ -134,7 +139,7 @@ class _Pre:
         # reverse=True keeps a stable sort stable: equal weights stay in id order
         order = sorted(range(len(ids)), key=weights.__getitem__, reverse=True)
         self.ids_by_rank = list(map(ids.__getitem__, order))
-        self.rank_by_id = dict(zip(self.ids_by_rank, range(len(order))))
+        self._rank_by_id: dict[int, int] | None = None
         self.w_by_rank = list(map(weights.__getitem__, order))
         self.n_real = len(order)
         self.max_id = ids[-1] if ids else -1
@@ -187,6 +192,15 @@ class _Pre:
         self.virtual_rank_base = base
         self.global_optima = self.opt_masks = None
         self.opt_fields = self.own_bits = None
+
+    @property
+    def rank_by_id(self) -> dict[int, int]:
+        """Each real id's rank, built on first read: Monte Carlo, exact
+        enumeration, the checks and the optima work in rank space, and
+        only lookups by id read it."""
+        if self._rank_by_id is None:
+            self._rank_by_id = dict(zip(self.ids_by_rank, range(self.n_real)))
+        return self._rank_by_id
 
     def upto(self, r: int, b: int) -> tuple[int, ...] | None:
         """Rank ``r``'s chain from its minimal node up to node index ``b``,
@@ -411,7 +425,8 @@ def _assemble(name, ids: list, weights: list, nodes: list[tuple], membership: di
 def load_instance(text: str) -> LaminarInstance:
     """Parse and validate the JSON instance format (see README).  Each
     column is read and type-checked in one pass: integral floats become
-    ints, int weights become floats."""
+    ints, int weights become floats.  The membership is read by element
+    id; its keys are parsed, and a bad one worded, only when that misses."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
@@ -432,22 +447,24 @@ def load_instance(text: str) -> LaminarInstance:
             )
             for nd in doc["nodes"]
         ]
-        pairs = doc["membership"].items()
+        members = doc["membership"]
+        pairs = members.items()
     except (AttributeError, KeyError, TypeError) as exc:
         raise InstanceError(f"malformed instance text: {exc}") from None
     ids = _json_ints(raw_ids, "element id")
     weights = (raw_weights if set(map(type, raw_weights)) <= {float}
                else list(map(_weight, raw_weights, raw_ids)))  # worded with the id as written
-    keys = list(map(itemgetter(0), pairs))
-    try:
-        eids = list(map(int, keys))
-        canonical = list(map(str, eids)) == keys
-    except ValueError:
-        canonical = False
-    if not canonical:
-        eids = list(map(_json_key, keys))
-    nids = _json_ints(list(map(itemgetter(1), pairs)), "membership value")
-    return _assemble(doc["name"], ids, weights, nodes, dict(zip(eids, nids)))
+    # each id looked up by its decimal text: when every id is found, with a
+    # plain int, and no key is left over, the keys are exactly the ids'
+    # texts and no key needs parsing; otherwise the keys are parsed, which
+    # words a bad one and reads an integral float value
+    nids = list(map(members.get, map(str, ids)))
+    membership = dict(zip(ids, nids))
+    if not (len(membership) == len(members) == len(ids) and set(map(type, nids)) <= {int}):
+        eids = list(map(_json_key, map(itemgetter(0), pairs)))
+        nids = _json_ints(list(map(itemgetter(1), pairs)), "membership value")
+        membership = dict(zip(eids, nids))
+    return _assemble(doc["name"], ids, weights, nodes, membership)
 
 
 def _json_ints(col: list, what: str) -> list:

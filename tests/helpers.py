@@ -33,6 +33,7 @@ from laminar_secretary import (
 )
 from laminar_secretary.kicknext import BreakRecord, TraceEvent, _block_size, _order
 from laminar_secretary.matroid import _global_optima, _greedy_ranks
+from laminar_secretary.model import _assemble, _json_int, _json_key, _weight
 from laminar_secretary.theory import _global_brank, _padded_brank
 
 # The documented four-element example: two heavy elements share a unit-capacity
@@ -94,6 +95,40 @@ def dump_instance_by_json(inst):
     """The canonical text by ``json.dumps``, whose ``indent`` runs the
     pure-Python encoder: the oracle for ``dump_instance``."""
     return json.dumps(instance_doc(inst), sort_keys=True, indent=1)
+
+
+def load_instance_by_key_parse(text):
+    """Reference for ``load_instance``: the membership read by parsing
+    every key, each checked to be the canonical decimal form of an id,
+    rather than looked up by element id."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InstanceError(f"malformed instance text: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InstanceError("malformed instance text: top level must be an object")
+    for key in ("name", "elements", "nodes", "membership"):
+        if key not in doc:
+            raise InstanceError(f"missing field '{key}'")
+    try:
+        raw_ids = [e["id"] for e in doc["elements"]]
+        raw_weights = [e["weight"] for e in doc["elements"]]
+        nodes = [
+            (
+                _json_int(nd["id"], "node id"),
+                _json_int(nd["capacity"], f"node {nd['id']!r}: capacity"),
+                None if nd["parent"] is None else _json_int(nd["parent"], f"node {nd['id']!r}: parent"),
+            )
+            for nd in doc["nodes"]
+        ]
+        pairs = list(doc["membership"].items())
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InstanceError(f"malformed instance text: {exc}") from None
+    ids = [_json_int(v, "element id") for v in raw_ids]
+    weights = [w if type(w) is float else _weight(w, i) for w, i in zip(raw_weights, raw_ids)]
+    eids = [_json_key(k) for k, _ in pairs]
+    nids = [_json_int(v, "membership value") for _, v in pairs]
+    return _assemble(doc["name"], ids, weights, nodes, dict(zip(eids, nids)))
 
 
 def rank1(weights, capacity=1, name="rank1"):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -12,16 +14,23 @@ from laminar_secretary import (
     GenSpec,
     InstanceError,
     dump_instance,
+    exact_expectation,
     exact_ratio,
     generate,
     greedy_opt,
     is_independent,
     load_instance,
     make_instance,
+    make_trial,
+    monte_carlo_ratio,
     normalize_family,
     order_key,
+    qualifies,
+    reference_sets,
+    verify_report,
 )
 
+import laminar_secretary.cli as cli
 import laminar_secretary.model as model
 from laminar_secretary.matroid import _global_optima
 from laminar_secretary.theory import _global_brank, _padded_brank
@@ -31,8 +40,10 @@ from helpers import (
     FOUR_ELEMENT_TEXT,
     corrupt_four_element,
     dump_instance_by_json,
+    family_instance,
     four_element,
     instance_doc,
+    load_instance_by_key_parse,
     path_up,
     rank_tables_by_elements,
     ref_lists_by_full_pass,
@@ -599,3 +610,117 @@ class TestWeightOrder:
         inst = tree("ties", [(0, 2, None)], {0: 0, 1: 0, 2: 0}, [5.0, 5.0, 5.0])
         assert inst.n == 3
         assert inst.key(0) < inst.key(1) < inst.key(2)
+
+
+MEMBERSHIP_MUTATIONS = ("01", "+1", " 1", "1.0", "-0", "unknown id", "missing id", "extra key",
+                        "null", "1.5", "true", "2.0", "duplicate id", "shuffle")
+
+
+def _mutate(doc, mutation, rnd):
+    """Apply one membership fault (or a harmless change) to a ``gen`` document."""
+    members = doc["membership"]
+    if not members:  # the keys were all dropped by earlier mutations
+        return
+    key = rnd.choice(sorted(members))
+    if mutation in ("01", "+1", " 1", "1.0", "-0", "unknown id"):
+        new = {"01": "0" + key, "+1": "+" + key, " 1": " " + key, "1.0": key + ".0",
+               "-0": "-" + key, "unknown id": str(len(doc["elements"]) + 7)}[mutation]
+        members[new] = members.pop(key)
+    elif mutation == "missing id":
+        del members[key]
+    elif mutation == "extra key":
+        members[rnd.choice(("x", "", str(len(doc["elements"]) + 3), key + " "))] = 0
+    elif mutation == "duplicate id":
+        i, j = rnd.randrange(len(doc["elements"])), rnd.randrange(len(doc["elements"]))
+        doc["elements"][j]["id"] = doc["elements"][i]["id"]
+    elif mutation == "shuffle":
+        items = list(members.items())
+        rnd.shuffle(items)
+        doc["membership"] = dict(items)
+    else:  # "2.0" keeps the node where it can: an integral float is legal
+        node = members[key]
+        members[key] = {"null": None, "1.5": 1.5, "true": True,
+                        "2.0": float(node) if type(node) is int else 2.0}[mutation]
+
+
+def _load_outcome(load, text):
+    try:
+        inst = load(text)
+    except InstanceError as exc:
+        return str(exc)
+    return (inst.name, inst.ids, inst.weights, inst.nodes, inst.membership)
+
+
+class TestMembershipRead:
+    """``load_instance`` reads the membership by element id, falling back
+    to parsing the keys; on any mutated membership it loads the instance
+    that parsing every key loads, or fails with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(("uniform", "partition", "chain", "random_tree")),
+           st.integers(1, 30), st.integers(0, 2**16),
+           st.lists(st.sampled_from(MEMBERSHIP_MUTATIONS), max_size=3), st.randoms())
+    def test_equals_the_key_parse(self, family, n, seed, mutations, rnd):
+        doc = json.loads(dump_instance(family_instance(family, n, seed)))
+        for mutation in mutations:
+            _mutate(doc, mutation, rnd)
+        text = json.dumps(doc)
+        assert _load_outcome(load_instance, text) == _load_outcome(load_instance_by_key_parse, text)
+
+    @pytest.mark.parametrize("mutation", MEMBERSHIP_MUTATIONS)
+    def test_each_mutation(self, mutation):
+        doc = json.loads(dump_instance(family_instance("random_tree", 12, 3)))
+        _mutate(doc, mutation, random.Random(0))
+        text = json.dumps(doc)
+        assert _load_outcome(load_instance, text) == _load_outcome(load_instance_by_key_parse, text)
+
+
+class TestRankByIdOnFirstLookup:
+    """The id->rank table is built on the first lookup by id only: the
+    rank-space runs and the CLI commands that make them, and CLI ``opt``,
+    never read it."""
+
+    @staticmethod
+    def _loaded(family, n):
+        return load_instance(dump_instance(family_instance(family, n, 5)))
+
+    @pytest.mark.parametrize("family", ("uniform", "partition", "chain", "random_tree"))
+    def test_runs_leave_it_unbuilt(self, family, tmp_path, monkeypatch):
+        runs = [lambda inst: monte_carlo_ratio(inst, 0.08, 30, 1),
+                lambda inst: exact_expectation(inst, 0.2),
+                lambda inst: verify_report(inst, 0.08, 20, 1)]
+        for run in runs:
+            inst = self._loaded(family, 6)
+            run(inst)
+            assert inst.pre()._rank_by_id is None
+
+        loaded = []
+
+        def load(text):  # keeps the instance each CLI call loads
+            loaded.append(load_instance(text))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_instance", load)
+        path = tmp_path / "inst.json"
+        path.write_text(dump_instance(self._loaded(family, 6)))
+        file = str(path)
+        for argv in (["opt", file], ["exact", file], ["verify", file, "--trials", "20"],
+                     ["montecarlo", file, "--trials", "20"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            assert loaded[-1].pre()._rank_by_id is None
+
+    @pytest.mark.parametrize("family", ("uniform", "partition", "chain", "random_tree"))
+    def test_lookups_build_it(self, family):
+        other = self._loaded(family, 17)
+        oracle = rank_tables_by_elements(other.elements, other.nodes,
+                                         other.membership)["rank_by_id"]
+        refs = reference_sets(other, make_trial(other, 0.3, 2).sample_set)
+        eid = 4
+        lookups = [lambda inst: inst.pre().rank_of(eid), lambda inst: inst.key(eid),
+                   lambda inst: qualifies(inst, eid, inst.membership[eid], refs)]
+        for lookup in lookups:
+            inst = self._loaded(family, 17)
+            assert inst.pre()._rank_by_id is None
+            lookup(inst)
+            assert inst.pre()._rank_by_id == oracle
