@@ -31,10 +31,10 @@ copy of the batch's fields taken before the walk consumes them, and the
 full orders, sorted outside the timed layers.  The report gives
 the median over rounds of each layer's time per trial, with the lowest
 and highest round, plus the mean arrivals and live arrivals per trial,
-and the share of ``_gap_table(p)``'s buckets that are mixed: the
-expected share of gap words whose gap the draw computes rather than looks
-up.  Stdlib only and seeded: every count and share depends on the flags
-alone, the times on the host too.
+and the share of ``_gap_table(p, n)``'s buckets that are mixed at the
+instance's n: the expected share of gap words whose gap the draw computes
+rather than looks up.  Stdlib only and seeded: every count and share
+depends on the flags alone, the times on the host too.
 
 A round holds every trial's draw at once, per trial up to n arrivals with
 their keys, and one batch's sets: per trial two lists of one int of up to
@@ -157,7 +157,7 @@ def main():
             times[k].append(spent[k] / args.trials * 1e6)
     print(f"{inst.name}: {len(pre.mu)} nodes, p = {args.p}, {args.trials} trials x "
           f"{args.rounds} rounds, padding {'on' if args.padding else 'off'}")
-    mixed = _gap_table(args.p).count(0) / 2**GAP_BITS
+    mixed = _gap_table(args.p, pre.n_real).count(0) / 2**GAP_BITS
     print(f"arrivals per trial {arrived / args.trials:.2f}, live {live / args.trials:.2f} "
           f"(share {live / arrived if arrived else 0.0:.3f}), "
           f"mixed gap buckets {mixed:.3f}")

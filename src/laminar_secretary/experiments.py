@@ -73,7 +73,6 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice, starmap
-from multiprocessing import Pool
 
 from .model import InstanceError, LaminarInstance
 from .matroid import _global_optima, _left_sum, _opt_tables, _ref_fields
@@ -382,6 +381,9 @@ def monte_carlo_ratio(inst: LaminarInstance, p: float, trials: int, master_seed:
     if len(plan) == 1:
         weights = _trial_weights_chunk(inst, p, 0, trials, master_seed, padding)
     else:
+        # imported here, as a run on one worker starts no pool
+        from multiprocessing import Pool
+
         args = [(inst, p, start, count, master_seed, padding) for start, count in plan]
         with Pool(processes=len(args)) as pool:
             chunks = pool.starmap(_trial_weights_chunk, args)

@@ -31,9 +31,10 @@ A 64-bit seed names a stream, the SHAKE-128 output of the seed read as
 draw's words in rank space, and the next draw starts at the next unread
 word.  The arrivals are the ranks hit by geometric gaps with success
 probability p, one word per gap, ``floor(log U / log(1-p))`` for the word
-read as U in (0, 1]; ``_gap_table(p)`` holds that gap for each bucket of
-words (their top ``GAP_BITS`` bits) in which every word has the same one,
-so most words need no ``log``.  A draw yields the arrivals ascending with
+read as U in (0, 1]; ``_gap_table(p, n)`` holds that gap for each bucket
+of words (their top ``GAP_BITS`` bits) in which every word has the same
+one, and n + 1 for each bucket whose gaps all end a draw over n ranks, so
+most words need no ``log``.  A draw yields the arrivals ascending with
 one further word each, its sort key.  ``_order`` is the one arrival
 order rule: it sorts arrivals on their keys (ties, with chance below
 n^2/2^65, go to the lower rank), so a reader that needs only some
@@ -191,26 +192,30 @@ def _first_read(n: int, p: float, draws: int = 1) -> int:
 
 
 @lru_cache(maxsize=16)
-def _gap_table(p: float) -> tuple[int, ...]:
-    """The gaps of whole buckets of gap words: entry j is ``1 + gap`` when
-    every word u with ``u >> (64 - GAP_BITS) == j`` has the same gap under
-    ``_draws``' formula ``int(log(U) / lq)``, U = ((u >> 11) + 1) * 2^-53
-    and lq = log1p(-p), and 0 when its words have several gaps (bucket 0
-    always).  Bucket j holds U in (j, j + 1] * 2^-GAP_BITS, so its gaps lie
-    between the formula at its two edges, a = log(j * 2^-GAP_BITS) / lq
-    and b, the same at j + 1: the true quotient is monotone in U, and
-    libm's ``log`` (error below 1 ulp) and the correctly rounded division
-    keep each computed gap, edges included, within about 1e-15 of it,
-    relative.  So a bucket whose edges floor alike with a 1e-9 margin,
-    ``int(a * (1 + 1e-9)) == int(b * (1 - 1e-9))``, floors every word
-    alike.  One table per p, memoized (16 values of p at most), as a build
-    costs about 100-150 µs, a few hundred gap words' worth."""
+def _gap_table(p: float, n: int) -> tuple[int, ...]:
+    """The gaps of whole buckets of gap words for draws over n ranks: entry
+    j is ``n + 1`` when every word u with ``u >> (64 - GAP_BITS) == j`` has
+    a gap of n or more under ``_draws``' formula ``int(log(U) / lq)``, U =
+    ((u >> 11) + 1) * 2^-53 and lq = log1p(-p), which ends the draw as
+    that gap would; otherwise ``1 + gap`` when its words all have the same
+    gap, and 0 when they have several.  Bucket j holds U in (j, j + 1] *
+    2^-GAP_BITS, so its gaps lie between the formula at its two edges, a =
+    log(j * 2^-GAP_BITS) / lq (infinite at j = 0) and b, the same at j + 1:
+    the true quotient is monotone in U, and libm's ``log`` (error below 1
+    ulp) and the correctly rounded division keep each computed gap, edges
+    included, within about 1e-15 of it, relative.  So with a 1e-9 margin
+    the smallest gap is at least ``int(b * (1 - 1e-9))``, and a bucket
+    whose edges floor alike, ``int(a * (1 + 1e-9)) == int(b * (1 - 1e-9))``,
+    floors every word alike.  At small n most buckets end the draw: at
+    n = 6 the mixed share is 0.02 at p = 0.05 against 0.27 at n = 200.
+    One table per (p, n), memoized (16 pairs at most), as a build costs
+    about 100-150 µs, a few hundred gap words' worth."""
     lq = log1p(-p)
     edges = [log(j * 2.0**-GAP_BITS) / lq for j in range(1, 2**GAP_BITS + 1)]
-    table = [0]
+    table = [n + 1 if int(edges[0] * (1 - 1e-9)) >= n else 0]
     for a, b in zip(edges, edges[1:]):
         gap = int(b * (1 - 1e-9))
-        table.append(1 + gap if int(a * (1 + 1e-9)) == gap else 0)
+        table.append(n + 1 if gap >= n else 1 + gap if int(a * (1 + 1e-9)) == gap else 0)
     return tuple(table)
 
 
@@ -227,13 +232,14 @@ def _draws(pre, p: float, blocks):
     the next unread word.  Each block reads its words through one iterator
     over ``_stream``, which reads ``_first_read`` words at first and more
     on demand.  A gap word u's gap is ``floor(log U / log(1 - p))``, U =
-    ((u >> 11) + 1) * 2^-53, read from ``_gap_table(p)`` by u's top
-    ``GAP_BITS`` bits where that bucket has one gap, and computed where it
-    has several (0.19 of the words at p = 0.08): the same value either
-    way."""
+    ((u >> 11) + 1) * 2^-53, read from ``_gap_table(p, n)`` by u's top
+    ``GAP_BITS`` bits where that bucket has one gap or only gaps of n or
+    more, which end the draw alike, and computed where it has several,
+    some below n (0.19 of the words at p = 0.08 and n = 200, 0.02 at n = 6):
+    the same draw either way, as r is not read once the draw ends."""
     n = pre.n_real
     lq = log1p(-p)
-    gaps = _gap_table(p)
+    gaps = _gap_table(p, n)
     shift = 64 - GAP_BITS
     for seed, draws in blocks:
         words = chain.from_iterable(_stream(seed, _first_read(n, p, draws)))

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -278,6 +279,21 @@ def test_montecarlo_jobs_flag_preserves_output(four_file, tmp_path, capsys):
     assert main(base + ["--jobs", "2", "--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs,pooled", [("1", False), ("2", True)])
+def test_montecarlo_imports_multiprocessing_only_for_a_pool(four_file, jobs, pooled):
+    # a run on one worker leaves ``multiprocessing`` unimported; two
+    # workers (on a host with two cores or more) import it for their pool
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from laminar_secretary.cli import main; "
+            f"code = main(['montecarlo', {four_file!r}, '--trials', '200', '--jobs', {jobs!r}]); "
+            "print(code, 'multiprocessing' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0 and res.stderr == ""
+    expect = pooled and (os.cpu_count() or 1) > 1
+    assert res.stdout.splitlines()[-1] == f"0 {expect}"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

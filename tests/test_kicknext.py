@@ -389,40 +389,64 @@ def _p_with_edge_below(j, k):
 
 
 class TestGapTable:
-    """``_gap_table(p)`` holds ``1 + gap`` for each bucket of gap words whose
-    words all have one gap under the formula, and 0 for a mixed bucket, so
-    ``_draws`` gives the formula's value either way."""
+    """``_gap_table(p, n)`` holds ``n + 1`` for each bucket of gap words
+    whose words all have a gap of n or more under the formula, which ends a
+    draw over n ranks as the gap would, else ``1 + gap`` for each bucket
+    whose words all have one gap, and 0 for a mixed bucket, so ``_draws``
+    ends each draw where the formula does and gives its gaps before."""
+
+    NS = (1, 6, 16, 60, 2000)
 
     @staticmethod
-    def _check(p, rng):
-        table = _gap_table(p)
+    def _check(p, n, rng):
+        table = _gap_table(p, n)
         shift = 64 - GAP_BITS
-        assert len(table) == 2**GAP_BITS and table[0] == 0
+        assert len(table) == 2**GAP_BITS and table[0] in (0, n + 1)
         for j, entry in enumerate(table):
             if entry:
                 low, high = j << shift, ((j + 1) << shift) - 1
                 words = [low, high] + [rng.randrange(low, high + 1) for _ in range(200)]
-                assert {_formula_gap(u, p) for u in words} == {entry - 1}, (p, j)
+                gaps = {_formula_gap(u, p) for u in words}
+                if entry < n + 1:
+                    assert gaps == {entry - 1}, (p, n, j)
+                else:
+                    assert min(gaps) >= n, (p, n, j)
 
     @pytest.mark.parametrize("p", [1e-300, 1e-3, 0.05, 0.08, 0.2, 0.5, 0.9, 1 - 2**-53])
     def test_every_uniform_bucket_has_the_formula_gap(self, p):
-        self._check(p, random.Random(repr(p)))
+        for n in self.NS:
+            self._check(p, n, random.Random(f"{p!r} {n}"))
 
     @pytest.mark.parametrize("j,k", [(200, 1), (250, 2), (128, 3), (64, 5)])
     def test_an_edge_just_below_an_integer_makes_a_mixed_bucket(self, j, k):
         # the bucket's highest word sits on the edge and floors to k - 1,
         # its lowest word to k; the margin leaves the bucket to the formula
+        # while k - 1 < n, and from there both gaps end the draw
         p = _p_with_edge_below(j, k)
         shift = 64 - GAP_BITS
         assert _formula_gap((j << shift) - 1, p) == k - 1
         assert _formula_gap((j - 1) << shift, p) == k
-        assert _gap_table(p)[j - 1] == 0
-        self._check(p, random.Random(j))
+        for n in self.NS + (k - 1, k):
+            if n < 1:
+                continue
+            assert _gap_table(p, n)[j - 1] == (0 if k - 1 < n else n + 1), n
+            self._check(p, n, random.Random(j * n))
 
     @pytest.mark.parametrize("p,share", [(0.05, 0.27), (0.08, 0.19), (0.2, 0.09)])
     def test_mixed_share(self, p, share):
-        # the expected share of gap words whose gap is computed
-        assert round(_gap_table(p).count(0) / 2**GAP_BITS, 2) == share
+        # the expected share of gap words whose gap is computed at n = 200,
+        # where every gap the table holds is below n
+        assert round(_gap_table(p, 200).count(0) / 2**GAP_BITS, 2) == share
+
+    @pytest.mark.parametrize("p,n,share", [
+        (0.05, 6, 0.02), (0.08, 6, 0.02), (0.2, 6, 0.02), (1e-3, 6, 0.01),
+        (0.05, 1, 0.0), (0.05, 16, 0.06), (0.05, 60, 0.23), (0.05, 2000, 0.27),
+        (1e-3, 2000, 0.87), (0.002, 2000, 0.98),
+    ])
+    def test_mixed_share_per_n(self, p, n, share):
+        # at small n one mixed bucket is left per integer gap below n; at
+        # p <= 0.002 and n = 2000 nearly every bucket is still mixed
+        assert round(_gap_table(p, n).count(0) / 2**GAP_BITS, 2) == share
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 300),
@@ -436,19 +460,34 @@ class TestGapTable:
         expect = [order for _, order in stream_by_prefix(n, p, seed, draws)]
         assert list(starmap(_order, _draws(_rank1_pre(n), p, [(seed, draws)]))) == expect
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 16), st.floats(1e-4, 0.3), st.integers(0, 2**64 - 1),
+           st.integers(1, 8))
+    def test_small_n_draws_match_one_long_prefix(self, n, p, seed, draws):
+        # where most buckets end the draw: the sample flags and the order
+        # of every draw, so the words each draw reads, match the formula's
+        expect = stream_by_prefix(n, p, seed, draws)
+        got = [(_flags(n, arrivals), _order(arrivals, key))
+               for arrivals, key in _draws(_rank1_pre(n), p, [(seed, draws)])]
+        assert got == expect
+
     def test_memo_is_bounded(self):
         pre = _rank1_pre(20)
         for i in range(1000):
             next(starmap(_order, _draws(pre, (i + 1) / 1001, [(i, 1)])))
+        for n in range(1, 41):
+            next(starmap(_order, _draws(_rank1_pre(n), 0.08, [(n, 1)])))
         info = _gap_table.cache_info()
         assert info.currsize <= info.maxsize == 16
 
     def test_one_build_per_p(self):
-        inst = rank1(range(1, 21))
+        # one build per (p, n): trials of one instance at one p share it
         _gap_table.cache_clear()
-        for seed in range(1000):
-            make_trial(inst, 0.08, seed)
-        assert _gap_table.cache_info().misses == 1
+        for n, p in [(20, 0.08), (6, 0.08), (20, 0.2), (20, 0.08), (6, 0.08)]:
+            inst = rank1(range(1, n + 1))
+            for seed in range(200):
+                make_trial(inst, p, seed)
+        assert _gap_table.cache_info().misses == 3
 
 
 FAMILIES = st.sampled_from(("uniform", "partition", "chain", "random_tree"))
