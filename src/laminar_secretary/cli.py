@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--part-capacity", type=int, default=None)
     g.add_argument("--depth", type=int, default=None)
     g.add_argument("--max-branching", type=int, default=None)
-    g.add_argument("--power-exponent", type=float, default=2.0)
+    g.add_argument("--power-exponent", type=float, default=None)
     g.add_argument("-o", "--output", default=None)
 
     o = sub.add_parser("opt", help="offline maximum-weight feasible set")
@@ -116,8 +116,11 @@ def _cmd_gen(args) -> int:
     foreign = [_SHAPE_FLAGS[f] for f in shape if f not in FAMILY_FIELDS[args.family]]
     if foreign:
         raise ValueError(f"{foreign[0]} does not apply to the {args.family} family")
-    spec = GenSpec(args.family, args.n, args.seed, args.weights,
-                   power_exponent=args.power_exponent, **shape)
+    if args.power_exponent is not None:
+        if args.weights != "power_law":
+            raise ValueError(f"--power-exponent does not apply to {args.weights} weights")
+        shape["power_exponent"] = args.power_exponent
+    spec = GenSpec(args.family, args.n, args.seed, args.weights, **shape)
     _emit(dump_instance(generate(spec)) + "\n", args.output)
     return 0
 

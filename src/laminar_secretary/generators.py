@@ -5,13 +5,36 @@ a nested chain, and a random tree) crossed with four weight regimes.  All
 construction is deterministic in the seed, always passes model validation,
 and emits strictly increasing capacities toward the root so normalization is
 a no-op.
+
+The draws read only ``Random.getrandbits`` and ``Random.random``, in the
+order structure, membership, weights.  Each column gives the values the
+stdlib's higher-level methods give on CPython 3.10-3.13, in the same order,
+and leaves the generator in the same state:
+
+- an integer below k (``_below``) is ``k.bit_length()`` bits, redrawn while
+  they are k or more, which is ``Random._randbelow_with_getrandbits``.  So
+  ``randrange(k)`` is ``_below(k)``, ``randint(a, b)`` is
+  ``a + _below(b - a + 1)`` and ``choice(seq)`` is ``seq[_below(len(seq))]``;
+- uniform weights are ``1.0 - random()``, in (0, 1];
+- exponential ones are ``-log(1.0 - random())``, redrawn while 0.0 or less,
+  which is ``expovariate(1.0)`` (its ``/ 1.0`` is exact);
+- power-law ones are ``(1.0 - random()) ** (-1.0 / exponent)``, which is
+  ``paretovariate(exponent)``;
+- near ties are ``(1.0, 2.0, 3.0)[_below(3)]``, which is ``choice``.
+
+An instance file thus rests on seeding, ``random()`` (the one sequence
+Python documents as reproducible) and ``getrandbits`` alone, not on how a
+Python version writes the methods above; a column drawn in one loop also
+skips their per-call layers.
 """
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
+from math import log
 
 from .model import LaminarInstance, _assemble
 
@@ -42,19 +65,36 @@ class GenSpec:
     power_exponent: float = 2.0      # power_law shape
 
 
-def _draw_weight(rnd: random.Random, kind: str, exponent: float) -> float:
+def _below(rnd: random.Random, k: int, count: int) -> list[int]:
+    """``count`` draws of ``rnd.randrange(k)``, k >= 1, in order."""
+    bits = rnd.getrandbits
+    b = k.bit_length()
+    column = []
+    for _ in range(count):
+        r = bits(b)
+        while r >= k:
+            r = bits(b)
+        column.append(r)
+    return column
+
+
+def _weights(rnd: random.Random, kind: str, n: int, exponent: float) -> list[float]:
+    """n weights of one kind, in draw order."""
+    u = rnd.random
     if kind == "uniform":
-        return 1.0 - rnd.random()  # (0, 1]
+        return [1.0 - u() for _ in range(n)]  # (0, 1]
     if kind == "exponential":
-        w = rnd.expovariate(1.0)
-        while w <= 0.0:
-            w = rnd.expovariate(1.0)
-        return w
+        column = []
+        for _ in range(n):
+            w = -log(1.0 - u())
+            while w <= 0.0:
+                w = -log(1.0 - u())
+            column.append(w)
+        return column
     if kind == "power_law":
-        return rnd.paretovariate(exponent)
-    if kind == "near_ties":
-        return rnd.choice((1.0, 2.0, 3.0))
-    raise ValueError(f"unknown weight distribution {kind!r}")
+        e = -1.0 / exponent
+        return [(1.0 - u()) ** e for _ in range(n)]
+    return list(map((1.0, 2.0, 3.0).__getitem__, _below(rnd, 3, n)))  # near_ties
 
 
 def generate(spec: GenSpec) -> LaminarInstance:
@@ -75,11 +115,13 @@ def generate(spec: GenSpec) -> LaminarInstance:
         raise ValueError(f"need at most {MAX_GEN_SIZE} elements, got n={spec.n}")
     if spec.seed < 0:  # random.Random(-s) would seed as random.Random(s)
         raise ValueError(f"seed must be non-negative, got {spec.seed}")
+    exponent = spec.power_exponent
+    if type(exponent) not in (int, float):  # not bool, None or a string
+        raise ValueError(f"power exponent must be an int or a float, got {exponent!r}")
     # a Pareto law needs a positive shape: 0 divides by zero, and a negative
-    # one draws weights in (0, 1]
-    if not 0.0 < spec.power_exponent < math.inf:
-        raise ValueError(
-            f"power exponent must be positive and finite, got {spec.power_exponent!r}")
+    # one draws weights in (0, 1]; an int past the float range cannot divide
+    if not 0.0 < exponent <= sys.float_info.max:
+        raise ValueError(f"power exponent must be positive and finite, got {exponent!r}")
     rnd = random.Random(spec.seed)
 
     if spec.family == "uniform":
@@ -99,24 +141,23 @@ def generate(spec: GenSpec) -> LaminarInstance:
         root_cap = parts * cap if parts > 1 else cap + 1
         nodes = [(0, root_cap, None)]
         nodes += [(j, cap, 0) for j in range(1, parts + 1)]
-        membership = {i: 1 + rnd.randrange(parts) for i in range(spec.n)}
+        membership = {i: 1 + j for i, j in enumerate(_below(rnd, parts, spec.n))}
 
     elif spec.family == "chain":
         depth = spec.depth if spec.depth is not None else 3
         if not 1 <= depth <= MAX_GEN_SIZE:
             raise ValueError(f"chain depth must be in 1..{MAX_GEN_SIZE}, got {depth}")
-        caps = [rnd.randint(1, 2)]
-        for _ in range(depth - 1):
-            caps.append(caps[-1] + rnd.randint(1, 2))
+        # each node adds randint(1, 2) to the capacity of the one below it
+        caps = list(accumulate(1 + s for s in _below(rnd, 2, depth)))
         caps.reverse()  # caps[0] largest -> root
         nodes = [(j, caps[j], None if j == 0 else j - 1) for j in range(depth)]
-        membership = {i: rnd.randrange(depth) for i in range(spec.n)}
+        membership = dict(enumerate(_below(rnd, depth, spec.n)))
 
     else:  # random_tree
         if spec.max_branching < 1:
             raise ValueError(f"max branching must be >= 1, got {spec.max_branching}")
-        target = rnd.randint(1, min(8, max(1, spec.n)))
-        caps = [rnd.randint(2, max(2, spec.n))]
+        target = 1 + _below(rnd, min(8, spec.n), 1)[0]
+        caps = [2 + _below(rnd, max(2, spec.n) - 1, 1)[0]]
         parents: list[int | None] = [None]
         kids = [0]
         for j in range(1, target):
@@ -126,15 +167,15 @@ def generate(spec: GenSpec) -> LaminarInstance:
             ]
             if not open_nodes:
                 break
-            par = rnd.choice(open_nodes)
-            caps.append(rnd.randint(1, caps[par] - 1))
+            par = open_nodes[_below(rnd, len(open_nodes), 1)[0]]
+            caps.append(1 + _below(rnd, caps[par] - 1, 1)[0])
             parents.append(par)
             kids[par] += 1
             kids.append(0)
         nodes = [(j, caps[j], parents[j]) for j in range(len(caps))]
-        membership = {i: rnd.randrange(len(caps)) for i in range(spec.n)}
+        membership = dict(enumerate(_below(rnd, len(caps), spec.n)))
 
-    weights = [_draw_weight(rnd, spec.weights, spec.power_exponent) for _ in range(spec.n)]
+    weights = _weights(rnd, spec.weights, spec.n, exponent)
     name = f"{spec.family}-n{spec.n}-s{spec.seed}"
     # the model's one validator takes the columns and the (id, capacity,
     # parent) node triples as they are drawn

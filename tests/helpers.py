@@ -3,6 +3,7 @@ implementations for the test suite."""
 
 import json
 import math
+import random
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from hashlib import shake_128
@@ -177,6 +178,76 @@ def family_instance(family, n, seed):
                             parts=1 + seed % 4 if family == "partition" else None,
                             part_capacity=1 + seed % 3,
                             depth=2 + seed % 3 if family == "chain" else None))
+
+
+def _draw_weight_by_stdlib(rnd, kind, exponent):
+    if kind == "uniform":
+        return 1.0 - rnd.random()  # (0, 1]
+    if kind == "exponential":
+        w = rnd.expovariate(1.0)
+        while w <= 0.0:
+            w = rnd.expovariate(1.0)
+        return w
+    if kind == "power_law":
+        return rnd.paretovariate(exponent)
+    if kind == "near_ties":
+        return rnd.choice((1.0, 2.0, 3.0))
+    raise ValueError(f"unknown weight distribution {kind!r}")
+
+
+def generate_by_stdlib(spec):
+    """``generate`` as it was written on ``randrange``, ``randint``,
+    ``choice``, ``expovariate`` and ``paretovariate``, one call per value:
+    the oracle for its column draws.  The draws are verbatim; the checks of
+    the spec are left to ``generate``, so give this valid specs only."""
+    rnd = random.Random(spec.seed)
+
+    if spec.family == "uniform":
+        k = spec.rank if spec.rank is not None else min(3, spec.n)
+        nodes = [(0, k, None)]
+        membership = {i: 0 for i in range(spec.n)}
+
+    elif spec.family == "partition":
+        parts = spec.parts if spec.parts is not None else 2
+        cap = spec.part_capacity
+        root_cap = parts * cap if parts > 1 else cap + 1
+        nodes = [(0, root_cap, None)]
+        nodes += [(j, cap, 0) for j in range(1, parts + 1)]
+        membership = {i: 1 + rnd.randrange(parts) for i in range(spec.n)}
+
+    elif spec.family == "chain":
+        depth = spec.depth if spec.depth is not None else 3
+        caps = [rnd.randint(1, 2)]
+        for _ in range(depth - 1):
+            caps.append(caps[-1] + rnd.randint(1, 2))
+        caps.reverse()  # caps[0] largest -> root
+        nodes = [(j, caps[j], None if j == 0 else j - 1) for j in range(depth)]
+        membership = {i: rnd.randrange(depth) for i in range(spec.n)}
+
+    else:  # random_tree
+        target = rnd.randint(1, min(8, max(1, spec.n)))
+        caps = [rnd.randint(2, max(2, spec.n))]
+        parents: list[int | None] = [None]
+        kids = [0]
+        for j in range(1, target):
+            open_nodes = [
+                x for x in range(j)
+                if caps[x] >= 2 and kids[x] < spec.max_branching
+            ]
+            if not open_nodes:
+                break
+            par = rnd.choice(open_nodes)
+            caps.append(rnd.randint(1, caps[par] - 1))
+            parents.append(par)
+            kids[par] += 1
+            kids.append(0)
+        nodes = [(j, caps[j], parents[j]) for j in range(len(caps))]
+        membership = {i: rnd.randrange(len(caps)) for i in range(spec.n)}
+
+    weights = [_draw_weight_by_stdlib(rnd, spec.weights, spec.power_exponent)
+               for _ in range(spec.n)]
+    name = f"{spec.family}-n{spec.n}-s{spec.seed}"
+    return _assemble(name, list(range(spec.n)), weights, nodes, membership)
 
 
 @st.composite

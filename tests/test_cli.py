@@ -243,6 +243,33 @@ def test_gen_bad_power_exponent_exit_2(tmp_path, capsys, exponent):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", ["uniform", "exponential", "near_ties"])
+def test_gen_power_exponent_needs_power_law_weights(tmp_path, capsys, weights):
+    # only the power_law weights read the exponent, as only its family reads
+    # a shape flag
+    out = tmp_path / "g.json"
+    assert main(["gen", "--family", "chain", "--n", "5", "--seed", "1", "--weights", weights,
+                 "--power-exponent", "9", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --power-exponent does not apply to {weights} weights\n"
+    assert not out.exists()
+
+
+def test_gen_power_exponent_unset_keeps_the_spec_default(capsys):
+    argv = ["gen", "--family", "chain", "--n", "5", "--seed", "1", "--weights", "power_law"]
+    assert main(argv) == 0
+    absent = capsys.readouterr().out
+    assert absent == dump_instance(generate(GenSpec("chain", 5, 1, "power_law"))) + "\n"
+    assert main(argv + ["--power-exponent", "2"]) == 0
+    assert capsys.readouterr().out == absent
+    assert main(argv + ["--power-exponent", "3"]) == 0
+    given = capsys.readouterr().out
+    assert given == dump_instance(
+        generate(GenSpec("chain", 5, 1, "power_law", power_exponent=3.0))) + "\n"
+    assert given != absent
+
+
 def test_montecarlo_csv_byte_identical(four_file, tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["montecarlo", four_file, "--p", "0.08", "--trials", "2000", "--seed", "3"]

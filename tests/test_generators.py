@@ -1,6 +1,8 @@
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laminar_secretary import (
     GenSpec,
@@ -12,6 +14,8 @@ from laminar_secretary import (
     normalize_family,
 )
 import laminar_secretary.generators as generators
+
+from helpers import generate_by_stdlib
 
 
 def test_uniform_shape():
@@ -96,15 +100,32 @@ def test_parameter_validation():
         generate(GenSpec("chain", n=3, seed=0, depth=0))
 
 
-@pytest.mark.parametrize("exponent", [0.0, -1.0, float("inf"), float("nan")])
-def test_power_exponent_must_be_positive_and_finite(exponent):
-    # 0 divides by zero in the Pareto draw; -1 draws weights in (0, 1]
-    with pytest.raises(ValueError, match="power exponent must be positive and finite"):
-        generate(GenSpec("uniform", n=3, seed=0, weights="power_law", power_exponent=exponent))
-    weights = [e.weight for e in
-               generate(GenSpec("uniform", n=50, seed=0, weights="power_law",
-                                power_exponent=0.5)).elements]
-    assert min(weights) >= 1.0  # a Pareto law of any positive shape
+@pytest.mark.parametrize("exponent,message", [
+    (0.0, "must be positive and finite"), (-1.0, "must be positive and finite"),
+    (float("inf"), "must be positive and finite"), (float("nan"), "must be positive and finite"),
+    (0, "must be positive and finite"), (10**400, "must be positive and finite"),
+    (True, "must be an int or a float"), ("2", "must be an int or a float"),
+    (None, "must be an int or a float"),
+], ids=["0.0", "-1.0", "inf", "nan", "0", "10**400", "True", "'2'", "None"])
+def test_power_exponent_must_be_positive_and_finite(monkeypatch, exponent, message):
+    # 0 divides by zero in the Pareto draw; -1 draws weights in (0, 1]; an
+    # int past the float range cannot divide; True would be read as 1.0.
+    # Refused before any draw, whatever the weights
+    def no_draw(*args):
+        raise AssertionError("generate drew before refusing the spec")
+
+    monkeypatch.setattr(generators.random, "Random", no_draw)
+    for weights in ("power_law", "uniform"):
+        with pytest.raises(ValueError, match=f"^power exponent {message}, got "):
+            generate(GenSpec("uniform", n=3, seed=0, weights=weights, power_exponent=exponent))
+    monkeypatch.undo()
+    drawn = [e.weight for e in
+             generate(GenSpec("uniform", n=50, seed=0, weights="power_law",
+                              power_exponent=0.5)).elements]
+    assert min(drawn) >= 1.0  # a Pareto law of any positive shape
+    # an int shape is its float
+    assert (dump_instance(generate(GenSpec("chain", 9, 4, "power_law", power_exponent=3)))
+            == dump_instance(generate(GenSpec("chain", 9, 4, "power_law", power_exponent=3.0))))
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -171,3 +192,85 @@ def test_family_fields_are_the_fields_each_family_reads():
             # family's own fields change the instance
             assert (got != base) == (field in fields), (family, field)
 
+
+# k next to powers of two, where ``_below`` redraws most and least often
+BELOW_KS = (1, 2, 3, 7, 8, 9, 255, 256, 257, 10**6)
+
+
+class CountingRandom(random.Random):
+    """Counts the ``getrandbits`` calls; ``randrange`` still draws on them."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("k", BELOW_KS)
+def test_below_draws_what_randrange_draws(k):
+    redraws = 0
+    for seed in range(50):
+        rnd, ref = CountingRandom(seed), CountingRandom(seed)
+        column = generators._below(rnd, k, 40)
+        assert column == [ref.randrange(k) for _ in range(40)]
+        assert rnd.getstate() == ref.getstate() and rnd.calls == ref.calls
+        redraws += rnd.calls - 40
+        # one draw at a time is the same stream
+        assert [generators._below(ref, k, 1)[0] for _ in range(5)] == generators._below(rnd, k, 5)
+    assert redraws > 0  # the rejections were exercised
+
+
+@st.composite
+def gen_specs(draw):
+    """A valid spec of any family and weight kind, n in 1..300."""
+    family = draw(st.sampled_from(generators.FAMILIES))
+    n = draw(st.integers(1, 300))
+    shape = {}
+    if family == "uniform":
+        shape["rank"] = draw(st.none() | st.integers(1, n))
+    elif family == "partition":
+        shape["parts"] = draw(st.none() | st.integers(1, 50))
+        shape["part_capacity"] = draw(st.integers(1, 5))
+    elif family == "chain":
+        shape["depth"] = draw(st.none() | st.integers(1, 50))
+    else:
+        shape["max_branching"] = draw(st.integers(1, 5))
+    return GenSpec(family, n, draw(st.integers(0, 2**64 - 1)),
+                   draw(st.sampled_from(generators.WEIGHTS)),
+                   power_exponent=draw(st.floats(0.1, 10.0)), **shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gen_specs())
+def test_generate_writes_what_the_stdlib_calls_write(spec):
+    assert dump_instance(generate(spec)) == dump_instance(generate_by_stdlib(spec))
+
+
+@pytest.mark.parametrize("weights", generators.WEIGHTS)
+def test_large_partition_writes_what_the_stdlib_calls_write(weights):
+    spec = GenSpec("partition", 2000, 2000, weights, parts=40, power_exponent=1.5)
+    assert dump_instance(generate(spec)) == dump_instance(generate_by_stdlib(spec))
+
+
+def test_exponential_weight_is_redrawn_at_zero(monkeypatch):
+    # -log(1.0 - 0.0) is -0.0: both forms redraw, so the served 0.0 only
+    # delays the stream by one value, and a weight of -0.0 would fail the
+    # model's check
+    class ZeroFirst(random.Random):
+        zeros = 0
+        served = False
+
+        def random(self):
+            if self.served:
+                return super().random()
+            self.served = True
+            ZeroFirst.zeros += 1
+            return 0.0
+
+    spec = GenSpec("uniform", n=6, seed=11, weights="exponential")
+    plain = dump_instance(generate(spec))
+    monkeypatch.setattr(random, "Random", ZeroFirst)
+    assert dump_instance(generate(spec)) == plain
+    assert dump_instance(generate_by_stdlib(spec)) == plain
+    assert ZeroFirst.zeros == 2
